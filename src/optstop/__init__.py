@@ -27,8 +27,8 @@ from .lsm import (
 )
 from .model import ModelParams, PathBatch, SamplePath
 from .policy_io import load_policy, save_policy
-from .regression import KernelSpec, RegressionBackend, fit, zero_regressor
-from .rng import RngStream, q_function, standard_normal
+from .regression import KernelSpec, RegressionBackend
+from .rng import RngStream, q_function
 from .seller import GaussianBelief, kalman_correct, kalman_predict, myopic_price, seller_step
 from .snell import (
     FiniteStopProblem,
@@ -62,7 +62,6 @@ __all__ = [
     "evaluate",
     "exit_payoff",
     "expected_stopped_payoff",
-    "fit",
     "generate_paths",
     "initial_state",
     "kalman_correct",
@@ -77,9 +76,7 @@ __all__ = [
     "run_experiment",
     "save_policy",
     "seller_step",
-    "standard_normal",
     "step_valuation",
     "stopping_time",
     "train",
-    "zero_regressor",
 ]

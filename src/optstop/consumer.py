@@ -14,8 +14,9 @@ otherwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import ModelParams
 from .rng import RngStream
@@ -27,10 +28,13 @@ MAX_EXPONENT = 700.0
 
 @dataclass(frozen=True)
 class ConsumerState:
-    """Time index, current valuation mean, and remaining valuation variance."""
+    """Time index, current valuation mean, and remaining valuation variance.
+
+    v is a float, or an (N,) array for N paths at the same epoch.
+    """
 
     t: int
-    v: float
+    v: float | np.ndarray
     residual_var: float
 
     def __post_init__(self):
@@ -57,22 +61,21 @@ def step_valuation(
     )
 
 
-def purchase_payoff(state: ConsumerState, price: float, params: ModelParams) -> float:
+def purchase_payoff(state: ConsumerState, price, params: ModelParams):
     """Certainty-equivalent payoff from purchasing now at the given price.
 
     Strictly increasing in the valuation mean, strictly decreasing in price,
     bounded above by 1. The exponent is clamped at MAX_EXPONENT so deeply
     unprofitable purchases saturate to a large negative but finite payoff.
+    Valuation and price may be floats or matching arrays.
     """
-    if not math.isfinite(price):
+    if not np.all(np.isfinite(price)):
         raise ValueError(f"price must be finite, got {price}")
     g = params.gamma
     exponent = -g * (state.v - price) + 0.5 * g * g * state.residual_var
-    if exponent > MAX_EXPONENT:
-        exponent = MAX_EXPONENT
-    return 1.0 - math.exp(exponent)
+    return 1.0 - np.exp(np.minimum(exponent, MAX_EXPONENT))
 
 
-def exit_payoff(pi: float) -> float:
+def exit_payoff(pi):
     """Payoff from exiting: the better of purchasing (pi) and rejecting (0)."""
-    return pi if pi > 0.0 else 0.0
+    return np.maximum(pi, 0.0)

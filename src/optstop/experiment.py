@@ -132,48 +132,63 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_dict(json.load(fh))
 
 
+class _DrawColumns:
+    """Stream stand-in for a batch: each draw returns the next column of a
+    pre-drawn (N, k) matrix, i.e. one variate for every path at once."""
+
+    def __init__(self, z: np.ndarray):
+        self._columns = iter(z.T)
+
+    def standard_normal(self) -> np.ndarray:
+        return next(self._columns)
+
+
 def generate_paths(
     params: ModelParams, n: int, domain: int = DOMAIN_TRAIN, fixed_v0: float | None = None
 ) -> PathBatch:
     """Simulate n sample paths of the full consumer/seller interaction.
 
-    Each path runs on its own (seed, path index, domain) stream: the
-    valuation walk steps first, then the seller observes, filters, and
-    prices, and the payoffs close the epoch. Initial valuations are drawn
-    from the seller's prior unless pinned via fixed_v0.
+    Path i draws all of its normals in one call on its own (seed, i, domain)
+    stream, in the order of the scalar API: the initial valuation (unless
+    pinned via fixed_v0), then per epoch the valuation shock and the
+    seller's observation noise. The epochs then run for all paths at once
+    through the same consumer and seller functions as a single path: the
+    valuation walk steps, the seller observes, filters, and prices, and the
+    payoffs close the epoch.
     """
     T = params.horizon
+    k = 2 * T + (fixed_v0 is None)
+    z = np.empty((n, k))
+    for i in range(n):
+        z[i] = RngStream(params.seed, path_index=i, domain=domain).standard_normal(k)
+    draws = _DrawColumns(z)
+    if fixed_v0 is None:
+        v0 = params.mu_prior + params.sigma_v * draws.standard_normal()
+    else:
+        v0 = np.full(n, float(fixed_v0))
+
     v = np.empty((n, T + 1))
     y = np.empty((n, T))
     p = np.empty((n, T + 1))
     pi = np.empty((n, T + 1))
-    h = np.empty((n, T + 1))
     seller_mean = np.empty((n, T + 1))
     seller_var = np.empty(T + 1)
-
-    for i in range(n):
-        stream = RngStream(params.seed, path_index=i, domain=domain)
-        if fixed_v0 is None:
-            v0 = params.mu_prior + params.sigma_v * stream.standard_normal()
-        else:
-            v0 = fixed_v0
-        state = consumer.initial_state(v0, params)
-        belief = seller.GaussianBelief(params.mu_prior, params.sigma_v**2)
-        for t in range(T + 1):
-            if t > 0:
-                state = consumer.step_valuation(state, stream, params)
-            price, belief, obs = seller.seller_step(belief, state.v, t, stream, params)
-            if obs is not None:
-                y[i, t - 1] = obs
-            v[i, t] = state.v
-            p[i, t] = price
-            seller_mean[i, t] = belief.mean
-            seller_var[t] = belief.var
-            pi[i, t] = consumer.purchase_payoff(state, price, params)
-            h[i, t] = consumer.exit_payoff(pi[i, t])
+    state = consumer.initial_state(v0, params)
+    belief = seller.GaussianBelief(np.full(n, float(params.mu_prior)), params.sigma_v**2)
+    for t in range(T + 1):
+        if t > 0:
+            state = consumer.step_valuation(state, draws, params)
+        price, belief, obs = seller.seller_step(belief, state.v, t, draws, params)
+        if obs is not None:
+            y[:, t - 1] = obs
+        v[:, t] = state.v
+        p[:, t] = price
+        seller_mean[:, t] = belief.mean
+        seller_var[t] = belief.var
+        pi[:, t] = consumer.purchase_payoff(state, price, params)
 
     batch = PathBatch(
-        v=v, y=y, p=p, pi=pi, h=h,
+        v=v, y=y, p=p, pi=pi, h=consumer.exit_payoff(pi),
         seller_mean=seller_mean, seller_var=seller_var, params=params,
     )
     batch.validate()
@@ -340,19 +355,6 @@ def render_figures_data(
     return files
 
 
-def emit_figures_data(
-    report: lsm.EvaluationReport,
-    batch: PathBatch,
-    config: ExperimentConfig,
-    outdir,
-    myo_batch: PathBatch | None = None,
-) -> list[str]:
-    """Write the figure-data tables to outdir; returns the file names."""
-    files = render_figures_data(report, batch, config, myo_batch=myo_batch)
-    write_output_dir(outdir, files)
-    return sorted(files)
-
-
 def render_summary(report: lsm.EvaluationReport, config: ExperimentConfig) -> str:
     rows = [
         ("n_trials", report.n_trials),
@@ -423,7 +425,12 @@ def render_paths_csv(batch: PathBatch, config: ExperimentConfig) -> str:
 
 
 def load_paths_csv(path) -> PathBatch:
-    """Reconstruct a PathBatch from the long-format CSV written by render_paths_csv."""
+    """Reconstruct a PathBatch from the long-format CSV written by render_paths_csv.
+
+    Every (path, t) pair up to the largest path and epoch in the file must
+    appear exactly once; otherwise the error names the first pair that is
+    missing or duplicated.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     data_lines = [ln for ln in lines if not ln.startswith("#")]
@@ -431,28 +438,40 @@ def load_paths_csv(path) -> PathBatch:
     expected = ["path", "t", "v", "y", "p", "pi", "h", "seller_mean", "seller_var"]
     if header != expected:
         raise ValueError(f"unexpected paths CSV header {header}")
-    records = [ln.split(",") for ln in data_lines[1:]]
-    n = max(int(r[0]) for r in records) + 1
-    T = max(int(r[1]) for r in records)
-    v = np.empty((n, T + 1))
-    y = np.empty((n, T))
-    p = np.empty((n, T + 1))
-    pi = np.empty((n, T + 1))
-    h = np.empty((n, T + 1))
-    seller_mean = np.empty((n, T + 1))
+    width, n_rows = len(expected), len(data_lines) - 1
+    fields = ",".join(data_lines[1:]).split(",")
+    if n_rows < 1 or len(fields) != width * n_rows:
+        raise ValueError(f"paths CSV needs rows of {width} fields")
+
+    # y is empty at t = 0 and dropped below; "nan" makes a later empty y fail validate().
+    fields[3::width] = [s or "nan" for s in fields[3::width]]
+
+    def parse(k: int, kind=float) -> np.ndarray:
+        return np.fromiter(map(kind, fields[k::width]), dtype=kind, count=n_rows)
+
+    path_i, t = parse(0, int), parse(1, int)
+    if path_i.min() < 0 or t.min() < 0:
+        raise ValueError("paths CSV has a negative path or t index")
+    n, T = int(path_i.max()) + 1, int(t.max())
+    flat = path_i * (T + 1) + t
+    counts = np.bincount(flat, minlength=n * (T + 1))
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        i, t_bad = divmod(int(bad[0]), T + 1)
+        fault = "is missing" if counts[bad[0]] == 0 else f"appears {counts[bad[0]]} times"
+        raise ValueError(f"paths CSV row (path={i}, t={t_bad}) {fault}")
+
+    def column(k: int) -> np.ndarray:
+        out = np.empty(n * (T + 1))
+        out[flat] = parse(k)
+        return out.reshape(n, T + 1)
+
+    y = column(3)[:, 1:].copy()
     seller_var = np.empty(T + 1)
-    for r in records:
-        i, t = int(r[0]), int(r[1])
-        v[i, t] = float(r[2])
-        if t > 0:
-            y[i, t - 1] = float(r[3])
-        p[i, t] = float(r[4])
-        pi[i, t] = float(r[5])
-        h[i, t] = float(r[6])
-        seller_mean[i, t] = float(r[7])
-        seller_var[t] = float(r[8])
+    seller_var[t] = parse(8)
     batch = PathBatch(
-        v=v, y=y, p=p, pi=pi, h=h, seller_mean=seller_mean, seller_var=seller_var
+        v=column(2), y=y, p=column(4), pi=column(5), h=column(6),
+        seller_mean=column(7), seller_var=seller_var,
     )
     batch.validate()
     return batch

@@ -289,13 +289,6 @@ class StrategyOutcome:
     def prices_paid(self) -> np.ndarray:
         return self.prices_at_exit[self.purchased]
 
-    def decisions(self) -> list[ExitDecision]:
-        out = []
-        for t, bought, pay in zip(self.times, self.purchased, self.payoffs):
-            action = PURCHASE if bought else REJECT
-            out.append(ExitDecision(time=int(t), action=action, payoff=float(pay)))
-        return out
-
 
 @dataclass
 class EvaluationReport:

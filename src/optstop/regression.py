@@ -197,10 +197,6 @@ class TabularRegressor(Regressor):
         )
 
 
-def zero_regressor() -> ZeroRegressor:
-    return ZeroRegressor()
-
-
 def _merge_duplicates(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Collapse exactly duplicated inputs, averaging their targets.
 
@@ -287,11 +283,6 @@ def fit_tabular(xs, ys) -> TabularRegressor:
     sums = np.zeros(len(uniq))
     np.add.at(sums, inverse, ys)
     return TabularRegressor(uniq, sums / counts, float(ys.mean()))
-
-
-def fit(xs, ys, spec: KernelSpec = KernelSpec(), **kwargs) -> KernelRegressor:
-    """Reference fit: Gaussian-kernel least squares (see fit_kernel)."""
-    return fit_kernel(xs, ys, spec, **kwargs)
 
 
 @dataclass(frozen=True)

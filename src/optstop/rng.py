@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc as _erfc_array
+from scipy.special import erfc as _erfc
 
 _SQRT2 = math.sqrt(2.0)
 _U32 = 1 << 32
@@ -39,10 +39,6 @@ class RngStream:
         key = np.array([seed, (domain << 32) | path_index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    @classmethod
-    def for_path(cls, seed: int, path_index: int, domain: int = 0) -> "RngStream":
-        return cls(seed, path_index=path_index, domain=domain)
-
     def standard_normal(self, size=None):
         """Draw standard-normal variates, advancing the stream state."""
         if size is None:
@@ -62,28 +58,16 @@ class RngStream:
         )
 
 
-def standard_normal(stream: RngStream) -> float:
-    """One standard-normal variate from the given stream."""
-    return stream.standard_normal()
-
-
 def q_function(z):
     """Upper-tail probability Q(z) = Pr(Z > z) for a standard normal Z.
 
-    Accepts scalars or arrays. Relative error is at the level of erfc
-    itself (~1e-15), comfortably inside the 1e-12 the price optimizer needs.
-    Scalar and array paths share one erfc implementation so they agree
-    bitwise.
+    Accepts scalars or arrays; both go through the same erfc ufunc, so they
+    agree bitwise. Relative error is at the level of erfc itself (~1e-15).
     """
-    if np.ndim(z) == 0:
-        return 0.5 * float(_erfc_array(float(z) / _SQRT2))
-    return 0.5 * _erfc_array(np.asarray(z, dtype=float) / _SQRT2)
+    return 0.5 * _erfc(np.asarray(z, dtype=float) / _SQRT2)
 
 
 def normal_pdf(z):
     """Standard normal density, scalar or array."""
-    if np.ndim(z) == 0:
-        zf = float(z)
-        return math.exp(-0.5 * zf * zf) / math.sqrt(2.0 * math.pi)
-    za = np.asarray(z, dtype=float)
-    return np.exp(-0.5 * za * za) / math.sqrt(2.0 * math.pi)
+    z = np.asarray(z, dtype=float)
+    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)

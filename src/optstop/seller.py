@@ -11,23 +11,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import erfcx
+
 from .model import ModelParams
-from .rng import RngStream, normal_pdf, q_function
+# q_function is not called here; perfbench/spans.py patches seller.q_function.
+from .rng import RngStream, q_function  # noqa: F401
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT2 = math.sqrt(2.0)
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
-# Golden-section iterations: shrinks the bracket by ~1e-7 of its width, which
-# puts the Newton polish safely inside the quadratic convergence basin.
-_GOLDEN_ITERS = 34
-_NEWTON_ITERS = 30
-_STATIONARITY_TOL = 1e-8
+# Bisection halvings: 64 shrink the bracket (0, hi] below one ulp of hi, so
+# the loop ends at full double precision.
+_BISECTIONS = 64
 
 
 @dataclass(frozen=True)
 class GaussianBelief:
-    """Mean and variance of the seller's posterior on the consumer valuation."""
+    """Mean and variance of the seller's posterior on the consumer valuation.
 
-    mean: float
+    The mean is a float, or an (N,) array when N paths share one variance
+    (the variance does not depend on the observations).
+    """
+
+    mean: float | np.ndarray
     var: float
 
     def __post_init__(self):
@@ -40,9 +47,12 @@ def kalman_predict(belief: GaussianBelief, params: ModelParams) -> GaussianBelie
     return GaussianBelief(belief.mean, belief.var + params.sigma_eps**2)
 
 
-def kalman_correct(belief: GaussianBelief, y: float, params: ModelParams) -> GaussianBelief:
-    """Measurement update with observation y = v + N(0, sigma_xi^2)."""
-    if not math.isfinite(y):
+def kalman_correct(belief: GaussianBelief, y, params: ModelParams) -> GaussianBelief:
+    """Measurement update with observation y = v + N(0, sigma_xi^2).
+
+    y is a float, or an array shaped like the belief mean.
+    """
+    if not np.all(np.isfinite(y)):
         raise ValueError(f"observation must be finite, got {y}")
     denom = belief.var + params.sigma_xi**2
     if denom == 0.0:
@@ -55,88 +65,35 @@ def kalman_correct(belief: GaussianBelief, y: float, params: ModelParams) -> Gau
     )
 
 
-def _revenue(p: float, mu: float, sigma: float) -> float:
-    return p * q_function((p - mu) / sigma)
-
-
-def myopic_price(belief: GaussianBelief) -> float:
+def myopic_price(belief: GaussianBelief):
     """Price maximizing p * Pr(v > p) under the given Gaussian belief.
 
-    The objective is unimodal on p > 0 (the normal has increasing hazard
-    rate), so a golden-section pass brackets the maximizer and Newton steps
-    on the stationarity condition
+    With p = sigma * q and m = mu / sigma the problem is max q * Q(q - m),
+    whose stationarity condition is q = R(q - m) for the Mills ratio
+    R(z) = Q(z) / phi(z) = sqrt(pi/2) * erfcx(z / sqrt(2)). R is decreasing
+    and R(z) < 1/z for z > 0, so q - R(q - m) is increasing with its single
+    root in (0, (m + sqrt(m^2 + 4)) / 2); bisection on that bracket converges
+    for every m without evaluating Q or phi in their underflow range.
 
-        sigma * Q(z) - p * phi(z) = 0,   z = (p - mu) / sigma
-
-    polish it. If Newton leaves the bracket or stalls, the golden-section
-    solution is refined by a local fine grid instead.
+    The mean may be a float or an array; each element follows the same
+    elementwise arithmetic, so an array call returns the bits of the
+    matching scalar calls.
     """
     if not belief.var > 0:
         raise ValueError(f"pricing requires positive variance, got {belief.var}")
-    mu = belief.mean
     sigma = math.sqrt(belief.var)
-
-    lo = 1e-12 * sigma
-    hi = max(mu, 0.0) + 10.0 * sigma
-
-    # Golden-section search (maximization).
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = _revenue(c, mu, sigma)
-    fd = _revenue(d, mu, sigma)
-    for _ in range(_GOLDEN_ITERS):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = _revenue(c, mu, sigma)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = _revenue(d, mu, sigma)
-    p = c if fc > fd else d
-
-    # Newton polish on the stationarity condition g(p) = sigma*Q(z) - p*phi(z),
-    # g'(p) = phi(z) * (p*z/sigma - 2).
-    p_newton = p
-    converged = False
-    for _ in range(_NEWTON_ITERS):
-        z = (p_newton - mu) / sigma
-        pdf = normal_pdf(z)
-        g = sigma * q_function(z) - p_newton * pdf
-        gprime = pdf * (p_newton * z / sigma - 2.0)
-        if gprime == 0.0:
-            break
-        step = g / gprime
-        p_next = p_newton - step
-        if not (lo <= p_next <= hi):
-            break
-        if abs(p_next - p_newton) <= 1e-15 * max(1.0, abs(p_newton)):
-            p_newton = p_next
-            converged = True
-            break
-        p_newton = p_next
-    else:
-        converged = _stationarity_residual(p_newton, mu, sigma) <= _STATIONARITY_TOL
-
-    if converged and _stationarity_residual(p_newton, mu, sigma) <= _STATIONARITY_TOL:
-        return p_newton
-
-    # Fallback: fine local grid around the golden-section bracket.
-    width = max(b - a, 1e-9 * sigma)
-    best_p, best_f = p, _revenue(p, mu, sigma)
-    steps = 2000
-    for i in range(steps + 1):
-        cand = max(lo, p - width) + (2.0 * width) * i / steps
-        f = _revenue(cand, mu, sigma)
-        if f > best_f:
-            best_p, best_f = cand, f
-    return best_p
-
-
-def _stationarity_residual(p: float, mu: float, sigma: float) -> float:
-    z = (p - mu) / sigma
-    return abs(q_function(z) - p * normal_pdf(z) / sigma)
+    m = np.asarray(belief.mean, dtype=float) / sigma
+    # Bracket end (m + sqrt(m^2 + 4)) / 2; for m < 0 it is computed as the
+    # reciprocal of (|m| + sqrt(m^2 + 4)) / 2, which avoids the cancellation.
+    s = 0.5 * (np.abs(m) + np.sqrt(m * m + 4.0))
+    hi = np.where(m < 0.0, 1.0 / s, s)
+    lo = np.zeros_like(hi)
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        below = mid < _SQRT_HALF_PI * erfcx((mid - m) / _SQRT2)
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return sigma * (0.5 * (lo + hi))
 
 
 def seller_step(

@@ -216,58 +216,41 @@ def discretize_consumer_problem(
     gh_x, gh_w = hermgauss(levels)
     points = gh_x * np.sqrt(2.0)          # standard normal support
     weights = gh_w / np.sqrt(np.pi)       # sums to 1
+    # Child weights of one parent, ordered (valuation shock, observation noise).
+    child_weights = np.outer(weights, weights).ravel()
 
-    prior = seller.GaussianBelief(params.mu_prior, params.sigma_v**2)
-    p0 = seller.myopic_price(prior)
+    # Node state at epoch t: the consumer's valuation mean and the seller's
+    # posterior mean, one array entry per node; the posterior variance is
+    # observation-independent, hence shared per epoch.
+    state = consumer.initial_state(params.mu_prior + params.sigma_v * points, params)
+    belief = seller.GaussianBelief(np.full(levels, float(params.mu_prior)), params.sigma_v**2)
 
-    # Node state at epoch t: (valuation mean, seller posterior mean); the
-    # posterior variance is observation-independent, hence shared per epoch.
-    v_nodes = params.mu_prior + params.sigma_v * points
-    m_nodes = np.full(levels, params.mu_prior)
-    var_t = prior.var
+    def exit_payoffs(state: consumer.ConsumerState, belief: seller.GaussianBelief) -> np.ndarray:
+        price = seller.myopic_price(belief)
+        return consumer.exit_payoff(consumer.purchase_payoff(state, price, params))
 
-    payoffs: list[np.ndarray] = []
+    payoffs: list[np.ndarray] = [exit_payoffs(state, belief)]
     transitions: list[np.ndarray] = []
     initial = weights.copy()
 
-    def epoch_payoffs(t: int, vs: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        out = np.empty(len(vs))
-        for i, (v, price) in enumerate(zip(vs, prices)):
-            state = consumer.ConsumerState(
-                t=t, v=float(v), residual_var=(T - t) * params.sigma_eps**2
-            )
-            out[i] = consumer.exit_payoff(consumer.purchase_payoff(state, float(price), params))
-        return out
-
-    payoffs.append(epoch_payoffs(0, v_nodes, np.full(levels, p0)))
-
     for t in range(1, T + 1):
-        n_parent = len(v_nodes)
-        n_child = n_parent * levels * levels
-        child_v = np.empty(n_child)
-        child_m = np.empty(n_child)
-        child_price = np.empty(n_child)
-        trans = np.zeros((n_parent, n_child))
-
-        pred_var = var_t + params.sigma_eps**2
-        gain = pred_var / (pred_var + params.sigma_xi**2) if pred_var + params.sigma_xi**2 > 0 else 0.0
-        var_t = (1.0 - gain) * pred_var
-
-        idx = 0
-        for parent in range(n_parent):
-            for j in range(levels):       # valuation shock
-                v_new = v_nodes[parent] + params.sigma_eps * points[j]
-                for k in range(levels):   # observation noise
-                    y = v_new + params.sigma_xi * points[k]
-                    m_new = m_nodes[parent] + gain * (y - m_nodes[parent])
-                    child_v[idx] = v_new
-                    child_m[idx] = m_new
-                    child_price[idx] = seller.myopic_price(seller.GaussianBelief(m_new, var_t))
-                    trans[parent, idx] = weights[j] * weights[k]
-                    idx += 1
-        payoffs.append(epoch_payoffs(t, child_v, child_price))
-        transitions.append(trans)
-        v_nodes, m_nodes = child_v, child_m
+        # Children ordered (parent, valuation shock, observation noise).
+        n_parent = len(state.v)
+        v_new = state.v[:, None] + params.sigma_eps * points              # (parent, shock)
+        y = v_new[:, :, None] + params.sigma_xi * points                  # (parent, shock, noise)
+        parent_mean = np.repeat(belief.mean, levels * levels)
+        belief = seller.kalman_correct(
+            seller.kalman_predict(seller.GaussianBelief(parent_mean, belief.var), params),
+            y.ravel(),
+            params,
+        )
+        state = consumer.ConsumerState(
+            t=t,
+            v=np.repeat(v_new.ravel(), levels),
+            residual_var=(T - t) * params.sigma_eps**2,
+        )
+        payoffs.append(exit_payoffs(state, belief))
+        transitions.append(np.kron(np.eye(n_parent), child_weights))
 
     problem = FiniteStopProblem(payoffs=payoffs, transitions=transitions, initial=initial)
     problem.validate()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from optstop import experiment, lsm
+from optstop.consumer import exit_payoff, initial_state, purchase_payoff, step_valuation
 from optstop.experiment import (
     BinConfig,
     DOMAIN_MYOPIC_TEST,
@@ -24,6 +25,8 @@ from optstop.experiment import (
 from optstop.model import ModelParams
 from optstop.policy_io import PolicyFormatError, load_policy, save_policy
 from optstop.regression import RegressionBackend
+from optstop.rng import RngStream
+from optstop.seller import GaussianBelief, seller_step
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -36,7 +39,50 @@ def small_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def replay_path(params: ModelParams, i: int, domain: int, fixed_v0=None) -> dict:
+    """Path i stepped epoch by epoch through the scalar API on its own stream."""
+    stream = RngStream(params.seed, path_index=i, domain=domain)
+    if fixed_v0 is None:
+        v0 = params.mu_prior + params.sigma_v * stream.standard_normal()
+    else:
+        v0 = fixed_v0
+    state = initial_state(v0, params)
+    belief = GaussianBelief(params.mu_prior, params.sigma_v**2)
+    out = {name: [] for name in ("v", "y", "p", "pi", "h", "seller_mean", "seller_var")}
+    for t in range(params.horizon + 1):
+        if t > 0:
+            state = step_valuation(state, stream, params)
+        price, belief, obs = seller_step(belief, state.v, t, stream, params)
+        pi = purchase_payoff(state, price, params)
+        if obs is not None:
+            out["y"].append(obs)
+        for name, value in (
+            ("v", state.v), ("p", price), ("pi", pi), ("h", exit_payoff(pi)),
+            ("seller_mean", belief.mean), ("seller_var", belief.var),
+        ):
+            out[name].append(value)
+    return {name: np.array(values, dtype=float) for name, values in out.items()}
+
+
 class TestGeneratePaths:
+    @pytest.mark.parametrize("fixed_v0", [None, 0.4, -800.0])  # -800: CARA exponent clamped
+    @pytest.mark.parametrize(
+        "params, domain, n",
+        [
+            (ModelParams(seed=1), DOMAIN_TRAIN, 4),
+            (ModelParams(seed=29), DOMAIN_TEST, 3),
+            (ModelParams(horizon=7, gamma=2.5, sigma_eps=0.3, sigma_xi=0.5, seed=2**63 + 5),
+             DOMAIN_MYOPIC_TEST, 3),
+        ],
+    )
+    def test_rows_equal_scalar_replay_bitwise(self, params, domain, n, fixed_v0):
+        batch = generate_paths(params, n, domain, fixed_v0=fixed_v0)
+        for i in range(n):
+            replay = replay_path(params, i, domain, fixed_v0)
+            for name, want in replay.items():
+                got = batch.seller_var if name == "seller_var" else getattr(batch, name)[i]
+                assert got.tobytes() == want.tobytes(), (name, i)
+
     def test_first_price_identical_across_paths(self, ref_run):
         _, _, test_batch, _, _ = ref_run
         assert (test_batch.p[:, 0] == test_batch.p[0, 0]).all()
@@ -245,6 +291,35 @@ class TestPathsCsv:
         loaded = load_paths_csv(file)
         for field in ("v", "y", "p", "pi", "h", "seller_mean", "seller_var"):
             assert np.array_equal(getattr(batch, field), getattr(loaded, field))
+
+    @staticmethod
+    def csv_lines() -> list[str]:
+        """4 paths of T=3: config echo, header, then rows in (path, t) order."""
+        params = ModelParams(horizon=3, seed=31)
+        text = render_paths_csv(generate_paths(params, 4, DOMAIN_TRAIN), small_config())
+        return text.splitlines(keepends=True)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # Rows start at line 2; row 2 + 4 * i + t holds (path=i, t).
+            (lambda rows: rows[:8] + rows[9:], r"row \(path=1, t=2\) is missing"),
+            (lambda rows: rows + [rows[2 + 4 * 2 + 3]], r"row \(path=2, t=3\) appears 2 times"),
+            (lambda rows: rows[:8] + ["1,-2," + rows[8][len("1,2,"):]] + rows[9:],
+             "negative path or t index"),
+            (lambda rows: rows[:8] + [rows[8].rstrip("\n") + ",0.5\n"] + rows[9:],
+             "rows of 9 fields"),
+        ],
+    )
+    def test_faulty_rows_named(self, tmp_path, edit, message):
+        params = ModelParams(horizon=3, seed=31)
+        text = render_paths_csv(generate_paths(params, 4, DOMAIN_TRAIN), small_config())
+        lines = text.splitlines(keepends=True)
+        assert lines[8].startswith("1,2,")
+        file = tmp_path / "paths.csv"
+        file.write_text("".join(edit(lines)))
+        with pytest.raises(ValueError, match=message):
+            load_paths_csv(file)
 
     def test_header_checked(self, tmp_path):
         bad = tmp_path / "p.csv"

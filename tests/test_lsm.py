@@ -303,11 +303,3 @@ class TestEvaluate:
         assert report.mean_difference == pytest.approx(
             report.mean_algorithmic - report.mean_myopic, abs=1e-15
         )
-
-    def test_exit_decisions_materialize(self, ref_run):
-        _, _, _, report, _ = ref_run
-        decisions = report.algorithmic.decisions()
-        assert len(decisions) == report.n_trials
-        for d in decisions[:20]:
-            assert 0 <= d.time <= 25
-            assert d.action in ("purchase", "reject")

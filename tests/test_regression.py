@@ -13,12 +13,10 @@ from optstop.regression import (
     Regressor,
     SingularGramError,
     ZeroRegressor,
-    fit,
     fit_kernel,
     fit_polynomial,
     fit_tabular,
     gaussian_kernel,
-    zero_regressor,
 )
 
 
@@ -158,12 +156,12 @@ class TestPrediction:
 
 class TestZeroRegressor:
     def test_predicts_zero_everywhere(self):
-        model = zero_regressor()
+        model = ZeroRegressor()
         assert model.predict(123.4) == 0.0
         assert np.array_equal(model.predict(np.array([1.0, 2.0])), np.zeros(2))
 
     def test_serialization_round_trip(self):
-        restored = Regressor.from_dict(zero_regressor().to_dict())
+        restored = Regressor.from_dict(ZeroRegressor().to_dict())
         assert isinstance(restored, ZeroRegressor)
         assert restored.predict(5.0) == 0.0
 
@@ -213,10 +211,6 @@ class TestBackendDispatch:
         assert RegressionBackend(kind="tabular").fit(xs, ys).kind == "tabular"
         with pytest.raises(ValueError):
             RegressionBackend(kind="spline")
-
-    def test_fit_alias_is_kernel_reference(self):
-        model = fit([0.0, 1.0], [1.0, 2.0], KernelSpec(ridge=1e-6))
-        assert model.kind == "kernel"
 
     def test_describe_reports_numerics(self):
         desc = RegressionBackend(kind="kernel").describe()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from optstop.rng import RngStream, normal_pdf, q_function, standard_normal
+from optstop.rng import RngStream, normal_pdf, q_function
 
 
 def quadrature_upper_tail(z: float) -> float:
@@ -36,9 +36,6 @@ class TestRngStream:
         for other in (RngStream(7, path_index=1), RngStream(8, path_index=0),
                       RngStream(7, path_index=0, domain=1)):
             assert not np.array_equal(base, other.standard_normal(size=8))
-
-    def test_standard_normal_function_matches_method(self):
-        assert standard_normal(RngStream(3)) == RngStream(3).standard_normal()
 
     def test_mean_within_clt_bound(self):
         draws = RngStream(2024).standard_normal(size=10**6)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 from optstop.model import ModelParams
 from optstop.rng import RngStream, normal_pdf, q_function
@@ -181,6 +182,30 @@ class TestMyopicPrice:
             f_star = p * q_function(z)
             for d in (-1e-3, 1e-3):
                 assert f_star >= (p + d) * q_function((p + d - mu) / sigma)
+
+    @pytest.mark.parametrize("m", [-30.0, -8.0, 0.0, 8.0, 40.0])
+    def test_scaled_mean_edge_cases(self, m):
+        # p = sigma * q with q = R(q - m), R(z) = Q(z) / phi(z). The oracle
+        # evaluates R through log Q (scipy's log_ndtr), not through erfcx.
+        sigma = 0.7
+        p = myopic_price(GaussianBelief(m * sigma, sigma * sigma))
+        assert math.isfinite(p) and p > 0
+        q = p / sigma
+        z = q - m
+        mills = math.exp(log_ndtr(-z) + 0.5 * z * z + 0.5 * math.log(2.0 * math.pi))
+        assert abs(q - mills) <= 1e-12 * q
+
+    def test_array_mean_matches_scalar_calls_bitwise(self):
+        var = 0.37
+        sigma = math.sqrt(var)
+        rng = np.random.default_rng(17)
+        means = np.concatenate(
+            [sigma * np.array([-30.0, -8.0, 0.0, 8.0, 40.0]), rng.uniform(-5.0, 5.0, 200)]
+        )
+        prices = myopic_price(GaussianBelief(means, var))
+        scalar = np.array([myopic_price(GaussianBelief(float(mu), var)) for mu in means])
+        assert prices.shape == means.shape
+        assert prices.tobytes() == scalar.tobytes()
 
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError):

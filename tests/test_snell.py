@@ -6,8 +6,11 @@ import json
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
+from optstop.consumer import ConsumerState, exit_payoff, initial_state, purchase_payoff
 from optstop.model import ModelParams
+from optstop.seller import GaussianBelief, kalman_correct, kalman_predict, myopic_price
 from optstop.snell import (
     FiniteStopProblem,
     backward_induction,
@@ -203,6 +206,35 @@ class TestDiscretizedConsumerProblem:
         sol = backward_induction(problem)
         best = max(enumerate_rule_values(problem))
         assert sol.root_value == pytest.approx(best, abs=1e-12)
+
+    def test_nodes_equal_scalar_api_replay_bitwise(self):
+        # Reference: walk the tree node by node through the scalar API, children
+        # ordered (parent, valuation shock, observation noise).
+        params = ModelParams(horizon=2, sigma_eps=0.3, seed=1)
+        levels = 3
+        problem = discretize_consumer_problem(params, levels)
+        gh_x, gh_w = hermgauss(levels)
+        points, weights = gh_x * np.sqrt(2.0), gh_w / np.sqrt(np.pi)
+        prior = GaussianBelief(params.mu_prior, params.sigma_v**2)
+        nodes = [(initial_state(params.mu_prior + params.sigma_v * x, params), prior) for x in points]
+        for t in range(params.horizon + 1):
+            if t > 0:
+                children = []
+                trans = np.zeros((len(nodes), len(nodes) * levels * levels))
+                for parent, (state, belief) in enumerate(nodes):
+                    for j in range(levels):
+                        v = state.v + params.sigma_eps * points[j]
+                        child = ConsumerState(t, v, (params.horizon - t) * params.sigma_eps**2)
+                        for k in range(levels):
+                            y = v + params.sigma_xi * points[k]
+                            trans[parent, len(children)] = weights[j] * weights[k]
+                            children.append(
+                                (child, kalman_correct(kalman_predict(belief, params), y, params))
+                            )
+                nodes = children
+                assert problem.transitions[t - 1].tobytes() == trans.tobytes()
+            want = [exit_payoff(purchase_payoff(s, myopic_price(b), params)) for s, b in nodes]
+            assert problem.payoffs[t].tobytes() == np.array(want).tobytes(), t
 
     def test_node_budget_enforced(self):
         params = ModelParams(horizon=4, seed=1)
