@@ -25,7 +25,7 @@ from .lsm import (
     myopic_decide,
     train,
 )
-from .model import ModelParams, PathBatch, SamplePath
+from .model import ModelParams, PathBatch
 from .policy_io import load_policy, save_policy
 from .regression import KernelSpec, RegressionBackend
 from .rng import RngStream, q_function
@@ -53,7 +53,6 @@ __all__ = [
     "PathBatch",
     "RegressionBackend",
     "RngStream",
-    "SamplePath",
     "SnellSolution",
     "StoppingPolicy",
     "backward_induction",

@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import experiment, lsm, policy_io, snell
 from .regression import RegressionBackend
 
@@ -66,8 +68,7 @@ def _cmd_evaluate(args) -> int:
     config = _load_config(args)
     policy = policy_io.load_policy(args.policy)
     report, test_batch, myo_batch = experiment.evaluate_policy(config, policy)
-    files = experiment.render_figures_data(report, test_batch, config, myo_batch=myo_batch)
-    files["summary.csv"] = experiment.render_summary(report, config)
+    files = experiment.render_evaluation(report, test_batch, config, myo_batch=myo_batch)
     experiment.write_output_dir(args.out, files)
     print(
         f"mean_algorithmic={report.mean_algorithmic!r} "
@@ -96,22 +97,19 @@ def _cmd_oracle(args) -> int:
     solution = snell.backward_induction(problem)
     print(f"root_value={solution.root_value!r}")
     if args.out:
-        rows = []
-        for t in range(problem.horizon + 1):
-            for node in range(len(problem.payoffs[t])):
-                rows.append(
-                    (
-                        t, node,
-                        problem.payoffs[t][node],
-                        solution.values[t][node],
-                        bool(solution.stop[t][node]),
-                    )
-                )
-        lines = ["t,node,exit_payoff,envelope,stop"]
-        for row in rows:
-            lines.append(",".join(experiment._fmt(x) for x in row))
-        lines.append(f"# root_value,{solution.root_value!r}")
-        experiment.write_output_dir(args.out, {"solution.csv": "\n".join(lines) + "\n"})
+        sizes = [len(h) for h in problem.payoffs]
+        table = experiment._table(
+            None,
+            {
+                "t": np.repeat(np.arange(len(sizes)), sizes),
+                "node": np.concatenate([np.arange(n) for n in sizes]),
+                "exit_payoff": np.concatenate(problem.payoffs),
+                "envelope": np.concatenate(solution.values),
+                "stop": np.concatenate(solution.stop),
+            },
+        )
+        text = table + f"# root_value,{solution.root_value!r}\n"
+        experiment.write_output_dir(args.out, {"solution.csv": text})
         print(f"wrote {Path(args.out) / 'solution.csv'}")
     return 0
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -241,8 +240,7 @@ def run_experiment(
     if outdir is not None:
         files = {"policy.txt": policy_to_text(policy)}
         files["config.json"] = json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n"
-        files.update(render_figures_data(report, test_batch, config, myo_batch=myo_batch))
-        files["summary.csv"] = render_summary(report, config)
+        files.update(render_evaluation(report, test_batch, config, myo_batch=myo_batch))
         for i in config.trace_trials:
             files[f"trace_{i}.csv"] = render_trace(test_batch, i, config)
         write_output_dir(outdir, files)
@@ -251,7 +249,10 @@ def run_experiment(
 
 # ---------------------------------------------------------------------------
 # Output rendering. All tables are comma-separated with a header row; floats
-# use shortest round-trip repr; the first line echoes the full config.
+# use shortest round-trip repr, bools are 1/0; the first line echoes the full
+# config.
+
+PATHS_COLUMNS = ("path", "t", "v", "y", "p", "pi", "h", "seller_mean", "seller_var")
 
 
 def _fmt(x) -> str:
@@ -262,23 +263,58 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _table(config: ExperimentConfig, header: list[str], rows) -> str:
-    lines = [f"# config {config.echo()}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+def _column(values) -> list[str]:
+    """Format a whole column in one pass, chosen by dtype; a list of strings
+    passes through as it is."""
+    if isinstance(values, list):
+        return values
+    values = np.asarray(values).ravel()
+    if values.dtype == bool:
+        return np.where(values, "1", "0").tolist()
+    fmt = repr if values.dtype.kind == "f" else str
+    return list(map(fmt, values.tolist()))
+
+
+def _table(config: ExperimentConfig | None, columns: dict) -> str:
+    """CSV of named, equally long columns, echoing config unless it is None."""
+    lines = [] if config is None else [f"# config {config.echo()}"]
+    lines.append(",".join(columns))
+    lines.extend(map(",".join, zip(*map(_column, columns.values()), strict=True)))
     return "\n".join(lines) + "\n"
+
+
+def _observations(y: np.ndarray) -> list[str]:
+    """(N, T) observations as an (N, T+1) column, empty at t = 0."""
+    cells = np.full((y.shape[0], y.shape[1] + 1), "", dtype=object)
+    cells[:, 1:] = np.reshape(_column(y), y.shape)
+    return cells.ravel().tolist()
+
+
+def _histogram(edges: np.ndarray, alg: np.ndarray, myo: np.ndarray) -> dict:
+    return {
+        "bin_left": edges[:-1],
+        "bin_right": edges[1:],
+        "algorithmic": np.histogram(alg, bins=edges)[0],
+        "myopic": np.histogram(myo, bins=edges)[0],
+    }
 
 
 def _batch_checksum(batch: PathBatch) -> str:
     return hashlib.sha256(np.ascontiguousarray(batch.h).tobytes()).hexdigest()
 
 
-def _exit_columns(batch: PathBatch, outcome: lsm.StrategyOutcome, params: ModelParams):
-    rows = np.arange(batch.n_paths)
+def _exit_columns(
+    prefix: str, batch: PathBatch, outcome: lsm.StrategyOutcome, params: ModelParams
+) -> dict:
     t = outcome.times
-    v_mean = batch.v[rows, t]
-    v_std = np.sqrt((params.horizon - t) * params.sigma_eps**2)
-    return v_mean, v_std
+    return {
+        f"{prefix}_exit_time": t,
+        f"{prefix}_valuation_mean": batch.v[np.arange(batch.n_paths), t],
+        f"{prefix}_valuation_std": np.sqrt((params.horizon - t) * params.sigma_eps**2),
+        f"{prefix}_price": outcome.prices_at_exit,
+        f"{prefix}_purchased": outcome.purchased,
+        f"{prefix}_payoff": outcome.payoffs,
+    }
 
 
 def render_figures_data(
@@ -291,154 +327,110 @@ def render_figures_data(
     table (paired runs only) as named CSV strings."""
     params = config.params
     alg, myo = report.algorithmic, report.myopic
-    myo_source = batch if myo_batch is None else myo_batch
-
-    alg_v, alg_std = _exit_columns(batch, alg, params)
-    myo_v, myo_std = _exit_columns(myo_source, myo, params)
-    exit_rows = [
-        (
-            n,
-            alg.times[n], alg_v[n], alg_std[n], alg.prices_at_exit[n],
-            alg.purchased[n], alg.payoffs[n],
-            myo.times[n], myo_v[n], myo_std[n], myo.prices_at_exit[n],
-            myo.purchased[n], myo.payoffs[n],
-        )
-        for n in range(report.n_trials)
-    ]
+    trial = np.arange(report.n_trials)
     files = {
         "exit_summary.csv": _table(
             config,
-            [
-                "trial",
-                "alg_exit_time", "alg_valuation_mean", "alg_valuation_std",
-                "alg_price", "alg_purchased", "alg_payoff",
-                "myo_exit_time", "myo_valuation_mean", "myo_valuation_std",
-                "myo_price", "myo_purchased", "myo_payoff",
-            ],
-            exit_rows,
-        )
+            {
+                "trial": trial,
+                **_exit_columns("alg", batch, alg, params),
+                **_exit_columns("myo", batch if myo_batch is None else myo_batch, myo, params),
+            },
+        ),
+        "payoff_hist.csv": _table(
+            config, _histogram(config.bins.payoff_edges(), alg.payoffs, myo.payoffs)
+        ),
+        "price_hist.csv": _table(
+            config, _histogram(config.bins.price_edges(), alg.prices_paid, myo.prices_paid)
+        ),
     }
-
-    payoff_edges = config.bins.payoff_edges()
-    alg_counts, _ = np.histogram(alg.payoffs, bins=payoff_edges)
-    myo_counts, _ = np.histogram(myo.payoffs, bins=payoff_edges)
-    files["payoff_hist.csv"] = _table(
-        config,
-        ["bin_left", "bin_right", "algorithmic", "myopic"],
-        [
-            (payoff_edges[i], payoff_edges[i + 1], alg_counts[i], myo_counts[i])
-            for i in range(len(alg_counts))
-        ],
-    )
-
-    price_edges = config.bins.price_edges()
-    alg_prices, _ = np.histogram(alg.prices_paid, bins=price_edges)
-    myo_prices, _ = np.histogram(myo.prices_paid, bins=price_edges)
-    files["price_hist.csv"] = _table(
-        config,
-        ["bin_left", "bin_right", "algorithmic", "myopic"],
-        [
-            (price_edges[i], price_edges[i + 1], alg_prices[i], myo_prices[i])
-            for i in range(len(alg_prices))
-        ],
-    )
-
     if report.paired:
         files["payoff_diff.csv"] = _table(
             config,
-            ["trial", "algorithmic", "myopic", "difference"],
-            [
-                (n, alg.payoffs[n], myo.payoffs[n], report.differences[n])
-                for n in range(report.n_trials)
-            ],
+            {
+                "trial": trial,
+                "algorithmic": alg.payoffs,
+                "myopic": myo.payoffs,
+                "difference": report.differences,
+            },
         )
     return files
 
 
 def render_summary(report: lsm.EvaluationReport, config: ExperimentConfig) -> str:
-    rows = [
-        ("n_trials", report.n_trials),
-        ("paired", report.paired),
-        ("mean_algorithmic", report.mean_algorithmic),
-        ("mean_myopic", report.mean_myopic),
-        ("mean_difference", report.mean_difference),
-        ("algorithmic_purchases", report.algorithmic.n_purchases),
-        ("myopic_purchases", report.myopic.n_purchases),
-        ("equal_payoff_trials", "" if report.n_ties is None else report.n_ties),
-        ("test_paths_checksum_algorithmic", report.meta["test_paths_checksum_algorithmic"]),
-        ("test_paths_checksum_myopic", report.meta["test_paths_checksum_myopic"]),
-    ]
-    return _table(config, ["key", "value"], rows)
+    values = {
+        "n_trials": report.n_trials,
+        "paired": report.paired,
+        "mean_algorithmic": report.mean_algorithmic,
+        "mean_myopic": report.mean_myopic,
+        "mean_difference": report.mean_difference,
+        "algorithmic_purchases": report.algorithmic.n_purchases,
+        "myopic_purchases": report.myopic.n_purchases,
+        "equal_payoff_trials": "" if report.n_ties is None else report.n_ties,
+        "test_paths_checksum_algorithmic": report.meta["test_paths_checksum_algorithmic"],
+        "test_paths_checksum_myopic": report.meta["test_paths_checksum_myopic"],
+    }
+    return _table(config, {"key": list(values), "value": [_fmt(v) for v in values.values()]})
+
+
+def render_evaluation(
+    report: lsm.EvaluationReport,
+    batch: PathBatch,
+    config: ExperimentConfig,
+    myo_batch: PathBatch | None = None,
+) -> dict[str, str]:
+    """The evaluation's file set: the figure tables plus summary.csv."""
+    files = render_figures_data(report, batch, config, myo_batch=myo_batch)
+    files["summary.csv"] = render_summary(report, config)
+    return files
 
 
 def render_trace(batch: PathBatch, trial: int, config: ExperimentConfig) -> str:
     """Single-path diagnostic table: one row per epoch with both agents' views."""
     params = batch.params if batch.params is not None else config.params
-    rows = []
-    for t in range(batch.horizon + 1):
-        rows.append(
-            (
-                t,
-                batch.v[trial, t],
-                math.sqrt((params.horizon - t) * params.sigma_eps**2),
-                "" if t == 0 else _fmt(batch.y[trial, t - 1]),
-                batch.p[trial, t],
-                batch.pi[trial, t],
-                batch.h[trial, t],
-                batch.seller_mean[trial, t],
-                math.sqrt(batch.seller_var[t]),
-            )
-        )
+    t = np.arange(batch.horizon + 1)
     return _table(
         config,
-        [
-            "t", "valuation_mean", "valuation_std", "observation",
-            "price", "purchase_payoff", "exit_payoff",
-            "seller_mean", "seller_std",
-        ],
-        rows,
+        {
+            "t": t,
+            "valuation_mean": batch.v[trial],
+            "valuation_std": np.sqrt((params.horizon - t) * params.sigma_eps**2),
+            "observation": _observations(batch.y[trial : trial + 1]),
+            "price": batch.p[trial],
+            "purchase_payoff": batch.pi[trial],
+            "exit_payoff": batch.h[trial],
+            "seller_mean": batch.seller_mean[trial],
+            "seller_std": np.sqrt(batch.seller_var),
+        },
     )
 
 
 def render_paths_csv(batch: PathBatch, config: ExperimentConfig) -> str:
     """Long-format path dataset: one row per (path, epoch)."""
-    rows = []
-    for n in range(batch.n_paths):
-        for t in range(batch.horizon + 1):
-            rows.append(
-                (
-                    n, t,
-                    batch.v[n, t],
-                    "" if t == 0 else _fmt(batch.y[n, t - 1]),
-                    batch.p[n, t],
-                    batch.pi[n, t],
-                    batch.h[n, t],
-                    batch.seller_mean[n, t],
-                    batch.seller_var[t],
-                )
-            )
-    return _table(
-        config,
-        ["path", "t", "v", "y", "p", "pi", "h", "seller_mean", "seller_var"],
-        rows,
+    n, tp1 = batch.v.shape
+    columns = (
+        np.repeat(np.arange(n), tp1), np.tile(np.arange(tp1), n),
+        batch.v, _observations(batch.y), batch.p, batch.pi, batch.h,
+        batch.seller_mean, np.tile(batch.seller_var, n),
     )
+    return _table(config, dict(zip(PATHS_COLUMNS, columns, strict=True)))
 
 
 def load_paths_csv(path) -> PathBatch:
     """Reconstruct a PathBatch from the long-format CSV written by render_paths_csv.
 
     Every (path, t) pair up to the largest path and epoch in the file must
-    appear exactly once; otherwise the error names the first pair that is
-    missing or duplicated.
+    appear exactly once, and all paths must share seller_var at each t;
+    otherwise the error names the first pair that is missing, duplicated, or
+    whose seller_var differs from path 0's.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     data_lines = [ln for ln in lines if not ln.startswith("#")]
     header = data_lines[0].split(",")
-    expected = ["path", "t", "v", "y", "p", "pi", "h", "seller_mean", "seller_var"]
-    if header != expected:
+    if header != list(PATHS_COLUMNS):
         raise ValueError(f"unexpected paths CSV header {header}")
-    width, n_rows = len(expected), len(data_lines) - 1
+    width, n_rows = len(PATHS_COLUMNS), len(data_lines) - 1
     fields = ",".join(data_lines[1:]).split(",")
     if n_rows < 1 or len(fields) != width * n_rows:
         raise ValueError(f"paths CSV needs rows of {width} fields")
@@ -467,13 +459,19 @@ def load_paths_csv(path) -> PathBatch:
         return out.reshape(n, T + 1)
 
     y = column(3)[:, 1:].copy()
-    seller_var = np.empty(T + 1)
-    seller_var[t] = parse(8)
+    seller_var = column(8)
     batch = PathBatch(
         v=column(2), y=y, p=column(4), pi=column(5), h=column(6),
-        seller_mean=column(7), seller_var=seller_var,
+        seller_mean=column(7), seller_var=seller_var[0].copy(),
     )
     batch.validate()
+    differs = np.argwhere(seller_var != seller_var[0])
+    if differs.size:
+        i, t_bad = differs[0]
+        raise ValueError(
+            f"paths CSV seller_var at (path={i}, t={t_bad}) is {seller_var[i, t_bad]!r}, "
+            f"but path 0 has {seller_var[0, t_bad]!r}"
+        )
     return batch
 
 

@@ -53,41 +53,6 @@ class ModelParams:
 
 
 @dataclass
-class SamplePath:
-    """One realized trajectory over t = 0..T.
-
-    v  -- consumer valuation means, length T+1
-    y  -- seller observations y_1..y_T, length T
-    p  -- offered prices, length T+1
-    pi -- purchase payoffs, length T+1
-    h  -- exit payoffs max(pi, 0), length T+1
-    """
-
-    v: np.ndarray
-    y: np.ndarray
-    p: np.ndarray
-    pi: np.ndarray
-    h: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return len(self.v) - 1
-
-    def validate(self) -> None:
-        t = self.horizon
-        if t < 0:
-            raise ValueError("empty path")
-        lengths = (len(self.v), len(self.y), len(self.p), len(self.pi), len(self.h))
-        if lengths != (t + 1, t, t + 1, t + 1, t + 1):
-            raise ValueError(f"inconsistent array lengths {lengths} for horizon {t}")
-        for name in ("v", "y", "p", "pi", "h"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"non-finite entries in {name}")
-        if not np.array_equal(self.h, np.maximum(self.pi, 0.0)):
-            raise ValueError("h must equal max(pi, 0) elementwise")
-
-
-@dataclass
 class PathBatch:
     """A stack of sample paths plus the seller-belief trajectory.
 
@@ -112,11 +77,6 @@ class PathBatch:
     @property
     def horizon(self) -> int:
         return self.v.shape[1] - 1
-
-    def row(self, n: int) -> SamplePath:
-        return SamplePath(
-            v=self.v[n], y=self.y[n], p=self.p[n], pi=self.pi[n], h=self.h[n]
-        )
 
     def validate(self) -> None:
         n, tp1 = self.v.shape

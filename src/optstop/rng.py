@@ -66,8 +66,3 @@ def q_function(z):
     """
     return 0.5 * _erfc(np.asarray(z, dtype=float) / _SQRT2)
 
-
-def normal_pdf(z):
-    """Standard normal density, scalar or array."""
-    z = np.asarray(z, dtype=float)
-    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)

@@ -106,9 +106,13 @@ def test_oracle_prints_root_value(tmp_path, capsys):
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "root_value=0.6" in stdout
-    lines = (out / "solution.csv").read_text().splitlines()
-    assert lines[0] == "t,node,exit_payoff,envelope,stop"
-    assert len(lines) == 1 + 3 + 1  # header + nodes + root-value footer
+    assert (out / "solution.csv").read_text() == (
+        "t,node,exit_payoff,envelope,stop\n"
+        "0,0,0.5,0.6,0\n"
+        "1,0,0.0,0.0,1\n"
+        "1,1,1.2,1.2,1\n"
+        "# root_value,0.6\n"
+    )
 
 
 def test_seed_override_changes_output(config_file, tmp_path):

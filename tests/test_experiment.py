@@ -22,7 +22,7 @@ from optstop.experiment import (
     run_experiment,
     write_output_dir,
 )
-from optstop.model import ModelParams
+from optstop.model import ModelParams, PathBatch
 from optstop.policy_io import PolicyFormatError, load_policy, save_policy
 from optstop.regression import RegressionBackend
 from optstop.rng import RngStream
@@ -121,12 +121,6 @@ class TestGeneratePaths:
         v_term = batch.v[:, -1]
         bound = 4 * v_term.std(ddof=1) / math.sqrt(len(v_term))
         assert abs(v_term.mean() - params.mu_prior) < bound
-
-    def test_sample_path_row_validates(self, ref_run):
-        _, _, test_batch, _, _ = ref_run
-        path = test_batch.row(0)
-        path.validate()
-        assert path.horizon == 25
 
 
 class TestPolicyPersistence:
@@ -321,11 +315,142 @@ class TestPathsCsv:
         with pytest.raises(ValueError, match=message):
             load_paths_csv(file)
 
+    @pytest.mark.parametrize("path, t, named", [(2, 1, 2), (0, 2, 1)])
+    def test_inconsistent_seller_var_named(self, tmp_path, path, t, named):
+        # Path 0 is the reference, so an edit there is named at path 1.
+        lines = self.csv_lines()
+        row = 2 + 4 * path + t
+        fields = lines[row].rstrip("\n").split(",")
+        fields[8] = repr(1.5 * float(fields[8]))
+        lines[row] = ",".join(fields) + "\n"
+        file = tmp_path / "paths.csv"
+        file.write_text("".join(lines))
+        with pytest.raises(ValueError, match=rf"seller_var at \(path={named}, t={t}\)"):
+            load_paths_csv(file)
+
     def test_header_checked(self, tmp_path):
         bad = tmp_path / "p.csv"
         bad.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             load_paths_csv(bad)
+
+
+def pin_config() -> ExperimentConfig:
+    return ExperimentConfig(
+        params=ModelParams(horizon=1, sigma_eps=0.5, seed=3),
+        n_train=2,
+        n_test=2,
+        bins=BinConfig(payoff_lo=-0.5, payoff_hi=1.0, payoff_width=0.5,
+                       price_lo=0.0, price_hi=1.0, price_width=0.5),
+    )
+
+
+def pin_batch() -> PathBatch:
+    """Two hand-built paths of T=1."""
+    pi = np.array([[-0.25, 0.5], [0.0, -1.5]])
+    return PathBatch(
+        v=np.array([[1.0, 1.5], [0.25, 1e-20]]),
+        y=np.array([[0.1], [-2.0]]),
+        p=np.array([[0.5, 0.75], [0.5, 0.125]]),
+        pi=pi,
+        h=np.maximum(pi, 0.0),
+        seller_mean=np.array([[1.0, 1 / 3], [1.0, 0.5]]),
+        seller_var=np.array([1.0, 0.5]),
+    )
+
+
+def pin_report(paired: bool) -> lsm.EvaluationReport:
+    alg = lsm.StrategyOutcome(
+        times=np.array([1, 0]), purchased=np.array([True, False]),
+        payoffs=np.array([0.5, 0.0]), prices_at_exit=np.array([0.75, 0.5]),
+    )
+    myo = lsm.StrategyOutcome(
+        times=np.array([0, 1]), purchased=np.array([False, False]),
+        payoffs=np.array([0.0, 0.0]), prices_at_exit=np.array([0.5, 0.125]),
+    )
+    return lsm.EvaluationReport(
+        algorithmic=alg,
+        myopic=myo,
+        paired=paired,
+        differences=alg.payoffs - myo.payoffs if paired else None,
+        mean_algorithmic=0.25,
+        mean_myopic=0.0,
+        mean_difference=0.25,
+        n_ties=1 if paired else None,
+        meta={"test_paths_checksum_algorithmic": "aa", "test_paths_checksum_myopic": "bb"},
+    )
+
+
+class TestTableFormat:
+    """Exact bytes of each table for small hand-built inputs."""
+
+    def expect(self, text: str, body: str):
+        assert text == f"# config {pin_config().echo()}\n" + body
+
+    def test_paths_csv(self):
+        self.expect(
+            render_paths_csv(pin_batch(), pin_config()),
+            "path,t,v,y,p,pi,h,seller_mean,seller_var\n"
+            "0,0,1.0,,0.5,-0.25,0.0,1.0,1.0\n"
+            "0,1,1.5,0.1,0.75,0.5,0.5,0.3333333333333333,0.5\n"
+            "1,0,0.25,,0.5,0.0,0.0,1.0,1.0\n"
+            "1,1,1e-20,-2.0,0.125,-1.5,0.0,0.5,0.5\n",
+        )
+
+    def test_trace(self):
+        self.expect(
+            experiment.render_trace(pin_batch(), 1, pin_config()),
+            "t,valuation_mean,valuation_std,observation,price,purchase_payoff,"
+            "exit_payoff,seller_mean,seller_std\n"
+            "0,0.25,0.5,,0.5,0.0,0.0,1.0,1.0\n"
+            "1,1e-20,0.0,-2.0,0.125,-1.5,0.0,0.5,0.7071067811865476\n",
+        )
+
+    def test_independent_summary(self):
+        self.expect(
+            experiment.render_summary(pin_report(paired=False), pin_config()),
+            "key,value\n"
+            "n_trials,2\n"
+            "paired,0\n"
+            "mean_algorithmic,0.25\n"
+            "mean_myopic,0.0\n"
+            "mean_difference,0.25\n"
+            "algorithmic_purchases,1\n"
+            "myopic_purchases,0\n"
+            "equal_payoff_trials,\n"
+            "test_paths_checksum_algorithmic,aa\n"
+            "test_paths_checksum_myopic,bb\n",
+        )
+
+    def test_figure_tables(self):
+        files = experiment.render_figures_data(pin_report(paired=True), pin_batch(), pin_config())
+        self.expect(
+            files["exit_summary.csv"],
+            "trial,alg_exit_time,alg_valuation_mean,alg_valuation_std,alg_price,"
+            "alg_purchased,alg_payoff,myo_exit_time,myo_valuation_mean,"
+            "myo_valuation_std,myo_price,myo_purchased,myo_payoff\n"
+            "0,1,1.5,0.0,0.75,1,0.5,0,1.0,0.5,0.5,0,0.0\n"
+            "1,0,0.25,0.5,0.5,0,0.0,1,1e-20,0.0,0.125,0,0.0\n",
+        )
+        self.expect(
+            files["payoff_hist.csv"],
+            "bin_left,bin_right,algorithmic,myopic\n"
+            "-0.5,0.0,0,0\n"
+            "0.0,0.5,1,2\n"
+            "0.5,1.0,1,0\n",
+        )
+        self.expect(
+            files["price_hist.csv"],
+            "bin_left,bin_right,algorithmic,myopic\n"
+            "0.0,0.5,0,0\n"
+            "0.5,1.0,1,0\n",
+        )
+        self.expect(
+            files["payoff_diff.csv"],
+            "trial,algorithmic,myopic,difference\n"
+            "0,0.5,0.0,0.5\n"
+            "1,0.0,0.0,0.0\n",
+        )
 
 
 class TestConfig:

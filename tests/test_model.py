@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from optstop.model import ModelParams, SamplePath
+from optstop.model import ModelParams, PathBatch
 
 
 class TestModelParams:
@@ -33,14 +33,18 @@ class TestModelParams:
 
 
 class TestSamplePath:
+    """PathBatch.validate on a batch holding one sample path."""
+
     def make(self, T=3):
-        pi = np.array([-0.1, 0.2, -0.3, 0.4])[: T + 1]
-        return SamplePath(
-            v=np.zeros(T + 1),
-            y=np.zeros(T),
-            p=np.ones(T + 1),
+        pi = np.array([[-0.1, 0.2, -0.3, 0.4]])[:, : T + 1]
+        return PathBatch(
+            v=np.zeros((1, T + 1)),
+            y=np.zeros((1, T)),
+            p=np.ones((1, T + 1)),
             pi=pi,
             h=np.maximum(pi, 0.0),
+            seller_mean=np.zeros((1, T + 1)),
+            seller_var=np.ones(T + 1),
         )
 
     def test_valid_path_passes(self):
@@ -48,18 +52,18 @@ class TestSamplePath:
 
     def test_length_mismatch_rejected(self):
         path = self.make()
-        path.y = np.zeros(5)
-        with pytest.raises(ValueError):
+        path.y = np.zeros((1, 5))
+        with pytest.raises(ValueError, match="y has shape"):
             path.validate()
 
     def test_exit_payoff_consistency_enforced(self):
         path = self.make()
         path.h = path.h + 0.1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="h must equal"):
             path.validate()
 
     def test_non_finite_rejected(self):
         path = self.make()
-        path.v[1] = np.inf
-        with pytest.raises(ValueError):
+        path.v[0, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite entries in v"):
             path.validate()

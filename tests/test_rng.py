@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from optstop.rng import RngStream, normal_pdf, q_function
+from optstop.rng import RngStream, q_function
 
 
 def quadrature_upper_tail(z: float) -> float:
@@ -96,9 +96,3 @@ class TestQFunction:
     @settings(max_examples=200)
     def test_is_a_probability(self, z):
         assert 0.0 <= q_function(z) <= 1.0
-
-    def test_normal_pdf_matches_formula(self):
-        z = np.array([-2.0, 0.0, 0.5])
-        expected = np.exp(-0.5 * z**2) / np.sqrt(2 * np.pi)
-        assert np.allclose(normal_pdf(z), expected, rtol=0, atol=1e-16)
-        assert normal_pdf(0.5) == pytest.approx(expected[2], abs=1e-16)
