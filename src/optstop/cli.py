@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment, lsm, policy_io, snell
-from .regression import RegressionBackend
+from .regression import BACKEND_KINDS
 
 
 def _load_config(args) -> experiment.ExperimentConfig:
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment config file")
         p.add_argument("--seed", type=int, help="override the RNG seed")
         p.add_argument(
-            "--backend", choices=["kernel", "poly", "tabular"],
+            "--backend", choices=BACKEND_KINDS,
             help="override the regression backend",
         )
         p.add_argument("--out", required=out_required, help="output directory")

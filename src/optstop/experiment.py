@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import consumer, lsm, seller
-from .model import ModelParams, PathBatch
+from .model import ModelParams, PathBatch, check_keys
 from .policy_io import policy_to_text
 from .regression import RegressionBackend
 from .rng import RngStream
@@ -33,41 +33,14 @@ DOMAIN_MYOPIC_TEST = 2
 DEFAULT_SEED = 1
 
 
-@dataclass(frozen=True)
-class BinConfig:
-    """Fixed histogram bin edges so output tables are diffable."""
-
-    payoff_lo: float = -0.5
-    payoff_hi: float = 1.0
-    payoff_width: float = 0.05
-    price_lo: float = 0.0
-    price_hi: float = 3.0
-    price_width: float = 0.05
-
-    def payoff_edges(self) -> np.ndarray:
-        return _edges(self.payoff_lo, self.payoff_hi, self.payoff_width)
-
-    def price_edges(self) -> np.ndarray:
-        return _edges(self.price_lo, self.price_hi, self.price_width)
-
-    def to_dict(self) -> dict:
-        return {
-            "payoff_lo": self.payoff_lo,
-            "payoff_hi": self.payoff_hi,
-            "payoff_width": self.payoff_width,
-            "price_lo": self.price_lo,
-            "price_hi": self.price_hi,
-            "price_width": self.price_width,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BinConfig":
-        return cls(**d)
-
-
 def _edges(lo: float, hi: float, width: float) -> np.ndarray:
     n = int(round((hi - lo) / width))
     return np.linspace(lo, hi, n + 1)
+
+
+# Fixed histogram bin edges, so output tables are diffable across runs.
+PAYOFF_EDGES = _edges(-0.5, 1.0, 0.05)
+PRICE_EDGES = _edges(0.0, 3.0, 0.05)
 
 
 @dataclass(frozen=True)
@@ -83,7 +56,6 @@ class ExperimentConfig:
     paired: bool = True
     trace_trials: tuple[int, ...] = ()
     fixed_v0: float | None = None
-    bins: BinConfig = field(default_factory=BinConfig)
 
     def __post_init__(self):
         if self.n_train < 1:
@@ -103,11 +75,15 @@ class ExperimentConfig:
             "paired": self.paired,
             "trace_trials": list(self.trace_trials),
             "fixed_v0": self.fixed_v0,
-            "bins": self.bins.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Inverse of to_dict; a missing key keeps its default, an unknown one raises."""
+        check_keys(
+            d, ("model", "n_train", "n_test", "backend", "paired", "trace_trials", "fixed_v0"),
+            "config",
+        )
         kwargs: dict = {}
         if "model" in d:
             kwargs["params"] = ModelParams.from_dict(d["model"])
@@ -118,8 +94,6 @@ class ExperimentConfig:
             kwargs["backend"] = RegressionBackend.from_dict(d["backend"])
         if "trace_trials" in d:
             kwargs["trace_trials"] = tuple(d["trace_trials"])
-        if "bins" in d:
-            kwargs["bins"] = BinConfig.from_dict(d["bins"])
         return cls(**kwargs)
 
     def echo(self) -> str:
@@ -337,12 +311,8 @@ def render_figures_data(
                 **_exit_columns("myo", batch if myo_batch is None else myo_batch, myo, params),
             },
         ),
-        "payoff_hist.csv": _table(
-            config, _histogram(config.bins.payoff_edges(), alg.payoffs, myo.payoffs)
-        ),
-        "price_hist.csv": _table(
-            config, _histogram(config.bins.price_edges(), alg.prices_paid, myo.prices_paid)
-        ),
+        "payoff_hist.csv": _table(config, _histogram(PAYOFF_EDGES, alg.payoffs, myo.payoffs)),
+        "price_hist.csv": _table(config, _histogram(PRICE_EDGES, alg.prices_paid, myo.prices_paid)),
     }
     if report.paired:
         files["payoff_diff.csv"] = _table(

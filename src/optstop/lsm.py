@@ -153,7 +153,7 @@ def train(
     meta = {
         "n_train": n_paths,
         "horizon": horizon,
-        "backend": backend.describe(),
+        "backend": backend.to_dict(),
         "feature": feature_kind,
         "numerics": {
             "duplicates_merged": int(merged_duplicates),
@@ -161,9 +161,6 @@ def train(
             "nonpositive_exit_action": REJECT,
         },
     }
-    if backend.kind == "kernel":
-        meta["numerics"]["ridge"] = backend.kernel.ridge
-        meta["numerics"]["support_cap"] = backend.support_cap
     if metadata:
         meta.update(metadata)
     policy = StoppingPolicy(horizon=horizon, regressors=regressors, metadata=meta)

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 _U64 = 1 << 64
+
+
+def check_keys(d: dict, allowed, what: str) -> None:
+    """Reject any key of d outside allowed, naming it; missing keys are fine."""
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ValueError(
+            f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,7 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
+        check_keys(d, [f.name for f in fields(cls)], "model")
         return cls(**d)
 
 

@@ -17,9 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .model import check_keys
+
 DEFAULT_RIDGE = 1e-6
-DEFAULT_SUPPORT_CAP = 2000
 DEFAULT_POLY_DEGREE = 3
+# Largest kernel support: bounds the d x d solve; above it a fixed-key
+# uniform subsample is fitted.
+SUPPORT_CAP = 2000
+BACKEND_KINDS = ("kernel", "poly", "tabular")
 
 
 class SingularGramError(np.linalg.LinAlgError):
@@ -197,32 +202,26 @@ class TabularRegressor(Regressor):
         )
 
 
-def _merge_duplicates(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Collapse exactly duplicated inputs, averaging their targets.
+def _group_means(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct inputs and the mean target of each.
 
-    Also canonicalizes the support order (sorted), which makes the fit
-    bitwise invariant under permutation of the training pairs.
+    The sorted order makes a fit on them bitwise invariant under
+    permutation of the training pairs.
     """
     uniq, inverse, counts = np.unique(xs, return_inverse=True, return_counts=True)
     sums = np.zeros(len(uniq))
     np.add.at(sums, inverse, ys)
-    return uniq, sums / counts, len(xs) - len(uniq)
+    return uniq, sums / counts
 
 
-def fit_kernel(
-    xs,
-    ys,
-    spec: KernelSpec = KernelSpec(),
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-    subsample_seed: int = 0,
-) -> KernelRegressor:
+def fit_kernel(xs, ys, spec: KernelSpec = KernelSpec()) -> KernelRegressor:
     """Solve (K + ridge*I) w = y over the (deduplicated, possibly capped) inputs.
 
     Exactly duplicated x values are merged with averaged targets before the
     solve (they make K singular without changing the least-squares
-    objective). If more than support_cap points remain, a seeded uniform
-    subsample is used. With ridge = 0 a numerically singular system raises
-    SingularGramError.
+    objective). If more than SUPPORT_CAP points remain, a uniform subsample
+    drawn on a fixed key is used. With ridge = 0 a numerically singular
+    system raises SingularGramError.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
@@ -231,14 +230,16 @@ def fit_kernel(
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise ValueError("training data must be finite")
 
-    xs, ys, n_merged = _merge_duplicates(xs, ys)
+    n_points = len(xs)
+    xs, ys = _group_means(xs, ys)
+    n_merged = n_points - len(xs)
 
     subsampled = False
-    if len(xs) > support_cap:
+    if len(xs) > SUPPORT_CAP:
         gen = np.random.Generator(
-            np.random.Philox(key=np.array([subsample_seed, len(xs)], dtype=np.uint64))
+            np.random.Philox(key=np.array([0, len(xs)], dtype=np.uint64))
         )
-        idx = gen.choice(len(xs), size=support_cap, replace=False)
+        idx = gen.choice(len(xs), size=SUPPORT_CAP, replace=False)
         idx.sort()
         xs, ys = xs[idx], ys[idx]
         subsampled = True
@@ -279,10 +280,7 @@ def fit_tabular(xs, ys) -> TabularRegressor:
     ys = np.asarray(ys, dtype=float).ravel()
     if len(xs) != len(ys) or len(xs) < 1:
         raise ValueError("xs and ys must be equal-length and non-empty")
-    uniq, inverse, counts = np.unique(xs, return_inverse=True, return_counts=True)
-    sums = np.zeros(len(uniq))
-    np.add.at(sums, inverse, ys)
-    return TabularRegressor(uniq, sums / counts, float(ys.mean()))
+    return TabularRegressor(*_group_means(xs, ys), float(ys.mean()))
 
 
 @dataclass(frozen=True)
@@ -292,37 +290,17 @@ class RegressionBackend:
     kind: str = "kernel"
     kernel: KernelSpec = KernelSpec()
     degree: int = DEFAULT_POLY_DEGREE
-    support_cap: int = DEFAULT_SUPPORT_CAP
-    subsample_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("kernel", "poly", "tabular"):
+        if self.kind not in BACKEND_KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.support_cap < 1:
-            raise ValueError("support_cap must be >= 1")
 
     def fit(self, xs, ys) -> Regressor:
         if self.kind == "kernel":
-            return fit_kernel(
-                xs, ys, self.kernel,
-                support_cap=self.support_cap,
-                subsample_seed=self.subsample_seed,
-            )
+            return fit_kernel(xs, ys, self.kernel)
         if self.kind == "poly":
             return fit_polynomial(xs, ys, self.degree)
         return fit_tabular(xs, ys)
-
-    def describe(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "kernel":
-            out.update(
-                bandwidth=self.kernel.bandwidth,
-                ridge=self.kernel.ridge,
-                support_cap=self.support_cap,
-            )
-        elif self.kind == "poly":
-            out["degree"] = self.degree
-        return out
 
     def to_dict(self) -> dict:
         return {
@@ -330,19 +308,11 @@ class RegressionBackend:
             "bandwidth": self.kernel.bandwidth,
             "ridge": self.kernel.ridge,
             "degree": self.degree,
-            "support_cap": self.support_cap,
-            "subsample_seed": self.subsample_seed,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionBackend":
-        return cls(
-            kind=d.get("kind", "kernel"),
-            kernel=KernelSpec(
-                bandwidth=d.get("bandwidth", 1.0),
-                ridge=d.get("ridge", DEFAULT_RIDGE),
-            ),
-            degree=d.get("degree", DEFAULT_POLY_DEGREE),
-            support_cap=d.get("support_cap", DEFAULT_SUPPORT_CAP),
-            subsample_seed=d.get("subsample_seed", 0),
-        )
+        check_keys(d, ("kind", "bandwidth", "ridge", "degree"), "backend")
+        spec = {k: d[k] for k in ("bandwidth", "ridge") if k in d}
+        rest = {k: d[k] for k in ("kind", "degree") if k in d}
+        return cls(kernel=KernelSpec(**spec), **rest)

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from . import consumer, seller
-from .model import ModelParams
+from .model import ModelParams, check_keys
 from .rng import RngStream
 
 # Payoffs are O(1) and backward induction accumulates at most T rounding
@@ -96,6 +96,10 @@ class FiniteStopProblem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FiniteStopProblem":
+        check_keys(d, ("payoffs", "transitions", "initial", "horizon"), "problem")
+        for key in ("payoffs", "transitions"):
+            if key not in d:
+                raise ValueError(f"problem is missing required key {key!r}")
         problem = cls(
             payoffs=[np.asarray(h, dtype=float) for h in d["payoffs"]],
             transitions=[np.asarray(m, dtype=float) for m in d["transitions"]],
@@ -194,9 +198,7 @@ def simulate_paths(
     return nodes, h
 
 
-def discretize_consumer_problem(
-    params: ModelParams, levels: int, node_budget: int = NODE_BUDGET
-) -> FiniteStopProblem:
+def discretize_consumer_problem(params: ModelParams, levels: int) -> FiniteStopProblem:
     """Quantized lattice version of the purchase-timing model.
 
     Valuation shocks, observation noise, and the initial valuation are each
@@ -204,14 +206,14 @@ def discretize_consumer_problem(
     the seller's deterministic belief recursion is embedded in the node
     state, so the resulting tree prices exactly like the continuous model
     along its quantized histories. Intended for tiny horizons; raises when
-    the tree would exceed the node budget.
+    the tree would exceed NODE_BUDGET nodes.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     T = params.horizon
     total = sum(levels * (levels * levels) ** t for t in range(T + 1))
-    if total > node_budget:
-        raise ValueError(f"tree would have {total} nodes, budget is {node_budget}")
+    if total > NODE_BUDGET:
+        raise ValueError(f"tree would have {total} nodes, budget is {NODE_BUDGET}")
 
     gh_x, gh_w = hermgauss(levels)
     points = gh_x * np.sqrt(2.0)          # standard normal support

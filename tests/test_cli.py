@@ -144,6 +144,19 @@ def test_error_line_is_machine_readable(tmp_path, capsys):
     assert "message" in payload
 
 
+def test_config_typo_is_an_error_line(tmp_path, capsys):
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps({"n_tets": 5, "model": {"horizon": 3}}))
+    rc = main(["train", "--config", str(file), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("ERROR ")
+    payload = json.loads(err[len("ERROR "):])
+    assert payload["type"] == "ValueError"
+    assert "'n_tets'" in payload["message"]
+    assert not (tmp_path / "x").exists()
+
+
 def test_usage_error_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])

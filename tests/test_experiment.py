@@ -10,7 +10,6 @@ import pytest
 from optstop import experiment, lsm
 from optstop.consumer import exit_payoff, initial_state, purchase_payoff, step_valuation
 from optstop.experiment import (
-    BinConfig,
     DOMAIN_MYOPIC_TEST,
     DOMAIN_TEST,
     DOMAIN_TRAIN,
@@ -166,7 +165,7 @@ class TestPolicyPersistence:
         file = tmp_path / "p.txt"
         save_policy(policy, file)
         loaded = load_policy(file)
-        assert loaded.metadata["backend"] == {"kind": "poly", "degree": 2}
+        assert loaded.metadata["backend"] == RegressionBackend(kind="poly", degree=2).to_dict()
         assert loaded.metadata == policy.metadata
 
 
@@ -340,8 +339,6 @@ def pin_config() -> ExperimentConfig:
         params=ModelParams(horizon=1, sigma_eps=0.5, seed=3),
         n_train=2,
         n_test=2,
-        bins=BinConfig(payoff_lo=-0.5, payoff_hi=1.0, payoff_width=0.5,
-                       price_lo=0.0, price_hi=1.0, price_width=0.5),
     )
 
 
@@ -433,23 +430,33 @@ class TestTableFormat:
             "1,0,0.25,0.5,0.5,0,0.0,1,1e-20,0.0,0.125,0,0.0\n",
         )
         self.expect(
-            files["payoff_hist.csv"],
-            "bin_left,bin_right,algorithmic,myopic\n"
-            "-0.5,0.0,0,0\n"
-            "0.0,0.5,1,2\n"
-            "0.5,1.0,1,0\n",
-        )
-        self.expect(
-            files["price_hist.csv"],
-            "bin_left,bin_right,algorithmic,myopic\n"
-            "0.0,0.5,0,0\n"
-            "0.5,1.0,1,0\n",
-        )
-        self.expect(
             files["payoff_diff.csv"],
             "trial,algorithmic,myopic,difference\n"
             "0,0.5,0.0,0.5\n"
             "1,0.0,0.0,0.0\n",
+        )
+        for name, lo, hi, rows in (("payoff_hist.csv", -0.5, 1.0, 30),
+                                   ("price_hist.csv", 0.0, 3.0, 60)):
+            lines = files[name].splitlines()
+            assert lines[1] == "bin_left,bin_right,algorithmic,myopic"
+            assert len(lines) == 2 + rows
+            assert lines[2].split(",")[0] == repr(lo) and lines[-1].split(",")[1] == repr(hi)
+
+    def test_histogram(self):
+        report = pin_report(paired=True)
+        alg, myo = report.algorithmic, report.myopic
+        payoffs = experiment._histogram(np.array([-0.5, 0.0, 0.5, 1.0]), alg.payoffs, myo.payoffs)
+        assert experiment._table(None, payoffs) == (
+            "bin_left,bin_right,algorithmic,myopic\n"
+            "-0.5,0.0,0,0\n"
+            "0.0,0.5,1,2\n"
+            "0.5,1.0,1,0\n"
+        )
+        prices = experiment._histogram(np.array([0.0, 0.5, 1.0]), alg.prices_paid, myo.prices_paid)
+        assert experiment._table(None, prices) == (
+            "bin_left,bin_right,algorithmic,myopic\n"
+            "0.0,0.5,0,0\n"
+            "0.5,1.0,1,0\n"
         )
 
 
@@ -460,9 +467,28 @@ class TestConfig:
             trace_trials=(3, 4),
             paired=False,
             fixed_v0=0.5,
-            bins=BinConfig(payoff_lo=-1.0),
         )
         assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    def test_missing_keys_take_defaults(self):
+        assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+        partial = ExperimentConfig.from_dict({"n_test": 7, "backend": {"kind": "poly"}})
+        assert partial == ExperimentConfig(n_test=7, backend=RegressionBackend(kind="poly"))
+
+    @pytest.mark.parametrize(
+        "d, what, key",
+        [
+            ({"n_tets": 5}, "config", "n_tets"),
+            ({"bins": {"payoff_lo": -1.0}}, "config", "bins"),
+            ({"model": {"horizn": 3}}, "model", "horizn"),
+            ({"backend": {"kernl": 1}}, "backend", "kernl"),
+            ({"backend": {"support_cap": 2000}}, "backend", "support_cap"),
+            ({"backend": {"kind": "kernel", "subsample_seed": 0}}, "backend", "subsample_seed"),
+        ],
+    )
+    def test_unknown_key_named(self, d, what, key):
+        with pytest.raises(ValueError, match=f"unknown {what} key.*'{key}'"):
+            ExperimentConfig.from_dict(d)
 
     def test_load_from_file(self, tmp_path):
         config = small_config()

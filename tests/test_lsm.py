@@ -82,10 +82,14 @@ class TestTrain:
         policy = train(h, RegressionBackend(), metadata={"seed": 9})
         meta = policy.metadata
         assert meta["n_train"] == 2
-        assert meta["backend"]["kind"] == "kernel"
+        assert meta["backend"] == RegressionBackend().to_dict()
+        assert meta["backend"]["ridge"] == 1e-6
         assert meta["feature"] == "exit_payoff"
-        assert meta["numerics"]["ridge"] == 1e-6
-        assert meta["numerics"]["nonpositive_exit_action"] == "reject"
+        assert meta["numerics"] == {
+            "duplicates_merged": 0,
+            "support_cap_hit": False,
+            "nonpositive_exit_action": "reject",
+        }
         assert meta["seed"] == 9
 
     def test_custom_features_flagged(self):
@@ -112,7 +116,7 @@ class TestTrain:
             def fit(self, xs, ys):
                 raise RuntimeError("boom")
 
-            def describe(self):
+            def to_dict(self):
                 return {"kind": "boom"}
 
         with pytest.raises(RuntimeError, match="epoch t=1"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optstop.regression import (
+    SUPPORT_CAP,
     KernelSpec,
     RegressionBackend,
     Regressor,
@@ -79,12 +80,18 @@ class TestKernelFit:
 
     def test_support_cap_subsamples_deterministically(self):
         rng = np.random.default_rng(33)
-        xs = rng.uniform(0, 1, size=100)
-        ys = rng.standard_normal(100)
-        a = fit_kernel(xs, ys, KernelSpec(), support_cap=40, subsample_seed=5)
-        b = fit_kernel(xs, ys, KernelSpec(), support_cap=40, subsample_seed=5)
-        assert a.subsampled and len(a.xs) == 40
+        xs = np.linspace(0, 1, SUPPORT_CAP + 1)  # distinct, so nothing merges
+        ys = rng.standard_normal(SUPPORT_CAP + 1)
+        a = fit_kernel(xs, ys, KernelSpec(ridge=1e-3))
+        b = fit_kernel(xs[::-1], ys[::-1], KernelSpec(ridge=1e-3))
+        assert a.subsampled and len(a.xs) == SUPPORT_CAP
+        assert a.n_merged_duplicates == 0
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.weights, b.weights)
+        key = np.array([0, SUPPORT_CAP + 1], dtype=np.uint64)
+        idx = np.random.Generator(np.random.Philox(key=key)).choice(
+            SUPPORT_CAP + 1, size=SUPPORT_CAP, replace=False
+        )
+        assert np.array_equal(a.xs, np.sort(xs[idx]))
 
     def test_training_mse_nondecreasing_in_ridge(self):
         rng = np.random.default_rng(34)
@@ -212,14 +219,11 @@ class TestBackendDispatch:
         with pytest.raises(ValueError):
             RegressionBackend(kind="spline")
 
-    def test_describe_reports_numerics(self):
-        desc = RegressionBackend(kind="kernel").describe()
-        assert desc == {"kind": "kernel", "bandwidth": 1.0, "ridge": 1e-6, "support_cap": 2000}
-        assert RegressionBackend(kind="poly", degree=2).describe() == {"kind": "poly", "degree": 2}
-
     def test_backend_dict_round_trip(self):
-        backend = RegressionBackend(kind="kernel", kernel=KernelSpec(0.5, 1e-4), support_cap=99)
+        backend = RegressionBackend(kind="kernel", kernel=KernelSpec(0.5, 1e-4), degree=5)
         assert RegressionBackend.from_dict(backend.to_dict()) == backend
+        assert RegressionBackend.from_dict({}) == RegressionBackend()
+        assert RegressionBackend.from_dict({"ridge": 0.0}).kernel == KernelSpec(1.0, 0.0)
 
     def test_unknown_regressor_kind_rejected(self):
         with pytest.raises(ValueError):

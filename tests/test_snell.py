@@ -254,6 +254,19 @@ class TestProblemSerialization:
         loaded = load_problem(path)
         assert backward_induction(loaded).root_value == pytest.approx(0.6, abs=1e-15)
 
+    def test_unknown_key_named(self):
+        d = two_epoch_tree().to_dict()
+        d["intial"] = d.pop("initial")
+        with pytest.raises(ValueError, match="unknown problem key.*'intial'"):
+            FiniteStopProblem.from_dict(d)
+
+    @pytest.mark.parametrize("key", ["payoffs", "transitions"])
+    def test_missing_required_key_named(self, key):
+        d = two_epoch_tree().to_dict()
+        del d[key]
+        with pytest.raises(ValueError, match=f"missing required key '{key}'"):
+            FiniteStopProblem.from_dict(d)
+
     def test_declared_horizon_mismatch_rejected(self):
         d = two_epoch_tree().to_dict()
         d["horizon"] = 5
