@@ -42,8 +42,13 @@ class ConsumerState:
             raise ValueError(f"residual variance must be >= 0, got {self.residual_var}")
 
 
+def residual_var(t, params: ModelParams):
+    """Variance left in the final valuation at epoch t (an int or an array)."""
+    return (params.horizon - t) * params.sigma_eps**2
+
+
 def initial_state(v0: float, params: ModelParams) -> ConsumerState:
-    return ConsumerState(t=0, v=v0, residual_var=params.horizon * params.sigma_eps**2)
+    return ConsumerState(t=0, v=v0, residual_var=residual_var(0, params))
 
 
 def step_valuation(
@@ -54,11 +59,7 @@ def step_valuation(
         raise ValueError(f"cannot step past the horizon (t={state.t})")
     eps = params.sigma_eps * stream.standard_normal()
     t_next = state.t + 1
-    return ConsumerState(
-        t=t_next,
-        v=state.v + eps,
-        residual_var=(params.horizon - t_next) * params.sigma_eps**2,
-    )
+    return ConsumerState(t=t_next, v=state.v + eps, residual_var=residual_var(t_next, params))
 
 
 def purchase_payoff(state: ConsumerState, price, params: ModelParams):

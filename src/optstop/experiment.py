@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import consumer, lsm, seller
-from .model import ModelParams, PathBatch, check_keys
+from .model import DEFAULT_SEED, ModelParams, PathBatch, check_types, json_type
 from .policy_io import policy_to_text
 from .regression import RegressionBackend
 from .rng import RngStream
@@ -29,8 +29,6 @@ from .rng import RngStream
 DOMAIN_TRAIN = 0
 DOMAIN_TEST = 1
 DOMAIN_MYOPIC_TEST = 2
-
-DEFAULT_SEED = 1
 
 
 def _edges(lo: float, hi: float, width: float) -> np.ndarray:
@@ -49,7 +47,7 @@ class ExperimentConfig:
     (T=25, gamma=1, sigma_eps=0.1, sigma_xi=1, prior N(1,1), 500 training and
     1000 paired test paths, Gaussian kernel with bandwidth 1)."""
 
-    params: ModelParams = field(default_factory=lambda: ModelParams(seed=DEFAULT_SEED))
+    params: ModelParams = field(default_factory=ModelParams)
     n_train: int = 500
     n_test: int = 1000
     backend: RegressionBackend = field(default_factory=RegressionBackend)
@@ -63,8 +61,8 @@ class ExperimentConfig:
         if self.n_test < 1:
             raise ValueError(f"n_test must be >= 1, got {self.n_test}")
         for i in self.trace_trials:
-            if not 0 <= i < self.n_test:
-                raise ValueError(f"trace trial {i} outside 0..{self.n_test - 1}")
+            if json_type(i) != "integer" or not 0 <= i < self.n_test:
+                raise ValueError(f"trace trial {i!r} is not an integer in 0..{self.n_test - 1}")
 
     def to_dict(self) -> dict:
         return {
@@ -79,11 +77,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Inverse of to_dict; a missing key keeps its default, an unknown one raises."""
-        check_keys(
-            d, ("model", "n_train", "n_test", "backend", "paired", "trace_trials", "fixed_v0"),
-            "config",
-        )
+        """Inverse of to_dict; a missing key keeps its default, and an unknown
+        key or a value of another JSON type than the default's raises."""
+        check_types(d, cls().to_dict(), "config")
         kwargs: dict = {}
         if "model" in d:
             kwargs["params"] = ModelParams.from_dict(d["model"])
@@ -284,7 +280,7 @@ def _exit_columns(
     return {
         f"{prefix}_exit_time": t,
         f"{prefix}_valuation_mean": batch.v[np.arange(batch.n_paths), t],
-        f"{prefix}_valuation_std": np.sqrt((params.horizon - t) * params.sigma_eps**2),
+        f"{prefix}_valuation_std": np.sqrt(consumer.residual_var(t, params)),
         f"{prefix}_price": outcome.prices_at_exit,
         f"{prefix}_purchased": outcome.purchased,
         f"{prefix}_payoff": outcome.payoffs,
@@ -364,7 +360,7 @@ def render_trace(batch: PathBatch, trial: int, config: ExperimentConfig) -> str:
         {
             "t": t,
             "valuation_mean": batch.v[trial],
-            "valuation_std": np.sqrt((params.horizon - t) * params.sigma_eps**2),
+            "valuation_std": np.sqrt(consumer.residual_var(t, params)),
             "observation": _observations(batch.y[trial : trial + 1]),
             "price": batch.p[trial],
             "purchase_payoff": batch.pi[trial],

@@ -172,6 +172,19 @@ def train(
     return policy, CashflowMatrix(cf)
 
 
+def _current_epoch(h_prefix, pi_t: float, horizon: int) -> tuple[int, float]:
+    """Epoch t and exit payoff H_t of an observed prefix H_0..H_t, checked
+    against the horizon and against H_t = max(pi_t, 0)."""
+    h_prefix = np.asarray(h_prefix, dtype=float)
+    t = len(h_prefix) - 1
+    if t < 0 or t > horizon:
+        raise ValueError(f"prefix length {t + 1} outside 1..{horizon + 1}")
+    h_t = float(h_prefix[-1])
+    if h_t != max(pi_t, 0.0):
+        raise ValueError(f"H_t={h_t} inconsistent with pi_t={pi_t}")
+    return t, h_t
+
+
 def decide(
     policy: StoppingPolicy, h_prefix, pi_t: float, feature_prefix=None
 ) -> ExitDecision | None:
@@ -184,14 +197,7 @@ def decide(
     otherwise. At the horizon the choice is forced: purchase if the payoff is
     positive, reject if not.
     """
-    h_prefix = np.asarray(h_prefix, dtype=float)
-    t = len(h_prefix) - 1
-    if t < 0 or t > policy.horizon:
-        raise ValueError(f"prefix length {t + 1} outside 1..{policy.horizon + 1}")
-    h_t = float(h_prefix[-1])
-    if h_t != max(pi_t, 0.0):
-        raise ValueError(f"H_t={h_t} inconsistent with pi_t={pi_t}")
-
+    t, h_t = _current_epoch(h_prefix, pi_t, policy.horizon)
     if t == policy.horizon:
         if h_t > 0.0:
             return ExitDecision(time=t, action=PURCHASE, payoff=pi_t)
@@ -200,7 +206,7 @@ def decide(
     if feature_prefix is None:
         x_t = h_t
     else:
-        if len(feature_prefix) != len(h_prefix):
+        if len(feature_prefix) != t + 1:
             raise ValueError("feature prefix must have the same length as h prefix")
         x_t = float(feature_prefix[-1])
     if h_t > policy.regressors[t].predict(x_t):
@@ -212,13 +218,7 @@ def decide(
 
 def myopic_decide(h_prefix, pi_t: float, horizon: int) -> ExitDecision | None:
     """Greedy baseline: purchase at the first epoch with positive payoff."""
-    h_prefix = np.asarray(h_prefix, dtype=float)
-    t = len(h_prefix) - 1
-    if t < 0 or t > horizon:
-        raise ValueError(f"prefix length {t + 1} outside 1..{horizon + 1}")
-    h_t = float(h_prefix[-1])
-    if h_t != max(pi_t, 0.0):
-        raise ValueError(f"H_t={h_t} inconsistent with pi_t={pi_t}")
+    t, h_t = _current_epoch(h_prefix, pi_t, horizon)
     if h_t > 0.0:
         return ExitDecision(time=t, action=PURCHASE, payoff=pi_t)
     if t == horizon:

@@ -2,21 +2,58 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 _U64 = 1 << 64
+DEFAULT_SEED = 1
 
 
-def check_keys(d: dict, allowed, what: str) -> None:
-    """Reject any key of d outside allowed, naming it; missing keys are fine."""
+def check_keys(d: dict, allowed, what: str, required=()) -> None:
+    """Reject a d that is not a dict, any key of d outside allowed, and any
+    key of required missing from d, naming it; other missing keys are fine."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got a JSON {json_type(d)}")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ValueError(
             f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise ValueError(f"{what} is missing required key {', '.join(map(repr, missing))}")
+
+
+# Checked in order, so a bool is never taken for a number.
+_JSON_TYPES = (
+    (bool, "boolean"), (int, "integer"), (float, "number"),
+    (str, "string"), (list, "array"), (dict, "object"),
+)
+
+
+def json_type(value) -> str:
+    """JSON type name of a decoded value."""
+    if value is None:
+        return "null"
+    return next((name for cls, name in _JSON_TYPES if isinstance(value, cls)), type(value).__name__)
+
+
+# Types a value may have besides its template's: an integer passes for a
+# number, and a null template value stands for an optional number.
+_ALSO_ACCEPTED = {"number": ("integer",), "null": ("integer", "number")}
+
+
+def check_types(d: dict, template: dict, what: str, required=()) -> None:
+    """check_keys against template's keys, then reject a value of d whose
+    JSON type differs from template's value at that key, naming the key."""
+    check_keys(d, template, what, required)
+    for key, value in d.items():
+        want, got = json_type(template[key]), json_type(value)
+        if got != want and got not in _ALSO_ACCEPTED.get(want, ()):
+            expected = "number or null" if want == "null" else want
+            raise ValueError(f"{what} key {key!r} must be a JSON {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,7 +75,7 @@ class ModelParams:
     sigma_xi: float = 1.0
     mu_prior: float = 1.0
     sigma_v: float = 1.0
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -59,7 +96,7 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
-        check_keys(d, [f.name for f in fields(cls)], "model")
+        check_types(d, cls().to_dict(), "model")
         return cls(**d)
 
 

@@ -13,9 +13,12 @@ import json
 from pathlib import Path
 
 from .lsm import StoppingPolicy
+from .model import check_types
 from .regression import Regressor
 
 FORMAT_LINE = "optstop-policy v1"
+# The payload's keys, each with a value of the JSON type it must have.
+_PAYLOAD_TYPES = {"format_version": 1, "horizon": 1, "metadata": {}, "regressors": []}
 
 
 class PolicyFormatError(ValueError):
@@ -55,16 +58,21 @@ def policy_from_text(text: str) -> StoppingPolicy:
         data = json.loads(payload)
     except json.JSONDecodeError as exc:
         raise PolicyFormatError("malformed policy payload") from exc
-    if data.get("format_version") != 1:
-        raise PolicyFormatError(f"unsupported payload version {data.get('format_version')}")
     try:
-        regressors = [Regressor.from_dict(d) for d in data["regressors"]]
-        return StoppingPolicy(
-            horizon=data["horizon"],
-            regressors=regressors,
-            metadata=data["metadata"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        check_types(data, _PAYLOAD_TYPES, "policy payload", required=_PAYLOAD_TYPES)
+    except ValueError as exc:
+        raise PolicyFormatError(str(exc)) from exc
+    if data["format_version"] != 1:
+        raise PolicyFormatError(f"unsupported payload version {data['format_version']}")
+    regressors = []
+    for t, d in enumerate(data["regressors"]):
+        try:
+            regressors.append(Regressor.from_dict(d))
+        except (TypeError, ValueError) as exc:
+            raise PolicyFormatError(f"regressor of epoch {t}: {exc}") from exc
+    try:
+        return StoppingPolicy(data["horizon"], regressors, data["metadata"])
+    except ValueError as exc:
         raise PolicyFormatError(f"malformed policy payload: {exc}") from exc
 
 

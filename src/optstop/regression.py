@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import check_keys
+from .model import check_keys, check_types, json_type
 
 DEFAULT_RIDGE = 1e-6
 DEFAULT_POLY_DEGREE = 3
@@ -31,6 +31,21 @@ class SingularGramError(np.linalg.LinAlgError):
     """Raised when an unregularized kernel system is numerically singular."""
 
 
+def _finite(name: str, value, ndim: int = 1) -> np.ndarray:
+    """value as a non-empty float array of ndim dimensions with finite real
+    entries; anything else (strings, bools, NaN, ragged nesting) raises a
+    ValueError naming it."""
+    try:
+        arr = np.asarray(value)
+        ok = arr.dtype.kind in "iuf" and arr.ndim == ndim and arr.size > 0
+    except ValueError:
+        ok = False
+    if not (ok and np.all(np.isfinite(arr))):
+        shape = "a finite number" if ndim == 0 else "a non-empty 1-D array of finite numbers"
+        raise ValueError(f"{name} must be {shape}")
+    return np.asarray(arr, dtype=float)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Gaussian kernel bandwidth and ridge regularization strength."""
@@ -39,9 +54,9 @@ class KernelSpec:
     ridge: float = DEFAULT_RIDGE
 
     def __post_init__(self):
-        if not self.bandwidth > 0:
+        if not _finite("bandwidth", self.bandwidth, ndim=0) > 0:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
-        if self.ridge < 0:
+        if _finite("ridge", self.ridge, ndim=0) < 0:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
 
 
@@ -54,29 +69,34 @@ def gaussian_kernel(a, b, bandwidth: float) -> np.ndarray:
 
 
 class Regressor:
-    """Fitted one-dimensional regressor: predict() plus lossless dict round-trip."""
+    """Fitted one-dimensional regressor: predict(x) for a float or an array,
+    plus a lossless dict round-trip.
+
+    FIELDS names the constructor arguments; they are also the attributes
+    to_dict writes and, beside "kind", the keys of the dict.
+    """
 
     kind = "base"
-
-    def predict(self, x):
-        raise NotImplementedError
+    FIELDS: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        d = {"kind": self.kind}
+        for name in self.FIELDS:
+            value = getattr(self, name)
+            d[name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "Regressor":
-        kinds = {
-            "zero": ZeroRegressor,
-            "kernel": KernelRegressor,
-            "poly": PolynomialRegressor,
-            "tabular": TabularRegressor,
-        }
-        try:
-            cls = kinds[d["kind"]]
-        except KeyError as exc:
-            raise ValueError(f"unknown regressor kind {d.get('kind')!r}") from exc
-        return cls._from_dict(d)
+        """Inverse of to_dict; an unknown kind, unknown key or missing key raises
+        a ValueError naming it, and the constructor checks the values."""
+        if not isinstance(d, dict):
+            raise ValueError(f"regressor must be a JSON object, got a JSON {json_type(d)}")
+        cls = REGRESSOR_KINDS.get(d.get("kind"))
+        if cls is None:
+            raise ValueError(f"unknown regressor kind {d.get('kind')!r}")
+        check_keys(d, ("kind", *cls.FIELDS), f"{cls.kind} regressor", required=cls.FIELDS)
+        return cls(**{name: d[name] for name in cls.FIELDS})
 
 
 class ZeroRegressor(Regressor):
@@ -89,13 +109,6 @@ class ZeroRegressor(Regressor):
             return 0.0
         return np.zeros(np.shape(x))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind}
-
-    @classmethod
-    def _from_dict(cls, d: dict) -> "ZeroRegressor":
-        return cls()
-
     def __eq__(self, other):
         return isinstance(other, ZeroRegressor)
 
@@ -104,62 +117,40 @@ class KernelRegressor(Regressor):
     """Gaussian-kernel expansion sum_j w_j k(x_j, x)."""
 
     kind = "kernel"
+    FIELDS = ("xs", "weights", "bandwidth", "ridge")
 
-    def __init__(self, xs: np.ndarray, weights: np.ndarray, spec: KernelSpec):
-        self.xs = np.asarray(xs, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-        self.spec = spec
-        if self.xs.shape != self.weights.shape or self.xs.ndim != 1 or len(self.xs) < 1:
-            raise ValueError("support points and weights must be equal-length 1-D arrays")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("non-finite kernel weights")
+    def __init__(self, xs, weights, bandwidth: float, ridge: float):
+        KernelSpec(bandwidth, ridge)  # checks both
+        self.xs = _finite("xs", xs)
+        self.weights = _finite("weights", weights)
+        if len(self.weights) != len(self.xs):
+            raise ValueError(f"{len(self.xs)} support points but {len(self.weights)} weights")
+        self.bandwidth = bandwidth
+        self.ridge = ridge
         # Fit diagnostics, not part of the serialized state.
         self.n_merged_duplicates = 0
         self.subsampled = False
 
     def predict(self, x):
         scalar = np.ndim(x) == 0
-        k = gaussian_kernel(np.atleast_1d(x), self.xs, self.spec.bandwidth)
+        k = gaussian_kernel(np.atleast_1d(x), self.xs, self.bandwidth)
         out = k @ self.weights
         return float(out[0]) if scalar else out
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bandwidth": self.spec.bandwidth,
-            "ridge": self.spec.ridge,
-            "xs": self.xs.tolist(),
-            "weights": self.weights.tolist(),
-        }
-
-    @classmethod
-    def _from_dict(cls, d: dict) -> "KernelRegressor":
-        return cls(
-            xs=np.asarray(d["xs"], dtype=float),
-            weights=np.asarray(d["weights"], dtype=float),
-            spec=KernelSpec(bandwidth=d["bandwidth"], ridge=d["ridge"]),
-        )
 
 
 class PolynomialRegressor(Regressor):
     """Ordinary least-squares polynomial, coefficients in ascending order."""
 
     kind = "poly"
+    FIELDS = ("coeffs",)
 
-    def __init__(self, coeffs: np.ndarray):
-        self.coeffs = np.asarray(coeffs, dtype=float)
+    def __init__(self, coeffs):
+        self.coeffs = _finite("coeffs", coeffs)
 
     def predict(self, x):
         scalar = np.ndim(x) == 0
         out = np.polynomial.polynomial.polyval(np.atleast_1d(x), self.coeffs)
         return float(out[0]) if scalar else out
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "coeffs": self.coeffs.tolist()}
-
-    @classmethod
-    def _from_dict(cls, d: dict) -> "PolynomialRegressor":
-        return cls(np.asarray(d["coeffs"], dtype=float))
 
 
 class TabularRegressor(Regressor):
@@ -170,11 +161,16 @@ class TabularRegressor(Regressor):
     """
 
     kind = "tabular"
+    FIELDS = ("xs", "means", "default")
 
-    def __init__(self, xs: np.ndarray, means: np.ndarray, default: float):
-        self.xs = np.asarray(xs, dtype=float)        # sorted unique
-        self.means = np.asarray(means, dtype=float)
-        self.default = float(default)
+    def __init__(self, xs, means, default: float):
+        self.xs = _finite("xs", xs)
+        self.means = _finite("means", means)
+        self.default = float(_finite("default", default, ndim=0))
+        if len(self.means) != len(self.xs):
+            raise ValueError(f"{len(self.xs)} table entries but {len(self.means)} means")
+        if not np.all(np.diff(self.xs) > 0):
+            raise ValueError("table xs must be strictly increasing")
 
     def predict(self, x):
         scalar = np.ndim(x) == 0
@@ -185,21 +181,22 @@ class TabularRegressor(Regressor):
         out = np.where(hit, self.means[idx], self.default)
         return float(out[0]) if scalar else out
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "xs": self.xs.tolist(),
-            "means": self.means.tolist(),
-            "default": self.default,
-        }
 
-    @classmethod
-    def _from_dict(cls, d: dict) -> "TabularRegressor":
-        return cls(
-            np.asarray(d["xs"], dtype=float),
-            np.asarray(d["means"], dtype=float),
-            d["default"],
-        )
+REGRESSOR_KINDS = {
+    cls.kind: cls for cls in (ZeroRegressor, KernelRegressor, PolynomialRegressor, TabularRegressor)
+}
+
+
+def _training_pairs(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """The training inputs and targets as equal-length, non-empty, finite
+    1-D float arrays."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    ys = np.asarray(ys, dtype=float).ravel()
+    if len(xs) != len(ys) or len(xs) < 1:
+        raise ValueError("xs and ys must be equal-length and non-empty")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("training data must be finite")
+    return xs, ys
 
 
 def _group_means(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,13 +220,7 @@ def fit_kernel(xs, ys, spec: KernelSpec = KernelSpec()) -> KernelRegressor:
     drawn on a fixed key is used. With ridge = 0 a numerically singular
     system raises SingularGramError.
     """
-    xs = np.asarray(xs, dtype=float).ravel()
-    ys = np.asarray(ys, dtype=float).ravel()
-    if len(xs) != len(ys) or len(xs) < 1:
-        raise ValueError("xs and ys must be equal-length and non-empty")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise ValueError("training data must be finite")
-
+    xs, ys = _training_pairs(xs, ys)
     n_points = len(xs)
     xs, ys = _group_means(xs, ys)
     n_merged = n_points - len(xs)
@@ -258,17 +249,14 @@ def fit_kernel(xs, ys, spec: KernelSpec = KernelSpec()) -> KernelRegressor:
     if not np.all(np.isfinite(w)):
         raise SingularGramError("kernel solve produced non-finite weights")
 
-    model = KernelRegressor(xs, w, spec)
+    model = KernelRegressor(xs, w, spec.bandwidth, spec.ridge)
     model.n_merged_duplicates = n_merged
     model.subsampled = subsampled
     return model
 
 
 def fit_polynomial(xs, ys, degree: int = DEFAULT_POLY_DEGREE) -> PolynomialRegressor:
-    xs = np.asarray(xs, dtype=float).ravel()
-    ys = np.asarray(ys, dtype=float).ravel()
-    if len(xs) != len(ys) or len(xs) < 1:
-        raise ValueError("xs and ys must be equal-length and non-empty")
+    xs, ys = _training_pairs(xs, ys)
     # Keep the LS system well-posed when there are few distinct points.
     deg = min(degree, len(np.unique(xs)) - 1)
     coeffs = np.polynomial.polynomial.polyfit(xs, ys, deg)
@@ -276,10 +264,7 @@ def fit_polynomial(xs, ys, degree: int = DEFAULT_POLY_DEGREE) -> PolynomialRegre
 
 
 def fit_tabular(xs, ys) -> TabularRegressor:
-    xs = np.asarray(xs, dtype=float).ravel()
-    ys = np.asarray(ys, dtype=float).ravel()
-    if len(xs) != len(ys) or len(xs) < 1:
-        raise ValueError("xs and ys must be equal-length and non-empty")
+    xs, ys = _training_pairs(xs, ys)
     return TabularRegressor(*_group_means(xs, ys), float(ys.mean()))
 
 
@@ -312,7 +297,7 @@ class RegressionBackend:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionBackend":
-        check_keys(d, ("kind", "bandwidth", "ridge", "degree"), "backend")
+        check_types(d, cls().to_dict(), "backend")
         spec = {k: d[k] for k in ("bandwidth", "ridge") if k in d}
         rest = {k: d[k] for k in ("kind", "degree") if k in d}
         return cls(kernel=KernelSpec(**spec), **rest)

@@ -96,10 +96,10 @@ class FiniteStopProblem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FiniteStopProblem":
-        check_keys(d, ("payoffs", "transitions", "initial", "horizon"), "problem")
-        for key in ("payoffs", "transitions"):
-            if key not in d:
-                raise ValueError(f"problem is missing required key {key!r}")
+        check_keys(
+            d, ("payoffs", "transitions", "initial", "horizon"), "problem",
+            required=("payoffs", "transitions"),
+        )
         problem = cls(
             payoffs=[np.asarray(h, dtype=float) for h in d["payoffs"]],
             transitions=[np.asarray(m, dtype=float) for m in d["transitions"]],
@@ -249,7 +249,7 @@ def discretize_consumer_problem(params: ModelParams, levels: int) -> FiniteStopP
         state = consumer.ConsumerState(
             t=t,
             v=np.repeat(v_new.ravel(), levels),
-            residual_var=(T - t) * params.sigma_eps**2,
+            residual_var=consumer.residual_var(t, params),
         )
         payoffs.append(exit_payoffs(state, belief))
         transitions.append(np.kron(np.eye(n_parent), child_weights))

@@ -1,5 +1,7 @@
 """Path generation, output rendering, persistence round trips, determinism."""
 
+import copy
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -22,7 +24,14 @@ from optstop.experiment import (
     write_output_dir,
 )
 from optstop.model import ModelParams, PathBatch
-from optstop.policy_io import PolicyFormatError, load_policy, save_policy
+from optstop.policy_io import (
+    FORMAT_LINE,
+    PolicyFormatError,
+    load_policy,
+    policy_from_text,
+    policy_to_text,
+    save_policy,
+)
 from optstop.regression import RegressionBackend
 from optstop.rng import RngStream
 from optstop.seller import GaussianBelief, seller_step
@@ -122,6 +131,45 @@ class TestGeneratePaths:
         assert abs(v_term.mean() - params.mu_prior) < bound
 
 
+# A valid policy payload with one regressor of each kind, epochs 0..3.
+POLICY_PAYLOAD = {
+    "format_version": 1,
+    "horizon": 4,
+    "metadata": {"seed": 1},
+    "regressors": [
+        {"kind": "zero"},
+        {"kind": "kernel", "xs": [0.1, 0.2], "weights": [1.0, -1.0], "bandwidth": 1.0, "ridge": 1e-6},
+        {"kind": "poly", "coeffs": [0.1, 0.2]},
+        {"kind": "tabular", "xs": [0.0, 1.0], "means": [0.5, 0.25], "default": 0.3},
+    ],
+}
+
+
+def signed_policy_text(payload: dict) -> str:
+    """A policy file around payload, with a checksum that matches it."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return f"{FORMAT_LINE}\nsha256 {hashlib.sha256(body.encode()).hexdigest()}\n{body}\n"
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(payload):
+        node = payload
+        for step in path:
+            node = node[step]
+        node[key] = value
+
+    return mutate
+
+
+def _delete(epoch, key):
+    def mutate(payload):
+        del payload["regressors"][epoch][key]
+
+    return mutate
+
+
 class TestPolicyPersistence:
     def test_round_trip_identical_decisions(self, ref_run, tmp_path):
         policy, _, test_batch, report, _ = ref_run
@@ -158,6 +206,42 @@ class TestPolicyPersistence:
         file.write_text("some-other-format v9\nsha256 00\n{}\n")
         with pytest.raises(PolicyFormatError, match="format"):
             load_policy(file)
+
+    def test_payload_with_every_kind_round_trips(self):
+        text = signed_policy_text(POLICY_PAYLOAD)
+        assert policy_to_text(policy_from_text(text)) == text
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (_set("regressors", 3, "xs", [1.0, 0.0]), "epoch 3: table xs must be strictly increasing"),
+            (_set("regressors", 3, "means", [math.nan, 0.25]), "epoch 3: means must be .*finite"),
+            (_set("regressors", 2, "coeffs", [math.nan, 0.2]), "epoch 2: coeffs must be .*finite"),
+            (_set("regressors", 1, "xs", [math.nan, 0.2]), "epoch 1: xs must be .*finite"),
+            (_set("regressors", 1, "bandwith", 1.0), "epoch 1: unknown kernel regressor key.*'bandwith'"),
+            (_set("regressors", 0, "xs", []), "epoch 0: unknown zero regressor key.*'xs'"),
+            (_set("horizn", 4), "unknown policy payload key.*'horizn'"),
+            (_set("horizon", 4.0), "'horizon' must be a JSON integer"),
+            (_set("metadata", [1]), "'metadata' must be a JSON object"),
+            (_set("regressors", 2, "coeffs", []), "epoch 2: coeffs must be a non-empty"),
+            (_set("regressors", 3, "xs", []), "epoch 3: xs must be a non-empty"),
+            (_set("horizon", "4"), "'horizon' must be a JSON integer"),
+            (_set("regressors", 0, ["kind", "zero"]), "epoch 0: regressor must be a JSON object"),
+            (_delete(1, "weights"), "epoch 1: kernel regressor is missing required key 'weights'"),
+            (_set("regressors", 3, "means", [0.5]), "epoch 3: 2 table entries but 1 means"),
+        ],
+        ids=[
+            "tabular-unsorted-xs", "tabular-nan-mean", "poly-nan-coeff", "kernel-nan-x",
+            "kernel-unknown-key", "zero-unknown-key", "unknown-top-key", "float-horizon",
+            "list-metadata", "poly-empty", "tabular-empty", "string-horizon",
+            "regressor-not-object", "kernel-missing-key", "tabular-length-mismatch",
+        ],
+    )
+    def test_malformed_payload_named(self, mutate, message):
+        payload = copy.deepcopy(POLICY_PAYLOAD)
+        mutate(payload)
+        with pytest.raises(PolicyFormatError, match=message):
+            policy_from_text(signed_policy_text(payload))
 
     def test_poly_backend_metadata_preserved(self, tmp_path):
         config = small_config(backend=RegressionBackend(kind="poly", degree=2))
@@ -490,6 +574,33 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"unknown {what} key.*'{key}'"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "d, what, key",
+        [
+            ({"model": {"horizon": 2.5}}, "model", "horizon"),
+            ({"backend": {"degree": 2.5}}, "backend", "degree"),
+            ({"n_train": True}, "config", "n_train"),
+            ({"paired": "no"}, "config", "paired"),
+            ({"n_test": "5"}, "config", "n_test"),
+            ({"trace_trials": 3}, "config", "trace_trials"),
+        ],
+    )
+    def test_wrong_value_type_named(self, d, what, key):
+        with pytest.raises(ValueError, match=f"{what} key '{key}' must be a JSON"):
+            ExperimentConfig.from_dict(d)
+
+    def test_int_passes_for_float_and_fixed_v0_takes_null(self):
+        config = ExperimentConfig.from_dict({"model": {"gamma": 2}, "fixed_v0": 1})
+        assert config.params.gamma == 2 and config.fixed_v0 == 1
+        assert ExperimentConfig.from_dict({"fixed_v0": None}).fixed_v0 is None
+        with pytest.raises(ValueError, match="'fixed_v0' must be a JSON number or null"):
+            ExperimentConfig.from_dict({"fixed_v0": "0.5"})
+
+    def test_one_default_seed(self):
+        assert ModelParams().seed == experiment.DEFAULT_SEED
+        config = ExperimentConfig.from_dict({"model": {"horizon": 25}})
+        assert config.params.seed == experiment.DEFAULT_SEED
+
     def test_load_from_file(self, tmp_path):
         config = small_config()
         file = tmp_path / "config.json"
@@ -514,3 +625,5 @@ class TestConfig:
             small_config(n_train=0)
         with pytest.raises(ValueError):
             small_config(trace_trials=(99,))  # outside the test set
+        with pytest.raises(ValueError, match="trace trial 1.5 is not an integer"):
+            small_config(trace_trials=(1.5,))

@@ -21,6 +21,15 @@ from optstop.regression import (
 )
 
 
+def assert_json_round_trip_bitwise(model, probe):
+    """The model survives json.dumps/loads of its dict with the same kind,
+    the same dict and bitwise-equal predictions."""
+    restored = Regressor.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert type(restored) is type(model)
+    assert restored.to_dict() == model.to_dict()
+    assert np.array_equal(restored.predict(probe), model.predict(probe))
+
+
 def dense_solve_oracle(xs, ys, spec: KernelSpec):
     """Independent route: explicit Gram assembly + numpy's pivoted LU solve."""
     xs = np.asarray(xs, dtype=float)
@@ -124,6 +133,11 @@ class TestKernelFit:
             eigs = np.linalg.eigvalsh(k)
             assert eigs.min() >= -1e-10 * np.abs(eigs).max()
 
+    def test_round_trip(self):
+        rng = np.random.default_rng(37)
+        model = fit_kernel(rng.uniform(0, 1, size=40), rng.standard_normal(40), KernelSpec(0.3))
+        assert_json_round_trip_bitwise(model, np.linspace(-0.5, 1.5, 41))
+
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             fit_kernel([], [], KernelSpec())
@@ -168,9 +182,7 @@ class TestZeroRegressor:
         assert np.array_equal(model.predict(np.array([1.0, 2.0])), np.zeros(2))
 
     def test_serialization_round_trip(self):
-        restored = Regressor.from_dict(ZeroRegressor().to_dict())
-        assert isinstance(restored, ZeroRegressor)
-        assert restored.predict(5.0) == 0.0
+        assert_json_round_trip_bitwise(ZeroRegressor(), np.array([5.0, -1.0]))
 
 
 class TestPolynomialBackend:
@@ -187,9 +199,7 @@ class TestPolynomialBackend:
 
     def test_round_trip(self):
         model = fit_polynomial([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 8.0, 27.0])
-        restored = Regressor.from_dict(model.to_dict())
-        grid = np.linspace(-1, 4, 13)
-        assert np.array_equal(model.predict(grid), restored.predict(grid))
+        assert_json_round_trip_bitwise(model, np.linspace(-1, 4, 13))
 
 
 class TestTabularBackend:
@@ -205,9 +215,7 @@ class TestTabularBackend:
 
     def test_round_trip(self):
         model = fit_tabular([0.0, 1.0, 1.0], [2.0, 4.0, 6.0])
-        restored = Regressor.from_dict(json.loads(json.dumps(model.to_dict())))
-        probe = np.array([0.0, 1.0, 5.0])
-        assert np.array_equal(model.predict(probe), restored.predict(probe))
+        assert_json_round_trip_bitwise(model, np.array([0.0, 1.0, 5.0]))
 
 
 class TestBackendDispatch:
@@ -228,3 +236,12 @@ class TestBackendDispatch:
     def test_unknown_regressor_kind_rejected(self):
         with pytest.raises(ValueError):
             Regressor.from_dict({"kind": "mystery"})
+
+    @pytest.mark.parametrize("fit", [fit_kernel, fit_polynomial, fit_tabular])
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [([0.0, np.nan], [1.0, 2.0]), ([0.0, 1.0], [1.0, np.inf]), ([-np.inf, 1.0], [1.0, 2.0])],
+    )
+    def test_fit_rejects_non_finite_data(self, fit, xs, ys):
+        with pytest.raises(ValueError, match="training data must be finite"):
+            fit(xs, ys)
