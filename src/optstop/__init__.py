@@ -27,7 +27,7 @@ from .lsm import (
 )
 from .model import ModelParams, PathBatch
 from .policy_io import load_policy, save_policy
-from .regression import KernelSpec, RegressionBackend
+from .regression import RegressionBackend
 from .rng import RngStream, q_function
 from .seller import GaussianBelief, kalman_correct, kalman_predict, myopic_price, seller_step
 from .snell import (
@@ -48,7 +48,6 @@ __all__ = [
     "ExperimentConfig",
     "FiniteStopProblem",
     "GaussianBelief",
-    "KernelSpec",
     "ModelParams",
     "PathBatch",
     "RegressionBackend",

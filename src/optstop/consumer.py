@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
-from .rng import RngStream
 
 # CARA exponent clamp: exp(700) is still finite in doubles, so a saturated
 # payoff stays finite and exit_payoff maps it to 0 like any negative payoff.
@@ -51,15 +50,15 @@ def initial_state(v0: float, params: ModelParams) -> ConsumerState:
     return ConsumerState(t=0, v=v0, residual_var=residual_var(0, params))
 
 
-def step_valuation(
-    state: ConsumerState, stream: RngStream, params: ModelParams
-) -> ConsumerState:
-    """Advance the valuation walk one step: v_{t+1} = v_t + N(0, sigma_eps^2)."""
+def step_valuation(state: ConsumerState, z, params: ModelParams) -> ConsumerState:
+    """Advance the valuation walk one step on the drawn standard normal z:
+    v_{t+1} = v_t + sigma_eps * z. z is a float, or an array shaped like v."""
     if state.t >= params.horizon:
         raise ValueError(f"cannot step past the horizon (t={state.t})")
-    eps = params.sigma_eps * stream.standard_normal()
     t_next = state.t + 1
-    return ConsumerState(t=t_next, v=state.v + eps, residual_var=residual_var(t_next, params))
+    return ConsumerState(
+        t=t_next, v=state.v + params.sigma_eps * z, residual_var=residual_var(t_next, params)
+    )
 
 
 def purchase_payoff(state: ConsumerState, price, params: ModelParams):

@@ -101,17 +101,6 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_dict(json.load(fh))
 
 
-class _DrawColumns:
-    """Stream stand-in for a batch: each draw returns the next column of a
-    pre-drawn (N, k) matrix, i.e. one variate for every path at once."""
-
-    def __init__(self, z: np.ndarray):
-        self._columns = iter(z.T)
-
-    def standard_normal(self) -> np.ndarray:
-        return next(self._columns)
-
-
 def generate_paths(
     params: ModelParams, n: int, domain: int = DOMAIN_TRAIN, fixed_v0: float | None = None
 ) -> PathBatch:
@@ -126,15 +115,17 @@ def generate_paths(
     payoffs close the epoch.
     """
     T = params.horizon
-    k = 2 * T + (fixed_v0 is None)
-    z = np.empty((n, k))
+    first = int(fixed_v0 is None)  # column of the first valuation shock
+    z = np.empty((n, first + 2 * T))
     for i in range(n):
-        z[i] = RngStream(params.seed, path_index=i, domain=domain).standard_normal(k)
-    draws = _DrawColumns(z)
-    if fixed_v0 is None:
-        v0 = params.mu_prior + params.sigma_v * draws.standard_normal()
+        z[i] = RngStream(params.seed, path_index=i, domain=domain).standard_normal(z.shape[1])
+    if first:
+        v0 = params.mu_prior + params.sigma_v * z[:, 0]
     else:
         v0 = np.full(n, float(fixed_v0))
+    # Epoch t >= 1 runs on the valuation shocks eps[:, t-1] and the
+    # observation noise xi[:, t-1].
+    eps, xi = z[:, first::2], z[:, first + 1 :: 2]
 
     v = np.empty((n, T + 1))
     y = np.empty((n, T))
@@ -144,12 +135,11 @@ def generate_paths(
     seller_var = np.empty(T + 1)
     state = consumer.initial_state(v0, params)
     belief = seller.GaussianBelief(np.full(n, float(params.mu_prior)), params.sigma_v**2)
+    price = seller.myopic_price(belief)
     for t in range(T + 1):
         if t > 0:
-            state = consumer.step_valuation(state, draws, params)
-        price, belief, obs = seller.seller_step(belief, state.v, t, draws, params)
-        if obs is not None:
-            y[:, t - 1] = obs
+            state = consumer.step_valuation(state, eps[:, t - 1], params)
+            price, belief, y[:, t - 1] = seller.seller_step(belief, state.v, xi[:, t - 1], params)
         v[:, t] = state.v
         p[:, t] = price
         seller_mean[:, t] = belief.mean

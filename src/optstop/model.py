@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -47,13 +48,16 @@ _ALSO_ACCEPTED = {"number": ("integer",), "null": ("integer", "number")}
 
 def check_types(d: dict, template: dict, what: str, required=()) -> None:
     """check_keys against template's keys, then reject a value of d whose
-    JSON type differs from template's value at that key, naming the key."""
+    JSON type differs from template's value at that key, or a NaN or
+    infinite number (which Python's json parses), naming the key."""
     check_keys(d, template, what, required)
     for key, value in d.items():
         want, got = json_type(template[key]), json_type(value)
         if got != want and got not in _ALSO_ACCEPTED.get(want, ()):
             expected = "number or null" if want == "null" else want
             raise ValueError(f"{what} key {key!r} must be a JSON {expected}, got {value!r}")
+        if got == "number" and not math.isfinite(value):
+            raise ValueError(f"{what} key {key!r} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,16 +82,19 @@ class ModelParams:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.horizon < 1:
+        # Written so that NaN fails every comparison.
+        if not self.horizon >= 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.sigma_eps < 0:
-            raise ValueError(f"sigma_eps must be >= 0, got {self.sigma_eps}")
-        if self.sigma_xi < 0:
-            raise ValueError(f"sigma_xi must be >= 0, got {self.sigma_xi}")
-        if not self.sigma_v > 0:
-            raise ValueError(f"sigma_v must be > 0, got {self.sigma_v}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0 <= self.sigma_eps < math.inf:
+            raise ValueError(f"sigma_eps must be finite and >= 0, got {self.sigma_eps}")
+        if not 0 <= self.sigma_xi < math.inf:
+            raise ValueError(f"sigma_xi must be finite and >= 0, got {self.sigma_xi}")
+        if not math.isfinite(self.mu_prior):
+            raise ValueError(f"mu_prior must be finite, got {self.mu_prior}")
+        if not 0 < self.sigma_v < math.inf:
+            raise ValueError(f"sigma_v must be finite and > 0, got {self.sigma_v}")
         if not 0 <= self.seed < _U64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 

@@ -12,7 +12,7 @@ sit behind the same interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -46,18 +46,13 @@ def _finite(name: str, value, ndim: int = 1) -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Gaussian kernel bandwidth and ridge regularization strength."""
-
-    bandwidth: float = 1.0
-    ridge: float = DEFAULT_RIDGE
-
-    def __post_init__(self):
-        if not _finite("bandwidth", self.bandwidth, ndim=0) > 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
-        if _finite("ridge", self.ridge, ndim=0) < 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
+def _check_kernel(bandwidth, ridge) -> None:
+    """Reject a Gaussian kernel bandwidth that is not finite and > 0, or a
+    ridge strength that is not finite and >= 0."""
+    if not _finite("bandwidth", bandwidth, ndim=0) > 0:
+        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
+    if _finite("ridge", ridge, ndim=0) < 0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
 
 
 def gaussian_kernel(a, b, bandwidth: float) -> np.ndarray:
@@ -120,7 +115,7 @@ class KernelRegressor(Regressor):
     FIELDS = ("xs", "weights", "bandwidth", "ridge")
 
     def __init__(self, xs, weights, bandwidth: float, ridge: float):
-        KernelSpec(bandwidth, ridge)  # checks both
+        _check_kernel(bandwidth, ridge)
         self.xs = _finite("xs", xs)
         self.weights = _finite("weights", weights)
         if len(self.weights) != len(self.xs):
@@ -211,7 +206,7 @@ def _group_means(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return uniq, sums / counts
 
 
-def fit_kernel(xs, ys, spec: KernelSpec = KernelSpec()) -> KernelRegressor:
+def fit_kernel(xs, ys, bandwidth: float = 1.0, ridge: float = DEFAULT_RIDGE) -> KernelRegressor:
     """Solve (K + ridge*I) w = y over the (deduplicated, possibly capped) inputs.
 
     Exactly duplicated x values are merged with averaged targets before the
@@ -220,6 +215,7 @@ def fit_kernel(xs, ys, spec: KernelSpec = KernelSpec()) -> KernelRegressor:
     drawn on a fixed key is used. With ridge = 0 a numerically singular
     system raises SingularGramError.
     """
+    _check_kernel(bandwidth, ridge)
     xs, ys = _training_pairs(xs, ys)
     n_points = len(xs)
     xs, ys = _group_means(xs, ys)
@@ -235,21 +231,21 @@ def fit_kernel(xs, ys, spec: KernelSpec = KernelSpec()) -> KernelRegressor:
         xs, ys = xs[idx], ys[idx]
         subsampled = True
 
-    k = gaussian_kernel(xs, xs, spec.bandwidth)
-    if spec.ridge > 0:
-        k = k + spec.ridge * np.eye(len(xs))
+    k = gaussian_kernel(xs, xs, bandwidth)
+    if ridge > 0:
+        k = k + ridge * np.eye(len(xs))
     try:
         cho = scipy.linalg.cho_factor(k, lower=True)
         w = scipy.linalg.cho_solve(cho, ys)
     except np.linalg.LinAlgError as exc:
         raise SingularGramError(
             f"kernel system of size {len(xs)} is numerically singular "
-            f"(ridge={spec.ridge}); add regularization"
+            f"(ridge={ridge}); add regularization"
         ) from exc
     if not np.all(np.isfinite(w)):
         raise SingularGramError("kernel solve produced non-finite weights")
 
-    model = KernelRegressor(xs, w, spec.bandwidth, spec.ridge)
+    model = KernelRegressor(xs, w, bandwidth, ridge)
     model.n_merged_duplicates = n_merged
     model.subsampled = subsampled
     return model
@@ -270,34 +266,33 @@ def fit_tabular(xs, ys) -> TabularRegressor:
 
 @dataclass(frozen=True)
 class RegressionBackend:
-    """Which regression the stopping-policy trainer plugs in at every epoch."""
+    """Which regression the stopping-policy trainer plugs in at every epoch:
+    the kind, the kernel's bandwidth and ridge, and the polynomial degree.
+    The fields are also the keys of the config's "backend" object."""
 
     kind: str = "kernel"
-    kernel: KernelSpec = KernelSpec()
+    bandwidth: float = 1.0
+    ridge: float = DEFAULT_RIDGE
     degree: int = DEFAULT_POLY_DEGREE
 
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}")
+        _check_kernel(self.bandwidth, self.ridge)
+        if not self.degree >= 0:
+            raise ValueError(f"degree must be >= 0, got {self.degree}")
 
     def fit(self, xs, ys) -> Regressor:
         if self.kind == "kernel":
-            return fit_kernel(xs, ys, self.kernel)
+            return fit_kernel(xs, ys, self.bandwidth, self.ridge)
         if self.kind == "poly":
             return fit_polynomial(xs, ys, self.degree)
         return fit_tabular(xs, ys)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bandwidth": self.kernel.bandwidth,
-            "ridge": self.kernel.ridge,
-            "degree": self.degree,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionBackend":
         check_types(d, cls().to_dict(), "backend")
-        spec = {k: d[k] for k in ("bandwidth", "ridge") if k in d}
-        rest = {k: d[k] for k in ("kind", "degree") if k in d}
-        return cls(kernel=KernelSpec(**spec), **rest)
+        return cls(**d)

@@ -16,7 +16,7 @@ from scipy.special import erfcx
 
 from .model import ModelParams
 # q_function is not called here; perfbench/spans.py patches seller.q_function.
-from .rng import RngStream, q_function  # noqa: F401
+from .rng import q_function  # noqa: F401
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
@@ -97,23 +97,15 @@ def myopic_price(belief: GaussianBelief):
 
 
 def seller_step(
-    belief: GaussianBelief,
-    true_v: float,
-    t: int,
-    stream: RngStream,
-    params: ModelParams,
-) -> tuple[float, GaussianBelief, float | None]:
-    """One seller epoch: observe (for t >= 1), update the belief, and price.
+    belief: GaussianBelief, true_v, z, params: ModelParams
+) -> tuple[float, GaussianBelief, float]:
+    """One seller epoch t >= 1 on the drawn standard normal z: observe
+    y_t = v_t + sigma_xi * z, run predict-then-correct, and price off the
+    updated posterior. Returns (offered price, updated belief, observation).
 
-    At t = 0 no observation exists and the price comes straight off the
-    prior. For t >= 1 the seller draws y_t = v_t + N(0, sigma_xi^2), runs
-    predict-then-correct, and prices off the updated posterior. Returns
-    (offered price, belief used for pricing, observation or None).
+    true_v and z are floats, or arrays shaped like the belief mean. At t = 0
+    there is no observation: the price is myopic_price of the prior.
     """
-    if not 0 <= t <= params.horizon:
-        raise ValueError(f"t must lie in 0..{params.horizon}, got {t}")
-    if t == 0:
-        return myopic_price(belief), belief, None
-    y = true_v + params.sigma_xi * stream.standard_normal()
+    y = true_v + params.sigma_xi * z
     updated = kalman_correct(kalman_predict(belief, params), y, params)
     return myopic_price(updated), updated, y

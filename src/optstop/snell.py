@@ -13,7 +13,7 @@ engine on problems small enough to enumerate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -211,7 +211,8 @@ def discretize_consumer_problem(params: ModelParams, levels: int) -> FiniteStopP
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     T = params.horizon
-    total = sum(levels * (levels * levels) ** t for t in range(T + 1))
+    fan = levels * levels  # children per parent: valuation shock x observation noise
+    total = sum(levels * fan**t for t in range(T + 1))
     if total > NODE_BUDGET:
         raise ValueError(f"tree would have {total} nodes, budget is {NODE_BUDGET}")
 
@@ -226,34 +227,28 @@ def discretize_consumer_problem(params: ModelParams, levels: int) -> FiniteStopP
     # observation-independent, hence shared per epoch.
     state = consumer.initial_state(params.mu_prior + params.sigma_v * points, params)
     belief = seller.GaussianBelief(np.full(levels, float(params.mu_prior)), params.sigma_v**2)
-
-    def exit_payoffs(state: consumer.ConsumerState, belief: seller.GaussianBelief) -> np.ndarray:
-        price = seller.myopic_price(belief)
-        return consumer.exit_payoff(consumer.purchase_payoff(state, price, params))
-
-    payoffs: list[np.ndarray] = [exit_payoffs(state, belief)]
+    price = seller.myopic_price(belief)
+    payoffs = [consumer.exit_payoff(consumer.purchase_payoff(state, price, params))]
     transitions: list[np.ndarray] = []
-    initial = weights.copy()
-
-    for t in range(1, T + 1):
-        # Children ordered (parent, valuation shock, observation noise).
+    for _ in range(T):
+        # Children ordered (parent, valuation shock, observation noise): each
+        # parent repeats fan times against the tiled shock and noise points,
+        # and the epoch steps through the simulator's functions.
         n_parent = len(state.v)
-        v_new = state.v[:, None] + params.sigma_eps * points              # (parent, shock)
-        y = v_new[:, :, None] + params.sigma_xi * points                  # (parent, shock, noise)
-        parent_mean = np.repeat(belief.mean, levels * levels)
-        belief = seller.kalman_correct(
-            seller.kalman_predict(seller.GaussianBelief(parent_mean, belief.var), params),
-            y.ravel(),
+        state = consumer.step_valuation(
+            replace(state, v=np.repeat(state.v, fan)),
+            np.tile(np.repeat(points, levels), n_parent),
             params,
         )
-        state = consumer.ConsumerState(
-            t=t,
-            v=np.repeat(v_new.ravel(), levels),
-            residual_var=consumer.residual_var(t, params),
+        price, belief, _ = seller.seller_step(
+            replace(belief, mean=np.repeat(belief.mean, fan)),
+            state.v,
+            np.tile(points, n_parent * levels),
+            params,
         )
-        payoffs.append(exit_payoffs(state, belief))
+        payoffs.append(consumer.exit_payoff(consumer.purchase_payoff(state, price, params)))
         transitions.append(np.kron(np.eye(n_parent), child_weights))
 
-    problem = FiniteStopProblem(payoffs=payoffs, transitions=transitions, initial=initial)
+    problem = FiniteStopProblem(payoffs=payoffs, transitions=transitions, initial=weights)
     problem.validate()
     return problem

@@ -169,6 +169,18 @@ def test_config_value_type_is_an_error_line(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_config_non_finite_value_is_an_error_line(tmp_path, capsys):
+    file = tmp_path / "config.json"
+    file.write_text('{"model": {"horizon": 3, "sigma_eps": NaN}}')
+    rc = main(["train", "--config", str(file), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    payload = json.loads(err[len("ERROR "):])
+    assert err.startswith("ERROR ") and payload["type"] == "ValueError"
+    assert "model key 'sigma_eps' must be a finite number" in payload["message"]
+    assert not (tmp_path / "x").exists()
+
+
 def test_usage_error_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])

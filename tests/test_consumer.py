@@ -35,7 +35,7 @@ class TestStepValuation:
     def test_zero_noise_keeps_value(self):
         params = ModelParams(horizon=5, sigma_eps=0.0, seed=1)
         state = initial_state(2.7, params)
-        nxt = step_valuation(state, RngStream(1), params)
+        nxt = step_valuation(state, 0.7, params)
         assert nxt.v == state.v
         assert nxt.t == 1
         assert nxt.residual_var == 0.0
@@ -44,35 +44,31 @@ class TestStepValuation:
         params = ModelParams(horizon=3)
         state = ConsumerState(t=3, v=1.0, residual_var=0.0)
         with pytest.raises(ValueError):
-            step_valuation(state, RngStream(0), params)
+            step_valuation(state, 0.0, params)
 
     def test_residual_variance_hits_zero_at_horizon(self):
         params = ModelParams(horizon=4, sigma_eps=0.3, seed=2)
         state = initial_state(0.0, params)
         stream = RngStream(2)
         for _ in range(params.horizon):
-            state = step_valuation(state, stream, params)
+            state = step_valuation(state, stream.standard_normal(), params)
         assert state.t == params.horizon
         assert state.residual_var == 0.0
 
     def test_martingale_increment_mean(self):
         params = ModelParams(horizon=10, sigma_eps=0.1, seed=3)
-        state = initial_state(1.0, params)
-        stream = RngStream(3, path_index=0)
         n = 10**5
-        increments = np.empty(n)
-        for i in range(n):
-            increments[i] = step_valuation(state, stream, params).v - state.v
+        state = initial_state(np.ones(n), params)
+        z = RngStream(3, path_index=0).standard_normal(n)
+        increments = step_valuation(state, z, params).v - state.v
         assert abs(increments.mean()) < 4 * params.sigma_eps / math.sqrt(n)
 
     def test_increment_variance_matches_sigma(self):
         params = ModelParams(horizon=10, sigma_eps=0.1, seed=4)
-        state = initial_state(1.0, params)
-        stream = RngStream(4, path_index=1)
         n = 10**5
-        increments = np.array(
-            [step_valuation(state, stream, params).v - state.v for _ in range(n)]
-        )
+        state = initial_state(np.ones(n), params)
+        z = RngStream(4, path_index=1).standard_normal(n)
+        increments = step_valuation(state, z, params).v - state.v
         assert increments.var() == pytest.approx(0.01, abs=5e-4)
 
 

@@ -34,7 +34,7 @@ from optstop.policy_io import (
 )
 from optstop.regression import RegressionBackend
 from optstop.rng import RngStream
-from optstop.seller import GaussianBelief, seller_step
+from optstop.seller import GaussianBelief, myopic_price, seller_step
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -48,7 +48,8 @@ def small_config(**overrides) -> ExperimentConfig:
 
 
 def replay_path(params: ModelParams, i: int, domain: int, fixed_v0=None) -> dict:
-    """Path i stepped epoch by epoch through the scalar API on its own stream."""
+    """Path i stepped epoch by epoch through the scalar API, fed its own
+    stream's normals one at a time in the order v0, eps_1, xi_1, eps_2, ..."""
     stream = RngStream(params.seed, path_index=i, domain=domain)
     if fixed_v0 is None:
         v0 = params.mu_prior + params.sigma_v * stream.standard_normal()
@@ -57,13 +58,13 @@ def replay_path(params: ModelParams, i: int, domain: int, fixed_v0=None) -> dict
     state = initial_state(v0, params)
     belief = GaussianBelief(params.mu_prior, params.sigma_v**2)
     out = {name: [] for name in ("v", "y", "p", "pi", "h", "seller_mean", "seller_var")}
+    price = myopic_price(belief)
     for t in range(params.horizon + 1):
         if t > 0:
-            state = step_valuation(state, stream, params)
-        price, belief, obs = seller_step(belief, state.v, t, stream, params)
-        pi = purchase_payoff(state, price, params)
-        if obs is not None:
+            state = step_valuation(state, stream.standard_normal(), params)
+            price, belief, obs = seller_step(belief, state.v, stream.standard_normal(), params)
             out["y"].append(obs)
+        pi = purchase_payoff(state, price, params)
         for name, value in (
             ("v", state.v), ("p", price), ("pi", pi), ("h", exit_payoff(pi)),
             ("seller_mean", belief.mean), ("seller_var", belief.var),
@@ -589,6 +590,24 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{what} key '{key}' must be a JSON"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "text, what, key",
+        [
+            ('{"model": {"mu_prior": NaN}}', "model", "mu_prior"),
+            ('{"fixed_v0": Infinity}', "config", "fixed_v0"),
+            ('{"model": {"sigma_eps": NaN}}', "model", "sigma_eps"),
+            ('{"model": {"gamma": Infinity}}', "model", "gamma"),
+        ],
+    )
+    def test_non_finite_number_named(self, text, what, key):
+        # Python's json parses NaN and Infinity; the loader must not.
+        with pytest.raises(ValueError, match=f"{what} key '{key}' must be a finite number"):
+            ExperimentConfig.from_dict(json.loads(text))
+
+    def test_negative_degree_named(self):
+        with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+            ExperimentConfig.from_dict({"backend": {"kind": "poly", "degree": -1}})
+
     def test_int_passes_for_float_and_fixed_v0_takes_null(self):
         config = ExperimentConfig.from_dict({"model": {"gamma": 2}, "fixed_v0": 1})
         assert config.params.gamma == 2 and config.fixed_v0 == 1
@@ -616,8 +635,8 @@ class TestConfig:
         assert config.n_train == 500
         assert config.n_test == 1000
         assert config.backend.kind == "kernel"
-        assert config.backend.kernel.bandwidth == 1.0
-        assert config.backend.kernel.ridge == 1e-6
+        assert config.backend.bandwidth == 1.0
+        assert config.backend.ridge == 1e-6
         assert config.paired
 
     def test_validation(self):

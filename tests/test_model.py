@@ -1,5 +1,7 @@
 """Parameter and path-container invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,14 @@ class TestModelParams:
             {"sigma_v": 0.0},
             {"seed": -1},
             {"seed": 1 << 64},
+            {"gamma": math.inf},
+            {"sigma_eps": math.nan},
+            {"sigma_xi": math.inf},
+            {"mu_prior": math.nan},
         ],
     )
     def test_invariants_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             ModelParams(**kwargs)
 
     def test_dict_round_trip(self):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from optstop.regression import (
     SUPPORT_CAP,
-    KernelSpec,
     RegressionBackend,
     Regressor,
     SingularGramError,
@@ -30,21 +29,21 @@ def assert_json_round_trip_bitwise(model, probe):
     assert np.array_equal(restored.predict(probe), model.predict(probe))
 
 
-def dense_solve_oracle(xs, ys, spec: KernelSpec):
+def dense_solve_oracle(xs, ys, bandwidth, ridge):
     """Independent route: explicit Gram assembly + numpy's pivoted LU solve."""
     xs = np.asarray(xs, dtype=float)
-    k = np.exp(-((xs[:, None] - xs[None, :]) ** 2) / (2.0 * spec.bandwidth**2))
-    return np.linalg.solve(k + spec.ridge * np.eye(len(xs)), np.asarray(ys, dtype=float))
+    k = np.exp(-((xs[:, None] - xs[None, :]) ** 2) / (2.0 * bandwidth**2))
+    return np.linalg.solve(k + ridge * np.eye(len(xs)), np.asarray(ys, dtype=float))
 
 
 class TestKernelFit:
     def test_single_point_unit_kernel(self):
-        model = fit_kernel([0.0], [2.0], KernelSpec(ridge=0.0))
+        model = fit_kernel([0.0], [2.0], ridge=0.0)
         assert model.weights.tolist() == [2.0]
         assert model.predict(0.0) == 2.0
 
     def test_two_point_interpolation(self):
-        model = fit_kernel([0.0, 1.0], [0.0, 1.0], KernelSpec(bandwidth=1.0, ridge=0.0))
+        model = fit_kernel([0.0, 1.0], [0.0, 1.0], bandwidth=1.0, ridge=0.0)
         assert model.predict(0.0) == pytest.approx(0.0, abs=1e-8)
         assert model.predict(1.0) == pytest.approx(1.0, abs=1e-8)
 
@@ -52,9 +51,8 @@ class TestKernelFit:
         rng = np.random.default_rng(31)
         xs = rng.uniform(-8, 8, size=50)
         ys = np.sin(xs) + 0.1 * rng.standard_normal(50)
-        spec = KernelSpec(bandwidth=0.5, ridge=1e-8)
-        model = fit_kernel(xs, ys, spec)
-        oracle = dense_solve_oracle(xs, ys, spec)
+        model = fit_kernel(xs, ys, bandwidth=0.5, ridge=1e-8)
+        oracle = dense_solve_oracle(xs, ys, 0.5, 1e-8)
         # fit canonicalizes support order; align the oracle the same way.
         order = np.argsort(xs)
         assert np.allclose(model.weights, oracle[order], rtol=1e-6, atol=0)
@@ -64,16 +62,13 @@ class TestKernelFit:
         rng = np.random.default_rng(32)
         xs = rng.uniform(0, 1, size=120)
         ys = rng.standard_normal(120)
-        spec = KernelSpec(bandwidth=0.5, ridge=1e-6)
-        model = fit_kernel(xs, ys, spec)
-        k = gaussian_kernel(model.xs, model.xs, spec.bandwidth) + spec.ridge * np.eye(
-            len(model.xs)
-        )
+        model = fit_kernel(xs, ys, bandwidth=0.5, ridge=1e-6)
+        k = gaussian_kernel(model.xs, model.xs, 0.5) + 1e-6 * np.eye(len(model.xs))
         ys_sorted = ys[np.argsort(xs)]
         assert np.linalg.norm(k @ model.weights - ys_sorted) <= 1e-8 * np.linalg.norm(ys)
 
     def test_duplicates_merged_with_averaged_targets(self):
-        model = fit_kernel([1.0, 1.0, 2.0], [1.0, 3.0, 5.0], KernelSpec(ridge=0.0))
+        model = fit_kernel([1.0, 1.0, 2.0], [1.0, 3.0, 5.0], ridge=0.0)
         assert model.n_merged_duplicates == 1
         assert len(model.xs) == 2
         assert model.predict(1.0) == pytest.approx(2.0, abs=1e-8)
@@ -81,18 +76,18 @@ class TestKernelFit:
 
     def test_singular_system_raises_without_ridge(self):
         with pytest.raises(SingularGramError):
-            fit_kernel([0.0, 1e-16], [0.0, 1.0], KernelSpec(ridge=0.0))
+            fit_kernel([0.0, 1e-16], [0.0, 1.0], ridge=0.0)
 
     def test_ridge_rescues_near_duplicates(self):
-        model = fit_kernel([0.0, 1e-16], [0.0, 1.0], KernelSpec(ridge=1e-6))
+        model = fit_kernel([0.0, 1e-16], [0.0, 1.0], ridge=1e-6)
         assert np.all(np.isfinite(model.weights))
 
     def test_support_cap_subsamples_deterministically(self):
         rng = np.random.default_rng(33)
         xs = np.linspace(0, 1, SUPPORT_CAP + 1)  # distinct, so nothing merges
         ys = rng.standard_normal(SUPPORT_CAP + 1)
-        a = fit_kernel(xs, ys, KernelSpec(ridge=1e-3))
-        b = fit_kernel(xs[::-1], ys[::-1], KernelSpec(ridge=1e-3))
+        a = fit_kernel(xs, ys, ridge=1e-3)
+        b = fit_kernel(xs[::-1], ys[::-1], ridge=1e-3)
         assert a.subsampled and len(a.xs) == SUPPORT_CAP
         assert a.n_merged_duplicates == 0
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.weights, b.weights)
@@ -108,7 +103,7 @@ class TestKernelFit:
         ys = np.cos(2 * xs) + 0.05 * rng.standard_normal(40)
         mses = []
         for lam in (0.0, 1e-8, 1e-4, 1e-2, 1.0, 10.0):
-            model = fit_kernel(xs, ys, KernelSpec(bandwidth=0.4, ridge=lam))
+            model = fit_kernel(xs, ys, bandwidth=0.4, ridge=lam)
             mses.append(np.mean((model.predict(xs) - ys) ** 2))
         assert all(b >= a - 1e-12 for a, b in zip(mses, mses[1:]))
 
@@ -120,8 +115,8 @@ class TestKernelFit:
         ys = rng.standard_normal(30)
         perm = rng.permutation(30)
         probe = np.linspace(-1.5, 1.5, 11)
-        a = fit_kernel(xs, ys, KernelSpec(ridge=1e-6)).predict(probe)
-        b = fit_kernel(xs[perm], ys[perm], KernelSpec(ridge=1e-6)).predict(probe)
+        a = fit_kernel(xs, ys, ridge=1e-6).predict(probe)
+        b = fit_kernel(xs[perm], ys[perm], ridge=1e-6).predict(probe)
         assert np.array_equal(a, b)
 
     def test_gram_matrix_positive_semidefinite(self):
@@ -135,34 +130,36 @@ class TestKernelFit:
 
     def test_round_trip(self):
         rng = np.random.default_rng(37)
-        model = fit_kernel(rng.uniform(0, 1, size=40), rng.standard_normal(40), KernelSpec(0.3))
+        model = fit_kernel(rng.uniform(0, 1, size=40), rng.standard_normal(40), bandwidth=0.3)
         assert_json_round_trip_bitwise(model, np.linspace(-0.5, 1.5, 41))
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
-            fit_kernel([], [], KernelSpec())
+            fit_kernel([], [])
         with pytest.raises(ValueError):
-            fit_kernel([1.0, 2.0], [1.0], KernelSpec())
+            fit_kernel([1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
-            fit_kernel([np.nan], [1.0], KernelSpec())
-        with pytest.raises(ValueError):
-            KernelSpec(bandwidth=0.0)
-        with pytest.raises(ValueError):
-            KernelSpec(ridge=-1e-9)
+            fit_kernel([np.nan], [1.0])
+        for bad in ({"bandwidth": 0.0}, {"ridge": -1e-9}, {"bandwidth": np.nan}):
+            key = next(iter(bad))
+            with pytest.raises(ValueError, match=key):
+                fit_kernel([0.0, 1.0], [1.0, 2.0], **bad)
+            with pytest.raises(ValueError, match=key):
+                RegressionBackend(**bad)
 
 
 class TestPrediction:
     def test_decays_far_from_support(self):
-        model = fit_kernel([0.0, 1.0], [3.0, -2.0], KernelSpec(bandwidth=1.0))
+        model = fit_kernel([0.0, 1.0], [3.0, -2.0], bandwidth=1.0)
         far = model.predict(100.0)
         assert abs(far) < 1e-12 * np.abs(model.weights).sum()
 
     def test_single_point_recovery(self):
-        model = fit_kernel([0.7], [1.9], KernelSpec(ridge=0.0))
+        model = fit_kernel([0.7], [1.9], ridge=0.0)
         assert model.predict(0.7) == pytest.approx(1.9, abs=1e-12)
 
     def test_symmetric_data_symmetric_weights(self):
-        model = fit_kernel([-1.0, 1.0], [1.0, 1.0], KernelSpec(bandwidth=1.0, ridge=0.0))
+        model = fit_kernel([-1.0, 1.0], [1.0, 1.0], bandwidth=1.0, ridge=0.0)
         w = model.weights
         assert w[0] == pytest.approx(w[1], abs=1e-12)
         k = float(gaussian_kernel([0.0], [1.0], 1.0)[0, 0])
@@ -171,7 +168,7 @@ class TestPrediction:
     @given(st.floats(-50, 50))
     @settings(max_examples=100)
     def test_prediction_finite_everywhere(self, x):
-        model = fit_kernel([0.0, 0.5, 1.0], [1.0, -1.0, 2.0], KernelSpec())
+        model = fit_kernel([0.0, 0.5, 1.0], [1.0, -1.0, 2.0])
         assert np.isfinite(model.predict(x))
 
 
@@ -228,10 +225,16 @@ class TestBackendDispatch:
             RegressionBackend(kind="spline")
 
     def test_backend_dict_round_trip(self):
-        backend = RegressionBackend(kind="kernel", kernel=KernelSpec(0.5, 1e-4), degree=5)
+        backend = RegressionBackend(kind="kernel", bandwidth=0.5, ridge=1e-4, degree=5)
+        assert backend.to_dict() == {"kind": "kernel", "bandwidth": 0.5, "ridge": 1e-4, "degree": 5}
         assert RegressionBackend.from_dict(backend.to_dict()) == backend
         assert RegressionBackend.from_dict({}) == RegressionBackend()
-        assert RegressionBackend.from_dict({"ridge": 0.0}).kernel == KernelSpec(1.0, 0.0)
+        assert RegressionBackend.from_dict({"ridge": 0.0}) == RegressionBackend(ridge=0.0)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+            RegressionBackend.from_dict({"kind": "poly", "degree": -1})
+        assert RegressionBackend(kind="poly", degree=0).fit([0.0, 1.0], [1.0, 3.0]).predict(0.5) == 2.0
 
     def test_unknown_regressor_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
+from optstop.consumer import ConsumerState, step_valuation
 from optstop.model import ModelParams
 from optstop.rng import RngStream, q_function
 from optstop.seller import (
@@ -220,29 +221,15 @@ class TestMyopicPrice:
 
 
 class TestSellerStep:
-    def test_no_observation_at_time_zero(self):
-        params = ModelParams()
-        prior = GaussianBelief(params.mu_prior, params.sigma_v**2)
-        price, belief, y = seller_step(prior, 5.0, 0, RngStream(0), params)
-        assert y is None
-        assert belief == prior
-        assert price == myopic_price(prior)
-
     def test_observation_consumed_after_time_zero(self):
-        params = ModelParams(seed=5)
+        params = ModelParams(seed=5, sigma_xi=0.75)
         prior = GaussianBelief(params.mu_prior, params.sigma_v**2)
-        stream = RngStream(5)
-        price, belief, y = seller_step(prior, 1.2, 1, stream, params)
-        assert y is not None
+        z = RngStream(5).standard_normal()
+        price, belief, y = seller_step(prior, 1.2, z, params)
+        assert y == 1.2 + 0.75 * z
         expected = kalman_correct(kalman_predict(prior, params), y, params)
         assert belief == expected
         assert price == myopic_price(expected)
-
-    def test_rejects_time_outside_horizon(self):
-        params = ModelParams(horizon=5)
-        prior = GaussianBelief(1.0, 1.0)
-        with pytest.raises(ValueError):
-            seller_step(prior, 1.0, 6, RngStream(0), params)
 
     def test_perfect_observation_fails_at_pricing(self):
         # A noiseless observation collapses the posterior; pricing then
@@ -250,7 +237,26 @@ class TestSellerStep:
         params = ModelParams(sigma_xi=0.0)
         prior = GaussianBelief(params.mu_prior, params.sigma_v**2)
         with pytest.raises(ValueError):
-            seller_step(prior, 1.0, 1, RngStream(1), params)
+            seller_step(prior, 1.0, 0.3, params)
+
+    def test_array_calls_match_scalar_calls_bitwise(self):
+        # One epoch of the valuation walk and the seller, called on arrays as
+        # the simulator and the lattice do, against one scalar call per entry.
+        params = ModelParams(horizon=4, gamma=2.5, sigma_eps=0.3, sigma_xi=0.5)
+        rng = np.random.default_rng(19)
+        n = 64
+        v, mean, eps, xi = rng.standard_normal((4, n)) * [[3.0], [2.0], [1.0], [1.0]]
+        var = 0.8
+        state = step_valuation(ConsumerState(1, v, 3 * 0.09), eps, params)
+        price, belief, y = seller_step(GaussianBelief(mean, var), state.v, xi, params)
+        scalar = []
+        for i in range(n):
+            s = step_valuation(ConsumerState(1, float(v[i]), 3 * 0.09), float(eps[i]), params)
+            p, b, obs = seller_step(GaussianBelief(float(mean[i]), var), s.v, float(xi[i]), params)
+            assert (state.residual_var, belief.var) == (s.residual_var, b.var)
+            scalar.append((s.v, obs, b.mean, p))
+        got = np.stack([state.v, y, belief.mean, price], axis=1)
+        assert got.tobytes() == np.array(scalar).tobytes()
 
     def test_variance_sequence_deterministic_and_decreasing(self):
         params = ModelParams(seed=17)
@@ -260,9 +266,9 @@ class TestSellerStep:
             belief = GaussianBelief(params.mu_prior, params.sigma_v**2)
             variances = [belief.var]
             v = params.mu_prior + params.sigma_v * stream.standard_normal()
-            for t in range(1, params.horizon + 1):
+            for _ in range(params.horizon):
                 v += params.sigma_eps * stream.standard_normal()
-                _, belief, _ = seller_step(belief, v, t, stream, params)
+                _, belief, _ = seller_step(belief, v, stream.standard_normal(), params)
                 variances.append(belief.var)
             sequences.append(variances)
         # Observation-independent: bitwise equal across paths.
