@@ -67,8 +67,8 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     config = _load_config(args)
     policy = policy_io.load_policy(args.policy)
-    report, test_batch, myo_batch = experiment.evaluate_policy(config, policy)
-    files = experiment.render_evaluation(report, test_batch, config, myo_batch=myo_batch)
+    report, _ = experiment.evaluate_policy(config, policy)
+    files = experiment.render_evaluation(report, config)
     experiment.write_output_dir(args.out, files)
     print(
         f"mean_algorithmic={report.mean_algorithmic!r} "

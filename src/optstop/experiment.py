@@ -10,8 +10,8 @@ RNG sub-streams.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import consumer, lsm, seller
-from .model import DEFAULT_SEED, ModelParams, PathBatch, check_types, json_type
+from .model import DEFAULT_SEED, ModelParams, PathBatch, check_integer, check_types, json_type
 from .policy_io import policy_to_text
 from .regression import RegressionBackend
 from .rng import RngStream
@@ -56,6 +56,8 @@ class ExperimentConfig:
     fixed_v0: float | None = None
 
     def __post_init__(self):
+        check_integer("n_train", self.n_train)
+        check_integer("n_test", self.n_test)
         if self.n_train < 1:
             raise ValueError(f"n_train must be >= 1, got {self.n_train}")
         if self.n_test < 1:
@@ -63,6 +65,8 @@ class ExperimentConfig:
         for i in self.trace_trials:
             if json_type(i) != "integer" or not 0 <= i < self.n_test:
                 raise ValueError(f"trace trial {i!r} is not an integer in 0..{self.n_test - 1}")
+        if self.fixed_v0 is not None and not math.isfinite(self.fixed_v0):
+            raise ValueError(f"fixed_v0 must be finite or None, got {self.fixed_v0!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -114,6 +118,8 @@ def generate_paths(
     valuation walk steps, the seller observes, filters, and prices, and the
     payoffs close the epoch.
     """
+    if n < 1:
+        raise ValueError(f"number of paths must be >= 1, got {n}")
     T = params.horizon
     first = int(fixed_v0 is None)  # column of the first valuation shock
     z = np.empty((n, first + 2 * T))
@@ -168,7 +174,7 @@ def train_policy(config: ExperimentConfig) -> tuple[lsm.StoppingPolicy, PathBatc
 
 def evaluate_policy(
     config: ExperimentConfig, policy: lsm.StoppingPolicy
-) -> tuple[lsm.EvaluationReport, PathBatch, PathBatch | None]:
+) -> tuple[lsm.EvaluationReport, PathBatch]:
     test_batch = generate_paths(
         config.params, config.n_test, DOMAIN_TEST, fixed_v0=config.fixed_v0
     )
@@ -177,13 +183,7 @@ def evaluate_policy(
         myo_batch = generate_paths(
             config.params, config.n_test, DOMAIN_MYOPIC_TEST, fixed_v0=config.fixed_v0
         )
-    report = lsm.evaluate(policy, test_batch, myopic_batch=myo_batch)
-    report.meta["config"] = config.to_dict()
-    report.meta["test_paths_checksum_algorithmic"] = _batch_checksum(test_batch)
-    report.meta["test_paths_checksum_myopic"] = _batch_checksum(
-        test_batch if myo_batch is None else myo_batch
-    )
-    return report, test_batch, myo_batch
+    return lsm.evaluate(policy, test_batch, myopic_batch=myo_batch), test_batch
 
 
 def run_experiment(
@@ -196,11 +196,11 @@ def run_experiment(
     output directory behind.
     """
     policy, _ = train_policy(config)
-    report, test_batch, myo_batch = evaluate_policy(config, policy)
+    report, test_batch = evaluate_policy(config, policy)
     if outdir is not None:
         files = {"policy.txt": policy_to_text(policy)}
         files["config.json"] = json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n"
-        files.update(render_evaluation(report, test_batch, config, myo_batch=myo_batch))
+        files.update(render_evaluation(report, config))
         for i in config.trace_trials:
             files[f"trace_{i}.csv"] = render_trace(test_batch, i, config)
         write_output_dir(outdir, files)
@@ -259,17 +259,11 @@ def _histogram(edges: np.ndarray, alg: np.ndarray, myo: np.ndarray) -> dict:
     }
 
 
-def _batch_checksum(batch: PathBatch) -> str:
-    return hashlib.sha256(np.ascontiguousarray(batch.h).tobytes()).hexdigest()
-
-
-def _exit_columns(
-    prefix: str, batch: PathBatch, outcome: lsm.StrategyOutcome, params: ModelParams
-) -> dict:
+def _exit_columns(prefix: str, outcome: lsm.StrategyOutcome, params: ModelParams) -> dict:
     t = outcome.times
     return {
         f"{prefix}_exit_time": t,
-        f"{prefix}_valuation_mean": batch.v[np.arange(batch.n_paths), t],
+        f"{prefix}_valuation_mean": outcome.valuations_at_exit,
         f"{prefix}_valuation_std": np.sqrt(consumer.residual_var(t, params)),
         f"{prefix}_price": outcome.prices_at_exit,
         f"{prefix}_purchased": outcome.purchased,
@@ -277,12 +271,7 @@ def _exit_columns(
     }
 
 
-def render_figures_data(
-    report: lsm.EvaluationReport,
-    batch: PathBatch,
-    config: ExperimentConfig,
-    myo_batch: PathBatch | None = None,
-) -> dict[str, str]:
+def render_figures_data(report: lsm.EvaluationReport, config: ExperimentConfig) -> dict[str, str]:
     """Render the per-trial exit table, both histograms, and the difference
     table (paired runs only) as named CSV strings."""
     params = config.params
@@ -293,8 +282,8 @@ def render_figures_data(
             config,
             {
                 "trial": trial,
-                **_exit_columns("alg", batch, alg, params),
-                **_exit_columns("myo", batch if myo_batch is None else myo_batch, myo, params),
+                **_exit_columns("alg", alg, params),
+                **_exit_columns("myo", myo, params),
             },
         ),
         "payoff_hist.csv": _table(config, _histogram(PAYOFF_EDGES, alg.payoffs, myo.payoffs)),
@@ -323,20 +312,15 @@ def render_summary(report: lsm.EvaluationReport, config: ExperimentConfig) -> st
         "algorithmic_purchases": report.algorithmic.n_purchases,
         "myopic_purchases": report.myopic.n_purchases,
         "equal_payoff_trials": "" if report.n_ties is None else report.n_ties,
-        "test_paths_checksum_algorithmic": report.meta["test_paths_checksum_algorithmic"],
-        "test_paths_checksum_myopic": report.meta["test_paths_checksum_myopic"],
+        "test_paths_checksum_algorithmic": report.algorithmic.paths_sha256,
+        "test_paths_checksum_myopic": report.myopic.paths_sha256,
     }
     return _table(config, {"key": list(values), "value": [_fmt(v) for v in values.values()]})
 
 
-def render_evaluation(
-    report: lsm.EvaluationReport,
-    batch: PathBatch,
-    config: ExperimentConfig,
-    myo_batch: PathBatch | None = None,
-) -> dict[str, str]:
+def render_evaluation(report: lsm.EvaluationReport, config: ExperimentConfig) -> dict[str, str]:
     """The evaluation's file set: the figure tables plus summary.csv."""
-    files = render_figures_data(report, batch, config, myo_batch=myo_batch)
+    files = render_figures_data(report, config)
     files["summary.csv"] = render_summary(report, config)
     return files
 
@@ -383,6 +367,8 @@ def load_paths_csv(path) -> PathBatch:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     data_lines = [ln for ln in lines if not ln.startswith("#")]
+    if not data_lines:
+        raise ValueError("paths CSV has no header row")
     header = data_lines[0].split(",")
     if header != list(PATHS_COLUMNS):
         raise ValueError(f"unexpected paths CSV header {header}")

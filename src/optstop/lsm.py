@@ -7,7 +7,9 @@ cashflow on its current exit payoff, giving an estimate f_t of the value of
 continuing; paths whose immediate payoff beats that estimate are re-marked to
 stop at t (zeroing their later cashflow). Deployment replays the same strict
 comparison H_t > f_t(H_t) online, purchasing at the first win, and at the
-final epoch purchases exactly when the payoff is positive.
+final epoch purchases exactly when the payoff is positive. The myopic
+baseline is that same rule with every estimate f_t set to zero, so it buys
+at the first positive payoff.
 
 The regression feature defaults to the exit payoff itself but any per-time
 scalar feature stream can be supplied (e.g. exact state identifiers on
@@ -17,6 +19,7 @@ conditional expectation).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,17 +175,10 @@ def train(
     return policy, CashflowMatrix(cf)
 
 
-def _current_epoch(h_prefix, pi_t: float, horizon: int) -> tuple[int, float]:
-    """Epoch t and exit payoff H_t of an observed prefix H_0..H_t, checked
-    against the horizon and against H_t = max(pi_t, 0)."""
-    h_prefix = np.asarray(h_prefix, dtype=float)
-    t = len(h_prefix) - 1
-    if t < 0 or t > horizon:
-        raise ValueError(f"prefix length {t + 1} outside 1..{horizon + 1}")
-    h_t = float(h_prefix[-1])
-    if h_t != max(pi_t, 0.0):
-        raise ValueError(f"H_t={h_t} inconsistent with pi_t={pi_t}")
-    return t, h_t
+def _myopic(horizon: int) -> StoppingPolicy:
+    """The myopic baseline as a policy: every continuation estimate is zero,
+    so it exits at the first positive payoff."""
+    return StoppingPolicy(horizon, [ZeroRegressor()] * horizon)
 
 
 def decide(
@@ -193,37 +189,33 @@ def decide(
     h_prefix holds the exit payoffs observed so far (H_0..H_t); pi_t is the
     current purchase payoff, with H_t = max(pi_t, 0). An exit before the
     horizon happens exactly when H_t strictly beats the trained continuation
-    estimate; the action is a purchase when pi_t > 0 and a walk-away
-    otherwise. At the horizon the choice is forced: purchase if the payoff is
-    positive, reject if not.
+    estimate; at the horizon the exit is forced. The action is a purchase
+    when pi_t > 0 and a walk-away otherwise.
     """
-    t, h_t = _current_epoch(h_prefix, pi_t, policy.horizon)
-    if t == policy.horizon:
-        if h_t > 0.0:
-            return ExitDecision(time=t, action=PURCHASE, payoff=pi_t)
-        return ExitDecision(time=t, action=REJECT, payoff=0.0)
-
-    if feature_prefix is None:
-        x_t = h_t
-    else:
-        if len(feature_prefix) != t + 1:
-            raise ValueError("feature prefix must have the same length as h prefix")
-        x_t = float(feature_prefix[-1])
-    if h_t > policy.regressors[t].predict(x_t):
-        if pi_t > 0.0:
-            return ExitDecision(time=t, action=PURCHASE, payoff=pi_t)
-        return ExitDecision(time=t, action=REJECT, payoff=0.0)
-    return None
+    h_prefix = np.asarray(h_prefix, dtype=float)
+    t = len(h_prefix) - 1
+    if t < 0 or t > policy.horizon:
+        raise ValueError(f"prefix length {t + 1} outside 1..{policy.horizon + 1}")
+    h_t = float(h_prefix[-1])
+    if h_t != max(pi_t, 0.0):
+        raise ValueError(f"H_t={h_t} inconsistent with pi_t={pi_t}")
+    if t < policy.horizon:
+        if feature_prefix is None:
+            x_t = h_t
+        else:
+            if len(feature_prefix) != t + 1:
+                raise ValueError("feature prefix must have the same length as h prefix")
+            x_t = float(feature_prefix[-1])
+        if not h_t > policy.regressors[t].predict(x_t):
+            return None
+    if pi_t > 0.0:
+        return ExitDecision(time=t, action=PURCHASE, payoff=pi_t)
+    return ExitDecision(time=t, action=REJECT, payoff=0.0)
 
 
 def myopic_decide(h_prefix, pi_t: float, horizon: int) -> ExitDecision | None:
     """Greedy baseline: purchase at the first epoch with positive payoff."""
-    t, h_t = _current_epoch(h_prefix, pi_t, horizon)
-    if h_t > 0.0:
-        return ExitDecision(time=t, action=PURCHASE, payoff=pi_t)
-    if t == horizon:
-        return ExitDecision(time=t, action=REJECT, payoff=0.0)
-    return None
+    return decide(_myopic(horizon), h_prefix, pi_t)
 
 
 def apply_policy(policy: StoppingPolicy, h, features=None) -> tuple[np.ndarray, np.ndarray]:
@@ -255,24 +247,24 @@ def apply_policy(policy: StoppingPolicy, h, features=None) -> tuple[np.ndarray, 
 
 def apply_myopic(h) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized myopic baseline; returns (exit times, payoffs)."""
-    h = np.asarray(h, dtype=float)
-    n_paths, t_plus_1 = h.shape
-    positive = h > 0.0
-    has_positive = positive.any(axis=1)
-    first = positive.argmax(axis=1)
-    times = np.where(has_positive, first, t_plus_1 - 1)
-    payoffs = h[np.arange(n_paths), times]
-    return times, payoffs
+    return apply_policy(_myopic(np.shape(h)[1] - 1), h)
 
 
 @dataclass
 class StrategyOutcome:
-    """Per-path results of one strategy over a test batch."""
+    """Per-path results of one strategy over a test batch, with the checksum
+    of the batch's exit payoffs."""
 
     times: np.ndarray
-    purchased: np.ndarray   # bool; False means the exit was a rejection
     payoffs: np.ndarray
     prices_at_exit: np.ndarray
+    valuations_at_exit: np.ndarray
+    paths_sha256: str
+
+    @property
+    def purchased(self) -> np.ndarray:
+        """False where the exit was a rejection (payoff 0)."""
+        return self.payoffs > 0.0
 
     @property
     def mean_payoff(self) -> float:
@@ -289,31 +281,53 @@ class StrategyOutcome:
 
 @dataclass
 class EvaluationReport:
-    """Paired (or independent) comparison of the trained and myopic strategies."""
+    """Paired (or independent) comparison of the trained and myopic strategies.
+
+    Only paired runs have per-trial differences and a tie count; they are
+    None in independent mode, where only the means are comparable.
+    """
 
     algorithmic: StrategyOutcome
     myopic: StrategyOutcome
     paired: bool
-    differences: np.ndarray | None
-    mean_algorithmic: float
-    mean_myopic: float
-    mean_difference: float
-    n_ties: int | None
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_trials(self) -> int:
         return len(self.algorithmic.times)
 
+    @property
+    def mean_algorithmic(self) -> float:
+        return self.algorithmic.mean_payoff
+
+    @property
+    def mean_myopic(self) -> float:
+        return self.myopic.mean_payoff
+
+    @property
+    def differences(self) -> np.ndarray | None:
+        return self.algorithmic.payoffs - self.myopic.payoffs if self.paired else None
+
+    @property
+    def mean_difference(self) -> float:
+        if self.paired:
+            return float(self.differences.mean())
+        return self.mean_algorithmic - self.mean_myopic
+
+    @property
+    def n_ties(self) -> int | None:
+        if self.paired:
+            return int((self.algorithmic.payoffs == self.myopic.payoffs).sum())
+        return None
+
 
 def _outcome(batch: PathBatch, times: np.ndarray, payoffs: np.ndarray) -> StrategyOutcome:
     rows = np.arange(batch.n_paths)
-    purchased = batch.pi[rows, times] > 0.0
     return StrategyOutcome(
         times=times,
-        purchased=purchased,
         payoffs=payoffs,
         prices_at_exit=batch.p[rows, times],
+        valuations_at_exit=batch.v[rows, times],
+        paths_sha256=hashlib.sha256(np.ascontiguousarray(batch.h).tobytes()).hexdigest(),
     )
 
 
@@ -321,39 +335,15 @@ def evaluate(
     policy: StoppingPolicy,
     batch: PathBatch,
     myopic_batch: PathBatch | None = None,
-    features=None,
 ) -> EvaluationReport:
-    """Run both strategies over test paths and aggregate the comparison.
+    """Run both strategies over test paths and compare them.
 
     By default the myopic baseline runs on the same realizations (paired
     mode, per-trial differences and tie counts); passing a separate
     myopic_batch switches to independent mode, where only the means are
     comparable.
     """
-    alg_times, alg_payoffs = apply_policy(policy, batch.h, features=features)
-    alg = _outcome(batch, alg_times, alg_payoffs)
+    alg = _outcome(batch, *apply_policy(policy, batch.h))
     myo_source = batch if myopic_batch is None else myopic_batch
-    myo_times, myo_payoffs = apply_myopic(myo_source.h)
-    myo = _outcome(myo_source, myo_times, myo_payoffs)
-
-    paired = myopic_batch is None
-    if paired:
-        diffs = alg.payoffs - myo.payoffs
-        mean_diff = float(diffs.mean())
-        n_ties = int((alg.payoffs == myo.payoffs).sum())
-    else:
-        diffs = None
-        mean_diff = alg.mean_payoff - myo.mean_payoff
-        n_ties = None
-
-    return EvaluationReport(
-        algorithmic=alg,
-        myopic=myo,
-        paired=paired,
-        differences=diffs,
-        mean_algorithmic=alg.mean_payoff,
-        mean_myopic=myo.mean_payoff,
-        mean_difference=mean_diff,
-        n_ties=n_ties,
-        meta={"policy": policy.metadata},
-    )
+    myo = _outcome(myo_source, *apply_myopic(myo_source.h))
+    return EvaluationReport(algorithmic=alg, myopic=myo, paired=myopic_batch is None)

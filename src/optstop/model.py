@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -25,6 +26,13 @@ def check_keys(d: dict, allowed, what: str, required=()) -> None:
     missing = [key for key in required if key not in d]
     if missing:
         raise ValueError(f"{what} is missing required key {', '.join(map(repr, missing))}")
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a value that is not an integer, a bool included, naming it;
+    numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # Checked in order, so a bool is never taken for a number.
@@ -82,6 +90,8 @@ class ModelParams:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        check_integer("horizon", self.horizon)
+        check_integer("seed", self.seed)
         # Written so that NaN fails every comparison.
         if not self.horizon >= 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")

@@ -181,6 +181,16 @@ def test_config_non_finite_value_is_an_error_line(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_simulate_nonpositive_n_is_an_error_line(config_file, tmp_path, capsys, n):
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--config", str(config_file), "--n", str(n), "--out", str(out)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
+    assert payload["message"] == f"number of paths must be >= 1, got {n}"
+    assert not out.exists()
+
+
 def test_usage_error_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])

@@ -319,20 +319,14 @@ class TestOutputs:
 
     def test_paired_checksums_equal(self, ref_run):
         _, _, _, report, _ = ref_run
-        assert (
-            report.meta["test_paths_checksum_algorithmic"]
-            == report.meta["test_paths_checksum_myopic"]
-        )
+        assert report.algorithmic.paths_sha256 == report.myopic.paths_sha256
 
     def test_independent_mode_distinct_paths_no_diff_table(self, tmp_path):
         config = small_config(paired=False)
         out = tmp_path / "run"
         report = run_experiment(config, outdir=out)
         assert not (out / "payoff_diff.csv").exists()
-        assert (
-            report.meta["test_paths_checksum_algorithmic"]
-            != report.meta["test_paths_checksum_myopic"]
-        )
+        assert report.algorithmic.paths_sha256 != report.myopic.paths_sha256
 
     def test_byte_identical_reruns(self, tmp_path):
         config = small_config(trace_trials=(1,))
@@ -387,6 +381,8 @@ class TestPathsCsv:
              "negative path or t index"),
             (lambda rows: rows[:8] + [rows[8].rstrip("\n") + ",0.5\n"] + rows[9:],
              "rows of 9 fields"),
+            (lambda rows: [], "no header row"),
+            (lambda rows: rows[:1], "no header row"),  # only the config echo
         ],
     )
     def test_faulty_rows_named(self, tmp_path, edit, message):
@@ -442,25 +438,18 @@ def pin_batch() -> PathBatch:
 
 
 def pin_report(paired: bool) -> lsm.EvaluationReport:
+    # The outcomes of exiting pin_batch() at these times.
     alg = lsm.StrategyOutcome(
-        times=np.array([1, 0]), purchased=np.array([True, False]),
-        payoffs=np.array([0.5, 0.0]), prices_at_exit=np.array([0.75, 0.5]),
+        times=np.array([1, 0]), payoffs=np.array([0.5, 0.0]),
+        prices_at_exit=np.array([0.75, 0.5]), valuations_at_exit=np.array([1.5, 0.25]),
+        paths_sha256="aa",
     )
     myo = lsm.StrategyOutcome(
-        times=np.array([0, 1]), purchased=np.array([False, False]),
-        payoffs=np.array([0.0, 0.0]), prices_at_exit=np.array([0.5, 0.125]),
+        times=np.array([0, 1]), payoffs=np.array([0.0, 0.0]),
+        prices_at_exit=np.array([0.5, 0.125]), valuations_at_exit=np.array([1.0, 1e-20]),
+        paths_sha256="bb",
     )
-    return lsm.EvaluationReport(
-        algorithmic=alg,
-        myopic=myo,
-        paired=paired,
-        differences=alg.payoffs - myo.payoffs if paired else None,
-        mean_algorithmic=0.25,
-        mean_myopic=0.0,
-        mean_difference=0.25,
-        n_ties=1 if paired else None,
-        meta={"test_paths_checksum_algorithmic": "aa", "test_paths_checksum_myopic": "bb"},
-    )
+    return lsm.EvaluationReport(algorithmic=alg, myopic=myo, paired=paired)
 
 
 class TestTableFormat:
@@ -505,7 +494,7 @@ class TestTableFormat:
         )
 
     def test_figure_tables(self):
-        files = experiment.render_figures_data(pin_report(paired=True), pin_batch(), pin_config())
+        files = experiment.render_figures_data(pin_report(paired=True), pin_config())
         self.expect(
             files["exit_summary.csv"],
             "trial,alg_exit_time,alg_valuation_mean,alg_valuation_std,alg_price,"
@@ -614,6 +603,29 @@ class TestConfig:
         assert ExperimentConfig.from_dict({"fixed_v0": None}).fixed_v0 is None
         with pytest.raises(ValueError, match="'fixed_v0' must be a JSON number or null"):
             ExperimentConfig.from_dict({"fixed_v0": "0.5"})
+
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            (lambda: small_config(fixed_v0=math.inf), "fixed_v0"),
+            (lambda: small_config(fixed_v0=math.nan), "fixed_v0"),
+            (lambda: ExperimentConfig(n_train=2.5), "n_train"),
+            (lambda: ExperimentConfig(n_test=True), "n_test"),
+            (lambda: ModelParams(horizon=2.5), "horizon"),
+            (lambda: ModelParams(horizon=True), "horizon"),
+            (lambda: ModelParams(seed=1.0), "seed"),
+        ],
+    )
+    def test_python_built_fault_named(self, build, key):
+        # The JSON loader checks types; a config built in Python must fail as early.
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            build()
+
+    def test_numpy_integers_pass(self):
+        config = ExperimentConfig(
+            params=ModelParams(horizon=np.int64(3), seed=np.uint64(7)), n_train=np.int32(5)
+        )
+        assert config.n_train == 5 and config.params.horizon == 3
 
     def test_one_default_seed(self):
         assert ModelParams().seed == experiment.DEFAULT_SEED
