@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import consumer, lsm, seller
-from .model import DEFAULT_SEED, ModelParams, PathBatch, check_integer, check_types, json_type
+from .model import DEFAULT_SEED, ModelParams, PathBatch, check_types, is_integer, store_integers
 from .policy_io import policy_to_text
 from .regression import RegressionBackend
 from .rng import RngStream
@@ -56,17 +57,22 @@ class ExperimentConfig:
     fixed_v0: float | None = None
 
     def __post_init__(self):
-        check_integer("n_train", self.n_train)
-        check_integer("n_test", self.n_test)
+        store_integers(self, "n_train", "n_test")
         if self.n_train < 1:
             raise ValueError(f"n_train must be >= 1, got {self.n_train}")
         if self.n_test < 1:
             raise ValueError(f"n_test must be >= 1, got {self.n_test}")
+        if not isinstance(self.paired, bool):
+            raise ValueError(f"paired must be a boolean, got {self.paired!r}")
         for i in self.trace_trials:
-            if json_type(i) != "integer" or not 0 <= i < self.n_test:
+            if not is_integer(i) or not 0 <= i < self.n_test:
                 raise ValueError(f"trace trial {i!r} is not an integer in 0..{self.n_test - 1}")
-        if self.fixed_v0 is not None and not math.isfinite(self.fixed_v0):
-            raise ValueError(f"fixed_v0 must be finite or None, got {self.fixed_v0!r}")
+        object.__setattr__(self, "trace_trials", tuple(map(int, self.trace_trials)))
+        v0 = self.fixed_v0
+        if v0 is not None and (
+            isinstance(v0, bool) or not isinstance(v0, numbers.Real) or not math.isfinite(v0)
+        ):
+            raise ValueError(f"fixed_v0 must be a finite number or None, got {v0!r}")
 
     def to_dict(self) -> dict:
         return {

@@ -28,11 +28,20 @@ def check_keys(d: dict, allowed, what: str, required=()) -> None:
         raise ValueError(f"{what} is missing required key {', '.join(map(repr, missing))}")
 
 
-def check_integer(name: str, value) -> None:
-    """Reject a value that is not an integer, a bool included, naming it;
-    numpy integers pass."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def is_integer(value) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def store_integers(obj, *names: str) -> None:
+    """Reject a named field of a frozen dataclass that is not an integer, a
+    bool included, naming it; store each as an int, so that a numpy integer
+    passes and still serializes as JSON."""
+    for name in names:
+        value = getattr(obj, name)
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
 
 
 # Checked in order, so a bool is never taken for a number.
@@ -90,8 +99,7 @@ class ModelParams:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        check_integer("horizon", self.horizon)
-        check_integer("seed", self.seed)
+        store_integers(self, "horizon", "seed")
         # Written so that NaN fails every comparison.
         if not self.horizon >= 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")

@@ -175,23 +175,39 @@ def expected_stopped_payoff(problem: FiniteStopProblem, solution: SnellSolution)
     return total
 
 
+def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Column of the distribution p drawn by each uniform u in [0, 1).
+
+    The draw is the count of cumulative masses below u, taken over the
+    positive-mass columns only, so neither u = 0 nor a u at or above a row
+    total short of 1 lands on a zero-mass column. Adding a zero is exact, so
+    these cumulative masses are bitwise those of the full row.
+    """
+    support = np.flatnonzero(p > 0)
+    k = np.searchsorted(np.cumsum(p[support]), u, side="left")
+    return support[np.minimum(k, len(support) - 1)]
+
+
 def simulate_paths(
     problem: FiniteStopProblem, n: int, seed: int, domain: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample n node paths; returns (node indices, exit payoffs), each (n, T+1)."""
+    """Sample n node paths; returns (node indices, exit payoffs), each (n, T+1).
+
+    One uniform per path draws the initial node, then one per path and epoch
+    draws the child; the paths at each node are sampled together from that
+    node's transition row, so memory stays linear in n.
+    """
     problem.validate()
     T = problem.horizon
     stream = RngStream(seed, path_index=0, domain=domain)
     nodes = np.zeros((n, T + 1), dtype=np.int64)
-    init_cum = np.cumsum(problem.initial)
-    nodes[:, 0] = np.searchsorted(init_cum, stream.uniform(size=n), side="right")
-    nodes[:, 0] = np.minimum(nodes[:, 0], len(problem.initial) - 1)
+    nodes[:, 0] = _inverse_cdf(problem.initial, stream.uniform(size=n))
     for t in range(T):
         u_t = stream.uniform(size=n)
-        cum = np.cumsum(problem.transitions[t], axis=1)
-        rows = cum[nodes[:, t]]
-        nxt = (u_t[:, None] > rows).sum(axis=1)
-        nodes[:, t + 1] = np.minimum(nxt, rows.shape[1] - 1)
+        order = np.argsort(nodes[:, t])
+        visited, starts = np.unique(nodes[order, t], return_index=True)
+        for node, paths in zip(visited, np.split(order, starts[1:])):
+            nodes[paths, t + 1] = _inverse_cdf(problem.transitions[t][node], u_t[paths])
     h = np.empty((n, T + 1))
     for t in range(T + 1):
         h[:, t] = problem.payoffs[t][nodes[:, t]]

@@ -626,6 +626,20 @@ class TestConfig:
             params=ModelParams(horizon=np.int64(3), seed=np.uint64(7)), n_train=np.int32(5)
         )
         assert config.n_train == 5 and config.params.horizon == 3
+        assert ExperimentConfig.from_dict(json.loads(config.echo())) == config
+
+    def test_paired_must_be_boolean(self):
+        # A non-empty string is truthy, so it would run paired.
+        with pytest.raises(ValueError, match="^paired must be a boolean, got 'no'"):
+            small_config(paired="no")
+
+    def test_numpy_integer_trace_trial_passes(self):
+        config = small_config(trace_trials=(np.int64(3),))
+        assert config.trace_trials == (3,)
+
+    def test_string_fixed_v0_named(self):
+        with pytest.raises(ValueError, match="^fixed_v0 must be a finite number or None"):
+            small_config(fixed_v0="0.5")
 
     def test_one_default_seed(self):
         assert ModelParams().seed == experiment.DEFAULT_SEED

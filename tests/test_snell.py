@@ -3,6 +3,7 @@ quantized consumer problem, validated against exhaustive rule enumeration."""
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from numpy.polynomial.hermite import hermgauss
 
 from optstop.consumer import ConsumerState, exit_payoff, initial_state, purchase_payoff
 from optstop.model import ModelParams
+from optstop.rng import RngStream
 from optstop.seller import GaussianBelief, kalman_correct, kalman_predict, myopic_price
 from optstop.snell import (
     FiniteStopProblem,
+    _inverse_cdf,
     backward_induction,
     discretize_consumer_problem,
     expected_stopped_payoff,
@@ -167,6 +170,57 @@ class TestEarliestStopping:
         payoffs = h[np.arange(len(h)), first]
         se = payoffs.std(ddof=1) / np.sqrt(len(payoffs))
         assert abs(payoffs.mean() - sol.root_value) <= 3 * se
+
+
+def dense_gather_paths(problem: FiniteStopProblem, n: int, seed: int, domain: int = 0):
+    """The former sampler: each path gathers its node's whole cumulative row
+    and counts the entries below its uniform."""
+    stream = RngStream(seed, path_index=0, domain=domain)
+    nodes = np.zeros((n, problem.horizon + 1), dtype=np.int64)
+    init = np.searchsorted(np.cumsum(problem.initial), stream.uniform(size=n), side="right")
+    nodes[:, 0] = np.minimum(init, len(problem.initial) - 1)
+    for t, m in enumerate(problem.transitions):
+        u_t = stream.uniform(size=n)
+        rows = np.cumsum(m, axis=1)[nodes[:, t]]
+        nodes[:, t + 1] = np.minimum((u_t[:, None] > rows).sum(axis=1), m.shape[1] - 1)
+    h = np.stack([problem.payoffs[t][nodes[:, t]] for t in range(problem.horizon + 1)], axis=1)
+    return nodes, h
+
+
+class TestSimulatePaths:
+    def test_zero_uniform_skips_leading_zero_mass(self):
+        p = np.array([0.0, 0.0, 0.25, 0.75])
+        assert _inverse_cdf(p, np.array([0.0, 0.25, 0.2500001])).tolist() == [2, 2, 3]
+
+    def test_uniform_above_row_total_clamps_to_last_mass(self):
+        p = np.array([0.5, 0.5 - 1e-13, 0.0, 0.0])
+        assert p.sum() < 1 - 2**-53
+        assert _inverse_cdf(p, np.array([1 - 2**-53])).tolist() == [1]
+
+    @pytest.mark.parametrize("horizon, levels", [(2, 4), (3, 3), (4, 2), (None, None)])
+    def test_equals_dense_gather_bitwise(self, horizon, levels):
+        if horizon is None:
+            problem = random_tree(np.random.default_rng(25), branching=[3, 2, 4])
+        else:
+            problem = discretize_consumer_problem(ModelParams(horizon=horizon, seed=5), levels)
+        nodes, h = simulate_paths(problem, 5_000, seed=51, domain=1)
+        want_nodes, want_h = dense_gather_paths(problem, 5_000, seed=51, domain=1)
+        assert nodes.tobytes() == want_nodes.tobytes()
+        assert h.tobytes() == want_h.tobytes()
+        for t, m in enumerate(problem.transitions):
+            assert np.all(m[nodes[:, t], nodes[:, t + 1]] > 0)
+
+    def test_memory_linear_in_paths(self):
+        # A dense gather holds paths x next-epoch nodes doubles: ~350 MB here.
+        problem = discretize_consumer_problem(ModelParams(horizon=3, seed=1), levels=3)
+        tracemalloc.start()
+        try:
+            nodes, h = simulate_paths(problem, 20_000, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 10 * (nodes.nbytes + h.nbytes) + max(m.nbytes for m in problem.transitions)
+        assert peak < bound
 
 
 class TestDiscretizedConsumerProblem:
