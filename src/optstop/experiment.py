@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -21,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import consumer, lsm, seller
-from .model import DEFAULT_SEED, ModelParams, PathBatch, check_types, is_integer, store_integers
+from .model import (
+    DEFAULT_SEED, ModelParams, PathBatch, check_types, is_integer, is_real, store_integers,
+)
 from .policy_io import policy_to_text
 from .regression import RegressionBackend
 from .rng import RngStream
@@ -64,14 +65,18 @@ class ExperimentConfig:
             raise ValueError(f"n_test must be >= 1, got {self.n_test}")
         if not isinstance(self.paired, bool):
             raise ValueError(f"paired must be a boolean, got {self.paired!r}")
-        for i in self.trace_trials:
+        try:
+            trials = tuple(self.trace_trials)
+        except TypeError:
+            raise ValueError(
+                f"trace_trials must be a list of trial indices, got {self.trace_trials!r}"
+            ) from None
+        for i in trials:
             if not is_integer(i) or not 0 <= i < self.n_test:
                 raise ValueError(f"trace trial {i!r} is not an integer in 0..{self.n_test - 1}")
-        object.__setattr__(self, "trace_trials", tuple(map(int, self.trace_trials)))
+        object.__setattr__(self, "trace_trials", tuple(map(int, trials)))
         v0 = self.fixed_v0
-        if v0 is not None and (
-            isinstance(v0, bool) or not isinstance(v0, numbers.Real) or not math.isfinite(v0)
-        ):
+        if v0 is not None and not (is_real(v0) and math.isfinite(v0)):
             raise ValueError(f"fixed_v0 must be a finite number or None, got {v0!r}")
 
     def to_dict(self) -> dict:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import PathBatch
-from .regression import RegressionBackend, Regressor, ZeroRegressor
+from .regression import KernelRegressor, RegressionBackend, Regressor, ZeroRegressor
 
 PURCHASE = "purchase"
 REJECT = "reject"
@@ -112,6 +112,12 @@ def train(
     After fitting, every path (in the money or not) with H_t > f_t(feature_t)
     is re-marked to stop at t. Returns the policy, plus the final cashflow
     matrix when return_cashflows is set.
+
+    The policy metadata's numerics.epochs holds one record per epoch t: the
+    in-the-money count, the number of paths re-marked to stop at t, and for
+    the kernel backend (null for the others) the distinct regression inputs
+    among the in-the-money paths (the rest are merged duplicates), the
+    Taylor terms and the tail bound.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[1] < 2:
@@ -134,8 +140,7 @@ def train(
     stop_time = np.full(n_paths, horizon, dtype=np.int64)
     stop_value = h[:, horizon].copy()
     regressors: list[Regressor] = [None] * horizon  # type: ignore[list-item]
-    merged_duplicates = 0
-    cap_hit = False
+    epochs: list[dict] = [None] * horizon  # type: ignore[list-item]
 
     for t in range(horizon - 1, -1, -1):
         itm = h[:, t] > 0.0
@@ -146,12 +151,18 @@ def train(
                 reg = backend.fit(x[itm, t], stop_value[itm])
             except Exception as exc:
                 raise RuntimeError(f"regression failed at epoch t={t}") from exc
-            merged_duplicates += getattr(reg, "n_merged_duplicates", 0)
-            cap_hit = cap_hit or getattr(reg, "subsampled", False)
         regressors[t] = reg
         exit_now = h[:, t] > reg.predict(x[:, t])
         stop_time[exit_now] = t
         stop_value[exit_now] = h[exit_now, t]
+        kernel = isinstance(reg, KernelRegressor)
+        epochs[t] = {
+            "in_the_money": int(itm.sum()),
+            "support": len(np.unique(x[itm, t])) if kernel else None,
+            "terms": len(reg.weights) if kernel else None,
+            "tail_bound": reg.tail_bound if kernel else None,
+            "stopped": int(exit_now.sum()),
+        }
 
     meta = {
         "n_train": n_paths,
@@ -159,9 +170,8 @@ def train(
         "backend": backend.to_dict(),
         "feature": feature_kind,
         "numerics": {
-            "duplicates_merged": int(merged_duplicates),
-            "support_cap_hit": bool(cap_hit),
             "nonpositive_exit_action": REJECT,
+            "epochs": epochs,
         },
     }
     if metadata:

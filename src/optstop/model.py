@@ -33,6 +33,20 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """A real number (int, float or numpy scalar), but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_reals(obj, *names: str) -> None:
+    """Reject a named field of obj that is not a real number, a bool
+    included, naming it, before any comparison can raise a TypeError."""
+    for name in names:
+        value = getattr(obj, name)
+        if not is_real(value):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def store_integers(obj, *names: str) -> None:
     """Reject a named field of a frozen dataclass that is not an integer, a
     bool included, naming it; store each as an int, so that a numpy integer
@@ -100,6 +114,7 @@ class ModelParams:
 
     def __post_init__(self):
         store_integers(self, "horizon", "seed")
+        check_reals(self, "gamma", "sigma_eps", "sigma_xi", "mu_prior", "sigma_v")
         # Written so that NaN fails every comparison.
         if not self.horizon >= 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")

@@ -3,7 +3,9 @@
 File layout: a format/version line, a sha256 line covering everything after
 it, then a canonical JSON payload. Floats go through Python's shortest
 round-trip repr, so a load-save-load cycle reproduces bitwise-identical
-predictions.
+predictions. Format v2 stores a kernel regressor as its Taylor-feature
+coefficients on the training interval; v1 stored per-point kernel weights,
+which this version cannot read.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from .lsm import StoppingPolicy
 from .model import check_types
 from .regression import Regressor
 
-FORMAT_LINE = "optstop-policy v1"
+FORMAT_VERSION = 2
+_FORMAT_PREFIX = "optstop-policy v"
+FORMAT_LINE = f"{_FORMAT_PREFIX}{FORMAT_VERSION}"
 # The payload's keys, each with a value of the JSON type it must have.
 _PAYLOAD_TYPES = {"format_version": 1, "horizon": 1, "metadata": {}, "regressors": []}
 
@@ -28,7 +32,7 @@ class PolicyFormatError(ValueError):
 def policy_to_text(policy: StoppingPolicy) -> str:
     payload = json.dumps(
         {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "horizon": policy.horizon,
             "metadata": policy.metadata,
             "regressors": [r.to_dict() for r in policy.regressors],
@@ -46,6 +50,11 @@ def policy_from_text(text: str) -> StoppingPolicy:
     if len(lines) < 3:
         raise PolicyFormatError("truncated policy file")
     if lines[0] != FORMAT_LINE:
+        if lines[0].startswith(_FORMAT_PREFIX):
+            raise PolicyFormatError(
+                f"policy file is format v{lines[0][len(_FORMAT_PREFIX):]}, but this version "
+                f"reads only v{FORMAT_VERSION}; retrain the policy"
+            )
         raise PolicyFormatError(f"unsupported policy format line {lines[0]!r}")
     if not lines[1].startswith("sha256 "):
         raise PolicyFormatError("missing checksum line")
@@ -62,7 +71,7 @@ def policy_from_text(text: str) -> StoppingPolicy:
         check_types(data, _PAYLOAD_TYPES, "policy payload", required=_PAYLOAD_TYPES)
     except ValueError as exc:
         raise PolicyFormatError(str(exc)) from exc
-    if data["format_version"] != 1:
+    if data["format_version"] != FORMAT_VERSION:
         raise PolicyFormatError(f"unsupported payload version {data['format_version']}")
     regressors = []
     for t, d in enumerate(data["regressors"]):

@@ -1,34 +1,30 @@
 """Pluggable one-dimensional regressors for continuation-value estimation.
 
-The reference backend is kernel least squares with a Gaussian kernel
-k(x, y) = exp(-(x - y)^2 / (2 sigma^2)): by the representer theorem the
-empirical-risk minimizer lives in the span of the kernel sections at the
-training points, so fitting reduces to the d x d linear system
-(K + lambda I) w = y and the fitted function is f(x) = sum_j w_j k(x_j, x).
-
-A polynomial least-squares backend and an exact tabular (group-mean) backend
-sit behind the same interface.
+The reference backend is Gaussian-kernel ridge regression. In one dimension
+k(x, y) = exp(-(x - y)^2 / (2 b^2)) = sum_n phi_n(x) phi_n(y) over the Taylor
+features phi_n(x) = exp(-u^2 / 2) u^n / sqrt(n!), u = (x - c) / b, so the fit
+over d training points is a ridge fit of the m feature coefficients the
+series needs on the training interval. A polynomial least-squares backend
+and an exact tabular (group-mean) backend sit behind the same interface.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import check_keys, check_types, json_type
 
 DEFAULT_RIDGE = 1e-6
 DEFAULT_POLY_DEGREE = 3
-# Largest kernel support: bounds the d x d solve; above it a fixed-key
-# uniform subsample is fitted.
-SUPPORT_CAP = 2000
+# Most Taylor terms a kernel fit may take: about 26.6 bandwidths of half-span.
+MAX_TERMS = 2000
+# The series is cut where its first dropped term t < 2^-106: a dropped t moves
+# the fit by ~sqrt(t) times the coefficients (a cut at 2^-53 left 5e-9 errors).
+_LOG_TAIL_TOL = math.log(2.0**-106)
 BACKEND_KINDS = ("kernel", "poly", "tabular")
-
-
-class SingularGramError(np.linalg.LinAlgError):
-    """Raised when an unregularized kernel system is numerically singular."""
 
 
 def _finite(name: str, value, ndim: int = 1) -> np.ndarray:
@@ -56,19 +52,44 @@ def _check_kernel(bandwidth, ridge) -> None:
 
 
 def gaussian_kernel(a, b, bandwidth: float) -> np.ndarray:
-    """Kernel matrix k(a_i, b_j) for 1-D inputs."""
+    """Kernel matrix k(a_i, b_j) for 1-D inputs: the kernel that the Taylor
+    features expand."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     diff = (a[:, None] - b[None, :]) / bandwidth
     return np.exp(-0.5 * diff * diff)
 
 
+def kernel_terms(span: float, bandwidth: float) -> tuple[int, float]:
+    """The number m of Taylor features for inputs spanning span, and the
+    bound rho^(2m) / m! on the first dropped kernel term, rho = span / (2
+    bandwidth); computed in log space, where rho^(2m) cannot overflow."""
+    log_rho2 = 2.0 * math.log(span / (2.0 * bandwidth)) if span > 0 else -math.inf
+    for m in range(1, MAX_TERMS + 1):
+        log_tail = m * log_rho2 - math.lgamma(m + 1)
+        if log_tail < _LOG_TAIL_TOL:
+            return m, math.exp(log_tail)
+    raise ValueError(f"bandwidth {bandwidth} is too small for the input span {span}: "
+                     f"the kernel needs over {MAX_TERMS} Taylor terms; widen the bandwidth")
+
+
+def _taylor_features(x, lo: float, hi: float, bandwidth: float, m: int) -> np.ndarray:
+    """(m, N) array of phi_n(x_i), n < m, centred on [lo, hi]; each row is the
+    last one times u / sqrt(n), so every entry stays in [-1, 1]. Beyond
+    |u| = 1e3 every feature is 0; clipping x there keeps u and u^2 finite."""
+    c, reach = lo + 0.5 * (hi - lo), 1e3 * bandwidth
+    u = (np.clip(np.atleast_1d(x), c - reach, c + reach) - c) / bandwidth
+    phi = np.empty((m, len(u)))
+    phi[0] = np.exp(-0.5 * u * u)
+    for n in range(1, m):
+        phi[n] = phi[n - 1] * (u / math.sqrt(n))
+    return phi
+
+
 class Regressor:
     """Fitted one-dimensional regressor: predict(x) for a float or an array,
-    plus a lossless dict round-trip.
-
-    FIELDS names the constructor arguments; they are also the attributes
-    to_dict writes and, beside "kind", the keys of the dict.
+    plus a lossless dict round-trip. FIELDS names the constructor arguments,
+    which are also the attributes to_dict writes and, beside "kind", its keys.
     """
 
     kind = "base"
@@ -109,7 +130,8 @@ class ZeroRegressor(Regressor):
 
 
 class KernelRegressor(Regressor):
-    """Gaussian-kernel expansion sum_j w_j k(x_j, x)."""
+    """Gaussian-kernel fit sum_n weights[n] phi_n(x), its features centred on
+    the training interval xs = [lo, hi]; kernel_terms fixes their number."""
 
     kind = "kernel"
     FIELDS = ("xs", "weights", "bandwidth", "ridge")
@@ -118,18 +140,21 @@ class KernelRegressor(Regressor):
         _check_kernel(bandwidth, ridge)
         self.xs = _finite("xs", xs)
         self.weights = _finite("weights", weights)
-        if len(self.weights) != len(self.xs):
-            raise ValueError(f"{len(self.xs)} support points but {len(self.weights)} weights")
+        if len(self.xs) != 2 or not self.xs[0] <= self.xs[1]:
+            raise ValueError(f"xs must be the training interval [lo, hi], got {self.xs.tolist()}")
+        n_terms, self.tail_bound = kernel_terms(self.xs[1] - self.xs[0], bandwidth)
+        if len(self.weights) != n_terms:
+            raise ValueError(
+                f"{n_terms} terms on {self.xs.tolist()} but {len(self.weights)} weights"
+            )
         self.bandwidth = bandwidth
         self.ridge = ridge
-        # Fit diagnostics, not part of the serialized state.
-        self.n_merged_duplicates = 0
-        self.subsampled = False
 
     def predict(self, x):
         scalar = np.ndim(x) == 0
-        k = gaussian_kernel(np.atleast_1d(x), self.xs, self.bandwidth)
-        out = k @ self.weights
+        phi = _taylor_features(x, *self.xs, self.bandwidth, len(self.weights))
+        # Summed in numpy's own loop, not BLAS: the same under any thread count.
+        out = (self.weights[:, None] * phi).sum(axis=0)
         return float(out[0]) if scalar else out
 
 
@@ -149,11 +174,8 @@ class PolynomialRegressor(Regressor):
 
 
 class TabularRegressor(Regressor):
-    """Exact conditional mean per distinct feature value.
-
-    Prediction at a value never seen in training falls back to the global
-    training-target mean.
-    """
+    """Exact conditional mean per distinct feature value; a value never seen
+    in training predicts the global training-target mean."""
 
     kind = "tabular"
     FIELDS = ("xs", "means", "default")
@@ -170,10 +192,8 @@ class TabularRegressor(Regressor):
     def predict(self, x):
         scalar = np.ndim(x) == 0
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.searchsorted(self.xs, xa)
-        idx = np.clip(idx, 0, len(self.xs) - 1)
-        hit = self.xs[idx] == xa
-        out = np.where(hit, self.means[idx], self.default)
+        idx = np.clip(np.searchsorted(self.xs, xa), 0, len(self.xs) - 1)
+        out = np.where(self.xs[idx] == xa, self.means[idx], self.default)
         return float(out[0]) if scalar else out
 
 
@@ -195,11 +215,8 @@ def _training_pairs(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _group_means(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct inputs and the mean target of each.
-
-    The sorted order makes a fit on them bitwise invariant under
-    permutation of the training pairs.
-    """
+    """Sorted distinct inputs and the mean target of each; the sorted order
+    makes a fit on them bitwise invariant under permutation of the pairs."""
     uniq, inverse, counts = np.unique(xs, return_inverse=True, return_counts=True)
     sums = np.zeros(len(uniq))
     np.add.at(sums, inverse, ys)
@@ -207,56 +224,37 @@ def _group_means(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def fit_kernel(xs, ys, bandwidth: float = 1.0, ridge: float = DEFAULT_RIDGE) -> KernelRegressor:
-    """Solve (K + ridge*I) w = y over the (deduplicated, possibly capped) inputs.
-
-    Exactly duplicated x values are merged with averaged targets before the
-    solve (they make K singular without changing the least-squares
-    objective). If more than SUPPORT_CAP points remain, a uniform subsample
-    drawn on a fixed key is used. With ridge = 0 a numerically singular
-    system raises SingularGramError.
-    """
+    """Coefficients c minimizing ||Phi c - y||^2 + ridge ||c||^2 over the
+    features of the d distinct inputs (duplicates merged, targets averaged),
+    i.e. the fit (K + ridge I) w = y with c = Phi^T w. The ridge is at least
+    d 2^-52, the rounding level of trace(K) = d, so ridge = 0 gives the
+    interpolant when d <= m and a finite least-squares fit when d > m."""
     _check_kernel(bandwidth, ridge)
-    xs, ys = _training_pairs(xs, ys)
-    n_points = len(xs)
-    xs, ys = _group_means(xs, ys)
-    n_merged = n_points - len(xs)
-
-    subsampled = False
-    if len(xs) > SUPPORT_CAP:
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([0, len(xs)], dtype=np.uint64))
-        )
-        idx = gen.choice(len(xs), size=SUPPORT_CAP, replace=False)
-        idx.sort()
-        xs, ys = xs[idx], ys[idx]
-        subsampled = True
-
-    k = gaussian_kernel(xs, xs, bandwidth)
-    if ridge > 0:
-        k = k + ridge * np.eye(len(xs))
-    try:
-        cho = scipy.linalg.cho_factor(k, lower=True)
-        w = scipy.linalg.cho_solve(cho, ys)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGramError(
-            f"kernel system of size {len(xs)} is numerically singular "
-            f"(ridge={ridge}); add regularization"
-        ) from exc
-    if not np.all(np.isfinite(w)):
-        raise SingularGramError("kernel solve produced non-finite weights")
-
-    model = KernelRegressor(xs, w, bandwidth, ridge)
-    model.n_merged_duplicates = n_merged
-    model.subsampled = subsampled
-    return model
+    xs, ys = _group_means(*_training_pairs(xs, ys))
+    m = kernel_terms(xs[-1] - xs[0], bandwidth)[0]
+    lam = max(ridge, len(xs) * 2.0**-52)
+    # Householder QR of [Phi, y; sqrt(lam) I, 0], then back substitution. Every
+    # reduction runs in numpy's own loops (einsum), never in BLAS, so the fit
+    # is the same under any BLAS thread count.
+    a = np.vstack([_taylor_features(xs, xs[0], xs[-1], bandwidth, m), ys]).T
+    a = np.vstack([a, math.sqrt(lam) * np.eye(m, m + 1)])
+    for j in range(m):
+        rows = slice(j, len(xs) + j + 1)  # the ridge rows below are still zero from column j
+        v = a[rows, j].copy()
+        v[0] += math.copysign(math.sqrt(np.einsum("i,i", v, v)), v[0])
+        w = np.einsum("i,ij->j", v, a[rows, j:]) * (2.0 / np.einsum("i,i", v, v))
+        a[rows, j:] -= np.multiply.outer(v, w)
+    coeffs = np.zeros(m)
+    for j in range(m - 1, -1, -1):
+        coeffs[j] = (a[j, m] - np.einsum("i,i", a[j, j + 1 : m], coeffs[j + 1 :])) / a[j, j]
+    return KernelRegressor([xs[0], xs[-1]], coeffs, bandwidth, ridge)
 
 
 def fit_polynomial(xs, ys, degree: int = DEFAULT_POLY_DEGREE) -> PolynomialRegressor:
     xs, ys = _training_pairs(xs, ys)
     # Keep the LS system well-posed when there are few distinct points.
     deg = min(degree, len(np.unique(xs)) - 1)
-    coeffs = np.polynomial.polynomial.polyfit(xs, ys, deg)
-    return PolynomialRegressor(coeffs)
+    return PolynomialRegressor(np.polynomial.polynomial.polyfit(xs, ys, deg))
 
 
 def fit_tabular(xs, ys) -> TabularRegressor:

@@ -4,11 +4,17 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS/FAIL lines.
 """
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import optstop
 from optstop import experiment, lsm
 from optstop.lsm import apply_policy, decide, myopic_decide, train
 from optstop.model import ModelParams
@@ -213,4 +219,28 @@ class TestDeterminism:
         _criterion(
             10, identical,
             f"two runs with equal config emit byte-identical files ({len(names_a)} files)",
+        )
+
+    def test_policy_independent_of_blas_thread_count(self, tmp_path):
+        # The default-config policy (500 paths, T=25, kernel) trained in a
+        # fresh process with one OpenBLAS thread and with the library default:
+        # every reduction in the kernel fit and prediction runs in a fixed
+        # order, so the files must be byte-identical.
+        src = str(Path(optstop.__file__).resolve().parents[1])
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+        digests = {}
+        for threads in ("1", None):
+            env = dict(base, **({"OPENBLAS_NUM_THREADS": threads} if threads else {}))
+            out = tmp_path / f"threads-{threads or 'default'}"
+            subprocess.run(
+                [sys.executable, "-m", "optstop.cli", "train", "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            digests[threads] = hashlib.sha256((out / "policy.txt").read_bytes()).hexdigest()
+        _criterion(
+            10, digests["1"] == digests[None],
+            f"policy.txt sha256 {digests['1'][:12]} (1 BLAS thread) vs "
+            f"{digests[None][:12]} (default threads)",
         )

@@ -134,12 +134,13 @@ class TestGeneratePaths:
 
 # A valid policy payload with one regressor of each kind, epochs 0..3.
 POLICY_PAYLOAD = {
-    "format_version": 1,
+    "format_version": 2,
     "horizon": 4,
     "metadata": {"seed": 1},
     "regressors": [
         {"kind": "zero"},
-        {"kind": "kernel", "xs": [0.1, 0.2], "weights": [1.0, -1.0], "bandwidth": 1.0, "ridge": 1e-6},
+        # Ten Taylor terms span [0.1, 0.2] at bandwidth 1.
+        {"kind": "kernel", "xs": [0.1, 0.2], "weights": [1.0, -1.0] * 5, "bandwidth": 1.0, "ridge": 1e-6},
         {"kind": "poly", "coeffs": [0.1, 0.2]},
         {"kind": "tabular", "xs": [0.0, 1.0], "means": [0.5, 0.25], "default": 0.3},
     ],
@@ -208,6 +209,14 @@ class TestPolicyPersistence:
         with pytest.raises(PolicyFormatError, match="format"):
             load_policy(file)
 
+    def test_version_1_file_asks_for_retraining(self, tmp_path):
+        # v1 stored one kernel weight per training point; v2 stores the
+        # Taylor-feature coefficients, so a v1 file cannot be read.
+        file = tmp_path / "policy.txt"
+        file.write_text(signed_policy_text(POLICY_PAYLOAD).replace(FORMAT_LINE, "optstop-policy v1"))
+        with pytest.raises(PolicyFormatError, match="format v1, but this version reads only v2; retrain"):
+            load_policy(file)
+
     def test_payload_with_every_kind_round_trips(self):
         text = signed_policy_text(POLICY_PAYLOAD)
         assert policy_to_text(policy_from_text(text)) == text
@@ -230,12 +239,16 @@ class TestPolicyPersistence:
             (_set("regressors", 0, ["kind", "zero"]), "epoch 0: regressor must be a JSON object"),
             (_delete(1, "weights"), "epoch 1: kernel regressor is missing required key 'weights'"),
             (_set("regressors", 3, "means", [0.5]), "epoch 3: 2 table entries but 1 means"),
+            (_set("regressors", 1, "weights", [1.0, -1.0]), r"epoch 1: 10 terms on \[0.1, 0.2\] but 2 weights"),
+            (_set("regressors", 1, "xs", [0.1, 0.2, 0.3]), "epoch 1: xs must be the training interval"),
+            (_set("regressors", 1, "xs", [0.0, 100.0]), "epoch 1: bandwidth 1.0 is too small for the input span"),
         ],
         ids=[
             "tabular-unsorted-xs", "tabular-nan-mean", "poly-nan-coeff", "kernel-nan-x",
             "kernel-unknown-key", "zero-unknown-key", "unknown-top-key", "float-horizon",
             "list-metadata", "poly-empty", "tabular-empty", "string-horizon",
             "regressor-not-object", "kernel-missing-key", "tabular-length-mismatch",
+            "kernel-term-count", "kernel-not-interval", "kernel-span-too-wide",
         ],
     )
     def test_malformed_payload_named(self, mutate, message):
@@ -614,6 +627,10 @@ class TestConfig:
             (lambda: ModelParams(horizon=2.5), "horizon"),
             (lambda: ModelParams(horizon=True), "horizon"),
             (lambda: ModelParams(seed=1.0), "seed"),
+            (lambda: ModelParams(gamma="1"), "gamma"),
+            (lambda: ModelParams(sigma_eps=None), "sigma_eps"),
+            (lambda: ModelParams(mu_prior=True), "mu_prior"),
+            (lambda: small_config(trace_trials=3), "trace_trials"),
         ],
     )
     def test_python_built_fault_named(self, build, key):

@@ -21,6 +21,7 @@ from optstop.regression import (
     RegressionBackend,
     TabularRegressor,
     ZeroRegressor,
+    kernel_terms,
 )
 from optstop.snell import backward_induction, discretize_consumer_problem, simulate_paths
 
@@ -85,11 +86,19 @@ class TestTrain:
         assert meta["backend"] == RegressionBackend().to_dict()
         assert meta["backend"]["ridge"] == 1e-6
         assert meta["feature"] == "exit_payoff"
-        assert meta["numerics"] == {
-            "duplicates_merged": 0,
-            "support_cap_hit": False,
-            "nonpositive_exit_action": "reject",
-        }
+        # Epoch 1: both paths in the money, targets 0.2 and 0.3 nearly
+        # interpolated on [0.1, 0.5] (15 Taylor terms); 0.5 > 0.2 stops path 0.
+        # Epoch 0: only path 0 in the money, target 0.5 shrunk by the ridge
+        # to 0.4999995 < 0.5, so it stops again; one term on a single point.
+        epochs = meta["numerics"].pop("epochs")
+        assert meta["numerics"] == {"nonpositive_exit_action": "reject"}
+        assert epochs == [
+            {"in_the_money": 1, "support": 1, "terms": 1, "tail_bound": 0.0, "stopped": 1},
+            {"in_the_money": 2, "support": 2, "terms": 15,
+             "tail_bound": kernel_terms(0.5 - 0.1, 1.0)[1], "stopped": 1},
+        ]
+        poly = train(h, RegressionBackend(kind="poly")).metadata["numerics"]["epochs"]
+        assert [(e["support"], e["terms"], e["tail_bound"]) for e in poly] == [(None,) * 3] * 2
         assert meta["seed"] == 9
 
     def test_custom_features_flagged(self):

@@ -1,22 +1,26 @@
-"""Kernel least squares (representer weights), polynomial and tabular backends."""
+"""Kernel ridge regression in Taylor features, polynomial and tabular backends."""
 
 import json
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optstop.regression import (
-    SUPPORT_CAP,
+    MAX_TERMS,
+    KernelRegressor,
     RegressionBackend,
     Regressor,
-    SingularGramError,
     ZeroRegressor,
+    _taylor_features,
     fit_kernel,
     fit_polynomial,
     fit_tabular,
     gaussian_kernel,
+    kernel_terms,
 )
 
 
@@ -29,73 +33,148 @@ def assert_json_round_trip_bitwise(model, probe):
     assert np.array_equal(restored.predict(probe), model.predict(probe))
 
 
-def dense_solve_oracle(xs, ys, bandwidth, ridge):
-    """Independent route: explicit Gram assembly + numpy's pivoted LU solve."""
+def dense_solve_oracle(xs, ys, bandwidth, ridge, probe):
+    """Independent route: the representer-theorem fit from an explicit Gram
+    matrix and numpy's pivoted LU solve, evaluated at probe."""
     xs = np.asarray(xs, dtype=float)
     k = np.exp(-((xs[:, None] - xs[None, :]) ** 2) / (2.0 * bandwidth**2))
-    return np.linalg.solve(k + ridge * np.eye(len(xs)), np.asarray(ys, dtype=float))
+    w = np.linalg.solve(k + ridge * np.eye(len(xs)), np.asarray(ys, dtype=float))
+    return gaussian_kernel(probe, xs, bandwidth) @ w
+
+
+def extended_precision_oracle(xs, ys, bandwidth, ridge, probe, digits=50):
+    """The representer-theorem fit from a Gram solve in mpmath at `digits`
+    significant digits, evaluated at probe."""
+    with mpmath.workdps(digits):
+        x = [mpmath.mpf(float(v)) for v in xs]
+        two_b2 = 2 * mpmath.mpf(bandwidth) ** 2
+        k = mpmath.matrix([[mpmath.exp(-((a - c) ** 2) / two_b2) for c in x] for a in x])
+        k += mpmath.mpf(ridge) * mpmath.eye(len(x))
+        w = mpmath.lu_solve(k, mpmath.matrix(list(map(float, ys))))
+        return np.array([
+            float(mpmath.fsum(w[j] * mpmath.exp(-((mpmath.mpf(float(p)) - x[j]) ** 2) / two_b2)
+                              for j in range(len(x))))
+            for p in probe
+        ])
 
 
 class TestKernelFit:
     def test_single_point_unit_kernel(self):
         model = fit_kernel([0.0], [2.0], ridge=0.0)
-        assert model.weights.tolist() == [2.0]
         assert model.predict(0.0) == 2.0
+        probe = np.linspace(-2, 2, 9)
+        expected = 2.0 * gaussian_kernel(probe, [0.0], 1.0)[:, 0]
+        assert np.allclose(model.predict(probe), expected, rtol=1e-15, atol=0)
 
     def test_two_point_interpolation(self):
         model = fit_kernel([0.0, 1.0], [0.0, 1.0], bandwidth=1.0, ridge=0.0)
         assert model.predict(0.0) == pytest.approx(0.0, abs=1e-8)
         assert model.predict(1.0) == pytest.approx(1.0, abs=1e-8)
 
-    def test_weights_match_independent_solver(self):
+    def test_predictions_match_dense_solve(self):
+        # 50 points on [-8, 8] at bandwidth 0.5: 728 Taylor terms. The two fits
+        # agree to 4.0e-7, which is the dense solve's own error (|w| reaches
+        # 1.2e7): against a 60-digit Gram solve the feature fit is within
+        # 1.0e-10 and the dense solve within 4.0e-7.
         rng = np.random.default_rng(31)
         xs = rng.uniform(-8, 8, size=50)
         ys = np.sin(xs) + 0.1 * rng.standard_normal(50)
         model = fit_kernel(xs, ys, bandwidth=0.5, ridge=1e-8)
-        oracle = dense_solve_oracle(xs, ys, 0.5, 1e-8)
-        # fit canonicalizes support order; align the oracle the same way.
-        order = np.argsort(xs)
-        assert np.allclose(model.weights, oracle[order], rtol=1e-6, atol=0)
+        assert 650 <= len(model.weights) <= 770
+        probe = np.concatenate([xs, np.linspace(-9, 9, 181)])
+        oracle = dense_solve_oracle(xs, ys, 0.5, 1e-8, probe)
+        assert np.max(np.abs(model.predict(probe) - oracle)) <= 1e-6
+
+    def test_matches_extended_precision_gram_solve(self):
+        # 60 points in [0, 1) at bandwidth 1, ridge 1e-6 (the reference
+        # regime). Measured error 1.7e-15; a dense double-precision Gram
+        # solve is off by 2.7e-10 here.
+        rng = np.random.default_rng(38)
+        xs = rng.uniform(0, 1, size=60)
+        ys = np.sin(3 * xs) + 0.1 * rng.standard_normal(60)
+        probe = np.concatenate([xs, np.linspace(0, 1, 41)])
+        exact = extended_precision_oracle(xs, ys, 1.0, 1e-6, probe)
+        model = fit_kernel(xs, ys, bandwidth=1.0, ridge=1e-6)
+        assert np.max(np.abs(model.predict(probe) - exact)) <= 1e-13
 
     def test_residual_certificate(self):
         # Deliberately ill-conditioned: tight cluster relative to bandwidth.
+        # The ridge fit f satisfies K (y - f(X)) = ridge f(X) at the training
+        # points; measured residual 9.2e-13 against |y| = 10.8.
         rng = np.random.default_rng(32)
         xs = rng.uniform(0, 1, size=120)
         ys = rng.standard_normal(120)
-        model = fit_kernel(xs, ys, bandwidth=0.5, ridge=1e-6)
-        k = gaussian_kernel(model.xs, model.xs, 0.5) + 1e-6 * np.eye(len(model.xs))
-        ys_sorted = ys[np.argsort(xs)]
-        assert np.linalg.norm(k @ model.weights - ys_sorted) <= 1e-8 * np.linalg.norm(ys)
+        f = fit_kernel(xs, ys, bandwidth=0.5, ridge=1e-6).predict(xs)
+        residual = gaussian_kernel(xs, xs, 0.5) @ (ys - f) - 1e-6 * f
+        assert np.linalg.norm(residual) <= 1e-11 * np.linalg.norm(ys)
 
     def test_duplicates_merged_with_averaged_targets(self):
         model = fit_kernel([1.0, 1.0, 2.0], [1.0, 3.0, 5.0], ridge=0.0)
-        assert model.n_merged_duplicates == 1
-        assert len(model.xs) == 2
+        assert model.to_dict() == fit_kernel([1.0, 2.0], [2.0, 5.0], ridge=0.0).to_dict()
+        assert model.xs.tolist() == [1.0, 2.0]
         assert model.predict(1.0) == pytest.approx(2.0, abs=1e-8)
         assert model.predict(2.0) == pytest.approx(5.0, abs=1e-8)
 
-    def test_singular_system_raises_without_ridge(self):
-        with pytest.raises(SingularGramError):
-            fit_kernel([0.0, 1e-16], [0.0, 1.0], ridge=0.0)
+    def test_near_duplicates_without_ridge_are_least_squares(self):
+        # Singular as a Gram system; in features it is a least-squares fit
+        # of one term, which gives both points the mean target.
+        model = fit_kernel([0.0, 1e-16], [0.0, 1.0], ridge=0.0)
+        assert np.allclose(model.predict(np.array([0.0, 1e-16])), 0.5, rtol=1e-15, atol=0)
 
     def test_ridge_rescues_near_duplicates(self):
         model = fit_kernel([0.0, 1e-16], [0.0, 1.0], ridge=1e-6)
         assert np.all(np.isfinite(model.weights))
 
-    def test_support_cap_subsamples_deterministically(self):
+    def test_every_point_fitted_deterministically(self):
+        # 2001 distinct points all enter the fit, which is invariant under
+        # permutation and matches the dense solve (measured 7.3e-11).
         rng = np.random.default_rng(33)
-        xs = np.linspace(0, 1, SUPPORT_CAP + 1)  # distinct, so nothing merges
-        ys = rng.standard_normal(SUPPORT_CAP + 1)
+        xs = np.linspace(0, 1, 2001)
+        ys = rng.standard_normal(2001)
         a = fit_kernel(xs, ys, ridge=1e-3)
         b = fit_kernel(xs[::-1], ys[::-1], ridge=1e-3)
-        assert a.subsampled and len(a.xs) == SUPPORT_CAP
-        assert a.n_merged_duplicates == 0
-        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.weights, b.weights)
-        key = np.array([0, SUPPORT_CAP + 1], dtype=np.uint64)
-        idx = np.random.Generator(np.random.Philox(key=key)).choice(
-            SUPPORT_CAP + 1, size=SUPPORT_CAP, replace=False
-        )
-        assert np.array_equal(a.xs, np.sort(xs[idx]))
+        assert a.to_dict() == b.to_dict()
+        probe = np.linspace(0, 1, 101)
+        oracle = dense_solve_oracle(xs, ys, 1.0, 1e-3, probe)
+        assert np.max(np.abs(a.predict(probe) - oracle)) <= 1e-9
+
+    def test_term_count_is_the_smallest_below_rounding(self):
+        for span, bandwidth in ((1.0, 1.0), (16.0, 0.5), (12.0, 0.4), (53.0, 1.0)):
+            m, tail = kernel_terms(span, bandwidth)
+            rho2 = (span / (2 * bandwidth)) ** 2
+            log_term = [n * np.log(rho2) - float(mpmath.loggamma(n + 1)) for n in (m - 1, m)]
+            assert log_term[1] < -106 * np.log(2) <= log_term[0]
+            assert tail == pytest.approx(np.exp(log_term[1]), rel=1e-9)
+        assert kernel_terms(1.0, 1.0)[0] == 21
+        assert kernel_terms(0.0, 1.0) == (1, 0.0)
+
+    def test_features_expand_the_kernel(self):
+        # sum_n phi_n(x) phi_n(y) = k(x, y) to the rounding of m terms of size <= 1.
+        cases = ((0.0, 1.0, 1.0), (-8.0, 8.0, 0.5), (-6.0, 6.0, 0.4), (0.0, 53.0, 1.0))
+        for lo, hi, bandwidth in cases:
+            m, _ = kernel_terms(hi - lo, bandwidth)
+            grid = np.linspace(lo, hi, 101)
+            phi = _taylor_features(grid, lo, hi, bandwidth, m)
+            assert np.abs(phi).max() <= 1.0
+            err = np.abs(phi.T @ phi - gaussian_kernel(grid, grid, bandwidth)).max()
+            assert err <= m * 2.0**-52
+
+    def test_bandwidth_too_small_for_span_raises(self):
+        # Half the span is 30 bandwidths: more than MAX_TERMS terms. The
+        # bound is taken in log space, so a huge span raises the same way.
+        for span in (60.0, 1e300):
+            message = f"bandwidth 1.0 is too small for the input span {span}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fit_kernel([0.0, span], [0.0, 1.0], bandwidth=1.0)
+        with pytest.raises(ValueError, match=f"over {MAX_TERMS} Taylor terms"):
+            KernelRegressor([0.0, 60.0], [1.0], 1.0, 1e-6)
+
+    def test_regressor_checks_interval_and_term_count(self):
+        with pytest.raises(ValueError, match=r"21 terms on \[0.0, 1.0\] but 5 weights"):
+            KernelRegressor([0.0, 1.0], [1.0] * 5, 1.0, 1e-6)
+        for xs in ([0.0, 0.5, 1.0], [1.0, 0.0]):
+            with pytest.raises(ValueError, match="xs must be the training interval"):
+                KernelRegressor(xs, [1.0] * 21, 1.0, 1e-6)
 
     def test_training_mse_nondecreasing_in_ridge(self):
         rng = np.random.default_rng(34)
@@ -150,25 +229,31 @@ class TestKernelFit:
 
 class TestPrediction:
     def test_decays_far_from_support(self):
-        model = fit_kernel([0.0, 1.0], [3.0, -2.0], bandwidth=1.0)
-        far = model.predict(100.0)
-        assert abs(far) < 1e-12 * np.abs(model.weights).sum()
+        # Every feature underflows to 0 there, as the kernel itself does;
+        # past |u| = 1e3 the clipped u keeps it 0 rather than NaN.
+        model = fit_kernel([0.0, 1.0], [3.0, -2.0], bandwidth=0.5)
+        assert model.predict(100.0) == 0.0
+        assert np.array_equal(model.predict(np.array([-1e308, 1e308])), [0.0, 0.0])
 
     def test_single_point_recovery(self):
         model = fit_kernel([0.7], [1.9], ridge=0.0)
         assert model.predict(0.7) == pytest.approx(1.9, abs=1e-12)
 
     def test_symmetric_data_symmetric_weights(self):
+        # Centred on 0, an even fit has no odd Taylor terms; the interpolant
+        # of two unit targets at +-1 has weight 1 / (1 + k(-1, 1)) on each.
         model = fit_kernel([-1.0, 1.0], [1.0, 1.0], bandwidth=1.0, ridge=0.0)
-        w = model.weights
-        assert w[0] == pytest.approx(w[1], abs=1e-12)
-        k = float(gaussian_kernel([0.0], [1.0], 1.0)[0, 0])
-        assert model.predict(0.0) == pytest.approx(2.0 * w[0] * k, abs=1e-12)
+        assert np.abs(model.weights[1::2]).max() <= 1e-15 * np.abs(model.weights).max()
+        probe = np.linspace(-2, 2, 41)
+        assert np.allclose(model.predict(probe), model.predict(-probe), rtol=0, atol=1e-15)
+        k = float(gaussian_kernel([-1.0], [1.0], 1.0)[0, 0])
+        mid = float(gaussian_kernel([0.0], [1.0], 1.0)[0, 0])
+        assert model.predict(0.0) == pytest.approx(2.0 * mid / (1.0 + k), abs=1e-12)
 
-    @given(st.floats(-50, 50))
+    @given(st.floats(allow_nan=False, allow_infinity=False))
     @settings(max_examples=100)
     def test_prediction_finite_everywhere(self, x):
-        model = fit_kernel([0.0, 0.5, 1.0], [1.0, -1.0, 2.0])
+        model = fit_kernel([0.0, 0.5, 1.0], [1.0, -1.0, 2.0], bandwidth=0.5)
         assert np.isfinite(model.predict(x))
 
 
