@@ -314,12 +314,18 @@ def render_figures_data(report: lsm.EvaluationReport, config: ExperimentConfig) 
 
 
 def render_summary(report: lsm.EvaluationReport, config: ExperimentConfig) -> str:
+    ci_low, ci_high = report.mean_difference_ci95
     values = {
         "n_trials": report.n_trials,
         "paired": report.paired,
         "mean_algorithmic": report.mean_algorithmic,
+        "mean_algorithmic_se": report.algorithmic.mean_payoff_se,
         "mean_myopic": report.mean_myopic,
+        "mean_myopic_se": report.myopic.mean_payoff_se,
         "mean_difference": report.mean_difference,
+        "mean_difference_se": report.mean_difference_se,
+        "mean_difference_ci95_low": ci_low,
+        "mean_difference_ci95_high": ci_high,
         "algorithmic_purchases": report.algorithmic.n_purchases,
         "myopic_purchases": report.myopic.n_purchases,
         "equal_payoff_trials": "" if report.n_ties is None else report.n_ties,

@@ -20,7 +20,9 @@ conditional expectation).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -29,6 +31,9 @@ from .regression import KernelRegressor, RegressionBackend, Regressor, ZeroRegre
 
 PURCHASE = "purchase"
 REJECT = "reject"
+
+# Two-sided 95% normal quantile, for the confidence interval of a mean.
+_Z95 = NormalDist().inv_cdf(0.975)
 
 
 @dataclass(frozen=True)
@@ -281,6 +286,10 @@ class StrategyOutcome:
         return float(self.payoffs.mean())
 
     @property
+    def mean_payoff_se(self) -> float:
+        return _standard_error(self.payoffs)
+
+    @property
     def n_purchases(self) -> int:
         return int(self.purchased.sum())
 
@@ -324,10 +333,32 @@ class EvaluationReport:
         return self.mean_algorithmic - self.mean_myopic
 
     @property
+    def mean_difference_se(self) -> float:
+        """From the per-trial differences when paired; otherwise the two
+        means' standard errors combined as independent."""
+        if self.paired:
+            return _standard_error(self.differences)
+        return math.hypot(self.algorithmic.mean_payoff_se, self.myopic.mean_payoff_se)
+
+    @property
+    def mean_difference_ci95(self) -> tuple[float, float]:
+        """Normal-approximation 95% confidence interval of mean_difference."""
+        half = _Z95 * self.mean_difference_se
+        return self.mean_difference - half, self.mean_difference + half
+
+    @property
     def n_ties(self) -> int | None:
         if self.paired:
             return int((self.algorithmic.payoffs == self.myopic.payoffs).sum())
         return None
+
+
+def _standard_error(x: np.ndarray) -> float:
+    """Standard error of the mean of x (sample standard deviation over
+    sqrt(n)); nan for fewer than two values."""
+    if len(x) < 2:
+        return math.nan
+    return float(x.std(ddof=1)) / math.sqrt(len(x))
 
 
 def _outcome(batch: PathBatch, times: np.ndarray, payoffs: np.ndarray) -> StrategyOutcome:

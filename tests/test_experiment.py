@@ -497,8 +497,13 @@ class TestTableFormat:
             "n_trials,2\n"
             "paired,0\n"
             "mean_algorithmic,0.25\n"
+            "mean_algorithmic_se,0.25\n"
             "mean_myopic,0.0\n"
+            "mean_myopic_se,0.0\n"
             "mean_difference,0.25\n"
+            "mean_difference_se,0.25\n"
+            "mean_difference_ci95_low,-0.2399909961350134\n"
+            "mean_difference_ci95_high,0.7399909961350134\n"
             "algorithmic_purchases,1\n"
             "myopic_purchases,0\n"
             "equal_payoff_trials,\n"

@@ -302,6 +302,33 @@ class TestEvaluate:
         assert alg.n_purchases == int(alg.purchased.sum())
         assert np.array_equal(alg.prices_paid, alg.prices_at_exit[alg.purchased])
 
+    def test_standard_errors_and_interval(self, ref_run):
+        _, _, _, report, _ = ref_run
+        n = report.n_trials
+        alg_se = report.algorithmic.payoffs.std(ddof=1) / np.sqrt(n)
+        myo_se = report.myopic.payoffs.std(ddof=1) / np.sqrt(n)
+        diff_se = report.differences.std(ddof=1) / np.sqrt(n)
+        assert report.algorithmic.mean_payoff_se == pytest.approx(alg_se, rel=1e-12)
+        assert report.myopic.mean_payoff_se == pytest.approx(myo_se, rel=1e-12)
+        # Paired: the per-trial differences, which the shared path makes
+        # tighter than treating the two means as independent.
+        assert report.mean_difference_se == pytest.approx(diff_se, rel=1e-12)
+        assert report.mean_difference_se < np.hypot(alg_se, myo_se)
+        low, high = report.mean_difference_ci95
+        assert report.mean_difference - low == pytest.approx(1.959963984540054 * diff_se)
+        assert high - report.mean_difference == pytest.approx(1.959963984540054 * diff_se)
+        unpaired = lsm.EvaluationReport(report.algorithmic, report.myopic, paired=False)
+        assert unpaired.mean_difference_se == pytest.approx(np.hypot(alg_se, myo_se), rel=1e-12)
+
+    def test_standard_error_of_one_trial_is_nan(self):
+        one = lsm.StrategyOutcome(
+            times=np.array([0]), payoffs=np.array([0.5]), prices_at_exit=np.array([1.0]),
+            valuations_at_exit=np.array([1.5]), paths_sha256="",
+        )
+        report = lsm.EvaluationReport(one, one, paired=True)
+        assert np.isnan(one.mean_payoff_se) and np.isnan(report.mean_difference_se)
+        assert all(np.isnan(report.mean_difference_ci95))
+
     def test_independent_mode_has_no_per_trial_differences(self, ref_run):
         policy, _, test_batch, _, _ = ref_run
         from optstop import experiment

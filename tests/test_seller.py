@@ -2,10 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
+from optstop import seller
 from optstop.consumer import ConsumerState, step_valuation
 from optstop.model import ModelParams
 from optstop.rng import RngStream, q_function
@@ -40,6 +44,25 @@ def grid_price(mu: float, sigma: float, step: float = 1e-5) -> float:
 
     coarse = scan(0.0, hi, step * 1000)
     return float(scan(coarse - 2 * step * 1000, coarse + 2 * step * 1000, step))
+
+
+def mpmath_price_root(m: float, q: float) -> mpmath.mpf:
+    """40-digit root of log q = log R(q - m), polished by Newton from q.
+
+    log R(z) = log(sqrt(pi/2) erfc(z / sqrt(2))) + z^2 / 2; the two terms
+    cancel to about 2 log10|m| digits, which the working precision adds back.
+    """
+    with mpmath.workdps(40 + 2 * max(0, math.ceil(math.log10(abs(m) + 1.0)))):
+        m, q = mpmath.mpf(m), mpmath.mpf(q)
+        for _ in range(20):
+            z = q - m
+            log_r = mpmath.log(mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(z / mpmath.sqrt(2)))
+            log_r += z * z / 2
+            step = (mpmath.log(q) - log_r) / (1 / q + mpmath.exp(-log_r) - z)
+            q -= step
+            if abs(step) <= q * mpmath.mpf(10) ** -40:
+                return +q
+    raise AssertionError(f"40-digit Newton did not converge at m={m}")
 
 
 def batch_posterior(params: ModelParams, ys: np.ndarray) -> tuple[float, float]:
@@ -147,6 +170,20 @@ class TestKalman:
         with pytest.raises(ValueError):
             GaussianBelief(0.0, -1e-9)
 
+    @pytest.mark.parametrize("mean", [math.nan, -math.inf, math.inf])
+    def test_non_finite_mean_is_named(self, mean):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            myopic_price(GaussianBelief(mean, 1.0))
+
+    def test_non_finite_entry_of_array_mean_is_named(self):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            GaussianBelief(np.array([0.5, math.nan, 1.0]), 1.0)
+
+    @pytest.mark.parametrize("var", [math.nan, math.inf])
+    def test_non_finite_variance_is_named(self, var):
+        with pytest.raises(ValueError, match="variance must be finite"):
+            myopic_price(GaussianBelief(0.0, var))
+
 
 class TestMyopicPrice:
     def test_standard_normal_belief_matches_grid(self):
@@ -208,6 +245,56 @@ class TestMyopicPrice:
         scalar = np.array([myopic_price(GaussianBelief(float(mu), var)) for mu in means])
         assert prices.shape == means.shape
         assert prices.tobytes() == scalar.tobytes()
+
+    def test_against_40_digit_roots(self):
+        # Unit variance, so the price is q itself. The 64-step bisection
+        # this solver replaced was within 6.4e-16 and 4.0 ulps on these m.
+        # m = +-1e15 takes the midpoint where erfcx overflows.
+        ms = np.concatenate(
+            [np.linspace(-30.0, 40.0, 1001), [-1e15, -1e6, -1e3, 1e3, 1e6, 1e15]]
+        )
+        prices = myopic_price(GaussianBelief(ms, 1.0))
+        for m, p in zip(ms.tolist(), prices.tolist()):
+            root = mpmath_price_root(m, p)
+            err = abs(mpmath.mpf(p) - root)
+            assert err <= 6e-16 * root, m
+            assert err <= 4 * math.ulp(float(root)), m
+
+    def test_evaluates_erfcx_a_fixed_number_of_times(self, monkeypatch):
+        calls = []
+
+        def counting_erfcx(x):
+            calls.append(np.shape(x))
+            return erfcx(x)
+
+        erfcx = seller.erfcx
+        monkeypatch.setattr(seller, "erfcx", counting_erfcx)
+        means = np.array([-1e15, -3.0, 0.0, 0.7, 40.0, 1e15])
+        myopic_price(GaussianBelief(means, 1.0))
+        assert calls == [means.shape] * 8
+        calls.clear()
+        myopic_price(GaussianBelief(0.7, 1.0))
+        assert calls == [()] * 8
+
+    @given(
+        m=st.floats(-50.0, 50.0),
+        others=st.lists(st.floats(-1e8, 1e8), max_size=30),
+        var=st.floats(1e-4, 1e2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_price_does_not_depend_on_its_batch(self, m, others, var, seed):
+        sigma = math.sqrt(var)
+        mean = m * sigma
+        # Scaled means far into both tails, the erfcx overflow included.
+        extremes = [-1e15, -1e8, -1e3, 1e3, 1e8, 1e15]
+        means = np.array([mean] + [sigma * x for x in extremes + others])
+        alone = myopic_price(GaussianBelief(mean, var))
+        batched = myopic_price(GaussianBelief(means, var))
+        order = np.random.default_rng(seed).permutation(len(means))
+        shuffled = myopic_price(GaussianBelief(means[order], var))
+        assert batched[0].tobytes() == alone.tobytes()
+        assert shuffled[np.argmax(order == 0)].tobytes() == alone.tobytes()
 
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError):
