@@ -67,7 +67,9 @@ def purchase_payoff(state: ConsumerState, price, params: ModelParams):
     Strictly increasing in the valuation mean, strictly decreasing in price,
     bounded above by 1. The exponent is clamped at MAX_EXPONENT so deeply
     unprofitable purchases saturate to a large negative but finite payoff.
-    Valuation and price may be floats or matching arrays.
+    The clamp changes no exit payoff and no decision: where it acts, both the
+    clamped and the exact payoff are <= 1 - e^700 < 0, so both exit at 0 and
+    neither buys. Valuation and price may be floats or matching arrays.
     """
     if not np.all(np.isfinite(price)):
         raise ValueError(f"price must be finite, got {price}")

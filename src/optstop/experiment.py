@@ -22,6 +22,7 @@ import numpy as np
 from . import consumer, lsm, seller
 from .model import (
     DEFAULT_SEED, ModelParams, PathBatch, check_types, is_integer, is_real, store_integers,
+    store_reals,
 )
 from .policy_io import policy_to_text
 from .regression import RegressionBackend
@@ -76,8 +77,11 @@ class ExperimentConfig:
                 raise ValueError(f"trace trial {i!r} is not an integer in 0..{self.n_test - 1}")
         object.__setattr__(self, "trace_trials", tuple(map(int, trials)))
         v0 = self.fixed_v0
-        if v0 is not None and not (is_real(v0) and math.isfinite(v0)):
+        # Compared: math.isfinite raises an OverflowError on an int beyond the float range.
+        if v0 is not None and not (is_real(v0) and -math.inf < v0 < math.inf):
             raise ValueError(f"fixed_v0 must be a finite number or None, got {v0!r}")
+        if v0 is not None:
+            store_reals(self, "fixed_v0")
 
     def to_dict(self) -> dict:
         return {
@@ -122,20 +126,37 @@ def generate_paths(
     """Simulate n sample paths of the full consumer/seller interaction.
 
     Path i draws all of its normals in one call on its own (seed, i, domain)
-    stream, in the order of the scalar API: the initial valuation (unless
-    pinned via fixed_v0), then per epoch the valuation shock and the
-    seller's observation noise. The epochs then run for all paths at once
-    through the same consumer and seller functions as a single path: the
-    valuation walk steps, the seller observes, filters, and prices, and the
-    payoffs close the epoch.
+    stream, in simulate's draw order, and simulate runs the epochs of all
+    paths at once.
     """
     if n < 1:
         raise ValueError(f"number of paths must be >= 1, got {n}")
-    T = params.horizon
-    first = int(fixed_v0 is None)  # column of the first valuation shock
-    z = np.empty((n, first + 2 * T))
+    z = np.empty((n, int(fixed_v0 is None) + 2 * params.horizon))
     for i in range(n):
         z[i] = RngStream(params.seed, path_index=i, domain=domain).standard_normal(z.shape[1])
+    return simulate(params, z, fixed_v0)
+
+
+def simulate(params: ModelParams, z, fixed_v0: float | None = None) -> PathBatch:
+    """Run the consumer/seller epochs for one path per row of z, the
+    package's one epoch loop (snell's Gauss-Hermite lattice runs it too).
+
+    Row i holds path i's standard normals in draw order: the initial
+    valuation (unless pinned via fixed_v0), then per epoch the valuation
+    shock and the seller's observation noise. The epochs run for all rows at
+    once through the same consumer and seller functions as a single path:
+    the valuation walk steps, the seller observes, filters, and prices, and
+    the payoffs close the epoch.
+    """
+    # sigma_xi = 0 is a valid Kalman input, but its posterior variance 0 has no price.
+    if not params.sigma_xi > 0:
+        raise ValueError(f"sigma_xi must be > 0 to simulate, got {params.sigma_xi}")
+    T = params.horizon
+    first = int(fixed_v0 is None)  # column of the first valuation shock
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 2 or z.shape[1] != first + 2 * T:
+        raise ValueError(f"z must have {first + 2 * T} columns, one row per path, got {z.shape}")
+    n = len(z)
     if first:
         v0 = params.mu_prior + params.sigma_v * z[:, 0]
     else:

@@ -38,13 +38,19 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_reals(obj, *names: str) -> None:
-    """Reject a named field of obj that is not a real number, a bool
-    included, naming it, before any comparison can raise a TypeError."""
+def store_reals(obj, *names: str) -> None:
+    """Reject a named field of a frozen dataclass that is not a real number,
+    a bool included, or an int beyond the float range, naming it, before any
+    comparison can raise a TypeError; store each as a float, so that a numpy
+    scalar passes and still serializes as JSON."""
     for name in names:
         value = getattr(obj, name)
         if not is_real(value):
             raise ValueError(f"{name} must be a number, got {value!r}")
+        try:
+            object.__setattr__(obj, name, float(value))
+        except OverflowError:
+            raise ValueError(f"{name} must be a finite number, got {value!r}") from None
 
 
 def store_integers(obj, *names: str) -> None:
@@ -114,7 +120,7 @@ class ModelParams:
 
     def __post_init__(self):
         store_integers(self, "horizon", "seed")
-        check_reals(self, "gamma", "sigma_eps", "sigma_xi", "mu_prior", "sigma_v")
+        store_reals(self, "gamma", "sigma_eps", "sigma_xi", "mu_prior", "sigma_v")
         # Written so that NaN fails every comparison.
         if not self.horizon >= 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import check_keys, check_types, json_type
+from .model import check_keys, check_types, json_type, store_integers, store_reals
 
 DEFAULT_RIDGE = 1e-6
 DEFAULT_POLY_DEGREE = 3
@@ -277,6 +277,8 @@ class RegressionBackend:
         if self.kind not in BACKEND_KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         _check_kernel(self.bandwidth, self.ridge)
+        store_reals(self, "bandwidth", "ridge")
+        store_integers(self, "degree")
         if not self.degree >= 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
 

@@ -27,6 +27,12 @@ _INV_SQRT_HALF_PI = 1.0 / math.sqrt(0.5 * math.pi)
 # [-1e12, 1e12] (a 600,000-point grid); the 8th is a spare.
 _NEWTON_STEPS = 8
 
+# Largest |mu / sigma| that prices. Up to about 9e307 every intermediate of
+# the iteration stays finite; the bound keeps a margin of over 10^7.
+MAX_SCALED_MEAN = 1e300
+# Beyond this |m|, sqrt(m^2 + 4) rounds to |m|; past 1.3e154, m^2 overflows.
+_SQRT_EXACT = 1e150
+
 
 @dataclass(frozen=True)
 class GaussianBelief:
@@ -85,7 +91,8 @@ def myopic_price(belief: GaussianBelief):
     bracket (lo, hi) by the sign of q - R, and a Newton step that leaves
     the bracket is replaced by its midpoint. The loop runs _NEWTON_STEPS
     times, one erfcx evaluation each; against 40-digit roots the price is
-    within 4 ulps on a 1001-point grid of m in [-30, 40].
+    within 4 ulps on a 1001-point grid of m in [-30, 40]. A |m| above
+    MAX_SCALED_MEAN raises a ValueError naming the mean and the variance.
 
     The mean may be a float or an array; each element follows the same
     elementwise arithmetic for the same number of steps, so an array call
@@ -94,10 +101,17 @@ def myopic_price(belief: GaussianBelief):
     if not belief.var > 0:
         raise ValueError(f"pricing requires positive variance, got {belief.var}")
     sigma = math.sqrt(belief.var)
+    # Checked before dividing, where mu / sigma could overflow.
+    if not np.all(np.abs(belief.mean) <= MAX_SCALED_MEAN * sigma):
+        raise ValueError(
+            f"pricing requires |mean| / sqrt(variance) <= {MAX_SCALED_MEAN:g}, "
+            f"got mean {belief.mean} and variance {belief.var}"
+        )
     m = np.asarray(belief.mean, dtype=float) / sigma
     # Bracket end (m + sqrt(m^2 + 4)) / 2; for m < 0 it is computed as the
     # reciprocal of (|m| + sqrt(m^2 + 4)) / 2, which avoids the cancellation.
-    s = 0.5 * (np.abs(m) + np.sqrt(m * m + 4.0))
+    a = np.abs(m)
+    s = np.where(a > _SQRT_EXACT, a, 0.5 * (a + np.sqrt(np.minimum(a, _SQRT_EXACT) ** 2 + 4.0)))
     hi = np.where(m < 0.0, 1.0 / s, s)
     lo = np.zeros_like(hi)
     q = hi

@@ -13,12 +13,12 @@ engine on problems small enough to enumerate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from . import consumer, seller
+from . import experiment
 from .model import ModelParams, check_keys
 from .rng import RngStream
 
@@ -217,12 +217,14 @@ def simulate_paths(
 def discretize_consumer_problem(params: ModelParams, levels: int) -> FiniteStopProblem:
     """Quantized lattice version of the purchase-timing model.
 
-    Valuation shocks, observation noise, and the initial valuation are each
-    collapsed to `levels` Gauss-Hermite support points (moment-matched), and
-    the seller's deterministic belief recursion is embedded in the node
-    state, so the resulting tree prices exactly like the continuous model
-    along its quantized histories. Intended for tiny horizons; raises when
-    the tree would exceed NODE_BUDGET nodes.
+    The initial valuation, the valuation shocks and the observation noise
+    each take `levels` Gauss-Hermite support points (moment-matched), and the
+    lattice is the path simulator run on them: leaf k's draws are picked by
+    the 2T+1 base-`levels` digits of k, and an epoch-t node is the prefix of
+    its first leaf's draws, so the tree prices exactly like the continuous
+    model along its quantized histories. Children are ordered (parent,
+    valuation shock, observation noise). Intended for tiny horizons; raises
+    when the tree would exceed NODE_BUDGET nodes.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
@@ -238,32 +240,13 @@ def discretize_consumer_problem(params: ModelParams, levels: int) -> FiniteStopP
     # Child weights of one parent, ordered (valuation shock, observation noise).
     child_weights = np.outer(weights, weights).ravel()
 
-    # Node state at epoch t: the consumer's valuation mean and the seller's
-    # posterior mean, one array entry per node; the posterior variance is
-    # observation-independent, hence shared per epoch.
-    state = consumer.initial_state(params.mu_prior + params.sigma_v * points, params)
-    belief = seller.GaussianBelief(np.full(levels, float(params.mu_prior)), params.sigma_v**2)
-    price = seller.myopic_price(belief)
-    payoffs = [consumer.exit_payoff(consumer.purchase_payoff(state, price, params))]
-    transitions: list[np.ndarray] = []
-    for _ in range(T):
-        # Children ordered (parent, valuation shock, observation noise): each
-        # parent repeats fan times against the tiled shock and noise points,
-        # and the epoch steps through the simulator's functions.
-        n_parent = len(state.v)
-        state = consumer.step_valuation(
-            replace(state, v=np.repeat(state.v, fan)),
-            np.tile(np.repeat(points, levels), n_parent),
-            params,
-        )
-        price, belief, _ = seller.seller_step(
-            replace(belief, mean=np.repeat(belief.mean, fan)),
-            state.v,
-            np.tile(points, n_parent * levels),
-            params,
-        )
-        payoffs.append(consumer.exit_payoff(consumer.purchase_payoff(state, price, params)))
-        transitions.append(np.kron(np.eye(n_parent), child_weights))
+    # Leaf digits, most significant first, by integer arithmetic: np.indices
+    # stops at 64 dimensions, which levels = 1 passes at T = 32.
+    leaf = np.arange(levels ** (2 * T + 1))[:, None]
+    digits = leaf // levels ** np.arange(2 * T, -1, -1) % levels
+    h = experiment.simulate(params, points[digits]).h
+    payoffs = [h[:: fan ** (T - t), t] for t in range(T + 1)]
+    transitions = [np.kron(np.eye(len(payoffs[t])), child_weights) for t in range(T)]
 
     problem = FiniteStopProblem(payoffs=payoffs, transitions=transitions, initial=weights)
     problem.validate()

@@ -13,6 +13,7 @@ from optstop.consumer import (
     exit_payoff,
     initial_state,
     purchase_payoff,
+    residual_var,
     step_valuation,
 )
 from optstop.model import ModelParams
@@ -124,6 +125,25 @@ class TestPurchasePayoff:
         assert math.isfinite(pay)
         assert pay == 1.0 - math.exp(MAX_EXPONENT)
         assert exit_payoff(pay) == 0.0
+
+    @given(
+        gamma=st.floats(0.05, 20.0),
+        sigma_eps=st.floats(0.0, 2.0),
+        t=st.integers(0, 25),
+        price=st.floats(-100.0, 100.0),
+        exponent=st.floats(600.0, 800.0),
+    )
+    @settings(max_examples=300)
+    def test_clamp_changes_no_exit_payoff_or_decision(self, gamma, sigma_eps, t, price, exponent):
+        # The valuation that puts the CARA exponent near `exponent`.
+        params = ModelParams(horizon=25, gamma=gamma, sigma_eps=sigma_eps)
+        var = residual_var(t, params)
+        v = price - (exponent - 0.5 * gamma * gamma * var) / gamma
+        clamped = purchase_payoff(ConsumerState(t, v, var), price, params)
+        with np.errstate(over="ignore"):  # exp overflows to inf above about 709.8
+            exact = 1.0 - np.exp(-gamma * (v - price) + 0.5 * gamma * gamma * var)
+        assert exit_payoff(clamped) == exit_payoff(exact) == 0.0
+        assert clamped <= 1.0 - math.exp(MAX_EXPONENT) or clamped == exact
 
     def test_rejects_non_finite_price(self):
         params = ModelParams()

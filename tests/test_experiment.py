@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optstop import experiment, lsm
+from optstop import experiment, lsm, snell
 from optstop.consumer import exit_payoff, initial_state, purchase_payoff, step_valuation
 from optstop.experiment import (
     DOMAIN_MYOPIC_TEST,
@@ -111,6 +111,27 @@ class TestGeneratePaths:
         batch = generate_paths(params, 10, DOMAIN_TRAIN, fixed_v0=1.3)
         assert (batch.v == 1.3).all()
         assert not np.array_equal(batch.y[0], batch.y[1])
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda params: generate_paths(params, 3),
+            lambda params: run_experiment(ExperimentConfig(params=params, n_train=3, n_test=3)),
+            lambda params: snell.discretize_consumer_problem(params, levels=2),
+        ],
+        ids=["generate_paths", "run_experiment", "discretize"],
+    )
+    def test_noiseless_observation_named(self, run):
+        # Valid for the Kalman filter, but its posterior variance 0 has no price.
+        with pytest.raises(ValueError, match="^sigma_xi must be > 0 to simulate, got 0.0"):
+            run(ModelParams(horizon=2, sigma_xi=0.0))
+
+    def test_simulate_checks_draw_count(self):
+        params = ModelParams(horizon=3)
+        with pytest.raises(ValueError, match="^z must have 7 columns"):
+            experiment.simulate(params, np.zeros((2, 6)))
+        with pytest.raises(ValueError, match="^z must have 6 columns"):
+            experiment.simulate(params, np.zeros((2, 7)), fixed_v0=0.5)
 
     def test_path_index_not_order_dependent(self):
         params = ModelParams(horizon=4, seed=5)
@@ -636,6 +657,9 @@ class TestConfig:
             (lambda: ModelParams(sigma_eps=None), "sigma_eps"),
             (lambda: ModelParams(mu_prior=True), "mu_prior"),
             (lambda: small_config(trace_trials=3), "trace_trials"),
+            (lambda: RegressionBackend(kind="poly", degree=2.5), "degree"),
+            (lambda: RegressionBackend(kind="poly", degree=True), "degree"),
+            (lambda: RegressionBackend(kind="poly", degree="3"), "degree"),
         ],
     )
     def test_python_built_fault_named(self, build, key):
@@ -649,6 +673,21 @@ class TestConfig:
         )
         assert config.n_train == 5 and config.params.horizon == 3
         assert ExperimentConfig.from_dict(json.loads(config.echo())) == config
+
+    def test_int_beyond_float_range_named(self):
+        with pytest.raises(ValueError, match="^gamma must be a finite number"):
+            ModelParams(gamma=10**400)
+        with pytest.raises(ValueError, match="^fixed_v0 must be a finite number"):
+            small_config(fixed_v0=-(10**400))
+
+    def test_numpy_scalars_round_trip(self):
+        config = small_config(
+            params=ModelParams(horizon=3, gamma=np.float32(1.5), sigma_xi=np.float64(0.5)),
+            backend=RegressionBackend(bandwidth=np.float32(0.7), degree=np.int64(2)),
+            fixed_v0=np.float32(0.4),
+        )
+        assert ExperimentConfig.from_dict(json.loads(config.echo())) == config
+        assert type(config.fixed_v0) is float and type(config.backend.degree) is int
 
     def test_paired_must_be_boolean(self):
         # A non-empty string is truthy, so it would run paired.

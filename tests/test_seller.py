@@ -1,6 +1,7 @@
 """Kalman filter correctness and the myopic revenue-maximizing price."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -295,6 +296,24 @@ class TestMyopicPrice:
         shuffled = myopic_price(GaussianBelief(means[order], var))
         assert batched[0].tobytes() == alone.tobytes()
         assert shuffled[np.argmax(order == 0)].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("mean", [-seller.MAX_SCALED_MEAN, seller.MAX_SCALED_MEAN])
+    def test_largest_scaled_mean_prices(self, mean):
+        # Past |m| = 1.3e154, m^2 overflows; the bracket end is |m| there.
+        p = myopic_price(GaussianBelief(mean, 1.0))
+        assert p == pytest.approx(mean if mean > 0 else -1.0 / mean, rel=1e-12)
+        assert p > 0
+
+    def test_scaled_means_up_to_the_bound_price(self):
+        # Any RuntimeWarning fails the suite, so an overflow would show here.
+        m = np.geomspace(1e-300, seller.MAX_SCALED_MEAN, 6001)
+        prices = myopic_price(GaussianBelief(np.concatenate([-m, m]), 1.0))
+        assert np.all(np.isfinite(prices)) and np.all(prices > 0)
+
+    @pytest.mark.parametrize("mean, var", [(1.7e308, 1.0), (-1.7e308, 1.0), (1e300, 1e-300)])
+    def test_scaled_mean_beyond_bound_is_named(self, mean, var):
+        with pytest.raises(ValueError, match=re.escape(f"got mean {mean} and variance {var}")):
+            myopic_price(GaussianBelief(mean, var))
 
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError):

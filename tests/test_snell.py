@@ -225,12 +225,14 @@ class TestSimulatePaths:
 
 class TestDiscretizedConsumerProblem:
     def test_single_level_degenerate_chain(self):
-        params = ModelParams(horizon=4, seed=1)
-        problem = discretize_consumer_problem(params, levels=1)
-        assert all(len(h) == 1 for h in problem.payoffs)
-        sol = backward_induction(problem)
-        deterministic_h = [float(h[0]) for h in problem.payoffs]
-        assert sol.root_value == pytest.approx(max(deterministic_h), abs=1e-15)
+        # At horizon 40 a leaf has 81 draws, more than np.indices can index.
+        for horizon in (4, 40):
+            params = ModelParams(horizon=horizon, seed=1)
+            problem = discretize_consumer_problem(params, levels=1)
+            assert all(len(h) == 1 for h in problem.payoffs)
+            sol = backward_induction(problem)
+            deterministic_h = [float(h[0]) for h in problem.payoffs]
+            assert sol.root_value == pytest.approx(max(deterministic_h), abs=1e-15)
 
     def test_three_level_tree_shape_and_probabilities(self):
         params = ModelParams(horizon=3, seed=1)
