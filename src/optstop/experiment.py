@@ -127,13 +127,14 @@ def generate_paths(
 
     Path i draws all of its normals in one call on its own (seed, i, domain)
     stream, in simulate's draw order, and simulate runs the epochs of all
-    paths at once.
+    paths at once. The path set's one stream is rekeyed to each path in turn.
     """
     if n < 1:
         raise ValueError(f"number of paths must be >= 1, got {n}")
     z = np.empty((n, int(fixed_v0 is None) + 2 * params.horizon))
+    stream = RngStream(params.seed, 0, domain)
     for i in range(n):
-        z[i] = RngStream(params.seed, path_index=i, domain=domain).standard_normal(z.shape[1])
+        z[i] = stream.rekey(i).standard_normal(z.shape[1])
     return simulate(params, z, fixed_v0)
 
 
@@ -151,6 +152,7 @@ def simulate(params: ModelParams, z, fixed_v0: float | None = None) -> PathBatch
     # sigma_xi = 0 is a valid Kalman input, but its posterior variance 0 has no price.
     if not params.sigma_xi > 0:
         raise ValueError(f"sigma_xi must be > 0 to simulate, got {params.sigma_xi}")
+    _check_posterior_variance(params)
     T = params.horizon
     first = int(fixed_v0 is None)  # column of the first valuation shock
     z = np.asarray(z, dtype=float)
@@ -190,6 +192,23 @@ def simulate(params: ModelParams, z, fixed_v0: float | None = None) -> PathBatch
     )
     batch.validate()
     return batch
+
+
+def _check_posterior_variance(params: ModelParams) -> None:
+    """Step the seller's posterior variance through the horizon and raise,
+    naming the epoch and the noise scales, where it rounds to 0 and so has no
+    price. The variance does not depend on the observations, so one scalar
+    belief fed a dummy observation steps it for every path."""
+    belief = seller.GaussianBelief(0.0, params.sigma_v**2)
+    for t in range(params.horizon + 1):
+        if t > 0:
+            belief = seller.kalman_correct(seller.kalman_predict(belief, params), 0.0, params)
+        if not belief.var > 0:
+            raise ValueError(
+                f"seller posterior variance rounds to 0 at epoch {t}, so it has no price "
+                f"(sigma_v={params.sigma_v}, sigma_eps={params.sigma_eps}, "
+                f"sigma_xi={params.sigma_xi})"
+            )
 
 
 def train_policy(config: ExperimentConfig) -> tuple[lsm.StoppingPolicy, PathBatch]:

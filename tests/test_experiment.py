@@ -1,6 +1,7 @@
 """Path generation, output rendering, persistence round trips, determinism."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -126,6 +127,28 @@ class TestGeneratePaths:
         with pytest.raises(ValueError, match="^sigma_xi must be > 0 to simulate, got 0.0"):
             run(ModelParams(horizon=2, sigma_xi=0.0))
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda params: generate_paths(params, 2),
+            lambda params: snell.discretize_consumer_problem(params, levels=2),
+        ],
+        ids=["generate_paths", "discretize"],
+    )
+    def test_posterior_variance_rounding_to_zero_named(self, run):
+        # 1.01 + 1e-16 rounds to 1.01: the Kalman gain is exactly 1 and the
+        # posterior variance 0, though sigma_xi is positive.
+        with pytest.raises(
+            ValueError,
+            match=r"^seller posterior variance rounds to 0 at epoch 1, so it has no price "
+            r"\(sigma_v=1.0, sigma_eps=0.1, sigma_xi=1e-08\)$",
+        ):
+            run(ModelParams(horizon=2, sigma_xi=1e-8))
+
+    def test_tiny_positive_posterior_variance_runs(self):
+        batch = generate_paths(ModelParams(horizon=2, sigma_xi=1e-7), 2)
+        assert (batch.seller_var[1:] > 0).all()
+
     def test_simulate_checks_draw_count(self):
         params = ModelParams(horizon=3)
         with pytest.raises(ValueError, match="^z must have 7 columns"):
@@ -144,6 +167,26 @@ class TestGeneratePaths:
         train = generate_paths(params, 5, DOMAIN_TRAIN)
         test = generate_paths(params, 5, DOMAIN_TEST)
         assert not np.array_equal(train.v, test.v)
+
+    # sha256 prefixes of the seed-1 draw matrices, computed with one new
+    # RngStream per path; the reference run draws them for its path sets.
+    @pytest.mark.parametrize(
+        "domain, n, digest",
+        [
+            (DOMAIN_TRAIN, 500, "6c8a839478f16e5e"),
+            (DOMAIN_TEST, 1000, "57710cb1bede6a12"),
+            (DOMAIN_MYOPIC_TEST, 1000, "a89997ba80a5b2a7"),
+        ],
+    )
+    def test_seed1_draw_stream_pinned(self, domain, n, digest):
+        params = ModelParams(seed=1)
+        stream = RngStream(1, 0, domain)
+        z = np.array([stream.rekey(i).standard_normal(51) for i in range(n)])
+        assert hashlib.sha256(z.tobytes()).hexdigest()[:16] == digest
+        got, want = generate_paths(params, n, domain), experiment.simulate(params, z)
+        for f in dataclasses.fields(PathBatch):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a == b if f.name == "params" else a.tobytes() == b.tobytes(), f.name
 
     def test_terminal_valuation_mean_matches_prior(self):
         params = ModelParams(seed=29)

@@ -48,21 +48,52 @@ class TestRngStream:
     def test_substream_independence(self):
         # First draw of 1e5 disjoint path-index pairs: |corr| below 0.01.
         n = 10**5
-        a = np.empty(n)
-        b = np.empty(n)
-        for i in range(n):
-            a[i] = RngStream(99, path_index=2 * i).standard_normal()
-            b[i] = RngStream(99, path_index=2 * i + 1).standard_normal()
+        stream = RngStream(99)
+        a = np.array([stream.rekey(2 * i).standard_normal() for i in range(n)])
+        b = np.array([stream.rekey(2 * i + 1).standard_normal() for i in range(n)])
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 0.01
 
     def test_key_range_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^seed must fit in 64 bits"):
             RngStream(-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^seed must fit in 64 bits"):
+            RngStream(1 << 64)
+        with pytest.raises(ValueError, match="^path_index must fit in 32 bits"):
             RngStream(0, path_index=1 << 32)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^domain must fit in 32 bits"):
             RngStream(0, domain=1 << 32)
+        stream = RngStream(0)
+        for bad in (-1, 1 << 32):
+            with pytest.raises(ValueError, match="^path_index must fit in 32 bits"):
+                stream.rekey(bad)
+
+    @pytest.mark.parametrize("seed", [1, 29, 2**64 - 1])
+    @pytest.mark.parametrize("domain", [0, 1, 2])
+    @pytest.mark.parametrize("path_index", [0, 7, 2**32 - 1])
+    def test_rekey_equals_fresh_philox(self, seed, domain, path_index):
+        stream = RngStream(seed, 3, domain)
+        stream.standard_normal(5)
+        got = stream.rekey(path_index).standard_normal(51)
+        key = np.array([seed, (domain << 32) | path_index], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal(51)
+        assert got.tobytes() == want.tobytes()
+        assert RngStream(seed, path_index, domain).standard_normal(51).tobytes() == want.tobytes()
+
+    def test_rekey_after_partly_used_buffer(self):
+        # Two doubles and a uint32 use three words of the 4-word Philox block
+        # and leave half of the third cached: a rekey that kept either the
+        # unread word or the cached half would shift every later draw.
+        stream = RngStream(29, 1, 2)
+        stream.uniform(2)
+        stream._gen.integers(0, 1 << 32, dtype=np.uint32)
+        state = stream._gen.bit_generator.state
+        assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+        stream.rekey(4)
+        got = np.concatenate([stream.standard_normal(7), stream.uniform(5)])
+        fresh = np.random.Generator(np.random.Philox(key=np.array([29, 2 << 32 | 4], dtype=np.uint64)))
+        want = np.concatenate([fresh.standard_normal(7), fresh.random(5)])
+        assert got.tobytes() == want.tobytes()
 
     def test_uniform_range(self):
         u = RngStream(5).uniform(size=1000)
