@@ -124,7 +124,8 @@ def train(
     among the in-the-money paths (the rest are merged duplicates), the
     Taylor terms and the tail bound.
     """
-    h = np.asarray(h, dtype=float)
+    # Column-major working copies: each epoch's column is contiguous.
+    h = np.asfortranarray(h, dtype=float)
     if h.ndim != 2 or h.shape[1] < 2:
         raise ValueError(f"h must be (N, T+1) with T >= 1, got shape {h.shape}")
     if not np.all(np.isfinite(h)) or np.any(h < 0):
@@ -135,7 +136,7 @@ def train(
         x = h
         feature_kind = "exit_payoff"
     else:
-        x = np.asarray(features, dtype=float)
+        x = np.asfortranarray(features, dtype=float)
         if x.shape != h.shape:
             raise ValueError(f"features shape {x.shape} must match h shape {h.shape}")
         if not np.all(np.isfinite(x)):
@@ -239,8 +240,9 @@ def apply_policy(policy: StoppingPolicy, h, features=None) -> tuple[np.ndarray, 
     Equivalent path-by-path to looping decide() over prefixes (asserted in
     the test suite); payoff is the exit payoff at the stop epoch.
     """
-    h = np.asarray(h, dtype=float)
-    x = h if features is None else np.asarray(features, dtype=float)
+    # Column-major working copies: each epoch's column is contiguous.
+    h = np.asfortranarray(h, dtype=float)
+    x = h if features is None else np.asfortranarray(features, dtype=float)
     n_paths, t_plus_1 = h.shape
     if t_plus_1 - 1 != policy.horizon:
         raise ValueError(

@@ -133,7 +133,9 @@ def backward_induction(problem: FiniteStopProblem) -> SnellSolution:
 
     U_T = H_T at terminal nodes; at interior nodes U_t is the larger of the
     exit payoff and the transition-weighted expectation of U_{t+1}. A node is
-    labeled "stop" where U = H within EQUALITY_TOL.
+    labeled "stop" where U = H within EQUALITY_TOL. The expectations run in
+    numpy's own loops (einsum), never in BLAS, so the solution is the same
+    under any BLAS thread count.
     """
     problem.validate()
     T = problem.horizon
@@ -142,11 +144,11 @@ def backward_induction(problem: FiniteStopProblem) -> SnellSolution:
     values[T] = problem.payoffs[T].copy()
     stop[T] = np.ones(len(values[T]), dtype=bool)
     for t in range(T - 1, -1, -1):
-        cont = problem.transitions[t] @ values[t + 1]
+        cont = np.einsum("ij,j->i", problem.transitions[t], values[t + 1])
         h = problem.payoffs[t]
         values[t] = np.maximum(h, cont)
         stop[t] = values[t] - h <= EQUALITY_TOL
-    root = float(problem.initial @ values[0])
+    root = float(np.einsum("i,i", problem.initial, values[0]))
     return SnellSolution(values=values, stop=stop, root_value=root)
 
 
@@ -168,47 +170,68 @@ def expected_stopped_payoff(problem: FiniteStopProblem, solution: SnellSolution)
     mass = problem.initial.copy()
     for t in range(problem.horizon + 1):
         stopped = np.where(solution.stop[t], mass, 0.0)
-        total += float(stopped @ problem.payoffs[t])
+        total += float(np.einsum("i,i", stopped, problem.payoffs[t]))
         mass = mass - stopped
         if t < problem.horizon:
-            mass = mass @ problem.transitions[t]
+            mass = np.einsum("i,ij->j", mass, problem.transitions[t])
     return total
 
 
-def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Column of the distribution p drawn by each uniform u in [0, 1).
+def _draw_children(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Column of row rows[i] of the row-stochastic table drawn by each
+    uniform u[i] in [0, 1).
 
-    The draw is the count of cumulative masses below u, taken over the
-    positive-mass columns only, so neither u = 0 nor a u at or above a row
-    total short of 1 lands on a zero-mass column. Adding a zero is exact, so
-    these cumulative masses are bitwise those of the full row.
+    The draw is the count of the row's cumulative masses below u, taken over
+    its positive-mass columns only, so neither u = 0 nor a u at or above a row
+    total short of 1 lands on a zero-mass column. Each row's positive masses
+    are packed to the left of a table padded with +inf and summed along the
+    row; adding a zero is exact, so these cumulative masses are bitwise those
+    of the full row. Rows whose cumulative masses are bitwise equal share one
+    law and one sorted search (on the Gauss-Hermite lattice every parent has
+    the same child weights, so each epoch has one law); the drawn rank then
+    picks the column from each path's own row.
     """
-    support = np.flatnonzero(p > 0)
-    k = np.searchsorted(np.cumsum(p[support]), u, side="left")
-    return support[np.minimum(k, len(support) - 1)]
+    positive = table > 0
+    counts = positive.sum(axis=1)
+    r, c = np.nonzero(positive)
+    rank = np.arange(len(r)) - np.repeat(np.cumsum(counts) - counts, counts)
+    support = np.zeros((len(table), counts.max()), dtype=np.int64)
+    support[r, rank] = c
+    cum = np.full(support.shape, np.inf)
+    cum[r, rank] = table[r, c]
+    laws, law = np.unique(np.cumsum(cum, axis=1), axis=0, return_inverse=True)
+    law = law.ravel()[rows]  # the inverse's shape differs across numpy versions
+    order = np.argsort(law, kind="stable")
+    bounds = np.cumsum(np.bincount(law, minlength=len(laws)))[:-1]
+    k = np.empty(len(rows), dtype=np.int64)
+    for cdf, paths in zip(laws, np.split(order, bounds)):
+        k[paths] = np.searchsorted(cdf, u[paths], side="left")
+    return support[rows, np.minimum(k, counts[rows] - 1)]
 
 
 def simulate_paths(
     problem: FiniteStopProblem, n: int, seed: int, domain: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample n node paths; returns (node indices, exit payoffs), each (n, T+1).
+    """Sample n node paths; returns (node indices, exit payoffs), each (n, T+1)
+    and column-major, so each epoch's column is contiguous.
 
     One uniform per path draws the initial node, then one per path and epoch
-    draws the child; the paths at each node are sampled together from that
-    node's transition row, so memory stays linear in n.
+    draws the child. Each epoch is one vectorized pass: the paths are drawn
+    together by one sorted search per distinct transition law, so memory
+    stays linear in n.
     """
     problem.validate()
     T = problem.horizon
     stream = RngStream(seed, path_index=0, domain=domain)
-    nodes = np.zeros((n, T + 1), dtype=np.int64)
-    nodes[:, 0] = _inverse_cdf(problem.initial, stream.uniform(size=n))
+    nodes = np.zeros((n, T + 1), dtype=np.int64, order="F")
+    # The initial distribution is a one-row table: every path draws from row 0,
+    # which nodes[:, 0] still holds.
+    initial = problem.initial[None, :]
+    nodes[:, 0] = _draw_children(initial, nodes[:, 0], stream.uniform(size=n))
     for t in range(T):
         u_t = stream.uniform(size=n)
-        order = np.argsort(nodes[:, t])
-        visited, starts = np.unique(nodes[order, t], return_index=True)
-        for node, paths in zip(visited, np.split(order, starts[1:])):
-            nodes[paths, t + 1] = _inverse_cdf(problem.transitions[t][node], u_t[paths])
-    h = np.empty((n, T + 1))
+        nodes[:, t + 1] = _draw_children(problem.transitions[t], nodes[:, t], u_t)
+    h = np.empty((n, T + 1), order="F")
     for t in range(T + 1):
         h[:, t] = problem.payoffs[t][nodes[:, t]]
     return nodes, h

@@ -5,6 +5,7 @@ PASS/FAIL lines.
 """
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -30,6 +31,22 @@ from test_snell import enumerate_rule_values, random_tree
 def _criterion(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
     assert ok, f"criterion {num}: {detail}"
+
+
+def _run_cli(args: list[str], blas_threads: str | None) -> None:
+    """Run `python -m optstop.cli *args` in a fresh process with
+    OPENBLAS_NUM_THREADS set to blas_threads, or unset for the library
+    default."""
+    src = str(Path(optstop.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    subprocess.run(
+        [sys.executable, "-m", "optstop.cli", *args],
+        env=env, check=True, capture_output=True, timeout=300,
+    )
 
 
 class TestReproduction:
@@ -226,21 +243,33 @@ class TestDeterminism:
         # fresh process with one OpenBLAS thread and with the library default:
         # every reduction in the kernel fit and prediction runs in a fixed
         # order, so the files must be byte-identical.
-        src = str(Path(optstop.__file__).resolve().parents[1])
-        base = {k: v for k, v in os.environ.items()
-                if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
         digests = {}
         for threads in ("1", None):
-            env = dict(base, **({"OPENBLAS_NUM_THREADS": threads} if threads else {}))
             out = tmp_path / f"threads-{threads or 'default'}"
-            subprocess.run(
-                [sys.executable, "-m", "optstop.cli", "train", "--out", str(out)],
-                env=env, check=True, capture_output=True, timeout=300,
-            )
+            _run_cli(["train", "--out", str(out)], threads)
             digests[threads] = hashlib.sha256((out / "policy.txt").read_bytes()).hexdigest()
         _criterion(
             10, digests["1"] == digests[None],
             f"policy.txt sha256 {digests['1'][:12]} (1 BLAS thread) vs "
             f"{digests[None][:12]} (default threads)",
+        )
+
+    def test_oracle_solution_independent_of_blas_thread_count(self, tmp_path):
+        # The (2, 4) consumer lattice: its 64 x 1024 transition is large
+        # enough for OpenBLAS to thread a matrix-vector product. Backward
+        # induction runs its expectations in einsum, so solution.csv must be
+        # byte-identical under one OpenBLAS thread and the library default.
+        problem = discretize_consumer_problem(ModelParams(horizon=2, seed=1), levels=4)
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(problem.to_dict()), encoding="utf-8")
+        texts = {}
+        for threads in ("1", None):
+            out = tmp_path / f"threads-{threads or 'default'}"
+            _run_cli(["oracle", "--problem", str(path), "--out", str(out)], threads)
+            texts[threads] = (out / "solution.csv").read_bytes()
+        _criterion(
+            10, texts["1"] == texts[None],
+            f"solution.csv sha256 {hashlib.sha256(texts['1']).hexdigest()[:12]} "
+            f"(1 BLAS thread) vs {hashlib.sha256(texts[None]).hexdigest()[:12]} "
+            f"(default threads)",
         )

@@ -15,6 +15,7 @@ from optstop.regression import (
     RegressionBackend,
     Regressor,
     ZeroRegressor,
+    _group_means,
     _taylor_features,
     fit_kernel,
     fit_polynomial,
@@ -290,6 +291,19 @@ class TestTabularBackend:
         assert model.predict(0.0) == 2.0
         assert model.predict(1.0) == 5.0
         assert model.predict(2.0) == 7.0
+
+    def test_group_means_equal_add_at_bitwise(self):
+        # Targets spanning 16 decades make every group sum depend on its
+        # summation order; both accumulate from 0.0 in index order.
+        rng = np.random.default_rng(31)
+        xs = rng.integers(0, 40, size=5000).astype(float)
+        ys = 10.0 ** rng.uniform(-8, 8, size=5000)
+        want_uniq, inverse, counts = np.unique(xs, return_inverse=True, return_counts=True)
+        sums = np.zeros(len(want_uniq))
+        np.add.at(sums, inverse, ys)
+        uniq, means = _group_means(xs, ys)
+        assert uniq.tobytes() == want_uniq.tobytes()
+        assert means.tobytes() == (sums / counts).tobytes()
 
     def test_unseen_value_falls_back_to_global_mean(self):
         model = fit_tabular([0.0, 1.0], [2.0, 4.0])

@@ -15,7 +15,7 @@ from optstop.rng import RngStream
 from optstop.seller import GaussianBelief, kalman_correct, kalman_predict, myopic_price
 from optstop.snell import (
     FiniteStopProblem,
-    _inverse_cdf,
+    _draw_children,
     backward_induction,
     discretize_consumer_problem,
     expected_stopped_payoff,
@@ -187,15 +187,61 @@ def dense_gather_paths(problem: FiniteStopProblem, n: int, seed: int, domain: in
     return nodes, h
 
 
+def random_law_tree(rng) -> FiniteStopProblem:
+    """Small random epoch graph whose rows mix one shared law (placed on
+    varying columns), distinct laws and zero-mass columns; the initial
+    distribution may have zeros too."""
+    sizes = rng.integers(1, 7, size=rng.integers(2, 5))
+
+    def law(width):
+        w = np.where(rng.random(width) < 0.3, 0.0, rng.uniform(0.1, 1.0, size=width))
+        w[rng.integers(width)] = 0.5  # at least one positive mass
+        return w / w.sum()
+
+    transitions = []
+    for t in range(len(sizes) - 1):
+        width = sizes[t + 1]
+        masses = law(width)
+        masses = masses[masses > 0]
+        rows = []
+        for _ in range(sizes[t]):
+            if rng.random() < 0.6:
+                row = np.zeros(width)
+                row[np.sort(rng.choice(width, size=len(masses), replace=False))] = masses
+            else:
+                row = law(width)
+            rows.append(row)
+        transitions.append(np.array(rows))
+    return FiniteStopProblem(
+        payoffs=[rng.uniform(0, 1, size=n) for n in sizes],
+        transitions=transitions,
+        initial=law(sizes[0]),
+    )
+
+
 class TestSimulatePaths:
     def test_zero_uniform_skips_leading_zero_mass(self):
-        p = np.array([0.0, 0.0, 0.25, 0.75])
-        assert _inverse_cdf(p, np.array([0.0, 0.25, 0.2500001])).tolist() == [2, 2, 3]
+        p = np.array([[0.0, 0.0, 0.25, 0.75]])
+        rows = np.zeros(3, dtype=np.int64)
+        assert _draw_children(p, rows, np.array([0.0, 0.25, 0.2500001])).tolist() == [2, 2, 3]
 
     def test_uniform_above_row_total_clamps_to_last_mass(self):
-        p = np.array([0.5, 0.5 - 1e-13, 0.0, 0.0])
+        p = np.array([[0.5, 0.5 - 1e-13, 0.0, 0.0]])
         assert p.sum() < 1 - 2**-53
-        assert _inverse_cdf(p, np.array([1 - 2**-53])).tolist() == [1]
+        rows = np.zeros(1, dtype=np.int64)
+        assert _draw_children(p, rows, np.array([1 - 2**-53])).tolist() == [1]
+
+    def test_random_trees_equal_dense_gather_bitwise(self):
+        rng = np.random.default_rng(26)
+        for i in range(200):
+            problem = random_law_tree(rng)
+            nodes, h = simulate_paths(problem, 300, seed=i, domain=2)
+            want_nodes, want_h = dense_gather_paths(problem, 300, seed=i, domain=2)
+            assert nodes.tobytes() == want_nodes.tobytes(), i
+            assert h.tobytes() == want_h.tobytes(), i
+            assert np.all(problem.initial[nodes[:, 0]] > 0)
+            for t, m in enumerate(problem.transitions):
+                assert np.all(m[nodes[:, t], nodes[:, t + 1]] > 0)
 
     @pytest.mark.parametrize("horizon, levels", [(2, 4), (3, 3), (4, 2), (None, None)])
     def test_equals_dense_gather_bitwise(self, horizon, levels):
