@@ -218,7 +218,7 @@ def _group_means(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Sorted distinct inputs and the mean target of each; the sorted order
     makes a fit on them bitwise invariant under permutation of the pairs."""
     uniq, inverse, counts = np.unique(xs, return_inverse=True, return_counts=True)
-    sums = np.bincount(inverse.ravel(), weights=ys, minlength=len(uniq))
+    sums = np.bincount(inverse, weights=ys, minlength=len(uniq))
     return uniq, sums / counts
 
 

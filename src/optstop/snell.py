@@ -224,10 +224,8 @@ def simulate_paths(
     T = problem.horizon
     stream = RngStream(seed, path_index=0, domain=domain)
     nodes = np.zeros((n, T + 1), dtype=np.int64, order="F")
-    # The initial distribution is a one-row table: every path draws from row 0,
-    # which nodes[:, 0] still holds.
-    initial = problem.initial[None, :]
-    nodes[:, 0] = _draw_children(initial, nodes[:, 0], stream.uniform(size=n))
+    root = np.zeros(n, dtype=np.int64)  # the initial distribution is a one-row table
+    nodes[:, 0] = _draw_children(problem.initial[None, :], root, stream.uniform(size=n))
     for t in range(T):
         u_t = stream.uniform(size=n)
         nodes[:, t + 1] = _draw_children(problem.transitions[t], nodes[:, t], u_t)
