@@ -14,8 +14,6 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import ModelParams
@@ -25,44 +23,20 @@ from .model import ModelParams
 MAX_EXPONENT = 700.0
 
 
-@dataclass(frozen=True)
-class ConsumerState:
-    """Time index, current valuation mean, and remaining valuation variance.
-
-    v is a float, or an (N,) array for N paths at the same epoch.
-    """
-
-    t: int
-    v: float | np.ndarray
-    residual_var: float
-
-    def __post_init__(self):
-        if self.residual_var < 0:
-            raise ValueError(f"residual variance must be >= 0, got {self.residual_var}")
-
-
 def residual_var(t, params: ModelParams):
     """Variance left in the final valuation at epoch t (an int or an array)."""
     return (params.horizon - t) * params.sigma_eps**2
 
 
-def initial_state(v0: float, params: ModelParams) -> ConsumerState:
-    return ConsumerState(t=0, v=v0, residual_var=residual_var(0, params))
-
-
-def step_valuation(state: ConsumerState, z, params: ModelParams) -> ConsumerState:
+def step_valuation(v, z, params: ModelParams):
     """Advance the valuation walk one step on the drawn standard normal z:
-    v_{t+1} = v_t + sigma_eps * z. z is a float, or an array shaped like v."""
-    if state.t >= params.horizon:
-        raise ValueError(f"cannot step past the horizon (t={state.t})")
-    t_next = state.t + 1
-    return ConsumerState(
-        t=t_next, v=state.v + params.sigma_eps * z, residual_var=residual_var(t_next, params)
-    )
+    v_{t+1} = v_t + sigma_eps * z. v and z are floats or matching arrays."""
+    return v + params.sigma_eps * z
 
 
-def purchase_payoff(state: ConsumerState, price, params: ModelParams):
-    """Certainty-equivalent payoff from purchasing now at the given price.
+def purchase_payoff(v, price, t, params: ModelParams):
+    """Certainty-equivalent payoff from purchasing at epoch t, valuation mean
+    v and the given price, with residual_var(t, params) left in the valuation.
 
     Strictly increasing in the valuation mean, strictly decreasing in price,
     bounded above by 1. The exponent is clamped at MAX_EXPONENT so deeply
@@ -74,7 +48,7 @@ def purchase_payoff(state: ConsumerState, price, params: ModelParams):
     if not np.all(np.isfinite(price)):
         raise ValueError(f"price must be finite, got {price}")
     g = params.gamma
-    exponent = -g * (state.v - price) + 0.5 * g * g * state.residual_var
+    exponent = -g * (v - price) + 0.5 * g * g * residual_var(t, params)
     return 1.0 - np.exp(np.minimum(exponent, MAX_EXPONENT))
 
 

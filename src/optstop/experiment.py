@@ -145,24 +145,19 @@ def simulate(params: ModelParams, z, fixed_v0: float | None = None) -> PathBatch
     Row i holds path i's standard normals in draw order: the initial
     valuation (unless pinned via fixed_v0), then per epoch the valuation
     shock and the seller's observation noise. The epochs run for all rows at
-    once through the same consumer and seller functions as a single path:
-    the valuation walk steps, the seller observes, filters, and prices, and
-    the payoffs close the epoch.
+    once, each written straight into its column of the batch: the valuation
+    walk steps, the seller observes, filters, and prices, and the payoffs
+    close the epoch.
     """
     # sigma_xi = 0 is a valid Kalman input, but its posterior variance 0 has no price.
     if not params.sigma_xi > 0:
         raise ValueError(f"sigma_xi must be > 0 to simulate, got {params.sigma_xi}")
-    _check_posterior_variance(params)
     T = params.horizon
     first = int(fixed_v0 is None)  # column of the first valuation shock
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[1] != first + 2 * T:
         raise ValueError(f"z must have {first + 2 * T} columns, one row per path, got {z.shape}")
     n = len(z)
-    if first:
-        v0 = params.mu_prior + params.sigma_v * z[:, 0]
-    else:
-        v0 = np.full(n, float(fixed_v0))
     # Epoch t >= 1 runs on the valuation shocks eps[:, t-1] and the
     # observation noise xi[:, t-1].
     eps, xi = z[:, first::2], z[:, first + 1 :: 2]
@@ -173,18 +168,27 @@ def simulate(params: ModelParams, z, fixed_v0: float | None = None) -> PathBatch
     pi = np.empty((n, T + 1))
     seller_mean = np.empty((n, T + 1))
     seller_var = np.empty(T + 1)
-    state = consumer.initial_state(v0, params)
-    belief = seller.GaussianBelief(np.full(n, float(params.mu_prior)), params.sigma_v**2)
-    price = seller.myopic_price(belief)
+    v[:, 0] = params.mu_prior + params.sigma_v * z[:, 0] if first else fixed_v0
+    seller_mean[:, 0] = params.mu_prior
+    # The posterior variance does not depend on the observations: one
+    # scalar, stepped once per epoch, serves every path.
+    var = params.sigma_v**2
     for t in range(T + 1):
         if t > 0:
-            state = consumer.step_valuation(state, eps[:, t - 1], params)
-            price, belief, y[:, t - 1] = seller.seller_step(belief, state.v, xi[:, t - 1], params)
-        v[:, t] = state.v
-        p[:, t] = price
-        seller_mean[:, t] = belief.mean
-        seller_var[t] = belief.var
-        pi[:, t] = consumer.purchase_payoff(state, price, params)
+            v[:, t] = consumer.step_valuation(v[:, t - 1], eps[:, t - 1], params)
+            y[:, t - 1] = v[:, t] + params.sigma_xi * xi[:, t - 1]
+            seller_mean[:, t], var = seller.kalman_correct(
+                seller_mean[:, t - 1], seller.kalman_predict(var, params), y[:, t - 1], params
+            )
+        if not var > 0:
+            raise ValueError(
+                f"seller posterior variance rounds to 0 at epoch {t}, so it has no price "
+                f"(sigma_v={params.sigma_v}, sigma_eps={params.sigma_eps}, "
+                f"sigma_xi={params.sigma_xi})"
+            )
+        seller_var[t] = var
+        p[:, t] = seller.myopic_price(seller_mean[:, t], var)
+        pi[:, t] = consumer.purchase_payoff(v[:, t], p[:, t], t, params)
 
     batch = PathBatch(
         v=v, y=y, p=p, pi=pi, h=consumer.exit_payoff(pi),
@@ -192,23 +196,6 @@ def simulate(params: ModelParams, z, fixed_v0: float | None = None) -> PathBatch
     )
     batch.validate()
     return batch
-
-
-def _check_posterior_variance(params: ModelParams) -> None:
-    """Step the seller's posterior variance through the horizon and raise,
-    naming the epoch and the noise scales, where it rounds to 0 and so has no
-    price. The variance does not depend on the observations, so one scalar
-    belief fed a dummy observation steps it for every path."""
-    belief = seller.GaussianBelief(0.0, params.sigma_v**2)
-    for t in range(params.horizon + 1):
-        if t > 0:
-            belief = seller.kalman_correct(seller.kalman_predict(belief, params), 0.0, params)
-        if not belief.var > 0:
-            raise ValueError(
-                f"seller posterior variance rounds to 0 at epoch {t}, so it has no price "
-                f"(sigma_v={params.sigma_v}, sigma_eps={params.sigma_eps}, "
-                f"sigma_xi={params.sigma_xi})"
-            )
 
 
 def train_policy(config: ExperimentConfig) -> tuple[lsm.StoppingPolicy, PathBatch]:
@@ -419,7 +406,8 @@ def load_paths_csv(path) -> PathBatch:
     Every (path, t) pair up to the largest path and epoch in the file must
     appear exactly once, and all paths must share seller_var at each t;
     otherwise the error names the first pair that is missing, duplicated, or
-    whose seller_var differs from path 0's.
+    whose seller_var differs from path 0's. A field that does not parse is
+    named by its column and its data row (row 1 follows the header).
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -438,24 +426,42 @@ def load_paths_csv(path) -> PathBatch:
     fields[3::width] = [s or "nan" for s in fields[3::width]]
 
     def parse(k: int, kind=float) -> np.ndarray:
-        return np.fromiter(map(kind, fields[k::width]), dtype=kind, count=n_rows)
+        values = fields[k::width]
+        try:
+            return np.fromiter(map(kind, values), dtype=kind, count=n_rows)
+        except (ValueError, OverflowError):
+            for row, text in enumerate(values, 1):
+                try:
+                    np.array(kind(text), dtype=kind)
+                except (ValueError, OverflowError):
+                    what = "a 64-bit integer" if kind is int else "a number"
+                    raise ValueError(
+                        f"paths CSV data row {row}: {PATHS_COLUMNS[k]} field {text!r} is not {what}"
+                    ) from None
+            raise
 
     path_i, t = parse(0, int), parse(1, int)
     if path_i.min() < 0 or t.min() < 0:
         raise ValueError("paths CSV has a negative path or t index")
     n, T = int(path_i.max()) + 1, int(t.max())
-    flat = path_i * (T + 1) + t
-    counts = np.bincount(flat, minlength=n * (T + 1))
-    bad = np.flatnonzero(counts != 1)
-    if bad.size:
-        i, t_bad = divmod(int(bad[0]), T + 1)
-        fault = "is missing" if counts[bad[0]] == 0 else f"appears {counts[bad[0]]} times"
+    # Sorted by (path, t), a complete file lists row k as (k // (T+1), k % (T+1)).
+    order = np.lexsort((t, path_i))
+    got_path, got_t = path_i[order], t[order]
+    want_path, want_t = np.divmod(np.arange(n_rows), T + 1)
+    bad = np.flatnonzero((got_path != want_path) | (got_t != want_t))
+    if bad.size or n_rows != n * (T + 1):
+        k = int(bad[0]) if bad.size else n_rows
+        # The first row off that order repeats the row before it, or skips the wanted pair.
+        if 0 < k < n_rows and got_path[k] == got_path[k - 1] and got_t[k] == got_t[k - 1]:
+            i, t_bad = got_path[k], got_t[k]
+            fault = f"appears {np.count_nonzero((path_i == i) & (t == t_bad))} times"
+        else:
+            i, t_bad = divmod(k, T + 1)
+            fault = "is missing"
         raise ValueError(f"paths CSV row (path={i}, t={t_bad}) {fault}")
 
     def column(k: int) -> np.ndarray:
-        out = np.empty(n * (T + 1))
-        out[flat] = parse(k)
-        return out.reshape(n, T + 1)
+        return parse(k)[order].reshape(n, T + 1)
 
     y = column(3)[:, 1:].copy()
     seller_var = column(8)

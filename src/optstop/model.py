@@ -64,6 +64,21 @@ def store_integers(obj, *names: str) -> None:
         object.__setattr__(obj, name, int(value))
 
 
+def check_finite(name: str, value, ndim: int = 1) -> np.ndarray:
+    """value as a non-empty float array of ndim dimensions with finite real
+    entries; anything else (strings, bools, NaN, ragged nesting) raises a
+    ValueError naming it."""
+    try:
+        arr = np.asarray(value)
+        ok = arr.dtype.kind in "iuf" and arr.ndim == ndim and arr.size > 0
+    except ValueError:
+        ok = False
+    if not (ok and np.all(np.isfinite(arr))):
+        shape = "a finite number" if ndim == 0 else f"a non-empty {ndim}-D array of finite numbers"
+        raise ValueError(f"{name} must be {shape}")
+    return np.asarray(arr, dtype=float)
+
+
 # Checked in order, so a bool is never taken for a number.
 _JSON_TYPES = (
     (bool, "boolean"), (int, "integer"), (float, "number"),

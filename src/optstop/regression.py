@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import check_keys, check_types, json_type, store_integers, store_reals
+from .model import check_finite, check_keys, check_types, json_type, store_integers, store_reals
 
 DEFAULT_RIDGE = 1e-6
 DEFAULT_POLY_DEGREE = 3
@@ -27,27 +27,12 @@ _LOG_TAIL_TOL = math.log(2.0**-106)
 BACKEND_KINDS = ("kernel", "poly", "tabular")
 
 
-def _finite(name: str, value, ndim: int = 1) -> np.ndarray:
-    """value as a non-empty float array of ndim dimensions with finite real
-    entries; anything else (strings, bools, NaN, ragged nesting) raises a
-    ValueError naming it."""
-    try:
-        arr = np.asarray(value)
-        ok = arr.dtype.kind in "iuf" and arr.ndim == ndim and arr.size > 0
-    except ValueError:
-        ok = False
-    if not (ok and np.all(np.isfinite(arr))):
-        shape = "a finite number" if ndim == 0 else "a non-empty 1-D array of finite numbers"
-        raise ValueError(f"{name} must be {shape}")
-    return np.asarray(arr, dtype=float)
-
-
 def _check_kernel(bandwidth, ridge) -> None:
     """Reject a Gaussian kernel bandwidth that is not finite and > 0, or a
     ridge strength that is not finite and >= 0."""
-    if not _finite("bandwidth", bandwidth, ndim=0) > 0:
+    if not check_finite("bandwidth", bandwidth, ndim=0) > 0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    if _finite("ridge", ridge, ndim=0) < 0:
+    if check_finite("ridge", ridge, ndim=0) < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
 
 
@@ -138,8 +123,8 @@ class KernelRegressor(Regressor):
 
     def __init__(self, xs, weights, bandwidth: float, ridge: float):
         _check_kernel(bandwidth, ridge)
-        self.xs = _finite("xs", xs)
-        self.weights = _finite("weights", weights)
+        self.xs = check_finite("xs", xs)
+        self.weights = check_finite("weights", weights)
         if len(self.xs) != 2 or not self.xs[0] <= self.xs[1]:
             raise ValueError(f"xs must be the training interval [lo, hi], got {self.xs.tolist()}")
         n_terms, self.tail_bound = kernel_terms(self.xs[1] - self.xs[0], bandwidth)
@@ -165,7 +150,7 @@ class PolynomialRegressor(Regressor):
     FIELDS = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = _finite("coeffs", coeffs)
+        self.coeffs = check_finite("coeffs", coeffs)
 
     def predict(self, x):
         scalar = np.ndim(x) == 0
@@ -181,9 +166,9 @@ class TabularRegressor(Regressor):
     FIELDS = ("xs", "means", "default")
 
     def __init__(self, xs, means, default: float):
-        self.xs = _finite("xs", xs)
-        self.means = _finite("means", means)
-        self.default = float(_finite("default", default, ndim=0))
+        self.xs = check_finite("xs", xs)
+        self.means = check_finite("means", means)
+        self.default = float(check_finite("default", default, ndim=0))
         if len(self.means) != len(self.xs):
             raise ValueError(f"{len(self.xs)} table entries but {len(self.means)} means")
         if not np.all(np.diff(self.xs) > 0):

@@ -63,16 +63,12 @@ class RngStream:
         self._gen.bit_generator.state = self._state
         return self
 
-    def standard_normal(self, size=None):
-        """Draw standard-normal variates, advancing the stream state."""
-        if size is None:
-            return float(self._gen.standard_normal())
+    def standard_normal(self, size):
+        """Draw an array of standard-normal variates, advancing the stream state."""
         return self._gen.standard_normal(size)
 
-    def uniform(self, size=None):
-        """Draw uniforms on [0, 1), advancing the stream state."""
-        if size is None:
-            return float(self._gen.random())
+    def uniform(self, size):
+        """Draw an array of uniforms on [0, 1), advancing the stream state."""
         return self._gen.random(size)
 
 

@@ -9,7 +9,6 @@ immediate revenue p * Pr(v > p) under his current posterior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfcx
@@ -34,49 +33,31 @@ MAX_SCALED_MEAN = 1e300
 _SQRT_EXACT = 1e150
 
 
-@dataclass(frozen=True)
-class GaussianBelief:
-    """Mean and variance of the seller's posterior on the consumer valuation.
-
-    The mean is a float, or an (N,) array when N paths share one variance
-    (the variance does not depend on the observations).
-    """
-
-    mean: float | np.ndarray
-    var: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.mean)):
-            raise ValueError(f"mean must be finite, got {self.mean}")
-        if not 0.0 <= self.var < math.inf:
-            raise ValueError(f"variance must be finite and >= 0, got {self.var}")
+def kalman_predict(var, params: ModelParams):
+    """Time update of the posterior variance: it grows by the process noise.
+    The mean is unchanged."""
+    return var + params.sigma_eps**2
 
 
-def kalman_predict(belief: GaussianBelief, params: ModelParams) -> GaussianBelief:
-    """Time update: mean unchanged, variance grows by the process noise."""
-    return GaussianBelief(belief.mean, belief.var + params.sigma_eps**2)
+def kalman_correct(mean, var, y, params: ModelParams):
+    """Measurement update with observation y = v + N(0, sigma_xi^2); returns
+    the posterior (mean, var).
 
-
-def kalman_correct(belief: GaussianBelief, y, params: ModelParams) -> GaussianBelief:
-    """Measurement update with observation y = v + N(0, sigma_xi^2).
-
-    y is a float, or an array shaped like the belief mean.
+    mean and y are floats or matching arrays. var is one float, since the
+    posterior variance does not depend on the observations.
     """
     if not np.all(np.isfinite(y)):
         raise ValueError(f"observation must be finite, got {y}")
-    denom = belief.var + params.sigma_xi**2
+    denom = var + params.sigma_xi**2
     if denom == 0.0:
         # Degenerate: point-mass belief and noiseless sensor carry no news.
-        return belief
-    gain = belief.var / denom
-    return GaussianBelief(
-        mean=belief.mean + gain * (y - belief.mean),
-        var=(1.0 - gain) * belief.var,
-    )
+        return mean, var
+    gain = var / denom
+    return mean + gain * (y - mean), (1.0 - gain) * var
 
 
-def myopic_price(belief: GaussianBelief):
-    """Price maximizing p * Pr(v > p) under the given Gaussian belief.
+def myopic_price(mean, var):
+    """Price maximizing p * Pr(v > p) under the Gaussian belief N(mean, var).
 
     With p = sigma * q and m = mu / sigma the problem is max q * Q(q - m),
     whose stationarity condition is q = R(q - m) for the Mills ratio
@@ -98,16 +79,18 @@ def myopic_price(belief: GaussianBelief):
     elementwise arithmetic for the same number of steps, so an array call
     returns the bits of the matching scalar calls.
     """
-    if not belief.var > 0:
-        raise ValueError(f"pricing requires positive variance, got {belief.var}")
-    sigma = math.sqrt(belief.var)
+    if not np.all(np.isfinite(mean)):
+        raise ValueError(f"mean must be finite, got {mean}")
+    if not 0.0 < var < math.inf:
+        raise ValueError(f"variance must be finite and > 0, got {var}")
+    sigma = math.sqrt(var)
     # Checked before dividing, where mu / sigma could overflow.
-    if not np.all(np.abs(belief.mean) <= MAX_SCALED_MEAN * sigma):
+    if not np.all(np.abs(mean) <= MAX_SCALED_MEAN * sigma):
         raise ValueError(
             f"pricing requires |mean| / sqrt(variance) <= {MAX_SCALED_MEAN:g}, "
-            f"got mean {belief.mean} and variance {belief.var}"
+            f"got mean {mean} and variance {var}"
         )
-    m = np.asarray(belief.mean, dtype=float) / sigma
+    m = np.asarray(mean, dtype=float) / sigma
     # Bracket end (m + sqrt(m^2 + 4)) / 2; for m < 0 it is computed as the
     # reciprocal of (|m| + sqrt(m^2 + 4)) / 2, which avoids the cancellation.
     a = np.abs(m)
@@ -132,18 +115,3 @@ def myopic_price(belief: GaussianBelief):
         # Inclusive: a converged step lands on a bracket end it just set.
         q = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
     return sigma * q
-
-
-def seller_step(
-    belief: GaussianBelief, true_v, z, params: ModelParams
-) -> tuple[float, GaussianBelief, float]:
-    """One seller epoch t >= 1 on the drawn standard normal z: observe
-    y_t = v_t + sigma_xi * z, run predict-then-correct, and price off the
-    updated posterior. Returns (offered price, updated belief, observation).
-
-    true_v and z are floats, or arrays shaped like the belief mean. At t = 0
-    there is no observation: the price is myopic_price of the prior.
-    """
-    y = true_v + params.sigma_xi * z
-    updated = kalman_correct(kalman_predict(belief, params), y, params)
-    return myopic_price(updated), updated, y

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from . import experiment
-from .model import ModelParams, check_keys
+from .model import ModelParams, check_finite, check_keys, is_integer
 from .rng import RngStream
 
 # Payoffs are O(1) and backward induction accumulates at most T rounding
@@ -45,14 +45,16 @@ class FiniteStopProblem:
     initial: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.payoffs = [np.asarray(h, dtype=float) for h in self.payoffs]
-        self.transitions = [np.asarray(m, dtype=float) for m in self.transitions]
+        self.payoffs = _epochs("payoffs", self.payoffs, ndim=1)
+        self.transitions = _epochs("transitions", self.transitions, ndim=2)
+        if not self.payoffs:
+            raise ValueError("payoffs must list at least one epoch")
         if self.initial is None:
             if len(self.payoffs[0]) != 1:
                 raise ValueError("initial distribution required when epoch 0 has several nodes")
             self.initial = np.array([1.0])
         else:
-            self.initial = np.asarray(self.initial, dtype=float)
+            self.initial = check_finite("initial", self.initial)
 
     @property
     def horizon(self) -> int:
@@ -73,9 +75,6 @@ class FiniteStopProblem:
             raise ValueError("initial distribution length must match epoch-0 node count")
         if np.any(self.initial < 0) or abs(self.initial.sum() - 1.0) > _PROB_TOL:
             raise ValueError("initial distribution must be nonnegative and sum to 1")
-        for t, h in enumerate(self.payoffs):
-            if h.ndim != 1 or not np.all(np.isfinite(h)):
-                raise ValueError(f"payoffs at epoch {t} must be a finite 1-D array")
         for t, m in enumerate(self.transitions):
             want = (len(self.payoffs[t]), len(self.payoffs[t + 1]))
             if m.shape != want:
@@ -100,17 +99,22 @@ class FiniteStopProblem:
             d, ("payoffs", "transitions", "initial", "horizon"), "problem",
             required=("payoffs", "transitions"),
         )
-        problem = cls(
-            payoffs=[np.asarray(h, dtype=float) for h in d["payoffs"]],
-            transitions=[np.asarray(m, dtype=float) for m in d["transitions"]],
-            initial=np.asarray(d["initial"], dtype=float) if "initial" in d else None,
-        )
-        if "horizon" in d and d["horizon"] != problem.horizon:
+        problem = cls(payoffs=d["payoffs"], transitions=d["transitions"], initial=d.get("initial"))
+        if "horizon" in d and not (is_integer(d["horizon"]) and d["horizon"] == problem.horizon):
             raise ValueError(
                 f"declared horizon {d['horizon']} does not match payoffs ({problem.horizon})"
             )
         problem.validate()
         return problem
+
+
+def _epochs(name: str, arrays, ndim: int) -> list[np.ndarray]:
+    """Each epoch's entry of arrays through check_finite, named name[t]."""
+    try:
+        items = list(arrays)
+    except TypeError:
+        raise ValueError(f"{name} must be a list of per-epoch arrays, got {arrays!r}") from None
+    return [check_finite(f"{name}[{t}]", a, ndim) for t, a in enumerate(items)]
 
 
 def load_problem(path) -> FiniteStopProblem:

@@ -21,7 +21,6 @@ from optstop.lsm import apply_policy, decide, myopic_decide, train
 from optstop.model import ModelParams
 from optstop.regression import RegressionBackend
 from optstop.rng import q_function
-from optstop.seller import GaussianBelief, kalman_correct, kalman_predict
 from optstop.snell import backward_induction, discretize_consumer_problem, simulate_paths
 
 from test_seller import batch_posterior, grid_price, run_filter
@@ -158,9 +157,9 @@ class TestModelCorrectness:
             )
             t = int(rng.integers(1, 6))
             ys = rng.normal(params.mu_prior, 1.0, size=t)
-            belief = run_filter(params, ys)
+            got_mean, got_var = run_filter(params, ys)
             mean, var = batch_posterior(params, ys)
-            worst = max(worst, abs(belief.mean - mean), abs(belief.var - var))
+            worst = max(worst, abs(got_mean - mean), abs(got_var - var))
         ok = worst <= 1e-10
         _criterion(
             7, ok,
@@ -169,7 +168,7 @@ class TestModelCorrectness:
         )
 
     def test_criterion_8_payoff_formula_against_monte_carlo(self):
-        from optstop.consumer import ConsumerState, purchase_payoff
+        from optstop.consumer import purchase_payoff
 
         rng = np.random.default_rng(81)
         worst_sigmas = 0.0
@@ -178,10 +177,7 @@ class TestModelCorrectness:
                 for steps_left, sigma_eps in ((1, 0.1), (5, 0.2), (25, 0.1)):
                     params = ModelParams(horizon=25, gamma=gamma, sigma_eps=sigma_eps)
                     residual = steps_left * sigma_eps**2
-                    state = ConsumerState(
-                        t=params.horizon - steps_left, v=1.0 + gap, residual_var=residual
-                    )
-                    closed = purchase_payoff(state, 1.0, params)
+                    closed = purchase_payoff(1.0 + gap, 1.0, params.horizon - steps_left, params)
                     x = gap + math.sqrt(residual) * rng.standard_normal(10**6)
                     samples = 1.0 - np.exp(-gamma * x)
                     se = samples.std(ddof=1) / 1e3

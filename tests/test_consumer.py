@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optstop.consumer import (
-    ConsumerState,
     MAX_EXPONENT,
     exit_payoff,
-    initial_state,
     purchase_payoff,
     residual_var,
     step_valuation,
@@ -35,72 +33,52 @@ def mc_payoff_oracle(gamma, v_minus_p, residual_var, n=10**6, seed=314159):
 class TestStepValuation:
     def test_zero_noise_keeps_value(self):
         params = ModelParams(horizon=5, sigma_eps=0.0, seed=1)
-        state = initial_state(2.7, params)
-        nxt = step_valuation(state, 0.7, params)
-        assert nxt.v == state.v
-        assert nxt.t == 1
-        assert nxt.residual_var == 0.0
-
-    def test_rejects_step_past_horizon(self):
-        params = ModelParams(horizon=3)
-        state = ConsumerState(t=3, v=1.0, residual_var=0.0)
-        with pytest.raises(ValueError):
-            step_valuation(state, 0.0, params)
+        assert step_valuation(2.7, 0.7, params) == 2.7
+        assert residual_var(1, params) == 0.0
 
     def test_residual_variance_hits_zero_at_horizon(self):
         params = ModelParams(horizon=4, sigma_eps=0.3, seed=2)
-        state = initial_state(0.0, params)
-        stream = RngStream(2)
-        for _ in range(params.horizon):
-            state = step_valuation(state, stream.standard_normal(), params)
-        assert state.t == params.horizon
-        assert state.residual_var == 0.0
+        left = residual_var(np.arange(params.horizon + 1), params)
+        assert np.all(np.diff(left) < 0)
+        assert left[-1] == residual_var(params.horizon, params) == 0.0
 
     def test_martingale_increment_mean(self):
         params = ModelParams(horizon=10, sigma_eps=0.1, seed=3)
         n = 10**5
-        state = initial_state(np.ones(n), params)
+        v = np.ones(n)
         z = RngStream(3, path_index=0).standard_normal(n)
-        increments = step_valuation(state, z, params).v - state.v
+        increments = step_valuation(v, z, params) - v
         assert abs(increments.mean()) < 4 * params.sigma_eps / math.sqrt(n)
 
     def test_increment_variance_matches_sigma(self):
         params = ModelParams(horizon=10, sigma_eps=0.1, seed=4)
         n = 10**5
-        state = initial_state(np.ones(n), params)
+        v = np.ones(n)
         z = RngStream(4, path_index=1).standard_normal(n)
-        increments = step_valuation(state, z, params).v - state.v
+        increments = step_valuation(v, z, params) - v
         assert increments.var() == pytest.approx(0.01, abs=5e-4)
 
 
 class TestPurchasePayoff:
     def test_terminal_at_price_is_zero(self):
         params = ModelParams(horizon=25)
-        state = ConsumerState(t=25, v=1.4, residual_var=0.0)
-        assert purchase_payoff(state, 1.4, params) == 0.0
+        assert purchase_payoff(1.4, 1.4, 25, params) == 0.0
 
     def test_terminal_log_two_gap(self):
         params = ModelParams(horizon=25, gamma=1.0)
-        state = ConsumerState(t=25, v=math.log(2.0), residual_var=0.0)
-        assert purchase_payoff(state, 0.0, params) == pytest.approx(0.5, abs=1e-15)
+        assert purchase_payoff(math.log(2.0), 0.0, 25, params) == pytest.approx(0.5, abs=1e-15)
 
     def test_closed_form_against_monte_carlo(self):
         # gamma=1, 25 steps remaining, sigma_eps=0.1, valuation equal to price.
         params = ModelParams(horizon=25, gamma=1.0, sigma_eps=0.1)
-        state = initial_state(1.0, params)
-        closed = purchase_payoff(state, 1.0, params)
+        closed = purchase_payoff(1.0, 1.0, 0, params)
         assert closed == pytest.approx(1.0 - math.exp(0.125), abs=1e-15)
         est, se = mc_payoff_oracle(1.0, 0.0, 25 * 0.01)
         assert abs(closed - est) <= 3 * se
 
     def test_increasing_in_time_under_uncertainty(self):
         params = ModelParams(horizon=25, gamma=1.0, sigma_eps=0.1)
-        payoffs = [
-            purchase_payoff(
-                ConsumerState(t=t, v=1.2, residual_var=(25 - t) * 0.01), 1.0, params
-            )
-            for t in range(26)
-        ]
+        payoffs = [purchase_payoff(1.2, 1.0, t, params) for t in range(26)]
         assert all(b > a for a, b in zip(payoffs, payoffs[1:]))
 
     @given(
@@ -111,17 +89,14 @@ class TestPurchasePayoff:
     @settings(max_examples=200)
     def test_monotone_in_value_and_price(self, v, price, bump):
         params = ModelParams(horizon=10, gamma=0.7, sigma_eps=0.2)
-        state = ConsumerState(t=4, v=v, residual_var=6 * 0.04)
-        richer = ConsumerState(t=4, v=v + bump, residual_var=6 * 0.04)
-        base = purchase_payoff(state, price, params)
-        assert purchase_payoff(richer, price, params) > base
-        assert purchase_payoff(state, price + bump, params) < base
+        base = purchase_payoff(v, price, 4, params)
+        assert purchase_payoff(v + bump, price, 4, params) > base
+        assert purchase_payoff(v, price + bump, 4, params) < base
         assert base < 1.0
 
     def test_saturates_instead_of_overflowing(self):
         params = ModelParams(horizon=25, gamma=1.0, sigma_eps=0.1)
-        state = initial_state(0.0, params)
-        pay = purchase_payoff(state, 1e6, params)
+        pay = purchase_payoff(0.0, 1e6, 0, params)
         assert math.isfinite(pay)
         assert pay == 1.0 - math.exp(MAX_EXPONENT)
         assert exit_payoff(pay) == 0.0
@@ -139,7 +114,7 @@ class TestPurchasePayoff:
         params = ModelParams(horizon=25, gamma=gamma, sigma_eps=sigma_eps)
         var = residual_var(t, params)
         v = price - (exponent - 0.5 * gamma * gamma * var) / gamma
-        clamped = purchase_payoff(ConsumerState(t, v, var), price, params)
+        clamped = purchase_payoff(v, price, t, params)
         with np.errstate(over="ignore"):  # exp overflows to inf above about 709.8
             exact = 1.0 - np.exp(-gamma * (v - price) + 0.5 * gamma * gamma * var)
         assert exit_payoff(clamped) == exit_payoff(exact) == 0.0
@@ -148,7 +123,7 @@ class TestPurchasePayoff:
     def test_rejects_non_finite_price(self):
         params = ModelParams()
         with pytest.raises(ValueError):
-            purchase_payoff(initial_state(1.0, params), math.inf, params)
+            purchase_payoff(1.0, math.inf, 0, params)
 
 
 class TestExitPayoff:

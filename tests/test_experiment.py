@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from optstop import experiment, lsm, snell
-from optstop.consumer import exit_payoff, initial_state, purchase_payoff, step_valuation
+from optstop.consumer import exit_payoff, purchase_payoff, step_valuation
 from optstop.experiment import (
     DOMAIN_MYOPIC_TEST,
     DOMAIN_TEST,
@@ -35,7 +35,7 @@ from optstop.policy_io import (
 )
 from optstop.regression import RegressionBackend
 from optstop.rng import RngStream
-from optstop.seller import GaussianBelief, myopic_price, seller_step
+from optstop.seller import kalman_correct, kalman_predict, myopic_price
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -50,25 +50,24 @@ def small_config(**overrides) -> ExperimentConfig:
 
 def replay_path(params: ModelParams, i: int, domain: int, fixed_v0=None) -> dict:
     """Path i stepped epoch by epoch through the scalar API, fed its own
-    stream's normals one at a time in the order v0, eps_1, xi_1, eps_2, ..."""
+    stream's row of normals one at a time in the order v0, eps_1, xi_1, eps_2, ..."""
+    first = int(fixed_v0 is None)
     stream = RngStream(params.seed, path_index=i, domain=domain)
-    if fixed_v0 is None:
-        v0 = params.mu_prior + params.sigma_v * stream.standard_normal()
-    else:
-        v0 = fixed_v0
-    state = initial_state(v0, params)
-    belief = GaussianBelief(params.mu_prior, params.sigma_v**2)
+    z = iter(stream.standard_normal(first + 2 * params.horizon).tolist())
+    v = params.mu_prior + params.sigma_v * next(z) if first else fixed_v0
+    mean, var = params.mu_prior, params.sigma_v**2
     out = {name: [] for name in ("v", "y", "p", "pi", "h", "seller_mean", "seller_var")}
-    price = myopic_price(belief)
     for t in range(params.horizon + 1):
         if t > 0:
-            state = step_valuation(state, stream.standard_normal(), params)
-            price, belief, obs = seller_step(belief, state.v, stream.standard_normal(), params)
+            v = step_valuation(v, next(z), params)
+            obs = v + params.sigma_xi * next(z)
+            mean, var = kalman_correct(mean, kalman_predict(var, params), obs, params)
             out["y"].append(obs)
-        pi = purchase_payoff(state, price, params)
+        price = myopic_price(mean, var)
+        pi = purchase_payoff(v, price, t, params)
         for name, value in (
-            ("v", state.v), ("p", price), ("pi", pi), ("h", exit_payoff(pi)),
-            ("seller_mean", belief.mean), ("seller_var", belief.var),
+            ("v", v), ("p", price), ("pi", pi), ("h", exit_payoff(pi)),
+            ("seller_mean", mean), ("seller_var", var),
         ):
             out[name].append(value)
     return {name: np.array(values, dtype=float) for name, values in out.items()}
@@ -458,6 +457,15 @@ class TestPathsCsv:
              "negative path or t index"),
             (lambda rows: rows[:8] + [rows[8].rstrip("\n") + ",0.5\n"] + rows[9:],
              "rows of 9 fields"),
+            (lambda rows: rows[:-1], r"row \(path=3, t=3\) is missing"),
+            # A huge path index leaves its own pair missing, found without
+            # an array sized by the index.
+            (lambda rows: rows[:8] + ["99999999999," + rows[8][len("1,"):]] + rows[9:],
+             r"^paths CSV row \(path=1, t=2\) is missing$"),
+            (lambda rows: rows[:8] + ["1" + "0" * 30 + rows[8][len("1"):]] + rows[9:],
+             "^paths CSV data row 7: path field '1000000000000000000000000000000' is not a 64-bit integer$"),
+            (lambda rows: rows[:8] + [rows[8].replace(rows[8].split(",")[2], "abc", 1)] + rows[9:],
+             "^paths CSV data row 7: v field 'abc' is not a number$"),
             (lambda rows: [], "no header row"),
             (lambda rows: rows[:1], "no header row"),  # only the config echo
         ],

@@ -10,17 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
-from optstop import seller
-from optstop.consumer import ConsumerState, step_valuation
+from optstop import experiment, seller
+from optstop.consumer import step_valuation
 from optstop.model import ModelParams
 from optstop.rng import RngStream, q_function
-from optstop.seller import (
-    GaussianBelief,
-    kalman_correct,
-    kalman_predict,
-    myopic_price,
-    seller_step,
-)
+from optstop.seller import kalman_correct, kalman_predict, myopic_price
 
 # Frozen from the grid oracle below (step 1e-5 over (0, mu + 10 sigma]).
 GRID_PRICE_STD_NORMAL = 0.75179
@@ -87,62 +81,55 @@ def batch_posterior(params: ModelParams, ys: np.ndarray) -> tuple[float, float]:
     return float(mean), float(var)
 
 
-def run_filter(params: ModelParams, ys) -> GaussianBelief:
-    belief = GaussianBelief(params.mu_prior, params.sigma_v**2)
+def run_filter(params: ModelParams, ys) -> tuple[float, float]:
+    """Posterior (mean, var) after predict-then-correct on each of ys."""
+    mean, var = params.mu_prior, params.sigma_v**2
     for y in ys:
-        belief = kalman_correct(kalman_predict(belief, params), y, params)
-    return belief
+        mean, var = kalman_correct(mean, kalman_predict(var, params), y, params)
+    return mean, var
 
 
 class TestKalman:
     def test_predict_adds_process_noise(self):
         params = ModelParams(sigma_eps=0.1)
-        out = kalman_predict(GaussianBelief(1.0, 1.0), params)
-        assert out.mean == 1.0
-        assert out.var == pytest.approx(1.01, abs=1e-15)
+        assert kalman_predict(1.0, params) == pytest.approx(1.01, abs=1e-15)
 
     def test_predict_noiseless_is_identity(self):
         params = ModelParams(sigma_eps=0.0)
-        belief = GaussianBelief(0.3, 0.7)
-        assert kalman_predict(belief, params) == belief
+        assert kalman_predict(0.7, params) == 0.7
 
     def test_repeated_prediction_is_additive(self):
         # Dyadic values so floating addition is exact.
         params = ModelParams(sigma_v=1.0, sigma_eps=0.5)
-        belief = GaussianBelief(0.0, params.sigma_v**2)
+        var = params.sigma_v**2
         for k in range(1, 21):
-            belief = kalman_predict(belief, params)
-            assert belief.var == 1.0 + k * 0.25
+            var = kalman_predict(var, params)
+            assert var == 1.0 + k * 0.25
 
     def test_correct_conjugate_example(self):
         # Prior N(1,1), unit observation noise, y=2: posterior N(1.5, 0.5).
         params = ModelParams(sigma_xi=1.0)
-        post = kalman_correct(GaussianBelief(1.0, 1.0), 2.0, params)
-        assert post.mean == 1.5
-        assert post.var == 0.5
+        assert kalman_correct(1.0, 1.0, 2.0, params) == (1.5, 0.5)
 
     def test_uninformative_observation_limit(self):
         params = ModelParams(sigma_xi=1e8)
-        prior = GaussianBelief(1.0, 1.0)
-        post = kalman_correct(prior, 50.0, params)
-        assert post.mean == pytest.approx(prior.mean, abs=1e-8)
-        assert post.var == pytest.approx(prior.var, abs=1e-8)
+        mean, var = kalman_correct(1.0, 1.0, 50.0, params)
+        assert mean == pytest.approx(1.0, abs=1e-8)
+        assert var == pytest.approx(1.0, abs=1e-8)
 
     def test_perfect_observation(self):
         params = ModelParams(sigma_xi=0.0)
-        post = kalman_correct(GaussianBelief(1.0, 2.0), 3.25, params)
-        assert post.mean == 3.25
-        assert post.var == 0.0
+        assert kalman_correct(1.0, 2.0, 3.25, params) == (3.25, 0.0)
 
     def test_perfect_observation_chain_tracks_value(self):
         # sigma_xi = 0: after predict-then-correct the mean is the observed
         # valuation exactly, every step.
         params = ModelParams(sigma_xi=0.0, sigma_eps=0.1)
-        belief = GaussianBelief(params.mu_prior, params.sigma_v**2)
+        mean, var = params.mu_prior, params.sigma_v**2
         for v_t in (1.3, 0.9, 1.7):
-            belief = kalman_correct(kalman_predict(belief, params), v_t, params)
-            assert belief.mean == v_t
-            assert belief.var == 0.0
+            mean, var = kalman_correct(mean, kalman_predict(var, params), v_t, params)
+            assert mean == v_t
+            assert var == 0.0
 
     def test_recursive_equals_batch_posterior(self):
         rng = np.random.default_rng(11)
@@ -156,45 +143,45 @@ class TestKalman:
             )
             for t in range(1, 6):
                 ys = rng.normal(params.mu_prior, 1.0, size=t)
-                belief = run_filter(params, ys)
+                got_mean, got_var = run_filter(params, ys)
                 mean, var = batch_posterior(params, ys)
-                assert belief.mean == pytest.approx(mean, abs=1e-10)
-                assert belief.var == pytest.approx(var, abs=1e-10)
+                assert got_mean == pytest.approx(mean, abs=1e-10)
+                assert got_var == pytest.approx(var, abs=1e-10)
 
     def test_posterior_variance_ignores_observation_values(self):
         params = ModelParams()
-        a = run_filter(params, [0.1, -2.0, 5.5])
-        b = run_filter(params, [9.9, 0.0, -3.3])
-        assert a.var == b.var  # bitwise
+        _, a = run_filter(params, [0.1, -2.0, 5.5])
+        _, b = run_filter(params, [9.9, 0.0, -3.3])
+        assert a == b  # bitwise
 
     def test_variance_must_be_nonnegative(self):
         with pytest.raises(ValueError):
-            GaussianBelief(0.0, -1e-9)
+            myopic_price(0.0, -1e-9)
 
     @pytest.mark.parametrize("mean", [math.nan, -math.inf, math.inf])
     def test_non_finite_mean_is_named(self, mean):
         with pytest.raises(ValueError, match="mean must be finite"):
-            myopic_price(GaussianBelief(mean, 1.0))
+            myopic_price(mean, 1.0)
 
     def test_non_finite_entry_of_array_mean_is_named(self):
         with pytest.raises(ValueError, match="mean must be finite"):
-            GaussianBelief(np.array([0.5, math.nan, 1.0]), 1.0)
+            myopic_price(np.array([0.5, math.nan, 1.0]), 1.0)
 
     @pytest.mark.parametrize("var", [math.nan, math.inf])
     def test_non_finite_variance_is_named(self, var):
         with pytest.raises(ValueError, match="variance must be finite"):
-            myopic_price(GaussianBelief(0.0, var))
+            myopic_price(0.0, var)
 
 
 class TestMyopicPrice:
     def test_standard_normal_belief_matches_grid(self):
-        p = myopic_price(GaussianBelief(0.0, 1.0))
+        p = myopic_price(0.0, 1.0)
         assert p == pytest.approx(GRID_PRICE_STD_NORMAL, abs=1e-3)
         f = p * q_function(p)
         assert f == pytest.approx(GRID_REVENUE_STD_NORMAL, abs=1e-6)
 
     def test_unit_prior_belief_matches_grid(self):
-        p = myopic_price(GaussianBelief(1.0, 1.0))
+        p = myopic_price(1.0, 1.0)
         assert p == pytest.approx(GRID_PRICE_UNIT_PRIOR, abs=1e-3)
         assert p == pytest.approx(grid_price(1.0, 1.0), abs=1e-3)
         f = p * q_function(p - 1.0)
@@ -202,9 +189,9 @@ class TestMyopicPrice:
 
     def test_scale_equivariance(self):
         for mu, var in [(0.0, 1.0), (1.0, 1.0), (0.5, 0.25), (-0.4, 2.0)]:
-            base = myopic_price(GaussianBelief(mu, var))
+            base = myopic_price(mu, var)
             for c in (0.5, 2.5):
-                scaled = myopic_price(GaussianBelief(c * mu, c * c * var))
+                scaled = myopic_price(c * mu, c * c * var)
                 assert scaled == pytest.approx(c * base, abs=1e-6 * max(1.0, c))
 
     def test_random_beliefs_against_grid(self):
@@ -212,7 +199,7 @@ class TestMyopicPrice:
         for _ in range(100):
             mu = float(rng.uniform(-2.0, 4.0))
             sigma = float(rng.uniform(0.1, 3.0))
-            p = myopic_price(GaussianBelief(mu, sigma * sigma))
+            p = myopic_price(mu, sigma * sigma)
             assert p == pytest.approx(grid_price(mu, sigma), abs=1e-3)
             # Stationarity: Q(z) = p * phi(z) / sigma at the optimum.
             z = (p - mu) / sigma
@@ -228,7 +215,7 @@ class TestMyopicPrice:
         # p = sigma * q with q = R(q - m), R(z) = Q(z) / phi(z). The oracle
         # evaluates R through log Q (scipy's log_ndtr), not through erfcx.
         sigma = 0.7
-        p = myopic_price(GaussianBelief(m * sigma, sigma * sigma))
+        p = myopic_price(m * sigma, sigma * sigma)
         assert math.isfinite(p) and p > 0
         q = p / sigma
         z = q - m
@@ -242,8 +229,8 @@ class TestMyopicPrice:
         means = np.concatenate(
             [sigma * np.array([-30.0, -8.0, 0.0, 8.0, 40.0]), rng.uniform(-5.0, 5.0, 200)]
         )
-        prices = myopic_price(GaussianBelief(means, var))
-        scalar = np.array([myopic_price(GaussianBelief(float(mu), var)) for mu in means])
+        prices = myopic_price(means, var)
+        scalar = np.array([myopic_price(float(mu), var) for mu in means])
         assert prices.shape == means.shape
         assert prices.tobytes() == scalar.tobytes()
 
@@ -254,7 +241,7 @@ class TestMyopicPrice:
         ms = np.concatenate(
             [np.linspace(-30.0, 40.0, 1001), [-1e15, -1e6, -1e3, 1e3, 1e6, 1e15]]
         )
-        prices = myopic_price(GaussianBelief(ms, 1.0))
+        prices = myopic_price(ms, 1.0)
         for m, p in zip(ms.tolist(), prices.tolist()):
             root = mpmath_price_root(m, p)
             err = abs(mpmath.mpf(p) - root)
@@ -271,10 +258,10 @@ class TestMyopicPrice:
         erfcx = seller.erfcx
         monkeypatch.setattr(seller, "erfcx", counting_erfcx)
         means = np.array([-1e15, -3.0, 0.0, 0.7, 40.0, 1e15])
-        myopic_price(GaussianBelief(means, 1.0))
+        myopic_price(means, 1.0)
         assert calls == [means.shape] * 8
         calls.clear()
-        myopic_price(GaussianBelief(0.7, 1.0))
+        myopic_price(0.7, 1.0)
         assert calls == [()] * 8
 
     @given(
@@ -290,60 +277,66 @@ class TestMyopicPrice:
         # Scaled means far into both tails, the erfcx overflow included.
         extremes = [-1e15, -1e8, -1e3, 1e3, 1e8, 1e15]
         means = np.array([mean] + [sigma * x for x in extremes + others])
-        alone = myopic_price(GaussianBelief(mean, var))
-        batched = myopic_price(GaussianBelief(means, var))
+        alone = myopic_price(mean, var)
+        batched = myopic_price(means, var)
         order = np.random.default_rng(seed).permutation(len(means))
-        shuffled = myopic_price(GaussianBelief(means[order], var))
+        shuffled = myopic_price(means[order], var)
         assert batched[0].tobytes() == alone.tobytes()
         assert shuffled[np.argmax(order == 0)].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("mean", [-seller.MAX_SCALED_MEAN, seller.MAX_SCALED_MEAN])
     def test_largest_scaled_mean_prices(self, mean):
         # Past |m| = 1.3e154, m^2 overflows; the bracket end is |m| there.
-        p = myopic_price(GaussianBelief(mean, 1.0))
+        p = myopic_price(mean, 1.0)
         assert p == pytest.approx(mean if mean > 0 else -1.0 / mean, rel=1e-12)
         assert p > 0
 
     def test_scaled_means_up_to_the_bound_price(self):
         # Any RuntimeWarning fails the suite, so an overflow would show here.
         m = np.geomspace(1e-300, seller.MAX_SCALED_MEAN, 6001)
-        prices = myopic_price(GaussianBelief(np.concatenate([-m, m]), 1.0))
+        prices = myopic_price(np.concatenate([-m, m]), 1.0)
         assert np.all(np.isfinite(prices)) and np.all(prices > 0)
 
     @pytest.mark.parametrize("mean, var", [(1.7e308, 1.0), (-1.7e308, 1.0), (1e300, 1e-300)])
     def test_scaled_mean_beyond_bound_is_named(self, mean, var):
         with pytest.raises(ValueError, match=re.escape(f"got mean {mean} and variance {var}")):
-            myopic_price(GaussianBelief(mean, var))
+            myopic_price(mean, var)
 
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError):
-            myopic_price(GaussianBelief(1.0, 0.0))
+            myopic_price(1.0, 0.0)
 
     def test_deep_out_of_the_money_belief(self):
         # Very negative mean: optimum is near sigma^2 / |mu|, still found.
-        p = myopic_price(GaussianBelief(-2.0, 0.01))
+        p = myopic_price(-2.0, 0.01)
         assert p == pytest.approx(grid_price(-2.0, 0.1), abs=1e-3)
         assert p > 0
 
 
 class TestSellerStep:
+    """One seller epoch t >= 1: observe, predict-then-correct, price."""
+
     def test_observation_consumed_after_time_zero(self):
-        params = ModelParams(seed=5, sigma_xi=0.75)
-        prior = GaussianBelief(params.mu_prior, params.sigma_v**2)
-        z = RngStream(5).standard_normal()
-        price, belief, y = seller_step(prior, 1.2, z, params)
+        # One epoch of simulate at v_1 = 1.2: v0 pinned, valuation shock 0.
+        params = ModelParams(horizon=1, seed=5, sigma_xi=0.75)
+        z = RngStream(5).standard_normal(1)[0]
+        batch = experiment.simulate(params, np.array([[0.0, z]]), fixed_v0=1.2)
+        y = batch.y[0, 0]
         assert y == 1.2 + 0.75 * z
-        expected = kalman_correct(kalman_predict(prior, params), y, params)
-        assert belief == expected
-        assert price == myopic_price(expected)
+        prior_var = kalman_predict(params.sigma_v**2, params)
+        mean, var = kalman_correct(params.mu_prior, prior_var, y, params)
+        assert (batch.seller_mean[0, 1], batch.seller_var[1]) == (mean, var)
+        assert batch.p[0, 1] == myopic_price(mean, var)
 
     def test_perfect_observation_fails_at_pricing(self):
         # A noiseless observation collapses the posterior; pricing then
-        # rejects the zero variance, and seller_step propagates that.
+        # rejects the zero variance.
         params = ModelParams(sigma_xi=0.0)
-        prior = GaussianBelief(params.mu_prior, params.sigma_v**2)
-        with pytest.raises(ValueError):
-            seller_step(prior, 1.0, 0.3, params)
+        prior_var = kalman_predict(params.sigma_v**2, params)
+        mean, var = kalman_correct(params.mu_prior, prior_var, 1.3, params)
+        assert var == 0.0
+        with pytest.raises(ValueError, match="variance must be finite and > 0"):
+            myopic_price(mean, var)
 
     def test_array_calls_match_scalar_calls_bitwise(self):
         # One epoch of the valuation walk and the seller, called on arrays as
@@ -352,30 +345,34 @@ class TestSellerStep:
         rng = np.random.default_rng(19)
         n = 64
         v, mean, eps, xi = rng.standard_normal((4, n)) * [[3.0], [2.0], [1.0], [1.0]]
-        var = 0.8
-        state = step_valuation(ConsumerState(1, v, 3 * 0.09), eps, params)
-        price, belief, y = seller_step(GaussianBelief(mean, var), state.v, xi, params)
+        var = kalman_predict(0.8, params)
+        v_next = step_valuation(v, eps, params)
+        y = v_next + params.sigma_xi * xi
+        post_mean, post_var = kalman_correct(mean, var, y, params)
+        price = myopic_price(post_mean, post_var)
         scalar = []
         for i in range(n):
-            s = step_valuation(ConsumerState(1, float(v[i]), 3 * 0.09), float(eps[i]), params)
-            p, b, obs = seller_step(GaussianBelief(float(mean[i]), var), s.v, float(xi[i]), params)
-            assert (state.residual_var, belief.var) == (s.residual_var, b.var)
-            scalar.append((s.v, obs, b.mean, p))
-        got = np.stack([state.v, y, belief.mean, price], axis=1)
+            s = step_valuation(float(v[i]), float(eps[i]), params)
+            obs = s + params.sigma_xi * float(xi[i])
+            m, b = kalman_correct(float(mean[i]), var, obs, params)
+            assert b == post_var
+            scalar.append((s, obs, m, myopic_price(m, b)))
+        got = np.stack([v_next, y, post_mean, price], axis=1)
         assert got.tobytes() == np.array(scalar).tobytes()
 
     def test_variance_sequence_deterministic_and_decreasing(self):
         params = ModelParams(seed=17)
         sequences = []
         for i in range(10):
-            stream = RngStream(params.seed, path_index=i)
-            belief = GaussianBelief(params.mu_prior, params.sigma_v**2)
-            variances = [belief.var]
-            v = params.mu_prior + params.sigma_v * stream.standard_normal()
-            for _ in range(params.horizon):
-                v += params.sigma_eps * stream.standard_normal()
-                _, belief, _ = seller_step(belief, v, stream.standard_normal(), params)
-                variances.append(belief.var)
+            z = RngStream(params.seed, path_index=i).standard_normal(1 + 2 * params.horizon)
+            mean, var = params.mu_prior, params.sigma_v**2
+            variances = [var]
+            v = params.mu_prior + params.sigma_v * z[0]
+            for t in range(1, params.horizon + 1):
+                v += params.sigma_eps * z[2 * t - 1]
+                y = v + params.sigma_xi * z[2 * t]
+                mean, var = kalman_correct(mean, kalman_predict(var, params), y, params)
+                variances.append(var)
             sequences.append(variances)
         # Observation-independent: bitwise equal across paths.
         for seq in sequences[1:]:

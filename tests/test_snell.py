@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
-from optstop.consumer import ConsumerState, exit_payoff, initial_state, purchase_payoff
+from optstop.consumer import exit_payoff, purchase_payoff
 from optstop.model import ModelParams
 from optstop.rng import RngStream
-from optstop.seller import GaussianBelief, kalman_correct, kalman_predict, myopic_price
+from optstop.seller import kalman_correct, kalman_predict, myopic_price
 from optstop.snell import (
     FiniteStopProblem,
     _draw_children,
@@ -317,25 +317,25 @@ class TestDiscretizedConsumerProblem:
         problem = discretize_consumer_problem(params, levels)
         gh_x, gh_w = hermgauss(levels)
         points, weights = gh_x * np.sqrt(2.0), gh_w / np.sqrt(np.pi)
-        prior = GaussianBelief(params.mu_prior, params.sigma_v**2)
-        nodes = [(initial_state(params.mu_prior + params.sigma_v * x, params), prior) for x in points]
+        # A node is (valuation, seller mean); the seller variance is one per epoch.
+        var = params.sigma_v**2
+        nodes = [(params.mu_prior + params.sigma_v * x, params.mu_prior) for x in points]
         for t in range(params.horizon + 1):
             if t > 0:
                 children = []
                 trans = np.zeros((len(nodes), len(nodes) * levels * levels))
-                for parent, (state, belief) in enumerate(nodes):
+                prior_var = kalman_predict(var, params)
+                for parent, (v_parent, mean) in enumerate(nodes):
                     for j in range(levels):
-                        v = state.v + params.sigma_eps * points[j]
-                        child = ConsumerState(t, v, (params.horizon - t) * params.sigma_eps**2)
+                        v = v_parent + params.sigma_eps * points[j]
                         for k in range(levels):
                             y = v + params.sigma_xi * points[k]
                             trans[parent, len(children)] = weights[j] * weights[k]
-                            children.append(
-                                (child, kalman_correct(kalman_predict(belief, params), y, params))
-                            )
+                            post_mean, var = kalman_correct(mean, prior_var, y, params)
+                            children.append((v, post_mean))
                 nodes = children
                 assert problem.transitions[t - 1].tobytes() == trans.tobytes()
-            want = [exit_payoff(purchase_payoff(s, myopic_price(b), params)) for s, b in nodes]
+            want = [exit_payoff(purchase_payoff(v, myopic_price(m, var), t, params)) for v, m in nodes]
             assert problem.payoffs[t].tobytes() == np.array(want).tobytes(), t
 
     def test_node_budget_enforced(self):
@@ -367,6 +367,25 @@ class TestProblemSerialization:
         d = two_epoch_tree().to_dict()
         del d[key]
         with pytest.raises(ValueError, match=f"missing required key '{key}'"):
+            FiniteStopProblem.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"payoffs": [], "transitions": []}, r"^payoffs must list at least one epoch$"),
+            ({"payoffs": [0.5, [0.0, 1.2]]}, r"^payoffs\[0\] must be a non-empty 1-D array"),
+            ({"payoffs": [[0.5], [0.0, [1.2]]]}, r"^payoffs\[1\] must be a non-empty 1-D array"),
+            ({"payoffs": [["a"], [0.0, 1.2]]}, r"^payoffs\[0\] must be a non-empty 1-D array"),
+            ({"transitions": 3}, r"^transitions must be a list of per-epoch arrays, got 3$"),
+            ({"transitions": [[[0.5, 0.5], [1.0]]]}, r"^transitions\[0\] must be a non-empty 2-D"),
+            ({"initial": [None]}, r"^initial must be a non-empty 1-D array"),
+            ({"horizon": True}, r"^declared horizon True does not match payoffs \(1\)$"),
+        ],
+    )
+    def test_malformed_fields_named(self, edit, message):
+        # The README's oracle example, as the CLI reads it, with one edit.
+        d = {"payoffs": [[0.5], [0.0, 1.2]], "transitions": [[[0.5, 0.5]]], **edit}
+        with pytest.raises(ValueError, match=message):
             FiniteStopProblem.from_dict(d)
 
     def test_declared_horizon_mismatch_rejected(self):
