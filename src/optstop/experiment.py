@@ -131,6 +131,8 @@ def generate_paths(
     """
     if n < 1:
         raise ValueError(f"number of paths must be >= 1, got {n}")
+    if n > 1 << 32:  # RngStream path indices are 32-bit
+        raise ValueError(f"number of paths must be <= 2**32 = {1 << 32}, got {n}")
     z = np.empty((n, int(fixed_v0 is None) + 2 * params.horizon))
     stream = RngStream(params.seed, 0, domain)
     for i in range(n):

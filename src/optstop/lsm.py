@@ -1,15 +1,17 @@
 """Regression-based stopping policies: backward training, online deployment,
 and the myopic baseline.
 
-Training walks the horizon backwards over a batch of exit-payoff paths. At
-each epoch t it regresses each in-the-money path's single future realized
-cashflow on its current exit payoff, giving an estimate f_t of the value of
-continuing; paths whose immediate payoff beats that estimate are re-marked to
-stop at t (zeroing their later cashflow). Deployment replays the same strict
-comparison H_t > f_t(H_t) online, purchasing at the first win, and at the
-final epoch purchases exactly when the payoff is positive. The myopic
-baseline is that same rule with every estimate f_t set to zero, so it buys
-at the first positive payoff.
+The consumer exits each path once, with the exit payoff H_t = max(pi_t, 0):
+a purchase when it is positive, a walk-away otherwise. Training walks the
+horizon backwards over a batch of exit-payoff paths, keeping each path's one
+realized cashflow (the exit payoff at its current stop time). At each epoch t
+it regresses the in-the-money cashflows on the current exit payoff, giving an
+estimate f_t of the value of continuing; paths whose immediate payoff beats
+that estimate are re-marked to stop at t. Deployment replays the same strict
+comparison H_t > f_t(H_t) online, returning the exit payoff at the first win,
+and exits at the final epoch regardless. The myopic baseline is that same
+rule with every estimate f_t set to zero, so it buys at the first positive
+payoff.
 
 The regression feature defaults to the exit payoff itself but any per-time
 scalar feature stream can be supplied (e.g. exact state identifiers on
@@ -29,28 +31,8 @@ import numpy as np
 from .model import PathBatch
 from .regression import KernelRegressor, RegressionBackend, Regressor, ZeroRegressor
 
-PURCHASE = "purchase"
-REJECT = "reject"
-
 # Two-sided 95% normal quantile, for the confidence interval of a mean.
 _Z95 = NormalDist().inv_cdf(0.975)
-
-
-@dataclass(frozen=True)
-class ExitDecision:
-    """Final outcome on one path: when, which action, and the realized payoff."""
-
-    time: int
-    action: str
-    payoff: float
-
-    def __post_init__(self):
-        if self.time < 0:
-            raise ValueError(f"exit time must be >= 0, got {self.time}")
-        if self.action not in (PURCHASE, REJECT):
-            raise ValueError(f"action must be purchase or reject, got {self.action!r}")
-        if self.action == REJECT and self.payoff != 0.0:
-            raise ValueError("reject pays 0")
 
 
 @dataclass
@@ -70,31 +52,24 @@ class StoppingPolicy:
 
 @dataclass
 class CashflowMatrix:
-    """Realized payoff per (path, time) under the trained rule.
+    """Realized cashflow per training path under the trained rule: the exit
+    payoff at that path's stop time."""
 
-    Each row carries at most one nonzero entry: the exit payoff at that
-    path's stop time.
-    """
-
-    values: np.ndarray  # (N, T+1)
-
-    @property
-    def stop_values(self) -> np.ndarray:
-        return self.values.max(axis=1)
+    stop_values: np.ndarray  # (N,)
 
     @property
     def training_value(self) -> float:
         return float(self.stop_values.mean())
 
-    def validate_against(self, h: np.ndarray) -> None:
-        if self.values.shape != h.shape:
-            raise ValueError("cashflow shape mismatch")
-        nonzero_per_row = (self.values != 0.0).sum(axis=1)
-        if np.any(nonzero_per_row > 1):
-            raise ValueError("a cashflow row has more than one nonzero entry")
-        rows, cols = np.nonzero(self.values)
-        if not np.array_equal(self.values[rows, cols], h[rows, cols]):
-            raise ValueError("nonzero cashflow entries must equal the exit payoff there")
+
+def _features(h: np.ndarray, features) -> np.ndarray:
+    """Column-major regression features shaped like h; h itself by default."""
+    if features is None:
+        return h
+    x = np.asfortranarray(features, dtype=float)
+    if x.shape != h.shape:
+        raise ValueError(f"features shape {x.shape} must match h shape {h.shape}")
+    return x
 
 
 def train(
@@ -112,11 +87,12 @@ def train(
 
     Walks t = T-1 .. 0. In-the-money paths are those with H_t > 0; when there
     are none the epoch's estimator is identically zero. The regression target
-    for path n is its single future realized cashflow max_{s>t} CF_s, which is
-    maintained as a per-row (stop time, stop value) pair rather than rescanned.
-    After fitting, every path (in the money or not) with H_t > f_t(feature_t)
-    is re-marked to stop at t. Returns the policy, plus the final cashflow
-    matrix when return_cashflows is set.
+    for path n is its realized cashflow: the exit payoff at its stop time
+    after t, kept as one value per path. After fitting, every path (in the
+    money or not) with H_t > f_t(feature_t) is re-marked to stop at t, and
+    H_t becomes its cashflow. Returns the policy, plus the final cashflows
+    (equal to apply_policy's payoffs on the same paths) when return_cashflows
+    is set.
 
     The policy metadata's numerics.epochs holds one record per epoch t: the
     in-the-money count, the number of paths re-marked to stop at t, and for
@@ -130,20 +106,11 @@ def train(
         raise ValueError(f"h must be (N, T+1) with T >= 1, got shape {h.shape}")
     if not np.all(np.isfinite(h)) or np.any(h < 0):
         raise ValueError("exit payoffs must be finite and nonnegative")
-    n_paths, t_plus_1 = h.shape
-    horizon = t_plus_1 - 1
-    if features is None:
-        x = h
-        feature_kind = "exit_payoff"
-    else:
-        x = np.asfortranarray(features, dtype=float)
-        if x.shape != h.shape:
-            raise ValueError(f"features shape {x.shape} must match h shape {h.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("features must be finite")
-        feature_kind = "custom"
+    horizon = h.shape[1] - 1
+    x = _features(h, features)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
 
-    stop_time = np.full(n_paths, horizon, dtype=np.int64)
     stop_value = h[:, horizon].copy()
     regressors: list[Regressor] = [None] * horizon  # type: ignore[list-item]
     epochs: list[dict] = [None] * horizon  # type: ignore[list-item]
@@ -159,7 +126,6 @@ def train(
                 raise RuntimeError(f"regression failed at epoch t={t}") from exc
         regressors[t] = reg
         exit_now = h[:, t] > reg.predict(x[:, t])
-        stop_time[exit_now] = t
         stop_value[exit_now] = h[exit_now, t]
         kernel = isinstance(reg, KernelRegressor)
         epochs[t] = {
@@ -171,12 +137,12 @@ def train(
         }
 
     meta = {
-        "n_train": n_paths,
+        "n_train": len(h),
         "horizon": horizon,
         "backend": backend.to_dict(),
-        "feature": feature_kind,
+        "feature": "exit_payoff" if features is None else "custom",
         "numerics": {
-            "nonpositive_exit_action": REJECT,
+            "nonpositive_exit_action": "reject",
             "epochs": epochs,
         },
     }
@@ -186,9 +152,7 @@ def train(
 
     if not return_cashflows:
         return policy
-    cf = np.zeros_like(h)
-    cf[np.arange(n_paths), stop_time] = stop_value
-    return policy, CashflowMatrix(cf)
+    return policy, CashflowMatrix(stop_value)
 
 
 def _myopic(horizon: int) -> StoppingPolicy:
@@ -199,14 +163,15 @@ def _myopic(horizon: int) -> StoppingPolicy:
 
 def decide(
     policy: StoppingPolicy, h_prefix, pi_t: float, feature_prefix=None
-) -> ExitDecision | None:
-    """Online stopping test at the current epoch; None means keep browsing.
+) -> float | None:
+    """Online stopping test at epoch t = len(h_prefix) - 1; returns the exit
+    payoff H_t on exit and None to keep browsing.
 
     h_prefix holds the exit payoffs observed so far (H_0..H_t); pi_t is the
     current purchase payoff, with H_t = max(pi_t, 0). An exit before the
     horizon happens exactly when H_t strictly beats the trained continuation
-    estimate; at the horizon the exit is forced. The action is a purchase
-    when pi_t > 0 and a walk-away otherwise.
+    estimate; at the horizon the exit is forced. The exit is a purchase
+    exactly when H_t > 0 (H_t is then pi_t), and a walk-away paying 0 otherwise.
     """
     h_prefix = np.asarray(h_prefix, dtype=float)
     t = len(h_prefix) - 1
@@ -224,13 +189,12 @@ def decide(
             x_t = float(feature_prefix[-1])
         if not h_t > policy.regressors[t].predict(x_t):
             return None
-    if pi_t > 0.0:
-        return ExitDecision(time=t, action=PURCHASE, payoff=pi_t)
-    return ExitDecision(time=t, action=REJECT, payoff=0.0)
+    return h_t
 
 
-def myopic_decide(h_prefix, pi_t: float, horizon: int) -> ExitDecision | None:
-    """Greedy baseline: purchase at the first epoch with positive payoff."""
+def myopic_decide(h_prefix, pi_t: float, horizon: int) -> float | None:
+    """Greedy baseline: purchase at the first epoch with positive payoff,
+    returning the exit payoff as decide() does."""
     return decide(_myopic(horizon), h_prefix, pi_t)
 
 
@@ -242,12 +206,12 @@ def apply_policy(policy: StoppingPolicy, h, features=None) -> tuple[np.ndarray, 
     """
     # Column-major working copies: each epoch's column is contiguous.
     h = np.asfortranarray(h, dtype=float)
-    x = h if features is None else np.asfortranarray(features, dtype=float)
-    n_paths, t_plus_1 = h.shape
-    if t_plus_1 - 1 != policy.horizon:
+    if h.ndim != 2 or h.shape[1] != policy.horizon + 1:
         raise ValueError(
-            f"policy horizon {policy.horizon} does not match paths ({t_plus_1 - 1})"
+            f"h must be (N, T+1) with T = policy horizon {policy.horizon}, got shape {h.shape}"
         )
+    x = _features(h, features)
+    n_paths = len(h)
     times = np.full(n_paths, policy.horizon, dtype=np.int64)
     payoffs = h[:, policy.horizon].copy()
     active = np.ones(n_paths, dtype=bool)

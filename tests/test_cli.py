@@ -191,6 +191,20 @@ def test_simulate_nonpositive_n_is_an_error_line(config_file, tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_simulate_n_beyond_32_bit_path_indices_is_an_error_line(config_file, tmp_path, capsys):
+    # Rejected before the draw matrix (1.59 TiB at this n) is allocated.
+    out = tmp_path / "sim"
+    n = 2**32 + 1
+    rc = main(["simulate", "--config", str(config_file), "--n", str(n), "--out", str(out)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
+    assert payload == {
+        "type": "ValueError",
+        "message": f"number of paths must be <= 2**32 = 4294967296, got {n}",
+    }
+    assert not out.exists()
+
+
 def test_usage_error_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])

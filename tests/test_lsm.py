@@ -1,12 +1,13 @@
 """Backward training, online deployment, the myopic baseline, and their
 equivalence/adaptedness contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
 from optstop import lsm
 from optstop.lsm import (
-    ExitDecision,
     StoppingPolicy,
     apply_myopic,
     apply_policy,
@@ -27,21 +28,22 @@ from optstop.snell import backward_induction, discretize_consumer_problem, simul
 
 
 def decide_loop(policy, h_row, pi_row, feature_row=None):
-    """Reference per-path deployment: feed decide() growing prefixes."""
+    """Reference per-path deployment: feed decide() growing prefixes and
+    return (exit time, exit payoff)."""
     for t in range(policy.horizon + 1):
         feats = None if feature_row is None else feature_row[: t + 1]
-        decision = decide(policy, h_row[: t + 1], float(pi_row[t]), feats)
-        if decision is not None:
-            return decision
-    raise AssertionError("no decision emitted by the horizon")
+        payoff = decide(policy, h_row[: t + 1], float(pi_row[t]), feats)
+        if payoff is not None:
+            return t, payoff
+    raise AssertionError("no exit by the horizon")
 
 
 def myopic_loop(h_row, pi_row, horizon):
     for t in range(horizon + 1):
-        decision = myopic_decide(h_row[: t + 1], float(pi_row[t]), horizon)
-        if decision is not None:
-            return decision
-    raise AssertionError("no decision emitted by the horizon")
+        payoff = myopic_decide(h_row[: t + 1], float(pi_row[t]), horizon)
+        if payoff is not None:
+            return t, payoff
+    raise AssertionError("no exit by the horizon")
 
 
 def constant_policy(horizon: int, levels: list[float]) -> StoppingPolicy:
@@ -58,25 +60,31 @@ class TestTrain:
         policy, cf = train(
             [[0.5, 0.2]], RegressionBackend(kind=kind), return_cashflows=True
         )
-        assert np.array_equal(cf.values, [[0.5, 0.0]])
+        assert np.array_equal(cf.stop_values, [0.5])
         # kernel backend carries its default ridge, so allow that much slack
         assert policy.regressors[0].predict(0.5) == pytest.approx(0.2, abs=1e-5)
-        decision = decide(policy, [0.5], 0.5)
-        assert decision == ExitDecision(time=0, action="purchase", payoff=0.5)
+        assert decide(policy, [0.5], 0.5) == 0.5
 
     def test_all_zero_paths_give_zero_regressors(self):
         h = np.zeros((8, 5))
         policy, cf = train(h, RegressionBackend(), return_cashflows=True)
         assert all(isinstance(r, ZeroRegressor) for r in policy.regressors)
-        assert not cf.values.any()
+        assert not cf.stop_values.any()
 
-    def test_cashflow_rows_have_single_entry_matching_payoff(self, ref_run):
+    def test_cashflows_are_the_trained_rule_payoffs(self, ref_run):
+        # Each path's realized cashflow is the exit payoff the trained rule
+        # takes on it, bit for bit: on the seed-1 training batch (kernel) ...
         _, train_batch, _, _, _ = ref_run
+        policy, cf = train(train_batch.h, RegressionBackend(), return_cashflows=True)
+        assert np.array_equal(cf.stop_values, apply_policy(policy, train_batch.h)[1])
+        # ... and on a lattice with exact node features (tabular).
+        problem = discretize_consumer_problem(ModelParams(horizon=3, seed=5), levels=3)
+        nodes, h = simulate_paths(problem, 20_000, seed=51, domain=0)
+        feats = nodes.astype(float)
         policy, cf = train(
-            train_batch.h, RegressionBackend(), return_cashflows=True
+            h, RegressionBackend(kind="tabular"), features=feats, return_cashflows=True
         )
-        cf.validate_against(train_batch.h)
-        assert ((cf.values != 0).sum(axis=1) <= 1).all()
+        assert np.array_equal(cf.stop_values, apply_policy(policy, h, features=feats)[1])
 
     def test_metadata_records_numerics_and_backend(self):
         h = np.array([[0.5, 0.5, 0.2], [0.0, 0.1, 0.3]])
@@ -135,13 +143,12 @@ class TestTrain:
 class TestDecide:
     def test_terminal_purchase_and_reject(self):
         policy = constant_policy(2, [0.0, 0.0])
-        assert decide(policy, [0.0, 0.0, 0.3], 0.3) == ExitDecision(2, "purchase", 0.3)
-        assert decide(policy, [0.0, 0.0, 0.0], -0.4) == ExitDecision(2, "reject", 0.0)
+        assert decide(policy, [0.0, 0.0, 0.3], 0.3) == 0.3
+        assert decide(policy, [0.0, 0.0, 0.0], -0.4) == 0.0
 
     def test_early_exit_on_strictly_better_payoff(self):
         policy = constant_policy(3, [0.1, 0.1, 0.1])
-        decision = decide(policy, [0.4], 0.4)
-        assert decision == ExitDecision(0, "purchase", 0.4)
+        assert decide(policy, [0.4], 0.4) == 0.4
 
     def test_tie_continues(self):
         policy = StoppingPolicy(
@@ -153,10 +160,9 @@ class TestDecide:
 
     def test_zero_payoff_exit_is_a_rejection(self):
         # A negative continuation estimate makes H=0 "exit"; that exit cannot
-        # be a purchase since the purchase payoff is nonpositive.
+        # be a purchase since the purchase payoff is nonpositive, so it pays 0.
         policy = constant_policy(2, [-0.5, -0.5])
-        decision = decide(policy, [0.0], -0.2)
-        assert decision == ExitDecision(0, "reject", 0.0)
+        assert decide(policy, [0.0], -0.2) == 0.0
 
     def test_prefix_validation(self):
         policy = constant_policy(1, [0.0])
@@ -168,16 +174,15 @@ class TestDecide:
     def test_myopic_first_positive(self):
         h = np.array([0.0, 0.0, 0.1, 0.9])
         pi = np.array([-0.5, -0.1, 0.1, 0.9])
-        decision = myopic_loop(h, pi, 3)
-        assert decision == ExitDecision(2, "purchase", pytest.approx(0.1))
+        assert myopic_loop(h, pi, 3) == (2, pytest.approx(0.1))
 
     def test_myopic_never_positive_rejects_at_horizon(self):
         h = np.zeros(4)
         pi = np.full(4, -0.3)
-        assert myopic_loop(h, pi, 3) == ExitDecision(3, "reject", 0.0)
+        assert myopic_loop(h, pi, 3) == (3, 0.0)
 
     def test_myopic_immediate_greed(self):
-        assert myopic_decide([0.2], 0.2, 5) == ExitDecision(0, "purchase", 0.2)
+        assert myopic_decide([0.2], 0.2, 5) == 0.2
 
 
 class TestVectorizedEquivalence:
@@ -186,18 +191,14 @@ class TestVectorizedEquivalence:
         h, pi = test_batch.h[:200], test_batch.pi[:200]
         times, payoffs = apply_policy(policy, h)
         for n in range(len(h)):
-            decision = decide_loop(policy, h[n], pi[n])
-            assert decision.time == times[n]
-            assert decision.payoff == payoffs[n]
+            assert decide_loop(policy, h[n], pi[n]) == (times[n], payoffs[n])
 
     def test_apply_myopic_matches_decide_loop(self, ref_run):
         _, _, test_batch, _, _ = ref_run
         h, pi = test_batch.h[:200], test_batch.pi[:200]
         times, payoffs = apply_myopic(h)
         for n in range(len(h)):
-            decision = myopic_loop(h[n], pi[n], h.shape[1] - 1)
-            assert decision.time == times[n]
-            assert decision.payoff == payoffs[n]
+            assert myopic_loop(h[n], pi[n], h.shape[1] - 1) == (times[n], payoffs[n])
 
     def test_every_path_exits_by_horizon(self, ref_run):
         policy, _, test_batch, _, _ = ref_run
@@ -208,6 +209,20 @@ class TestVectorizedEquivalence:
         policy = constant_policy(2, [0.0, 0.0])
         with pytest.raises(ValueError):
             apply_policy(policy, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize(
+        "h_shape, features_shape, message",
+        [
+            ((3, 3), (2, 3), "features shape (2, 3) must match h shape (3, 3)"),
+            ((3, 3), (3, 2), "features shape (3, 2) must match h shape (3, 3)"),
+            ((3,), None, "h must be (N, T+1) with T = policy horizon 2, got shape (3,)"),
+        ],
+    )
+    def test_bad_shapes_named(self, h_shape, features_shape, message):
+        policy = constant_policy(2, [0.0, 0.0])
+        features = None if features_shape is None else np.zeros(features_shape)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_policy(policy, np.zeros(h_shape), features=features)
 
 
 class TestAdaptedness:
