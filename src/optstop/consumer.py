@@ -43,7 +43,8 @@ def purchase_payoff(v, price, t, params: ModelParams):
     unprofitable purchases saturate to a large negative but finite payoff.
     The clamp changes no exit payoff and no decision: where it acts, both the
     clamped and the exact payoff are <= 1 - e^700 < 0, so both exit at 0 and
-    neither buys. Valuation and price may be floats or matching arrays.
+    neither buys. Valuation and price may be floats or matching arrays, and t
+    an int or an array of epochs that broadcasts against them.
     """
     if not np.all(np.isfinite(price)):
         raise ValueError(f"price must be finite, got {price}")

@@ -141,15 +141,16 @@ def generate_paths(
 
 
 def simulate(params: ModelParams, z, fixed_v0: float | None = None) -> PathBatch:
-    """Run the consumer/seller epochs for one path per row of z, the
-    package's one epoch loop (snell's Gauss-Hermite lattice runs it too).
+    """Run the consumer/seller epochs for one path per row of z (snell's
+    Gauss-Hermite lattice runs it too).
 
     Row i holds path i's standard normals in draw order: the initial
     valuation (unless pinned via fixed_v0), then per epoch the valuation
-    shock and the seller's observation noise. The epochs run for all rows at
-    once, each written straight into its column of the batch: the valuation
-    walk steps, the seller observes, filters, and prices, and the payoffs
-    close the epoch.
+    shock and the seller's observation noise. The epoch loop runs the
+    dynamics for all rows at once, one column of the batch per epoch: the
+    valuation walk steps, the seller observes and filters. The price never
+    feeds back into them, so the whole (n, T+1) posterior is then priced in
+    one call, with one variance per epoch, and the payoffs in one more.
     """
     # sigma_xi = 0 is a valid Kalman input, but its posterior variance 0 has no price.
     if not params.sigma_xi > 0:
@@ -166,8 +167,6 @@ def simulate(params: ModelParams, z, fixed_v0: float | None = None) -> PathBatch
 
     v = np.empty((n, T + 1))
     y = np.empty((n, T))
-    p = np.empty((n, T + 1))
-    pi = np.empty((n, T + 1))
     seller_mean = np.empty((n, T + 1))
     seller_var = np.empty(T + 1)
     v[:, 0] = params.mu_prior + params.sigma_v * z[:, 0] if first else fixed_v0
@@ -189,8 +188,8 @@ def simulate(params: ModelParams, z, fixed_v0: float | None = None) -> PathBatch
                 f"sigma_xi={params.sigma_xi})"
             )
         seller_var[t] = var
-        p[:, t] = seller.myopic_price(seller_mean[:, t], var)
-        pi[:, t] = consumer.purchase_payoff(v[:, t], p[:, t], t, params)
+    p = seller.myopic_price(seller_mean, seller_var)
+    pi = consumer.purchase_payoff(v, p, np.arange(T + 1), params)
 
     batch = PathBatch(
         v=v, y=y, p=p, pi=pi, h=consumer.exit_payoff(pi),

@@ -63,12 +63,15 @@ class CashflowMatrix:
 
 
 def _features(h: np.ndarray, features) -> np.ndarray:
-    """Column-major regression features shaped like h; h itself by default."""
+    """Column-major regression features shaped like h; h itself by default.
+    Supplied features must be finite."""
     if features is None:
         return h
     x = np.asfortranarray(features, dtype=float)
     if x.shape != h.shape:
         raise ValueError(f"features shape {x.shape} must match h shape {h.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
     return x
 
 
@@ -108,8 +111,6 @@ def train(
         raise ValueError("exit payoffs must be finite and nonnegative")
     horizon = h.shape[1] - 1
     x = _features(h, features)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features must be finite")
 
     stop_value = h[:, horizon].copy()
     regressors: list[Regressor] = [None] * horizon  # type: ignore[list-item]
@@ -172,6 +173,8 @@ def decide(
     horizon happens exactly when H_t strictly beats the trained continuation
     estimate; at the horizon the exit is forced. The exit is a purchase
     exactly when H_t > 0 (H_t is then pi_t), and a walk-away paying 0 otherwise.
+    feature_prefix, if given, holds the regression features observed so far,
+    one per entry of h_prefix, all finite; it defaults to h_prefix.
     """
     h_prefix = np.asarray(h_prefix, dtype=float)
     t = len(h_prefix) - 1
@@ -180,15 +183,9 @@ def decide(
     h_t = float(h_prefix[-1])
     if h_t != max(pi_t, 0.0):
         raise ValueError(f"H_t={h_t} inconsistent with pi_t={pi_t}")
-    if t < policy.horizon:
-        if feature_prefix is None:
-            x_t = h_t
-        else:
-            if len(feature_prefix) != t + 1:
-                raise ValueError("feature prefix must have the same length as h prefix")
-            x_t = float(feature_prefix[-1])
-        if not h_t > policy.regressors[t].predict(x_t):
-            return None
+    x = _features(h_prefix, feature_prefix)
+    if t < policy.horizon and not h_t > policy.regressors[t].predict(float(x[-1])):
+        return None
     return h_t
 
 

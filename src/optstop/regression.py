@@ -219,18 +219,23 @@ def fit_kernel(xs, ys, bandwidth: float = 1.0, ridge: float = DEFAULT_RIDGE) -> 
     lam = max(ridge, len(xs) * 2.0**-52)
     # Householder QR of [Phi, y; sqrt(lam) I, 0], then back substitution. Every
     # reduction runs in numpy's own loops (einsum), never in BLAS, so the fit
-    # is the same under any BLAS thread count.
-    a = np.vstack([_taylor_features(xs, xs[0], xs[-1], bandwidth, m), ys]).T
-    a = np.vstack([a, math.sqrt(lam) * np.eye(m, m + 1)])
+    # is the same under any BLAS thread count. The working array is stored
+    # transposed, at = [Phi^T, sqrt(lam) I; y^T, 0], so each column is a
+    # contiguous row.
+    d = len(xs)
+    at = np.zeros((m + 1, d + m))
+    at[:m, :d] = _taylor_features(xs, xs[0], xs[-1], bandwidth, m)
+    at[m, :d] = ys
+    at[:m, d:] = math.sqrt(lam) * np.eye(m)
     for j in range(m):
-        rows = slice(j, len(xs) + j + 1)  # the ridge rows below are still zero from column j
-        v = a[rows, j].copy()
+        cols = slice(j, d + j + 1)  # past entry d + j, rows j.. are still zero (ridge block)
+        v = at[j, cols].copy()
         v[0] += math.copysign(math.sqrt(np.einsum("i,i", v, v)), v[0])
-        w = np.einsum("i,ij->j", v, a[rows, j:]) * (2.0 / np.einsum("i,i", v, v))
-        a[rows, j:] -= np.multiply.outer(v, w)
+        w = np.einsum("ji,i->j", at[j:, cols], v) * (2.0 / np.einsum("i,i", v, v))
+        at[j:, cols] -= np.multiply.outer(w, v)
     coeffs = np.zeros(m)
     for j in range(m - 1, -1, -1):
-        coeffs[j] = (a[j, m] - np.einsum("i,i", a[j, j + 1 : m], coeffs[j + 1 :])) / a[j, j]
+        coeffs[j] = (at[m, j] - np.einsum("i,i", at[j + 1 : m, j], coeffs[j + 1 :])) / at[j, j]
     return KernelRegressor([xs[0], xs[-1]], coeffs, bandwidth, ridge)
 
 

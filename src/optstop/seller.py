@@ -56,6 +56,12 @@ def kalman_correct(mean, var, y, params: ModelParams):
     return mean + gain * (y - mean), (1.0 - gain) * var
 
 
+def _first_fault(ok, x) -> float:
+    """The entry of x, broadcast to the shape of the mask ok, at ok's first
+    False."""
+    return float(np.broadcast_to(x, ok.shape)[np.unravel_index(np.argmin(ok), ok.shape)])
+
+
 def myopic_price(mean, var):
     """Price maximizing p * Pr(v > p) under the Gaussian belief N(mean, var).
 
@@ -75,22 +81,28 @@ def myopic_price(mean, var):
     within 4 ulps on a 1001-point grid of m in [-30, 40]. A |m| above
     MAX_SCALED_MEAN raises a ValueError naming the mean and the variance.
 
-    The mean may be a float or an array; each element follows the same
-    elementwise arithmetic for the same number of steps, so an array call
-    returns the bits of the matching scalar calls.
+    The mean may be a float or an array, and the variance a float or an array
+    that broadcasts against it (one entry per epoch, say); each element
+    follows the same elementwise arithmetic for the same number of steps, so
+    an array call returns the bits of the matching scalar calls. An error
+    names the mean and the variance of the first entry at fault.
     """
+    mean = np.asarray(mean, dtype=float)
+    var = np.asarray(var, dtype=float)
     if not np.all(np.isfinite(mean)):
-        raise ValueError(f"mean must be finite, got {mean}")
-    if not 0.0 < var < math.inf:
-        raise ValueError(f"variance must be finite and > 0, got {var}")
-    sigma = math.sqrt(var)
+        raise ValueError(f"mean must be finite, got {_first_fault(np.isfinite(mean), mean)}")
+    ok = (0.0 < var) & (var < math.inf)
+    if not np.all(ok):
+        raise ValueError(f"variance must be finite and > 0, got {_first_fault(ok, var)}")
+    sigma = np.sqrt(var)
     # Checked before dividing, where mu / sigma could overflow.
-    if not np.all(np.abs(mean) <= MAX_SCALED_MEAN * sigma):
+    ok = np.abs(mean) <= MAX_SCALED_MEAN * sigma
+    if not np.all(ok):
         raise ValueError(
             f"pricing requires |mean| / sqrt(variance) <= {MAX_SCALED_MEAN:g}, "
-            f"got mean {mean} and variance {var}"
+            f"got mean {_first_fault(ok, mean)} and variance {_first_fault(ok, var)}"
         )
-    m = np.asarray(mean, dtype=float) / sigma
+    m = mean / sigma
     # Bracket end (m + sqrt(m^2 + 4)) / 2; for m < 0 it is computed as the
     # reciprocal of (|m| + sqrt(m^2 + 4)) / 2, which avoids the cancellation.
     a = np.abs(m)

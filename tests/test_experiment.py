@@ -155,6 +155,32 @@ class TestGeneratePaths:
         with pytest.raises(ValueError, match="^z must have 6 columns"):
             experiment.simulate(params, np.zeros((2, 7)), fixed_v0=0.5)
 
+    def test_prices_and_payoffs_in_one_pass(self, monkeypatch):
+        # The price never feeds back into the dynamics, so one simulate call
+        # prices the whole (n, T+1) posterior at once: no per-epoch loop.
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls.append((name, np.shape(args[0])))
+                return original(*args)
+
+            return wrapper
+
+        for owner, name in (
+            (experiment.seller, "myopic_price"),
+            (experiment.seller, "erfcx"),
+            (experiment.consumer, "purchase_payoff"),
+        ):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        params = ModelParams(horizon=5, seed=3)
+        z = np.random.default_rng(3).standard_normal((7, 1 + 2 * params.horizon))
+        experiment.simulate(params, z)
+        shape = (7, params.horizon + 1)
+        assert calls == (
+            [("myopic_price", shape)] + [("erfcx", shape)] * 8 + [("purchase_payoff", shape)]
+        )
+
     def test_path_index_not_order_dependent(self):
         params = ModelParams(horizon=4, seed=5)
         wide = generate_paths(params, 8, DOMAIN_TRAIN)

@@ -224,6 +224,22 @@ class TestVectorizedEquivalence:
         with pytest.raises(ValueError, match=re.escape(message)):
             apply_policy(policy, np.zeros(h_shape), features=features)
 
+    @pytest.mark.parametrize("kind", ["kernel", "poly", "tabular"])
+    def test_non_finite_features_named(self, kind):
+        # Every backend rejects a NaN feature the same way; unchecked, kernel
+        # and poly kept browsing on it while tabular exited.
+        h = np.array([[0.5, 0.2], [0.3, 0.4], [0.1, 0.0]])
+        policy = train(h, RegressionBackend(kind=kind), features=h + 1)
+        bad = h + 1
+        bad[0, 0] = np.nan
+        message = "^features must be finite$"
+        with pytest.raises(ValueError, match=message):
+            apply_policy(policy, h, features=bad)
+        with pytest.raises(ValueError, match=message):
+            decide(policy, h[0, :1], 0.5, bad[0, :1])
+        with pytest.raises(ValueError, match=message):
+            train(h, RegressionBackend(kind=kind), features=bad)
+
 
 class TestAdaptedness:
     def test_future_mutations_cannot_change_decisions(self, ref_run):

@@ -234,6 +234,35 @@ class TestMyopicPrice:
         assert prices.shape == means.shape
         assert prices.tobytes() == scalar.tobytes()
 
+    def test_per_epoch_variance_matches_scalar_calls_bitwise(self):
+        # The simulator's call: an (n, T+1) mean, one variance per epoch.
+        var = np.array([1.0, 0.37, 2.5e-3, 4.0])
+        rng = np.random.default_rng(23)
+        m = rng.uniform(-30.0, 40.0, (6, len(var)))
+        big = seller.MAX_SCALED_MEAN
+        m[0] = [-1e15, 1e15, -big, big]
+        m[1] = [big, -big, 1e15, -1e15]
+        means = m * np.sqrt(var)
+        prices = myopic_price(means, var)
+        scalar = [[myopic_price(float(mu), float(s2)) for mu, s2 in zip(row, var)] for row in means]
+        assert prices.shape == means.shape
+        assert prices.tobytes() == np.array(scalar).tobytes()
+
+    def test_per_epoch_faults_name_the_first_entry(self):
+        var = np.array([1.0, 0.5, 0.25, 0.125])
+        means = np.zeros((3, len(var)))
+        means[1, 2] = 1e300  # beyond the bound at sigma = 0.5
+        means[2, 1] = 1.7e308
+        with pytest.raises(ValueError) as info:
+            myopic_price(means, var)
+        assert str(info.value).endswith(f"got mean {1e300} and variance {0.25}")
+        means[1, 3] = math.nan
+        means[2, 0] = math.inf
+        with pytest.raises(ValueError, match=r"^mean must be finite, got nan$"):
+            myopic_price(means, var)
+        with pytest.raises(ValueError, match=r"^variance must be finite and > 0, got 0.0$"):
+            myopic_price(np.zeros((3, 4)), np.array([1.0, 0.5, 0.0, math.nan]))
+
     def test_against_40_digit_roots(self):
         # Unit variance, so the price is q itself. The 64-step bisection
         # this solver replaced was within 6.4e-16 and 4.0 ulps on these m.
