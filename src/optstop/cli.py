@@ -53,10 +53,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_train(args) -> int:
     config = _load_config(args)
     if args.paths:
+        # The seed recorded is the one that made the paths, from the file's config echo.
+        seed = experiment.paths_csv_seed(args.paths)
+        if seed is None:
+            seed = config.params.seed
+        elif args.seed is not None and args.seed != seed:
+            raise ValueError(
+                f"--seed {args.seed} differs from the seed {seed} in the config echo of {args.paths}"
+            )
         batch = experiment.load_paths_csv(args.paths)
-        policy = lsm.train(
-            batch.h, config.backend, metadata={"seed": config.params.seed}
-        )
+        policy = lsm.train(batch.h, config.backend, metadata={"seed": seed})
     else:
         policy, _ = experiment.train_policy(config)
     experiment.write_output_dir(args.out, {"policy.txt": policy_io.policy_to_text(policy)})

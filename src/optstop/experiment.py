@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import shutil
 import tempfile
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -401,47 +403,126 @@ def render_paths_csv(batch: PathBatch, config: ExperimentConfig) -> str:
     return _table(config, dict(zip(PATHS_COLUMNS, columns, strict=True)))
 
 
+# The paths CSV as numpy's C reader parses it. A field may carry whitespace
+# around it. An integer is ASCII digits with an optional sign and fits 64 bits.
+# A number is what float() accepts, in ASCII and without digit separators:
+# both parse it with the same correctly rounded PyOS_string_to_double. The
+# _parse_* functions hold this grammar for the y converter and _name_fault.
+_PATHS_DTYPE = np.dtype(
+    [(name, np.int64 if name in ("path", "t") else np.float64) for name in PATHS_COLUMNS]
+)
+_Y = PATHS_COLUMNS.index("y")
+_ECHO = "# config "
+
+
+def _parse_y(text: str) -> float:
+    """The reader's converter for y, which is empty at t = 0: read as nan
+    there (dropped below), so that a later empty y fails validate()."""
+    if not text:
+        return math.nan
+    text = text.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
+
+
+def _parse_float(text: str) -> float:
+    if not text:
+        raise ValueError("empty field")
+    return _parse_y(text)
+
+
+def _parse_int(text: str) -> int:
+    text = text.strip()
+    if re.fullmatch(r"[+-]?[0-9]+", text) and -(1 << 63) <= int(text) < 1 << 63:
+        return int(text)
+    raise ValueError(f"not a 64-bit integer: {text!r}")
+
+
+def _read_to_header(fh) -> str | None:
+    """Read fh through the header row, past leading `#` and blank lines; check
+    the header and return the config echo's JSON text (None if there is none)."""
+    echo = None
+    for line in iter(fh.readline, ""):
+        if line.startswith(_ECHO) and echo is None:
+            echo = line[len(_ECHO):]
+        elif line.strip() and not line.startswith("#"):
+            header = line.rstrip("\n").split(",")
+            if header != list(PATHS_COLUMNS):
+                raise ValueError(f"unexpected paths CSV header {header}")
+            return echo
+    raise ValueError("paths CSV has no header row")
+
+
+def _name_fault(fh) -> None:
+    """Rescan the data rows of fh and raise a ValueError naming the first one
+    that the C reader rejects: a row of another width or a field that does
+    not parse. Data row 1 follows the header; empty lines are not counted."""
+    fh.seek(0)
+    _read_to_header(fh)
+    width = len(PATHS_COLUMNS)
+    parsers = [_parse_int, _parse_int] + [_parse_float] * (width - 2)
+    parsers[_Y] = _parse_y
+    rows = (line.rstrip("\n") for line in fh)
+    for row, line in enumerate(filter(None, rows), 1):
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValueError(
+                f"paths CSV data row {row} has {len(fields)} fields; "
+                f"the file needs rows of {width} fields"
+            )
+        for name, parse, text in zip(PATHS_COLUMNS, parsers, fields):
+            try:
+                parse(text)
+            except ValueError:
+                what = "a 64-bit integer" if parse is _parse_int else "a number"
+                raise ValueError(
+                    f"paths CSV data row {row}: {name} field {text!r} is not {what}"
+                ) from None
+
+
+def paths_csv_seed(path) -> int | None:
+    """The model seed in a paths CSV's config echo, or None if it has no echo."""
+    with open(path, "r", encoding="utf-8") as fh:
+        echo = _read_to_header(fh)
+    if echo is None:
+        return None
+    try:
+        return ExperimentConfig.from_dict(json.loads(echo)).params.seed
+    except ValueError as exc:
+        raise ValueError(f"paths CSV config echo: {exc}") from None
+
+
 def load_paths_csv(path) -> PathBatch:
     """Reconstruct a PathBatch from the long-format CSV written by render_paths_csv.
 
     Every (path, t) pair up to the largest path and epoch in the file must
     appear exactly once, and all paths must share seller_var at each t;
     otherwise the error names the first pair that is missing, duplicated, or
-    whose seller_var differs from path 0's. A field that does not parse is
-    named by its column and its data row (row 1 follows the header).
+    whose seller_var differs from path 0's. The data rows are parsed in one
+    pass of numpy's C reader; a row of another width or a field that does not
+    parse is named by its data row (row 1 follows the header) and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    data_lines = [ln for ln in lines if not ln.startswith("#")]
-    if not data_lines:
-        raise ValueError("paths CSV has no header row")
-    header = data_lines[0].split(",")
-    if header != list(PATHS_COLUMNS):
-        raise ValueError(f"unexpected paths CSV header {header}")
-    width, n_rows = len(PATHS_COLUMNS), len(data_lines) - 1
-    fields = ",".join(data_lines[1:]).split(",")
-    if n_rows < 1 or len(fields) != width * n_rows:
-        raise ValueError(f"paths CSV needs rows of {width} fields")
-
-    # y is empty at t = 0 and dropped below; "nan" makes a later empty y fail validate().
-    fields[3::width] = [s or "nan" for s in fields[3::width]]
-
-    def parse(k: int, kind=float) -> np.ndarray:
-        values = fields[k::width]
+        _read_to_header(fh)
         try:
-            return np.fromiter(map(kind, values), dtype=kind, count=n_rows)
-        except (ValueError, OverflowError):
-            for row, text in enumerate(values, 1):
-                try:
-                    np.array(kind(text), dtype=kind)
-                except (ValueError, OverflowError):
-                    what = "a 64-bit integer" if kind is int else "a number"
-                    raise ValueError(
-                        f"paths CSV data row {row}: {PATHS_COLUMNS[k]} field {text!r} is not {what}"
-                    ) from None
+            with warnings.catch_warnings():
+                # A header-only file is named below, not warned about.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(
+                    fh, dtype=_PATHS_DTYPE, delimiter=",", comments=None,
+                    converters={_Y: _parse_y}, ndmin=1,
+                )
+        except ValueError:
+            _name_fault(fh)
             raise
+    n_rows = len(rows)
+    if n_rows == 0:
+        raise ValueError(
+            f"paths CSV has no data rows; it needs rows of {len(PATHS_COLUMNS)} fields"
+        )
 
-    path_i, t = parse(0, int), parse(1, int)
+    path_i, t = rows["path"], rows["t"]
     if path_i.min() < 0 or t.min() < 0:
         raise ValueError("paths CSV has a negative path or t index")
     n, T = int(path_i.max()) + 1, int(t.max())
@@ -461,14 +542,14 @@ def load_paths_csv(path) -> PathBatch:
             fault = "is missing"
         raise ValueError(f"paths CSV row (path={i}, t={t_bad}) {fault}")
 
-    def column(k: int) -> np.ndarray:
-        return parse(k)[order].reshape(n, T + 1)
+    def column(name: str) -> np.ndarray:
+        return rows[name][order].reshape(n, T + 1)
 
-    y = column(3)[:, 1:].copy()
-    seller_var = column(8)
+    y = column("y")[:, 1:].copy()
+    seller_var = column("seller_var")
     batch = PathBatch(
-        v=column(2), y=y, p=column(4), pi=column(5), h=column(6),
-        seller_mean=column(7), seller_var=seller_var[0].copy(),
+        v=column("v"), y=y, p=column("p"), pi=column("pi"), h=column("h"),
+        seller_mean=column("seller_mean"), seller_var=seller_var[0].copy(),
     )
     batch.validate()
     differs = np.argwhere(seller_var != seller_var[0])

@@ -156,14 +156,6 @@ def backward_induction(problem: FiniteStopProblem) -> SnellSolution:
     return SnellSolution(values=values, stop=stop, root_value=root)
 
 
-def stopping_time(solution: SnellSolution, node_path) -> int:
-    """First epoch along a realized node path where the envelope meets the payoff."""
-    for t, node in enumerate(node_path):
-        if solution.stop[t][node]:
-            return t
-    raise ValueError("no stop epoch found; terminal nodes always stop")
-
-
 def expected_stopped_payoff(problem: FiniteStopProblem, solution: SnellSolution) -> float:
     """Expected payoff of the earliest-stopping rule, by forward mass propagation.
 

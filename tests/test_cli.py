@@ -70,6 +70,50 @@ def test_train_from_simulated_csv_matches_in_process(config_file, tmp_path):
         json.loads(b.split("\n", 2)[2])["regressors"]
 
 
+def test_train_from_csv_records_the_seed_that_made_it(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--seed", "7", "--n", "5", "--out", str(sim)]) == 0
+    csv = sim / "paths.csv"
+    for argv, seed in ((["--seed", "7"], 7), ([], 7)):
+        out = tmp_path / f"trained{len(argv)}"
+        assert main(["train", "--paths", str(csv), "--out", str(out), *argv]) == 0
+        assert load_policy(out / "policy.txt").metadata["seed"] == seed
+    # Without a config echo, the seed is the command's, as before.
+    bare = tmp_path / "bare.csv"
+    bare.write_text("".join(csv.read_text().splitlines(keepends=True)[1:]))
+    for argv, seed in ((["--seed", "3"], 3), ([], 1)):
+        out = tmp_path / f"bare{len(argv)}"
+        assert main(["train", "--paths", str(bare), "--out", str(out), *argv]) == 0
+        assert load_policy(out / "policy.txt").metadata["seed"] == seed
+    capsys.readouterr()
+
+    out = tmp_path / "clash"
+    assert main(["train", "--paths", str(csv), "--seed", "3", "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
+    assert payload == {
+        "type": "ValueError",
+        "message": f"--seed 3 differs from the seed 7 in the config echo of {csv}",
+    }
+    assert not out.exists()
+
+
+def test_train_names_a_faulty_field_of_a_paths_csv(config_file, tmp_path, capsys):
+    sim = tmp_path / "sim"
+    main(["simulate", "--config", str(config_file), "--out", str(sim)])
+    lines = (sim / "paths.csv").read_text().splitlines(keepends=True)
+    fields = lines[5].split(",")
+    fields[2] = "abc"  # v of data row 4
+    lines[5] = ",".join(fields)
+    (sim / "paths.csv").write_text("".join(lines))
+    out = tmp_path / "trained"
+    assert main(["train", "--paths", str(sim / "paths.csv"), "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
+    assert payload == {
+        "type": "ValueError", "message": "paths CSV data row 4: v field 'abc' is not a number",
+    }
+    assert not out.exists()
+
+
 def test_evaluate_independent_mode(config_file, tmp_path):
     train_out = tmp_path / "trained"
     main(["train", "--config", str(config_file), "--out", str(train_out)])

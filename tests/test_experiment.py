@@ -5,10 +5,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optstop import experiment, lsm, snell
 from optstop.consumer import exit_payoff, purchase_payoff, step_valuation
@@ -16,10 +21,12 @@ from optstop.experiment import (
     DOMAIN_MYOPIC_TEST,
     DOMAIN_TEST,
     DOMAIN_TRAIN,
+    PATHS_COLUMNS,
     ExperimentConfig,
     generate_paths,
     load_config,
     load_paths_csv,
+    paths_csv_seed,
     render_paths_csv,
     run_experiment,
     write_output_dir,
@@ -456,7 +463,47 @@ class TestOutputs:
         assert list(tmp_path.iterdir()) == []  # staging cleaned up
 
 
+# 16- and 17-digit decimals across the exponent range; most keep all their
+# digits as the shortest repr of the double they round to.
+LONG_DECIMALS = st.builds(
+    lambda m, e: float(f"{m}e{e}"), st.integers(10**15, 10**17 - 1), st.integers(-340, 291)
+)
+EDGE_DOUBLES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+     1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 0.30000000000000004]
+)
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), LONG_DECIMALS, EDGE_DOUBLES)
+
+
+@st.composite
+def path_batches(draw) -> PathBatch:
+    n, tp1 = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+
+    def grid(*shape):
+        size = math.prod(shape)
+        return np.reshape(draw(st.lists(FINITE, min_size=size, max_size=size)), shape)
+
+    pi = grid(n, tp1)
+    return PathBatch(
+        v=grid(n, tp1), y=grid(n, tp1 - 1), p=grid(n, tp1), pi=pi, h=np.maximum(pi, 0.0),
+        seller_mean=grid(n, tp1), seller_var=grid(tp1),
+    )
+
+
 class TestPathsCsv:
+    @given(path_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_bitwise_for_any_finite_doubles(self, batch):
+        text = render_paths_csv(batch, small_config())
+        with tempfile.TemporaryDirectory() as tmp:
+            file = Path(tmp) / "paths.csv"
+            for variant in (text, text.replace("\n", "\r\n"), text.rstrip("\n")):
+                file.write_bytes(variant.encode("utf-8"))
+                loaded = load_paths_csv(file)
+                for field in ("v", "y", "p", "pi", "h", "seller_mean", "seller_var"):
+                    want, got = getattr(batch, field), getattr(loaded, field)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+
     def test_round_trip_bitwise(self, tmp_path):
         params = ModelParams(horizon=5, seed=31)
         batch = generate_paths(params, 12, DOMAIN_TRAIN)
@@ -494,6 +541,25 @@ class TestPathsCsv:
              "^paths CSV data row 7: v field 'abc' is not a number$"),
             (lambda rows: [], "no header row"),
             (lambda rows: rows[:1], "no header row"),  # only the config echo
+            (lambda rows: rows[:2], "^paths CSV has no data rows; it needs rows of 9 fields$"),
+            (lambda rows: rows[:8] + [rows[8].rstrip("\n") + ",0.5\n"] + rows[9:],
+             "^paths CSV data row 7 has 10 fields; the file needs rows of 9 fields$"),
+            # Whitespace-only and `#` lines are skipped only before the header.
+            (lambda rows: rows[:8] + [" \t\n"] + rows[8:],
+             "^paths CSV data row 7 has 1 fields; the file needs rows of 9 fields$"),
+            (lambda rows: rows[:8] + ["# a note\n"] + rows[8:],
+             "^paths CSV data row 7 has 1 fields; the file needs rows of 9 fields$"),
+            # float() and int() take digit separators and non-ASCII digits; the reader does not.
+            (lambda rows: rows[:8] + [rows[8].replace(rows[8].split(",")[2], "1_0.5", 1)] + rows[9:],
+             "^paths CSV data row 7: v field '1_0.5' is not a number$"),
+            (lambda rows: rows[:8] + ["1_0" + rows[8][len("1"):]] + rows[9:],
+             "^paths CSV data row 7: path field '1_0' is not a 64-bit integer$"),
+            (lambda rows: rows[:8] + ["1,\u0662," + rows[8][len("1,2,"):]] + rows[9:],
+             "^paths CSV data row 7: t field '\u0662' is not a 64-bit integer$"),
+            (lambda rows: rows[:8] + ["1,2,2,," + rows[8].split(",", 4)[4]] + rows[9:],
+             "non-finite entries in y"),  # y is empty only at t = 0
+            (lambda rows: rows[:8] + ["1,2,2, ," + rows[8].split(",", 4)[4]] + rows[9:],
+             "^paths CSV data row 7: y field ' ' is not a number$"),
         ],
     )
     def test_faulty_rows_named(self, tmp_path, edit, message):
@@ -503,7 +569,39 @@ class TestPathsCsv:
         assert lines[8].startswith("1,2,")
         file = tmp_path / "paths.csv"
         file.write_text("".join(edit(lines)))
-        with pytest.raises(ValueError, match=message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a fault is raised, never warned about
+            with pytest.raises(ValueError, match=message):
+                load_paths_csv(file)
+
+    @pytest.mark.parametrize("column", ["t", "v"])
+    @pytest.mark.parametrize(
+        "text",
+        [" 2", "2\t", "+2", "02", "\xa02", "\u20032\u2003", "\x1c2", "2_0", "\u0662", "2.0",
+         "2e0", ".5", "5.", "1e400", "-1e-400", "inf", "-nan", "0x1p3", "1d3", "2j", " ", "\x00"],
+    )
+    def test_named_exactly_when_the_reader_rejects(self, tmp_path, column, text):
+        # The rescan that names a fault must reject what numpy's reader rejects, and
+        # only that. A later row holds a second fault, which is named only if the
+        # reader accepts the field under test.
+        dtype = np.int64 if column == "t" else np.float64
+        try:
+            np.loadtxt([text], dtype=dtype, delimiter=",", comments=None)
+            accepted = True
+        except ValueError:
+            accepted = False
+        lines = self.csv_lines()
+        for row, k, field in ((8, PATHS_COLUMNS.index(column), text), (11, 2, "abc")):
+            fields = lines[row].rstrip("\n").split(",")
+            fields[k] = field
+            lines[row] = ",".join(fields) + "\n"
+        file = tmp_path / "paths.csv"
+        file.write_text("".join(lines))
+        if accepted:
+            named = "data row 10: v field 'abc' is not a number"
+        else:
+            named = f"data row 7: {column} field {re.escape(repr(text))} is not a"
+        with pytest.raises(ValueError, match=f"^paths CSV {named}"):
             load_paths_csv(file)
 
     @pytest.mark.parametrize("path, t, named", [(2, 1, 2), (0, 2, 1)])
@@ -518,6 +616,17 @@ class TestPathsCsv:
         file.write_text("".join(lines))
         with pytest.raises(ValueError, match=rf"seller_var at \(path={named}, t={t}\)"):
             load_paths_csv(file)
+
+    def test_seed_read_from_the_config_echo(self, tmp_path):
+        lines = self.csv_lines()
+        file = tmp_path / "paths.csv"
+        file.write_text("".join(lines))
+        assert paths_csv_seed(file) == small_config().params.seed
+        file.write_text("".join(lines[1:]))
+        assert paths_csv_seed(file) is None
+        file.write_text("# config {\"model\": {\"seed\": -1}}\n" + "".join(lines[1:]))
+        with pytest.raises(ValueError, match="^paths CSV config echo: .*seed"):
+            paths_csv_seed(file)
 
     def test_header_checked(self, tmp_path):
         bad = tmp_path / "p.csv"

@@ -21,7 +21,6 @@ from optstop.snell import (
     expected_stopped_payoff,
     load_problem,
     simulate_paths,
-    stopping_time,
 )
 
 
@@ -136,8 +135,9 @@ class TestEarliestStopping:
     def test_two_epoch_rule_and_value(self):
         problem = two_epoch_tree()
         sol = backward_induction(problem)
-        assert stopping_time(sol, [0, 0]) == 1
-        assert stopping_time(sol, [0, 1]) == 1
+        # The root continues; both nodes at t = 1 stop.
+        assert not sol.stop[0][0]
+        assert sol.stop[1][0] and sol.stop[1][1]
         assert expected_stopped_payoff(problem, sol) == pytest.approx(0.6, abs=1e-15)
 
     def test_constant_payoffs_stop_at_zero(self):
@@ -146,8 +146,7 @@ class TestEarliestStopping:
             transitions=[np.array([[0.4, 0.6]])],
         )
         sol = backward_induction(problem)
-        assert sol.stop[0][0]
-        assert stopping_time(sol, [0, 1]) == 0
+        assert sol.stop[0][0]  # the root stops, so every path stops at t = 0
 
     def test_dominates_every_enumerable_rule(self):
         rng = np.random.default_rng(23)
