@@ -53,13 +53,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_train(args) -> int:
     config = _load_config(args)
     if args.paths:
-        # The seed recorded is the one that made the paths, from the file's config echo.
+        # The seed recorded is the one that made the paths, from the file's
+        # config echo; a seed the command was given must be the same.
         seed = experiment.paths_csv_seed(args.paths)
         if seed is None:
             seed = config.params.seed
-        elif args.seed is not None and args.seed != seed:
+        elif (args.seed is not None or args.config) and config.params.seed != seed:
+            given = f"--seed {args.seed}" if args.seed is not None else (
+                f"the seed {config.params.seed} of --config {args.config}"
+            )
             raise ValueError(
-                f"--seed {args.seed} differs from the seed {seed} in the config echo of {args.paths}"
+                f"{given} differs from the seed {seed} in the config echo of {args.paths}"
             )
         batch = experiment.load_paths_csv(args.paths)
         policy = lsm.train(batch.h, config.backend, metadata={"seed": seed})

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import shutil
 import tempfile
 import warnings
@@ -403,11 +402,10 @@ def render_paths_csv(batch: PathBatch, config: ExperimentConfig) -> str:
     return _table(config, dict(zip(PATHS_COLUMNS, columns, strict=True)))
 
 
-# The paths CSV as numpy's C reader parses it. A field may carry whitespace
-# around it. An integer is ASCII digits with an optional sign and fits 64 bits.
-# A number is what float() accepts, in ASCII and without digit separators:
-# both parse it with the same correctly rounded PyOS_string_to_double. The
-# _parse_* functions hold this grammar for the y converter and _name_fault.
+# The paths CSV as numpy's C reader parses it: int64 `path` and `t`, float64
+# values, each number read with the same correctly rounded
+# PyOS_string_to_double as float(). The reader also names the faults (see
+# _name_fault), so there is one grammar.
 _PATHS_DTYPE = np.dtype(
     [(name, np.int64 if name in ("path", "t") else np.float64) for name in PATHS_COLUMNS]
 )
@@ -417,7 +415,8 @@ _ECHO = "# config "
 
 def _parse_y(text: str) -> float:
     """The reader's converter for y, which is empty at t = 0: read as nan
-    there (dropped below), so that a later empty y fails validate()."""
+    there (dropped below), so that a later empty y fails validate(). Like the
+    reader's own float parse, it rejects digit separators and non-ASCII."""
     if not text:
         return math.nan
     text = text.strip()
@@ -426,17 +425,27 @@ def _parse_y(text: str) -> float:
     return float(text)
 
 
-def _parse_float(text: str) -> float:
-    if not text:
-        raise ValueError("empty field")
-    return _parse_y(text)
+def _read_rows(lines) -> np.ndarray:
+    """Parse the data lines (an open file or a list of lines) in numpy's C reader."""
+    with warnings.catch_warnings():
+        # Older numpy reads an integer field such as '2.0' through a float,
+        # warning that it will stop; make it the fault that later numpy raises.
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        # A header-only file is named by load_paths_csv, not warned about.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(
+            lines, dtype=_PATHS_DTYPE, delimiter=",", comments=None,
+            converters={_Y: _parse_y}, ndmin=1,
+        )
 
 
-def _parse_int(text: str) -> int:
-    text = text.strip()
-    if re.fullmatch(r"[+-]?[0-9]+", text) and -(1 << 63) <= int(text) < 1 << 63:
-        return int(text)
-    raise ValueError(f"not a 64-bit integer: {text!r}")
+def _rejects(lines: list[str]) -> bool:
+    """Whether the reader rejects any of lines."""
+    try:
+        _read_rows(lines)
+    except ValueError:
+        return True
+    return False
 
 
 def _read_to_header(fh) -> str | None:
@@ -456,41 +465,56 @@ def _read_to_header(fh) -> str | None:
 
 def _name_fault(fh) -> None:
     """Rescan the data rows of fh and raise a ValueError naming the first one
-    that the C reader rejects: a row of another width or a field that does
-    not parse. Data row 1 follows the header; empty lines are not counted."""
+    that the reader rejects, and in it the wrong width or the first field
+    that does not parse. Data row 1 follows the header; empty lines are not
+    counted. The reader itself decides, a block of rows and then a row and a
+    field at a time."""
     fh.seek(0)
     _read_to_header(fh)
-    width = len(PATHS_COLUMNS)
-    parsers = [_parse_int, _parse_int] + [_parse_float] * (width - 2)
-    parsers[_Y] = _parse_y
-    rows = (line.rstrip("\n") for line in fh)
-    for row, line in enumerate(filter(None, rows), 1):
-        fields = line.split(",")
-        if len(fields) != width:
-            raise ValueError(
-                f"paths CSV data row {row} has {len(fields)} fields; "
-                f"the file needs rows of {width} fields"
-            )
-        for name, parse, text in zip(PATHS_COLUMNS, parsers, fields):
-            try:
-                parse(text)
-            except ValueError:
-                what = "a 64-bit integer" if parse is _parse_int else "a number"
-                raise ValueError(
-                    f"paths CSV data row {row}: {name} field {text!r} is not {what}"
-                ) from None
+    lines = [line for line in fh.read().split("\n") if line]
+    block = 1024
+    for start in range(0, len(lines), block):
+        if _rejects(lines[start:start + block]):
+            break
+    else:
+        return
+    for row, line in enumerate(lines[start:start + block], start + 1):
+        if _rejects([line]):
+            break
+    else:
+        return
+    fields = line.split(",")
+    if len(fields) != len(PATHS_COLUMNS):
+        raise ValueError(
+            f"paths CSV data row {row} has {len(fields)} fields; "
+            f"the file needs rows of {len(PATHS_COLUMNS)} fields"
+        )
+    for k, (name, text) in enumerate(zip(PATHS_COLUMNS, fields)):
+        # The field alone in a row of zeros, which the reader accepts.
+        probe = ["0"] * len(fields)
+        probe[k] = text
+        if _rejects([",".join(probe)]):
+            what = "a 64-bit integer" if _PATHS_DTYPE[name].kind == "i" else "a number"
+            raise ValueError(f"paths CSV data row {row}: {name} field {text!r} is not {what}")
 
 
 def paths_csv_seed(path) -> int | None:
-    """The model seed in a paths CSV's config echo, or None if it has no echo."""
+    """The model seed in a paths CSV's config echo; None if the file has no
+    echo or the echo no seed. Only the seed is read, so an echo that holds a
+    key since retired still serves."""
     with open(path, "r", encoding="utf-8") as fh:
         echo = _read_to_header(fh)
     if echo is None:
         return None
     try:
-        return ExperimentConfig.from_dict(json.loads(echo)).params.seed
-    except ValueError as exc:
-        raise ValueError(f"paths CSV config echo: {exc}") from None
+        seed = json.loads(echo).get("model", {}).get("seed")
+    except (ValueError, AttributeError):
+        raise ValueError("paths CSV config echo: not a JSON object with a model object") from None
+    if seed is not None and (type(seed) is not int or not 0 <= seed < 1 << 64):
+        raise ValueError(
+            f"paths CSV config echo: seed must be an integer that fits in 64 bits, got {seed!r}"
+        )
+    return seed
 
 
 def load_paths_csv(path) -> PathBatch:
@@ -506,13 +530,7 @@ def load_paths_csv(path) -> PathBatch:
     with open(path, "r", encoding="utf-8") as fh:
         _read_to_header(fh)
         try:
-            with warnings.catch_warnings():
-                # A header-only file is named below, not warned about.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(
-                    fh, dtype=_PATHS_DTYPE, delimiter=",", comments=None,
-                    converters={_Y: _parse_y}, ndmin=1,
-                )
+            rows = _read_rows(fh)
         except ValueError:
             _name_fault(fh)
             raise

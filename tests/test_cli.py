@@ -87,14 +87,27 @@ def test_train_from_csv_records_the_seed_that_made_it(tmp_path, capsys):
         assert load_policy(out / "policy.txt").metadata["seed"] == seed
     capsys.readouterr()
 
-    out = tmp_path / "clash"
-    assert main(["train", "--paths", str(csv), "--seed", "3", "--out", str(out)]) == 1
-    payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
-    assert payload == {
-        "type": "ValueError",
-        "message": f"--seed 3 differs from the seed 7 in the config echo of {csv}",
-    }
-    assert not out.exists()
+    # Only the echo's seed is read, so a key since retired does not stop training.
+    old = tmp_path / "old.csv"
+    old.write_text(csv.read_text().replace('"model": {', '"bins": 40, "model": {', 1))
+    assert main(["train", "--paths", str(old), "--out", str(tmp_path / "old")]) == 0
+    assert load_policy(tmp_path / "old" / "policy.txt").metadata["seed"] == 7
+    capsys.readouterr()
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"seed": 5}}))
+    for argv, given in (
+        (["--seed", "3"], "--seed 3"),
+        (["--config", str(config)], f"the seed 5 of --config {config}"),
+    ):
+        out = tmp_path / "clash"
+        assert main(["train", "--paths", str(csv), "--out", str(out), *argv]) == 1
+        payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
+        assert payload == {
+            "type": "ValueError",
+            "message": f"{given} differs from the seed 7 in the config echo of {csv}",
+        }
+        assert not out.exists()
 
 
 def test_train_names_a_faulty_field_of_a_paths_csv(config_file, tmp_path, capsys):
