@@ -127,7 +127,7 @@ def train(
                 raise RuntimeError(f"regression failed at epoch t={t}") from exc
         regressors[t] = reg
         exit_now = h[:, t] > reg.predict(x[:, t])
-        stop_value[exit_now] = h[exit_now, t]
+        np.copyto(stop_value, h[:, t], where=exit_now)
         kernel = isinstance(reg, KernelRegressor)
         epochs[t] = {
             "in_the_money": int(itm.sum()),
@@ -199,7 +199,10 @@ def apply_policy(policy: StoppingPolicy, h, features=None) -> tuple[np.ndarray, 
     """Vectorized deployment over a path batch; returns (exit times, payoffs).
 
     Equivalent path-by-path to looping decide() over prefixes (asserted in
-    the test suite); payoff is the exit payoff at the stop epoch.
+    the test suite); payoff is the exit payoff at the stop epoch. Each
+    epoch's estimator predicts only for the paths still browsing; every
+    regressor evaluates each input on its own, so the bits do not depend on
+    which paths are left.
     """
     # Column-major working copies: each epoch's column is contiguous.
     h = np.asfortranarray(h, dtype=float)
@@ -211,15 +214,17 @@ def apply_policy(policy: StoppingPolicy, h, features=None) -> tuple[np.ndarray, 
     n_paths = len(h)
     times = np.full(n_paths, policy.horizon, dtype=np.int64)
     payoffs = h[:, policy.horizon].copy()
-    active = np.ones(n_paths, dtype=bool)
+    live = slice(None)  # every path browses at t = 0: read the columns in place
     for t in range(policy.horizon):
-        if not active.any():
+        exit_now = h[live, t] > policy.regressors[t].predict(x[live, t])
+        exits, stay = np.flatnonzero(exit_now), np.flatnonzero(~exit_now)
+        if t:
+            exits, stay = live[exits], live[stay]
+        times[exits] = t
+        payoffs[exits] = h[exits, t]
+        live = stay
+        if not len(live):
             break
-        pred = policy.regressors[t].predict(x[:, t])
-        exit_now = active & (h[:, t] > pred)
-        times[exit_now] = t
-        payoffs[exit_now] = h[exit_now, t]
-        active &= ~exit_now
     return times, payoffs
 
 
@@ -324,14 +329,20 @@ def _standard_error(x: np.ndarray) -> float:
     return float(x.std(ddof=1)) / math.sqrt(len(x))
 
 
-def _outcome(batch: PathBatch, times: np.ndarray, payoffs: np.ndarray) -> StrategyOutcome:
+def _paths_sha256(batch: PathBatch) -> str:
+    return hashlib.sha256(np.ascontiguousarray(batch.h).tobytes()).hexdigest()
+
+
+def _outcome(
+    batch: PathBatch, times: np.ndarray, payoffs: np.ndarray, paths_sha256: str
+) -> StrategyOutcome:
     rows = np.arange(batch.n_paths)
     return StrategyOutcome(
         times=times,
         payoffs=payoffs,
         prices_at_exit=batch.p[rows, times],
         valuations_at_exit=batch.v[rows, times],
-        paths_sha256=hashlib.sha256(np.ascontiguousarray(batch.h).tobytes()).hexdigest(),
+        paths_sha256=paths_sha256,
     )
 
 
@@ -347,7 +358,10 @@ def evaluate(
     myopic_batch switches to independent mode, where only the means are
     comparable.
     """
-    alg = _outcome(batch, *apply_policy(policy, batch.h))
-    myo_source = batch if myopic_batch is None else myopic_batch
-    myo = _outcome(myo_source, *apply_myopic(myo_source.h))
+    paths_sha256 = _paths_sha256(batch)
+    alg = _outcome(batch, *apply_policy(policy, batch.h), paths_sha256)
+    if myopic_batch is None:
+        myo = _outcome(batch, *apply_myopic(batch.h), paths_sha256)
+    else:
+        myo = _outcome(myopic_batch, *apply_myopic(myopic_batch.h), _paths_sha256(myopic_batch))
     return EvaluationReport(algorithmic=alg, myopic=myo, paired=myopic_batch is None)

@@ -136,10 +136,16 @@ class KernelRegressor(Regressor):
         self.ridge = ridge
 
     def predict(self, x):
+        """sum_n weights[n] phi_n(x) for a float or an array, with the same
+        bits for an input whatever the batch it comes in."""
         scalar = np.ndim(x) == 0
-        phi = _taylor_features(x, *self.xs, self.bandwidth, len(self.weights))
+        xa = np.atleast_1d(x)
         # Summed in numpy's own loop, not BLAS: the same under any thread count.
-        out = (self.weights[:, None] * phi).sum(axis=0)
+        # numpy adds the m weighted rows in order for two or more inputs but
+        # sums a lone column pairwise, so a lone input is evaluated as two.
+        phi = _taylor_features(np.repeat(xa, 2) if len(xa) == 1 else xa,
+                               *self.xs, self.bandwidth, len(self.weights))
+        out = (self.weights[:, None] * phi).sum(axis=0)[: len(xa)]
         return float(out[0]) if scalar else out
 
 

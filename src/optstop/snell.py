@@ -183,9 +183,10 @@ def _draw_children(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nda
     are packed to the left of a table padded with +inf and summed along the
     row; adding a zero is exact, so these cumulative masses are bitwise those
     of the full row. Rows whose cumulative masses are bitwise equal share one
-    law and one sorted search (on the Gauss-Hermite lattice every parent has
-    the same child weights, so each epoch has one law); the drawn rank then
-    picks the column from each path's own row.
+    law and one sorted search; the drawn rank then picks the column from each
+    path's own row. A table of one law (on the Gauss-Hermite lattice every
+    parent has the same child weights, so each epoch has one) is searched
+    once for all paths, without grouping them by law.
     """
     positive = table > 0
     counts = positive.sum(axis=1)
@@ -196,6 +197,9 @@ def _draw_children(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nda
     cum = np.full(support.shape, np.inf)
     cum[r, rank] = table[r, c]
     laws, law = np.unique(np.cumsum(cum, axis=1), axis=0, return_inverse=True)
+    if len(laws) == 1:
+        k = np.searchsorted(laws[0], u, side="left")
+        return support[rows, np.minimum(k, counts[0] - 1)]
     law = law.ravel()[rows]  # the inverse's shape differs across numpy versions
     order = np.argsort(law, kind="stable")
     bounds = np.cumsum(np.bincount(law, minlength=len(laws)))[:-1]

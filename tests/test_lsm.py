@@ -200,6 +200,39 @@ class TestVectorizedEquivalence:
         for n in range(len(h)):
             assert myopic_loop(h[n], pi[n], h.shape[1] - 1) == (times[n], payoffs[n])
 
+    @pytest.mark.parametrize("kind", ["kernel", "poly", "tabular"])
+    def test_predicts_only_for_live_paths(self, ref_run, kind):
+        # A batch of paths that exit at t = 0 and one that browses on: from
+        # t = 1 the estimators see that lone path and nothing else.
+        _, train_batch, test_batch, _, _ = ref_run
+        policy = train(train_batch.h, RegressionBackend(kind=kind))
+        h, pi = test_batch.h[:200], test_batch.pi[:200]
+        expected = [decide_loop(policy, h[n], pi[n]) for n in range(len(h))]
+        first = [n for n, (t, _) in enumerate(expected) if t == 0][:5]
+        later = [n for n, (t, _) in enumerate(expected) if t >= 2][:1]
+        assert len(first) == 5 and len(later) == 1
+        rows = first + later
+        seen = [[] for _ in range(policy.horizon)]
+
+        class Recording:
+            def __init__(self, reg, t):
+                self.reg, self.t = reg, t
+
+            def predict(self, x):
+                seen[self.t].append(np.array(x, copy=True))
+                return self.reg.predict(x)
+
+        recorded = StoppingPolicy(
+            policy.horizon, [Recording(reg, t) for t, reg in enumerate(policy.regressors)]
+        )
+        times, payoffs = apply_policy(recorded, h[rows])
+        assert [(times[i], payoffs[i]) for i in range(len(rows))] == [expected[n] for n in rows]
+        stop = expected[later[0]][0]
+        assert [len(calls) for calls in seen] == [1] * stop + [0] * (policy.horizon - stop)
+        assert np.array_equal(seen[0][0], h[rows, 0])
+        for t in range(1, stop):
+            assert np.array_equal(seen[t][0], h[later, t])
+
     def test_every_path_exits_by_horizon(self, ref_run):
         policy, _, test_batch, _, _ = ref_run
         times, _ = apply_policy(policy, test_batch.h)
@@ -350,6 +383,14 @@ class TestEvaluate:
         assert high - report.mean_difference == pytest.approx(1.959963984540054 * diff_se)
         unpaired = lsm.EvaluationReport(report.algorithmic, report.myopic, paired=False)
         assert unpaired.mean_difference_se == pytest.approx(np.hypot(alg_se, myo_se), rel=1e-12)
+
+    def test_paired_mode_hashes_the_batch_once(self, ref_run, monkeypatch):
+        policy, _, test_batch, _, _ = ref_run
+        digest, hashed = lsm._paths_sha256, []
+        monkeypatch.setattr(lsm, "_paths_sha256", lambda b: hashed.append(b) or digest(b))
+        report = evaluate(policy, test_batch)
+        assert len(hashed) == 1 and hashed[0] is test_batch
+        assert report.algorithmic.paths_sha256 == report.myopic.paths_sha256 == digest(test_batch)
 
     def test_standard_error_of_one_trial_is_nan(self):
         one = lsm.StrategyOutcome(
