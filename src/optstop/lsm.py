@@ -84,7 +84,7 @@ def train(
 ):
     """Train a stopping policy on N exit-payoff paths (Longstaff-Schwartz style).
 
-    h        -- (N, T+1) array of exit payoffs, nonnegative and finite
+    h        -- (N, T+1) array of exit payoffs, nonnegative and finite, N >= 1
     backend  -- regression backend fitted once per epoch on in-the-money paths
     features -- optional (N, T+1) scalar features to regress on; defaults to h
 
@@ -107,6 +107,8 @@ def train(
     h = np.asfortranarray(h, dtype=float)
     if h.ndim != 2 or h.shape[1] < 2:
         raise ValueError(f"h must be (N, T+1) with T >= 1, got shape {h.shape}")
+    if len(h) < 1:
+        raise ValueError(f"number of paths must be >= 1, got {len(h)}")
     if not np.all(np.isfinite(h)) or np.any(h < 0):
         raise ValueError("exit payoffs must be finite and nonnegative")
     horizon = h.shape[1] - 1

@@ -181,10 +181,31 @@ class TabularRegressor(Regressor):
             raise ValueError("table xs must be strictly increasing")
 
     def predict(self, x):
+        """The mean of the table entry equal to x, else the default.
+
+        A table of integer ids (the lattice's node ids) whose span is at most
+        the number of queries is laid out densely, one slot per integer of
+        the span, and each query reads the slot x - xs[0] (slot 0 if that is
+        outside the span or nan). The slot's id must still equal x, as in the
+        search: that also rejects a non-integer x whose difference rounds to
+        an integer. Every other table is binary-searched.
+        """
         scalar = np.ndim(x) == 0
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.clip(np.searchsorted(self.xs, xa), 0, len(self.xs) - 1)
-        out = np.where(self.xs[idx] == xa, self.means[idx], self.default)
+        xs = self.xs
+        span = xs[-1] - xs[0] + 1
+        if span <= len(xa) and np.array_equal(xs, np.floor(xs)):
+            slots = (xs - xs[0]).astype(np.intp)
+            ids = np.full(slots[-1] + 1, np.nan)
+            ids[slots] = xs
+            means = np.full(len(ids), self.default)
+            means[slots] = self.means
+            j = xa - xs[0]
+            idx = np.where((j >= 0) & (j < len(ids)), j, 0).astype(np.intp)
+            out = np.where(ids[idx] == xa, means[idx], self.default)
+        else:
+            idx = np.clip(np.searchsorted(xs, xa), 0, len(xs) - 1)
+            out = np.where(xs[idx] == xa, self.means[idx], self.default)
         return float(out[0]) if scalar else out
 
 
@@ -207,7 +228,22 @@ def _training_pairs(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 def _group_means(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct inputs and the mean target of each; the sorted order
-    makes a fit on them bitwise invariant under permutation of the pairs."""
+    makes a fit on them bitwise invariant under permutation of the pairs.
+
+    Integer inputs (the lattice's node ids) whose span is at most the number
+    of pairs are binned by xs - min(xs) without a sort, unless a -0.0 is
+    among them (np.unique's sort picks one of 0.0 and -0.0 to return); all
+    others are grouped by np.unique. Either way np.bincount adds each target
+    into its group in input order, so the sums have the same bits.
+    """
+    if np.array_equal(xs, np.floor(xs)):
+        lo, hi = xs.min(), xs.max()
+        if hi - lo < len(xs) and (lo > 0 or hi < 0 or not np.signbit(xs[xs == 0]).any()):
+            bins = (xs - lo).astype(np.intp)
+            counts = np.bincount(bins)
+            sums = np.bincount(bins, weights=ys)
+            present = np.flatnonzero(counts)
+            return present + lo, sums[present] / counts[present]
     uniq, inverse, counts = np.unique(xs, return_inverse=True, return_counts=True)
     sums = np.bincount(inverse, weights=ys, minlength=len(uniq))
     return uniq, sums / counts

@@ -29,6 +29,13 @@ _PROB_TOL = 1e-12
 
 NODE_BUDGET = 10_000
 
+# A one-law draw counts the cumulative masses below each uniform when the law
+# has at most this many masses, and binary-searches them when it has more.
+# Timed on 100k uniforms (2 CPUs, numpy 2.4), count vs search: 0.3 vs 2.3 ms
+# at 4 masses, 1.2 vs 4.0 ms at 16, 3.9 vs 6.0 ms at 48, 6.6 vs 7.3 ms at 64
+# and 7.0 vs 6.3 ms at 81.
+COUNT_MAX_MASSES = 48
+
 
 @dataclass
 class FiniteStopProblem:
@@ -185,8 +192,10 @@ def _draw_children(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nda
     of the full row. Rows whose cumulative masses are bitwise equal share one
     law and one sorted search; the drawn rank then picks the column from each
     path's own row. A table of one law (on the Gauss-Hermite lattice every
-    parent has the same child weights, so each epoch has one) is searched
-    once for all paths, without grouping them by law.
+    parent has the same child weights, so each epoch has one) is drawn once
+    for all paths, without grouping them by law: a law of w <= COUNT_MAX_MASSES
+    masses counts its first w - 1 cumulative masses below u, which is the
+    search's rank already clamped to w - 1, and a wider one is searched.
     """
     positive = table > 0
     counts = positive.sum(axis=1)
@@ -198,8 +207,14 @@ def _draw_children(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nda
     cum[r, rank] = table[r, c]
     laws, law = np.unique(np.cumsum(cum, axis=1), axis=0, return_inverse=True)
     if len(laws) == 1:
-        k = np.searchsorted(laws[0], u, side="left")
-        return support[rows, np.minimum(k, counts[0] - 1)]
+        w = counts[0]
+        if w <= COUNT_MAX_MASSES:
+            k = np.zeros(len(u), dtype=np.int64)
+            for mass in laws[0][: w - 1]:
+                k += mass < u
+        else:
+            k = np.minimum(np.searchsorted(laws[0], u, side="left"), w - 1)
+        return support.ravel()[rows * support.shape[1] + k]
     law = law.ravel()[rows]  # the inverse's shape differs across numpy versions
     order = np.argsort(law, kind="stable")
     bounds = np.cumsum(np.bincount(law, minlength=len(laws)))[:-1]
@@ -216,10 +231,13 @@ def simulate_paths(
     and column-major, so each epoch's column is contiguous.
 
     One uniform per path draws the initial node, then one per path and epoch
-    draws the child. Each epoch is one vectorized pass: the paths are drawn
-    together by one sorted search per distinct transition law, so memory
-    stays linear in n.
+    draws the child. Each epoch is one vectorized pass over all paths (see
+    _draw_children: a count or one sorted search for an epoch of one
+    transition law, one search per distinct law otherwise), so memory stays
+    linear in n. n must be at least 1.
     """
+    if n < 1:
+        raise ValueError(f"number of paths must be >= 1, got {n}")
     problem.validate()
     T = problem.horizon
     stream = RngStream(seed, path_index=0, domain=domain)

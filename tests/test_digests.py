@@ -6,6 +6,8 @@ check that the outputs are byte-identical whatever the BLAS thread count.
 
 import hashlib
 
+import pytest
+
 from optstop import experiment, lsm, policy_io
 from optstop.model import ModelParams
 from optstop.regression import RegressionBackend
@@ -26,8 +28,14 @@ SEED1_FILES = {
     "trace_999.csv": "d269340e0df54d6e",
 }
 # sha256 prefix of the tabular policy text, then the apply_policy exit times
-# and payoffs, on the seed-1 (T, levels) = (3, 3) lattice at 20,000 paths.
-LATTICE = "27fa94a7ef89e9de"
+# and payoffs, on the seed-1 (T, levels) lattice at 20,000 paths. Each law has
+# levels**2 masses: (1, 9) draws by sorted search, the others by counting.
+LATTICES = {
+    (2, 4): "19986b8a56aad8e5",
+    (3, 3): "27fa94a7ef89e9de",
+    (4, 2): "e7456931bd93ac18",
+    (1, 9): "0c9a8d1e947b171a",
+}
 
 
 def test_seed1_reference_outputs(tmp_path):
@@ -40,8 +48,9 @@ def test_seed1_reference_outputs(tmp_path):
     assert digests == SEED1_FILES
 
 
-def test_seed1_lattice_policy_and_payoffs():
-    problem = discretize_consumer_problem(ModelParams(horizon=3, seed=1), levels=3)
+@pytest.mark.parametrize("horizon, levels", list(LATTICES))
+def test_seed1_lattice_policy_and_payoffs(horizon, levels):
+    problem = discretize_consumer_problem(ModelParams(horizon=horizon, seed=1), levels=levels)
     nodes, h = simulate_paths(problem, 20_000, 1, 0)
     policy = lsm.train(h, RegressionBackend(kind="tabular"), features=nodes.astype(float))
     nodes, h = simulate_paths(problem, 20_000, 1, 1)
@@ -49,4 +58,4 @@ def test_seed1_lattice_policy_and_payoffs():
     digest = hashlib.sha256(policy_io.policy_to_text(policy).encode("utf-8"))
     digest.update(times.tobytes())
     digest.update(payoffs.tobytes())
-    assert digest.hexdigest()[:16] == LATTICE
+    assert digest.hexdigest()[:16] == LATTICES[horizon, levels]

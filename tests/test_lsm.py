@@ -126,6 +126,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(np.array([[0.5, 0.2]]), backend, features=np.array([[1.0]]))
 
+    @pytest.mark.parametrize("kind", ["kernel", "poly", "tabular"])
+    def test_rejects_an_empty_path_batch(self, kind):
+        # Unchecked, no epoch has an in-the-money path and the "trained"
+        # policy is the myopic rule of ZeroRegressors with n_train 0.
+        with pytest.raises(ValueError, match="number of paths must be >= 1, got 0"):
+            train(np.zeros((0, 4)), RegressionBackend(kind=kind))
+
     def test_regression_failure_reports_epoch(self):
         class ExplodingBackend:
             kind = "boom"

@@ -14,6 +14,7 @@ from optstop.regression import (
     KernelRegressor,
     RegressionBackend,
     Regressor,
+    TabularRegressor,
     ZeroRegressor,
     _group_means,
     _taylor_features,
@@ -32,6 +33,32 @@ def assert_json_round_trip_bitwise(model, probe):
     assert type(restored) is type(model)
     assert restored.to_dict() == model.to_dict()
     assert np.array_equal(restored.predict(probe), model.predict(probe))
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of numpy function `name` while the test runs."""
+    calls = []
+    real = getattr(np, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, spy)
+    return calls
+
+
+def searched_table_predict(model, x):
+    """The table lookup by sorted search over every query."""
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    idx = np.clip(np.searchsorted(model.xs, xa), 0, len(model.xs) - 1)
+    return np.where(model.xs[idx] == xa, model.means[idx], model.default)
+
+
+def sorted_group_means(xs, ys):
+    """The grouping by np.unique's sort."""
+    uniq, inverse, counts = np.unique(xs, return_inverse=True, return_counts=True)
+    return uniq, np.bincount(inverse, weights=ys, minlength=len(uniq)) / counts
 
 
 def dense_solve_oracle(xs, ys, bandwidth, ridge, probe):
@@ -317,6 +344,65 @@ class TestTabularBackend:
         uniq, means = _group_means(xs, ys)
         assert uniq.tobytes() == want_uniq.tobytes()
         assert means.tobytes() == (sums / counts).tobytes()
+
+    def test_group_means_binned_equal_sorted_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        n = 3000
+        ys = 10.0 ** rng.uniform(-8, 8, size=n)
+        small = rng.integers(-40, 60, size=n).astype(float)  # span 100 <= n, holds 0.0
+        signed = small.copy()
+        zeros = np.flatnonzero(signed == 0)
+        signed[zeros[::2]] = -0.0  # np.unique's sort picks which zero it returns
+        cases = [  # (inputs, binned without a sort)
+            (small, True),
+            (np.abs(small) + 1, True),
+            (signed, False),
+            (np.full(n, -0.0), False),
+            (rng.integers(-5000, 5000, size=n).astype(float), False),  # span > n
+            (small * 0.5, False),  # not integer
+        ]
+        sorts = count_calls(monkeypatch, "unique")
+        for i, (xs, binned) in enumerate(cases):
+            want_uniq, want_means = sorted_group_means(xs, ys)
+            del sorts[:]
+            uniq, means = _group_means(xs, ys)
+            assert uniq.tobytes() == want_uniq.tobytes(), i
+            assert means.tobytes() == want_means.tobytes(), i
+            assert sorts == ([] if binned else ["unique"]), i
+
+    def test_lookup_direct_equals_search_bitwise(self, monkeypatch):
+        model = TabularRegressor([-3.0, -1.0, 0.0, 2.0, 7.0], [0.1, 0.2, 0.3, 0.4, 0.5], 9.0)
+        # Ids, values between ids (1e-300 - (-3) rounds to the integer 3.0,
+        # the slot of id 0), outside the span, nan, +-inf and +-0.0.
+        probe = np.array([
+            -3.0, -1.0, 0.0, -0.0, 2.0, 7.0, -2.0, 1.0, 0.5, -2.5, 6.999999999999999,
+            1e-300, -1e-300, -4.0, 8.0, 1e300, -1e300, np.nan, np.inf, -np.inf,
+        ])
+        searches = count_calls(monkeypatch, "searchsorted")
+        span = 11  # -3 .. 7
+        for n in (1, 2, span - 1, span, span + 1, 200):
+            x = np.resize(probe, n)
+            want = searched_table_predict(model, x)
+            del searches[:]
+            got = model.predict(x)
+            assert got.tobytes() == want.tobytes(), n
+            assert len(searches) == (n < span), n
+        for x in probe:
+            assert model.predict(float(x)) == searched_table_predict(model, x)[0]
+            assert model.predict(np.array([x])).tobytes() == searched_table_predict(model, x).tobytes()
+
+    def test_lookup_of_one_id_table_is_direct_for_a_lone_query(self, monkeypatch):
+        model = TabularRegressor([5.0], [0.25], -1.0)
+        searches = count_calls(monkeypatch, "searchsorted")
+        assert [model.predict(v) for v in (5.0, 5.5, 4.0, np.nan)] == [0.25, -1.0, -1.0, -1.0]
+        assert searches == []
+
+    def test_non_integer_table_is_searched(self, monkeypatch):
+        model = TabularRegressor([0.5, 1.0, 2.0], [1.0, 2.0, 3.0], 0.0)
+        searches = count_calls(monkeypatch, "searchsorted")
+        x = np.array([0.5, 1.0, 1.5, 2.0, 3.0] * 4)
+        assert model.predict(x).tobytes() == searched_table_predict(model, x).tobytes()
+        assert len(searches) == 2  # one by the model, one by the reference
 
     def test_unseen_value_falls_back_to_global_mean(self):
         model = fit_tabular([0.0, 1.0], [2.0, 4.0])

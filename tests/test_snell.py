@@ -12,8 +12,10 @@ from numpy.polynomial.hermite import hermgauss
 from optstop.consumer import exit_payoff, purchase_payoff
 from optstop.model import ModelParams
 from optstop.rng import RngStream
+from optstop import snell
 from optstop.seller import kalman_correct, kalman_predict, myopic_price
 from optstop.snell import (
+    COUNT_MAX_MASSES,
     FiniteStopProblem,
     _draw_children,
     backward_induction,
@@ -230,6 +232,34 @@ class TestSimulatePaths:
         rows = np.zeros(1, dtype=np.int64)
         assert _draw_children(p, rows, np.array([1 - 2**-53])).tolist() == [1]
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 9, 16, 27, COUNT_MAX_MASSES, COUNT_MAX_MASSES + 1, 81])
+    def test_one_law_count_equals_search_bitwise(self, width, monkeypatch):
+        # One law placed on different columns of each row, with zero-mass
+        # columns between; its masses sum to just short of 1.
+        rng = np.random.default_rng(width)
+        masses = rng.uniform(0.1, 1.0, size=width)
+        masses *= (1 - 1e-13) / masses.sum()
+        cum = np.cumsum(masses)
+        assert cum[-1] < 1 - 2**-53
+        table = np.zeros((5, 2 * width + 1))
+        for row in table:
+            row[np.sort(rng.choice(len(row), size=width, replace=False))] = masses
+        # u = 0, each cumulative mass (a tie goes left) and the float below
+        # it, u at or above the row total, and random uniforms.
+        above = np.append(rng.uniform(cum[-1], 1, size=50), 1 - 2**-53)
+        u = np.concatenate([[0.0], cum, np.nextafter(cum, 0), above, rng.random(2000)])
+        rows = rng.integers(len(table), size=len(u))
+        drawn = {}
+        for side, limit in (("count", 10**9), ("search", 0)):
+            monkeypatch.setattr(snell, "COUNT_MAX_MASSES", limit)
+            drawn[side] = _draw_children(table, rows, u)
+        assert drawn["count"].dtype == drawn["search"].dtype
+        assert drawn["count"].tobytes() == drawn["search"].tobytes()
+        columns = np.nonzero(table > 0)[1].reshape(len(table), width)
+        want = columns[rows, np.minimum((u[:, None] > cum).sum(axis=1), width - 1)]
+        assert drawn["count"].tolist() == want.tolist()
+        assert np.all(table[rows, drawn["count"]] > 0)
+
     def test_random_trees_equal_dense_gather_bitwise(self):
         rng = np.random.default_rng(26)
         for i in range(200):
@@ -242,7 +272,7 @@ class TestSimulatePaths:
             for t, m in enumerate(problem.transitions):
                 assert np.all(m[nodes[:, t], nodes[:, t + 1]] > 0)
 
-    @pytest.mark.parametrize("horizon, levels", [(2, 4), (3, 3), (4, 2), (None, None)])
+    @pytest.mark.parametrize("horizon, levels", [(2, 4), (3, 3), (4, 2), (1, 9), (None, None)])
     def test_equals_dense_gather_bitwise(self, horizon, levels):
         if horizon is None:
             problem = random_tree(np.random.default_rng(25), branching=[3, 2, 4])
@@ -254,6 +284,13 @@ class TestSimulatePaths:
         assert h.tobytes() == want_h.tobytes()
         for t, m in enumerate(problem.transitions):
             assert np.all(m[nodes[:, t], nodes[:, t + 1]] > 0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_path(self, n):
+        # Unchecked, n = 0 returned empty arrays that train a myopic policy
+        # and n = -1 failed inside numpy without naming the path count.
+        with pytest.raises(ValueError, match=f"number of paths must be >= 1, got {n}"):
+            simulate_paths(two_epoch_tree(), n, seed=1)
 
     def test_memory_linear_in_paths(self):
         # A dense gather holds paths x next-epoch nodes doubles: ~350 MB here.
