@@ -192,12 +192,10 @@ def simulate(params: ModelParams, z, fixed_v0: float | None = None) -> PathBatch
     p = seller.myopic_price(seller_mean, seller_var)
     pi = consumer.purchase_payoff(v, p, np.arange(T + 1), params)
 
-    batch = PathBatch(
+    return PathBatch(
         v=v, y=y, p=p, pi=pi, h=consumer.exit_payoff(pi),
-        seller_mean=seller_mean, seller_var=seller_var, params=params,
+        seller_mean=seller_mean, seller_var=seller_var,
     )
-    batch.validate()
-    return batch
 
 
 def train_policy(config: ExperimentConfig) -> tuple[lsm.StoppingPolicy, PathBatch]:
@@ -373,14 +371,13 @@ def render_evaluation(report: lsm.EvaluationReport, config: ExperimentConfig) ->
 
 def render_trace(batch: PathBatch, trial: int, config: ExperimentConfig) -> str:
     """Single-path diagnostic table: one row per epoch with both agents' views."""
-    params = batch.params if batch.params is not None else config.params
     t = np.arange(batch.horizon + 1)
     return _table(
         config,
         {
             "t": t,
             "valuation_mean": batch.v[trial],
-            "valuation_std": np.sqrt(consumer.residual_var(t, params)),
+            "valuation_std": np.sqrt(consumer.residual_var(t, config.params)),
             "observation": _observations(batch.y[trial : trial + 1]),
             "price": batch.p[trial],
             "purchase_payoff": batch.pi[trial],
@@ -415,8 +412,9 @@ _ECHO = "# config "
 
 def _parse_y(text: str) -> float:
     """The reader's converter for y, which is empty at t = 0: read as nan
-    there (dropped below), so that a later empty y fails validate(). Like the
-    reader's own float parse, it rejects digit separators and non-ASCII."""
+    there (dropped below), so that a later empty y fails the batch's check.
+    Like the reader's own float parse, it rejects digit separators and
+    non-ASCII."""
     if not text:
         return math.nan
     text = text.strip()
@@ -569,7 +567,6 @@ def load_paths_csv(path) -> PathBatch:
         v=column("v"), y=y, p=column("p"), pi=column("pi"), h=column("h"),
         seller_mean=column("seller_mean"), seller_var=seller_var[0].copy(),
     )
-    batch.validate()
     differs = np.argwhere(seller_var != seller_var[0])
     if differs.size:
         i, t_bad = differs[0]

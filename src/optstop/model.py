@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -167,7 +167,9 @@ class PathBatch:
 
     Row n of each 2-D array is path n. seller_var holds the posterior
     variance used for pricing at each epoch; it is observation-independent
-    and therefore shared by every path.
+    and therefore shared by every path. Construction checks the shapes, that
+    every entry is finite and that h is max(pi, 0), and raises a ValueError
+    naming the first fault; editing a batch afterwards is not checked again.
     """
 
     v: np.ndarray            # (N, T+1)
@@ -177,17 +179,8 @@ class PathBatch:
     h: np.ndarray            # (N, T+1)
     seller_mean: np.ndarray  # (N, T+1)
     seller_var: np.ndarray   # (T+1,)
-    params: ModelParams | None = field(default=None)
 
-    @property
-    def n_paths(self) -> int:
-        return self.v.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.v.shape[1] - 1
-
-    def validate(self) -> None:
+    def __post_init__(self):
         n, tp1 = self.v.shape
         t = tp1 - 1
         if self.y.shape != (n, t):
@@ -205,3 +198,11 @@ class PathBatch:
                 raise ValueError(f"non-finite entries in {name}")
         if not np.array_equal(self.h, np.maximum(self.pi, 0.0)):
             raise ValueError("h must equal max(pi, 0) elementwise")
+
+    @property
+    def n_paths(self) -> int:
+        return self.v.shape[0]
+
+    @property
+    def horizon(self) -> int:
+        return self.v.shape[1] - 1

@@ -110,9 +110,6 @@ class ZeroRegressor(Regressor):
             return 0.0
         return np.zeros(np.shape(x))
 
-    def __eq__(self, other):
-        return isinstance(other, ZeroRegressor)
-
 
 class KernelRegressor(Regressor):
     """Gaussian-kernel fit sum_n weights[n] phi_n(x), its features centred on

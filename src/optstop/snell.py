@@ -45,6 +45,11 @@ class FiniteStopProblem:
     transitions[t] -- row-stochastic (n_t, n_{t+1}) matrices, t = 0..T-1
     initial        -- distribution over epoch-0 nodes (point mass for a
                       single-root tree)
+
+    Construction checks every shape, that each transition row and initial
+    are nonnegative and sum to 1 within 1e-12, and raises a ValueError naming
+    the first fault; everything that takes a problem takes it as checked.
+    Editing one afterwards is not checked again.
     """
 
     payoffs: list[np.ndarray]
@@ -62,18 +67,7 @@ class FiniteStopProblem:
             self.initial = np.array([1.0])
         else:
             self.initial = check_finite("initial", self.initial)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.payoffs) - 1
-
-    @property
-    def n_nodes(self) -> int:
-        return sum(len(h) for h in self.payoffs)
-
-    def validate(self) -> None:
-        T = self.horizon
-        if T < 0 or len(self.transitions) != T:
+        if len(self.transitions) != self.horizon:
             raise ValueError(
                 f"need T+1 payoff arrays and T transition matrices, "
                 f"got {len(self.payoffs)} and {len(self.transitions)}"
@@ -86,11 +80,19 @@ class FiniteStopProblem:
             want = (len(self.payoffs[t]), len(self.payoffs[t + 1]))
             if m.shape != want:
                 raise ValueError(f"transition {t} has shape {m.shape}, expected {want}")
-            if np.any(m < 0) or not np.all(np.isfinite(m)):
-                raise ValueError(f"transition {t} has negative or non-finite entries")
+            if np.any(m < 0):
+                raise ValueError(f"transition {t} has negative entries")
             rowsum = m.sum(axis=1)
             if np.any(np.abs(rowsum - 1.0) > _PROB_TOL):
                 raise ValueError(f"transition {t} rows must sum to 1 within {_PROB_TOL}")
+
+    @property
+    def horizon(self) -> int:
+        return len(self.payoffs) - 1
+
+    @property
+    def n_nodes(self) -> int:
+        return sum(len(h) for h in self.payoffs)
 
     def to_dict(self) -> dict:
         return {
@@ -111,7 +113,6 @@ class FiniteStopProblem:
             raise ValueError(
                 f"declared horizon {d['horizon']} does not match payoffs ({problem.horizon})"
             )
-        problem.validate()
         return problem
 
 
@@ -148,7 +149,6 @@ def backward_induction(problem: FiniteStopProblem) -> SnellSolution:
     numpy's own loops (einsum), never in BLAS, so the solution is the same
     under any BLAS thread count.
     """
-    problem.validate()
     T = problem.horizon
     values: list[np.ndarray] = [None] * (T + 1)  # type: ignore[list-item]
     stop: list[np.ndarray] = [None] * (T + 1)  # type: ignore[list-item]
@@ -234,11 +234,11 @@ def simulate_paths(
     draws the child. Each epoch is one vectorized pass over all paths (see
     _draw_children: a count or one sorted search for an epoch of one
     transition law, one search per distinct law otherwise), so memory stays
-    linear in n. n must be at least 1.
+    linear in n. n must be at least 1; the problem was checked when built, so
+    every row it draws from is a law.
     """
     if n < 1:
         raise ValueError(f"number of paths must be >= 1, got {n}")
-    problem.validate()
     T = problem.horizon
     stream = RngStream(seed, path_index=0, domain=domain)
     nodes = np.zeros((n, T + 1), dtype=np.int64, order="F")
@@ -287,6 +287,4 @@ def discretize_consumer_problem(params: ModelParams, levels: int) -> FiniteStopP
     payoffs = [h[:: fan ** (T - t), t] for t in range(T + 1)]
     transitions = [np.kron(np.eye(len(payoffs[t])), child_weights) for t in range(T)]
 
-    problem = FiniteStopProblem(payoffs=payoffs, transitions=transitions, initial=weights)
-    problem.validate()
-    return problem
+    return FiniteStopProblem(payoffs=payoffs, transitions=transitions, initial=weights)

@@ -408,12 +408,12 @@ class TestEvaluate:
         assert np.isnan(one.mean_payoff_se) and np.isnan(report.mean_difference_se)
         assert all(np.isnan(report.mean_difference_ci95))
 
-    def test_independent_mode_has_no_per_trial_differences(self, ref_run):
+    def test_independent_mode_has_no_per_trial_differences(self, ref_run, ref_config):
         policy, _, test_batch, _, _ = ref_run
         from optstop import experiment
 
         other = experiment.generate_paths(
-            test_batch.params, test_batch.n_paths, experiment.DOMAIN_MYOPIC_TEST
+            ref_config.params, test_batch.n_paths, experiment.DOMAIN_MYOPIC_TEST
         )
         report = evaluate(policy, test_batch, myopic_batch=other)
         assert not report.paired

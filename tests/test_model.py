@@ -1,5 +1,6 @@
 """Parameter and path-container invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,7 +40,7 @@ class TestModelParams:
 
 
 class TestSamplePath:
-    """PathBatch.validate on a batch holding one sample path."""
+    """PathBatch's construction checks on a batch holding one sample path."""
 
     def make(self, T=3):
         pi = np.array([[-0.1, 0.2, -0.3, 0.4]])[:, : T + 1]
@@ -54,22 +55,29 @@ class TestSamplePath:
         )
 
     def test_valid_path_passes(self):
-        self.make().validate()
+        self.make()
 
     def test_length_mismatch_rejected(self):
-        path = self.make()
-        path.y = np.zeros((1, 5))
         with pytest.raises(ValueError, match="y has shape"):
-            path.validate()
+            dataclasses.replace(self.make(), y=np.zeros((1, 5)))
 
     def test_exit_payoff_consistency_enforced(self):
         path = self.make()
-        path.h = path.h + 0.1
         with pytest.raises(ValueError, match="h must equal"):
-            path.validate()
+            dataclasses.replace(path, h=path.h + 0.1)
 
     def test_non_finite_rejected(self):
         path = self.make()
-        path.v[0, 1] = np.inf
+        v = path.v.copy()
+        v[0, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite entries in v"):
-            path.validate()
+            dataclasses.replace(path, v=v)
+
+    def test_exit_payoff_other_than_max_pi_zero_rejected_when_built(self):
+        # h = pi keeps the negative purchase payoffs, which no exit can pay.
+        pi = np.array([[-0.1, 0.2, -0.3, 0.4]])
+        with pytest.raises(ValueError, match="h must equal"):
+            PathBatch(
+                v=np.zeros((1, 4)), y=np.zeros((1, 3)), p=np.ones((1, 4)), pi=pi, h=pi,
+                seller_mean=np.zeros((1, 4)), seller_var=np.ones(4),
+            )

@@ -100,12 +100,11 @@ class TestBackwardInduction:
         assert sol.stop[0][0]
 
     def test_rejects_malformed_transition_rows(self):
-        problem = FiniteStopProblem(
-            payoffs=[np.array([0.5]), np.array([0.0, 1.2])],
-            transitions=[np.array([[0.6, 0.5]])],
-        )
         with pytest.raises(ValueError):
-            backward_induction(problem)
+            FiniteStopProblem(
+                payoffs=[np.array([0.5]), np.array([0.0, 1.2])],
+                transitions=[np.array([[0.6, 0.5]])],
+            )
 
     def test_supermartingale_and_domination(self):
         rng = np.random.default_rng(21)
@@ -320,7 +319,6 @@ class TestDiscretizedConsumerProblem:
         params = ModelParams(horizon=3, seed=1)
         problem = discretize_consumer_problem(params, levels=3)
         assert [len(h) for h in problem.payoffs] == [3, 27, 243, 2187]
-        problem.validate()  # row sums checked to 1e-12 inside
         assert problem.initial.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_earliest_rule_attains_root_value_on_consumer_tree(self):
@@ -436,3 +434,22 @@ class TestProblemSerialization:
                 payoffs=[np.array([0.1, 0.2]), np.array([0.3, 0.4])],
                 transitions=[np.eye(2)],
             )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"transitions": []}, r"^need T\+1 payoff arrays and T transition matrices, got 2 and 0$"),
+            ({"transitions": [[[0.5], [0.5]]]}, r"^transition 0 has shape \(2, 1\), expected \(1, 2\)$"),
+            ({"transitions": [[[1.5, -0.5]]]}, r"^transition 0 has negative entries$"),
+            ({"transitions": [[[0.6, 0.5]]]}, r"^transition 0 rows must sum to 1 within 1e-12$"),
+            ({"initial": [0.5, 0.5]}, r"^initial distribution length must match epoch-0 node count$"),
+            ({"initial": [0.9]}, r"^initial distribution must be nonnegative and sum to 1$"),
+        ],
+        ids=["count", "shape", "negative", "row-sum", "initial-length", "initial-sum"],
+    )
+    def test_faulty_problem_rejected_when_built(self, edit, message):
+        # The two-epoch tree with one fault: it never reaches an oracle, so
+        # expected_stopped_payoff cannot value a row summing to 1.1.
+        kwargs = {"payoffs": [[0.5], [0.0, 1.2]], "transitions": [[[0.5, 0.5]]], **edit}
+        with pytest.raises(ValueError, match=message):
+            FiniteStopProblem(**kwargs)
