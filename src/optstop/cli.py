@@ -19,15 +19,15 @@ from .regression import BACKEND_KINDS
 
 
 def _load_config(args) -> experiment.ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         config = experiment.load_config(args.config)
     else:
         config = experiment.ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = dataclasses.replace(
             config, params=dataclasses.replace(config.params, seed=args.seed)
         )
-    if getattr(args, "backend", None) is not None:
+    if args.backend is not None:
         config = dataclasses.replace(
             config, backend=dataclasses.replace(config.backend, kind=args.backend)
         )
@@ -131,14 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", help="JSON experiment config file")
         p.add_argument("--seed", type=int, help="override the RNG seed")
         p.add_argument(
             "--backend", choices=BACKEND_KINDS,
             help="override the regression backend",
         )
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("simulate", help="generate sample paths as CSV")
     common(p)
@@ -185,6 +185,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:  # before any work, so a taken --out wastes none
+            experiment.check_output_dir(args.out)
         return args.func(args)
     except Exception as exc:  # surface one machine-readable line and fail
         print(

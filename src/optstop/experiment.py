@@ -577,12 +577,18 @@ def load_paths_csv(path) -> PathBatch:
     return batch
 
 
+def check_output_dir(outdir) -> None:
+    """Raise a FileExistsError unless outdir is absent or an empty directory."""
+    outdir = Path(outdir)
+    if outdir.exists() and any(outdir.iterdir()):
+        raise FileExistsError(f"output directory {outdir} exists and is not empty")
+
+
 def write_output_dir(outdir, files: dict[str, str]) -> None:
     """Create outdir containing exactly `files`, atomically via staging+rename."""
     outdir = Path(outdir)
+    check_output_dir(outdir)
     if outdir.exists():
-        if any(outdir.iterdir()):
-            raise FileExistsError(f"output directory {outdir} exists and is not empty")
         outdir.rmdir()
     outdir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(

@@ -99,9 +99,10 @@ def train(
 
     The policy metadata's numerics.epochs holds one record per epoch t: the
     in-the-money count, the number of paths re-marked to stop at t, and for
-    the kernel backend (null for the others) the distinct regression inputs
-    among the in-the-money paths (the rest are merged duplicates), the
-    Taylor terms and the tail bound.
+    a kernel fit the distinct regression inputs among the in-the-money paths
+    (the rest are merged duplicates), the Taylor terms and the tail bound.
+    These three are null for a tabular fit and for the zero estimator of an
+    epoch with no path in the money.
     """
     # Column-major working copies: each epoch's column is contiguous.
     h = np.asfortranarray(h, dtype=float)

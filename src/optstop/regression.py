@@ -4,8 +4,10 @@ The reference backend is Gaussian-kernel ridge regression. In one dimension
 k(x, y) = exp(-(x - y)^2 / (2 b^2)) = sum_n phi_n(x) phi_n(y) over the Taylor
 features phi_n(x) = exp(-u^2 / 2) u^n / sqrt(n!), u = (x - c) / b, so the fit
 over d training points is a ridge fit of the m feature coefficients the
-series needs on the training interval. A polynomial least-squares backend
-and an exact tabular (group-mean) backend sit behind the same interface.
+series needs on the training interval. An exact tabular (group-mean)
+backend sits behind the same interface. Both fits run in numpy's own loops,
+never in BLAS or LAPACK. PolynomialRegressor is kept only so that older
+policy files holding one still load; no backend fits one.
 """
 
 from __future__ import annotations
@@ -15,16 +17,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import check_finite, check_keys, check_types, json_type, store_integers, store_reals
+from .model import check_finite, check_keys, check_types, json_type, store_reals
 
 DEFAULT_RIDGE = 1e-6
-DEFAULT_POLY_DEGREE = 3
 # Most Taylor terms a kernel fit may take: about 26.6 bandwidths of half-span.
 MAX_TERMS = 2000
 # The series is cut where its first dropped term t < 2^-106: a dropped t moves
 # the fit by ~sqrt(t) times the coefficients (a cut at 2^-53 left 5e-9 errors).
 _LOG_TAIL_TOL = math.log(2.0**-106)
-BACKEND_KINDS = ("kernel", "poly", "tabular")
+BACKEND_KINDS = ("kernel", "tabular")
 
 
 def _check_kernel(bandwidth, ridge) -> None:
@@ -147,7 +148,8 @@ class KernelRegressor(Regressor):
 
 
 class PolynomialRegressor(Regressor):
-    """Ordinary least-squares polynomial, coefficients in ascending order."""
+    """Polynomial with coefficients in ascending order, as stored by policy
+    files of the retired polynomial backend; nothing fits one now."""
 
     kind = "poly"
     FIELDS = ("coeffs",)
@@ -278,13 +280,6 @@ def fit_kernel(xs, ys, bandwidth: float = 1.0, ridge: float = DEFAULT_RIDGE) -> 
     return KernelRegressor([xs[0], xs[-1]], coeffs, bandwidth, ridge)
 
 
-def fit_polynomial(xs, ys, degree: int = DEFAULT_POLY_DEGREE) -> PolynomialRegressor:
-    xs, ys = _training_pairs(xs, ys)
-    # Keep the LS system well-posed when there are few distinct points.
-    deg = min(degree, len(np.unique(xs)) - 1)
-    return PolynomialRegressor(np.polynomial.polynomial.polyfit(xs, ys, deg))
-
-
 def fit_tabular(xs, ys) -> TabularRegressor:
     xs, ys = _training_pairs(xs, ys)
     return TabularRegressor(*_group_means(xs, ys), float(ys.mean()))
@@ -293,28 +288,22 @@ def fit_tabular(xs, ys) -> TabularRegressor:
 @dataclass(frozen=True)
 class RegressionBackend:
     """Which regression the stopping-policy trainer plugs in at every epoch:
-    the kind, the kernel's bandwidth and ridge, and the polynomial degree.
-    The fields are also the keys of the config's "backend" object."""
+    the kind (kernel or tabular) and the kernel's bandwidth and ridge. The
+    fields are also the keys of the config's "backend" object."""
 
     kind: str = "kernel"
     bandwidth: float = 1.0
     ridge: float = DEFAULT_RIDGE
-    degree: int = DEFAULT_POLY_DEGREE
 
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         _check_kernel(self.bandwidth, self.ridge)
         store_reals(self, "bandwidth", "ridge")
-        store_integers(self, "degree")
-        if not self.degree >= 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
 
     def fit(self, xs, ys) -> Regressor:
         if self.kind == "kernel":
             return fit_kernel(xs, ys, self.bandwidth, self.ridge)
-        if self.kind == "poly":
-            return fit_polynomial(xs, ys, self.degree)
         return fit_tabular(xs, ys)
 
     def to_dict(self) -> dict:

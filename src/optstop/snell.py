@@ -191,11 +191,12 @@ def _draw_children(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nda
     row; adding a zero is exact, so these cumulative masses are bitwise those
     of the full row. Rows whose cumulative masses are bitwise equal share one
     law and one sorted search; the drawn rank then picks the column from each
-    path's own row. A table of one law (on the Gauss-Hermite lattice every
-    parent has the same child weights, so each epoch has one) is drawn once
-    for all paths, without grouping them by law: a law of w <= COUNT_MAX_MASSES
-    masses counts its first w - 1 cumulative masses below u, which is the
-    search's rank already clamped to w - 1, and a wider one is searched.
+    path's own row. A table of one law of w <= COUNT_MAX_MASSES masses (on
+    the Gauss-Hermite lattice every parent has the same child weights, so
+    each epoch has one) is drawn once for all paths without a search: it
+    counts the law's first w - 1 cumulative masses below u, which is the
+    search's rank already clamped to w - 1. A wider single law takes the
+    search above, as one group.
     """
     positive = table > 0
     counts = positive.sum(axis=1)
@@ -206,14 +207,10 @@ def _draw_children(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nda
     cum = np.full(support.shape, np.inf)
     cum[r, rank] = table[r, c]
     laws, law = np.unique(np.cumsum(cum, axis=1), axis=0, return_inverse=True)
-    if len(laws) == 1:
-        w = counts[0]
-        if w <= COUNT_MAX_MASSES:
-            k = np.zeros(len(u), dtype=np.int64)
-            for mass in laws[0][: w - 1]:
-                k += mass < u
-        else:
-            k = np.minimum(np.searchsorted(laws[0], u, side="left"), w - 1)
+    if len(laws) == 1 and counts[0] <= COUNT_MAX_MASSES:
+        k = np.zeros(len(u), dtype=np.int64)
+        for mass in laws[0][: counts[0] - 1]:
+            k += mass < u
         return support.ravel()[rows * support.shape[1] + k]
     law = law.ravel()[rows]  # the inverse's shape differs across numpy versions
     order = np.argsort(law, kind="stable")

@@ -1,9 +1,11 @@
 """Subcommand behavior, exit codes, and the machine-readable error line."""
 
 import json
+import re
 
 import pytest
 
+from optstop import lsm, snell
 from optstop.cli import main
 from optstop.experiment import ExperimentConfig
 from optstop.model import ModelParams
@@ -180,10 +182,49 @@ def test_seed_override_changes_output(config_file, tmp_path):
 
 
 def test_backend_override_recorded(config_file, tmp_path):
-    out = tmp_path / "poly"
-    main(["train", "--config", str(config_file), "--backend", "poly", "--out", str(out)])
+    out = tmp_path / "tabular"
+    main(["train", "--config", str(config_file), "--backend", "tabular", "--out", str(out)])
     policy = load_policy(out / "policy.txt")
-    assert policy.metadata["backend"]["kind"] == "poly"
+    assert policy.metadata["backend"]["kind"] == "tabular"
+
+
+def test_retired_poly_backend_is_a_usage_error(config_file, tmp_path, capsys):
+    out = tmp_path / "poly"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(config_file), "--backend", "poly", "--out", str(out)])
+    assert exc.value.code == 2
+    # Newer Pythons print the choices without quotes.
+    assert re.search(r"\(choose from '?kernel'?, '?tabular'?\)$", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["oracle", "train"])
+def test_nonempty_out_fails_before_any_work(command, config_file, tmp_path, capsys, monkeypatch):
+    # Checked before the command runs: it neither trains nor solves, and
+    # oracle prints no root value before the error line.
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before its --out was checked")
+
+    monkeypatch.setattr(lsm, "train", work)
+    monkeypatch.setattr(snell, "backward_induction", work)
+    problem = tmp_path / "tree.json"
+    problem.write_text(json.dumps(
+        {"payoffs": [[0.5], [0.0, 1.2]], "transitions": [[[0.5, 0.5]]]}
+    ))
+    out = tmp_path / "taken"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    given = (["--problem", str(problem)] if command == "oracle"
+             else ["--config", str(config_file)])
+    assert main([command, *given, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err.strip()[len("ERROR "):])
+    assert payload == {
+        "type": "FileExistsError",
+        "message": f"output directory {out} exists and is not empty",
+    }
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
 
 def test_error_line_is_machine_readable(tmp_path, capsys):

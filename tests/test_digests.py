@@ -16,25 +16,25 @@ from optstop.snell import discretize_consumer_problem, simulate_paths
 # sha256 prefixes of every file of run_experiment(reference_config(1,
 # trace_trials=(0, 3, 999))).
 SEED1_FILES = {
-    "config.json": "1d165244dba08775",
-    "exit_summary.csv": "5b3c27feb14c49f6",
-    "payoff_diff.csv": "2780cf9105e7a329",
-    "payoff_hist.csv": "76c7f7291986a131",
-    "policy.txt": "116fc9e24fb6c2db",
-    "price_hist.csv": "20cc2cb5b48b3eb0",
-    "summary.csv": "1096bba2afcd8979",
-    "trace_0.csv": "2178fda6b26a7e1a",
-    "trace_3.csv": "f94e450e15ab1a50",
-    "trace_999.csv": "d269340e0df54d6e",
+    "config.json": "2cd1c43d603656e2",
+    "exit_summary.csv": "12fab37e19c4cb09",
+    "payoff_diff.csv": "ac58627e8198b3d7",
+    "payoff_hist.csv": "04f35a64eb5163bf",
+    "policy.txt": "9ec691db6ea9273c",
+    "price_hist.csv": "cc7464e0dafe019e",
+    "summary.csv": "0724aac7e08e809f",
+    "trace_0.csv": "668c042a1160e7df",
+    "trace_3.csv": "2304ac5345e28ceb",
+    "trace_999.csv": "33c414bba461fee9",
 }
 # sha256 prefix of the tabular policy text, then the apply_policy exit times
 # and payoffs, on the seed-1 (T, levels) lattice at 20,000 paths. Each law has
 # levels**2 masses: (1, 9) draws by sorted search, the others by counting.
 LATTICES = {
-    (2, 4): "19986b8a56aad8e5",
-    (3, 3): "27fa94a7ef89e9de",
-    (4, 2): "e7456931bd93ac18",
-    (1, 9): "0c9a8d1e947b171a",
+    (2, 4): "eb8761965db82be7",
+    (3, 3): "c9893a254d933735",
+    (4, 2): "b2546d7e5fe4aec3",
+    (1, 9): "1c512941ee666a0c",
 }
 
 

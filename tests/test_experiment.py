@@ -242,6 +242,26 @@ POLICY_PAYLOAD = {
 }
 
 
+# A degree-2 policy of the retired polynomial backend, written by
+# lsm.train(H, RegressionBackend(kind="poly", degree=2), metadata={"seed": 3})
+# on the first six rows of POLY_POLICY_H before that backend was removed.
+POLY_POLICY_TEXT = (
+    "optstop-policy v2\n"
+    "sha256 27ed2ea96d52c4f86148dfbcff773182835d5eb18d22cc8144b8657f66413b9c\n"
+    '{"format_version":2,"horizon":2,"metadata":{"backend":{"bandwidth":1.0,"degree":2,'
+    '"kind":"poly","ridge":1e-06},"feature":"exit_payoff","horizon":2,"n_train":6,'
+    '"numerics":{"epochs":[{"in_the_money":5,"stopped":0,"support":null,"tail_bound":null,'
+    '"terms":null},{"in_the_money":5,"stopped":3,"support":null,"tail_bound":null,'
+    '"terms":null}],"nonpositive_exit_action":"reject"},"seed":3},"regressors":['
+    '{"coeffs":[0.7818181818181826,-0.6785714285714368,0.7467532467532572],"kind":"poly"},'
+    '{"coeffs":[0.9563579277864859,-2.4610151753008767,1.7687074829932106],"kind":"poly"}]}\n'
+)
+POLY_POLICY_H = np.array([
+    [0.2, 0.5, 0.1], [0.4, 0.0, 0.9], [0.0, 0.3, 0.6], [0.6, 0.7, 0.0],
+    [0.1, 0.8, 0.2], [0.5, 0.2, 0.4], [0.9, 0.1, 0.2],
+])
+
+
 def signed_policy_text(payload: dict) -> str:
     """A policy file around payload, with a checksum that matches it."""
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -352,14 +372,27 @@ class TestPolicyPersistence:
         with pytest.raises(PolicyFormatError, match=message):
             policy_from_text(signed_policy_text(payload))
 
-    def test_poly_backend_metadata_preserved(self, tmp_path):
-        config = small_config(backend=RegressionBackend(kind="poly", degree=2))
+    def test_tabular_backend_metadata_preserved(self, tmp_path):
+        config = small_config(backend=RegressionBackend(kind="tabular"))
         policy, _ = experiment.train_policy(config)
         file = tmp_path / "p.txt"
         save_policy(policy, file)
         loaded = load_policy(file)
-        assert loaded.metadata["backend"] == RegressionBackend(kind="poly", degree=2).to_dict()
+        assert loaded.metadata["backend"] == RegressionBackend(kind="tabular").to_dict()
         assert loaded.metadata == policy.metadata
+
+    def test_polynomial_policy_still_loads_and_applies(self):
+        # No backend trains a polynomial policy now; one written before still
+        # evaluates, its degree recorded only in its metadata.
+        policy = policy_from_text(POLY_POLICY_TEXT)
+        assert policy.metadata["backend"]["degree"] == 2
+        assert [r.kind for r in policy.regressors] == ["poly", "poly"]
+        times, payoffs = lsm.apply_policy(policy, POLY_POLICY_H)
+        assert times.tolist() == [1, 2, 2, 1, 1, 2, 0]
+        assert payoffs.tolist() == [0.5, 0.9, 0.6, 0.7, 0.8, 0.4, 0.9]
+        assert policy_to_text(policy) == POLY_POLICY_TEXT
+        with pytest.raises(ValueError, match="unknown backend key.*'degree'"):
+            RegressionBackend.from_dict(policy.metadata["backend"])
 
 
 class TestOutputs:
@@ -646,8 +679,8 @@ class TestPathsCsv:
         file.write_text("".join(lines[1:]))
         assert paths_csv_seed(file) is None
         # Only the seed is read: an echo with keys since retired still serves.
-        file.write_text('# config {"bins": 40, "model": {"seed": 7, "support_cap": 9}}\n'
-                        + "".join(lines[1:]))
+        file.write_text('# config {"backend": {"degree": 3}, "bins": 40, '
+                        '"model": {"seed": 7, "support_cap": 9}}\n' + "".join(lines[1:]))
         assert paths_csv_seed(file) == 7
         for echo, message in [
             ('{"model": {"seed": -1}}', "seed must be an integer .* got -1$"),
@@ -794,7 +827,7 @@ class TestTableFormat:
 class TestConfig:
     def test_dict_round_trip(self):
         config = small_config(
-            backend=RegressionBackend(kind="poly", degree=2),
+            backend=RegressionBackend(kind="tabular"),
             trace_trials=(3, 4),
             paired=False,
             fixed_v0=0.5,
@@ -803,8 +836,8 @@ class TestConfig:
 
     def test_missing_keys_take_defaults(self):
         assert ExperimentConfig.from_dict({}) == ExperimentConfig()
-        partial = ExperimentConfig.from_dict({"n_test": 7, "backend": {"kind": "poly"}})
-        assert partial == ExperimentConfig(n_test=7, backend=RegressionBackend(kind="poly"))
+        partial = ExperimentConfig.from_dict({"n_test": 7, "backend": {"kind": "tabular"}})
+        assert partial == ExperimentConfig(n_test=7, backend=RegressionBackend(kind="tabular"))
 
     @pytest.mark.parametrize(
         "d, what, key",
@@ -815,6 +848,7 @@ class TestConfig:
             ({"backend": {"kernl": 1}}, "backend", "kernl"),
             ({"backend": {"support_cap": 2000}}, "backend", "support_cap"),
             ({"backend": {"kind": "kernel", "subsample_seed": 0}}, "backend", "subsample_seed"),
+            ({"backend": {"degree": 3}}, "backend", "degree"),
         ],
     )
     def test_unknown_key_named(self, d, what, key):
@@ -825,7 +859,7 @@ class TestConfig:
         "d, what, key",
         [
             ({"model": {"horizon": 2.5}}, "model", "horizon"),
-            ({"backend": {"degree": 2.5}}, "backend", "degree"),
+            ({"backend": {"ridge": "0"}}, "backend", "ridge"),
             ({"n_train": True}, "config", "n_train"),
             ({"paired": "no"}, "config", "paired"),
             ({"n_test": "5"}, "config", "n_test"),
@@ -850,10 +884,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{what} key '{key}' must be a finite number"):
             ExperimentConfig.from_dict(json.loads(text))
 
-    def test_negative_degree_named(self):
-        with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
-            ExperimentConfig.from_dict({"backend": {"kind": "poly", "degree": -1}})
-
     def test_int_passes_for_float_and_fixed_v0_takes_null(self):
         config = ExperimentConfig.from_dict({"model": {"gamma": 2}, "fixed_v0": 1})
         assert config.params.gamma == 2 and config.fixed_v0 == 1
@@ -875,9 +905,6 @@ class TestConfig:
             (lambda: ModelParams(sigma_eps=None), "sigma_eps"),
             (lambda: ModelParams(mu_prior=True), "mu_prior"),
             (lambda: small_config(trace_trials=3), "trace_trials"),
-            (lambda: RegressionBackend(kind="poly", degree=2.5), "degree"),
-            (lambda: RegressionBackend(kind="poly", degree=True), "degree"),
-            (lambda: RegressionBackend(kind="poly", degree="3"), "degree"),
         ],
     )
     def test_python_built_fault_named(self, build, key):
@@ -901,11 +928,11 @@ class TestConfig:
     def test_numpy_scalars_round_trip(self):
         config = small_config(
             params=ModelParams(horizon=3, gamma=np.float32(1.5), sigma_xi=np.float64(0.5)),
-            backend=RegressionBackend(bandwidth=np.float32(0.7), degree=np.int64(2)),
+            backend=RegressionBackend(bandwidth=np.float32(0.7)),
             fixed_v0=np.float32(0.4),
         )
         assert ExperimentConfig.from_dict(json.loads(config.echo())) == config
-        assert type(config.fixed_v0) is float and type(config.backend.degree) is int
+        assert type(config.fixed_v0) is float and type(config.backend.bandwidth) is float
 
     def test_paired_must_be_boolean(self):
         # A non-empty string is truthy, so it would run paired.

@@ -18,6 +18,7 @@ from optstop.lsm import (
 )
 from optstop.model import ModelParams
 from optstop.regression import (
+    BACKEND_KINDS,
     PolynomialRegressor,
     RegressionBackend,
     TabularRegressor,
@@ -53,7 +54,7 @@ def constant_policy(horizon: int, levels: list[float]) -> StoppingPolicy:
 
 
 class TestTrain:
-    @pytest.mark.parametrize("kind", ["kernel", "poly", "tabular"])
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_single_path_hand_trace(self, kind):
         # One path, T=1: the only regression has one point (0.5 -> 0.2);
         # 0.5 > 0.2, so the path stops at t=0 with cashflow 0.5.
@@ -64,6 +65,20 @@ class TestTrain:
         # kernel backend carries its default ridge, so allow that much slack
         assert policy.regressors[0].predict(0.5) == pytest.approx(0.2, abs=1e-5)
         assert decide(policy, [0.5], 0.5) == 0.5
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_training_calls_no_lapack(self, kind, monkeypatch):
+        # Every fit runs in numpy's own loops, so a policy's bits cannot
+        # depend on the BLAS thread count; a LAPACK call here would fail.
+        def lapack(*args, **kwargs):
+            raise AssertionError("training called LAPACK")
+
+        for name in ("lstsq", "solve", "qr", "cholesky", "svd", "inv", "pinv", "eigh"):
+            monkeypatch.setattr(np.linalg, name, lapack)
+        rng = np.random.default_rng(3)
+        h = np.maximum(rng.normal(0.2, 0.5, size=(200, 5)), 0.0)
+        times, _ = apply_policy(train(h, RegressionBackend(kind=kind)), h)
+        assert np.all((0 <= times) & (times <= 4))
 
     def test_all_zero_paths_give_zero_regressors(self):
         h = np.zeros((8, 5))
@@ -105,8 +120,8 @@ class TestTrain:
             {"in_the_money": 2, "support": 2, "terms": 15,
              "tail_bound": kernel_terms(0.5 - 0.1, 1.0)[1], "stopped": 1},
         ]
-        poly = train(h, RegressionBackend(kind="poly")).metadata["numerics"]["epochs"]
-        assert [(e["support"], e["terms"], e["tail_bound"]) for e in poly] == [(None,) * 3] * 2
+        tabular = train(h, RegressionBackend(kind="tabular")).metadata["numerics"]["epochs"]
+        assert [(e["support"], e["terms"], e["tail_bound"]) for e in tabular] == [(None,) * 3] * 2
         assert meta["seed"] == 9
 
     def test_custom_features_flagged(self):
@@ -126,7 +141,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(np.array([[0.5, 0.2]]), backend, features=np.array([[1.0]]))
 
-    @pytest.mark.parametrize("kind", ["kernel", "poly", "tabular"])
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_rejects_an_empty_path_batch(self, kind):
         # Unchecked, no epoch has an in-the-money path and the "trained"
         # policy is the myopic rule of ZeroRegressors with n_train 0.
@@ -207,7 +222,7 @@ class TestVectorizedEquivalence:
         for n in range(len(h)):
             assert myopic_loop(h[n], pi[n], h.shape[1] - 1) == (times[n], payoffs[n])
 
-    @pytest.mark.parametrize("kind", ["kernel", "poly", "tabular"])
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_predicts_only_for_live_paths(self, ref_run, kind):
         # A batch of paths that exit at t = 0 and one that browses on: from
         # t = 1 the estimators see that lone path and nothing else.
@@ -264,10 +279,10 @@ class TestVectorizedEquivalence:
         with pytest.raises(ValueError, match=re.escape(message)):
             apply_policy(policy, np.zeros(h_shape), features=features)
 
-    @pytest.mark.parametrize("kind", ["kernel", "poly", "tabular"])
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_non_finite_features_named(self, kind):
         # Every backend rejects a NaN feature the same way; unchecked, kernel
-        # and poly kept browsing on it while tabular exited.
+        # kept browsing on it while tabular exited.
         h = np.array([[0.5, 0.2], [0.3, 0.4], [0.1, 0.0]])
         policy = train(h, RegressionBackend(kind=kind), features=h + 1)
         bad = h + 1

@@ -1,4 +1,5 @@
-"""Kernel ridge regression in Taylor features, polynomial and tabular backends."""
+"""Kernel ridge regression in Taylor features, the tabular backend, and the
+polynomial regressor that old policy files hold."""
 
 import json
 import re
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from optstop.regression import (
     MAX_TERMS,
     KernelRegressor,
+    PolynomialRegressor,
     RegressionBackend,
     Regressor,
     TabularRegressor,
@@ -19,7 +21,6 @@ from optstop.regression import (
     _group_means,
     _taylor_features,
     fit_kernel,
-    fit_polynomial,
     fit_tabular,
     gaussian_kernel,
     kernel_terms,
@@ -309,19 +310,9 @@ class TestZeroRegressor:
 
 
 class TestPolynomialBackend:
-    def test_recovers_cubic_exactly(self):
-        xs = np.linspace(-1, 2, 20)
-        ys = 0.5 - 1.5 * xs + 0.25 * xs**2 + 2.0 * xs**3
-        model = fit_polynomial(xs, ys, degree=3)
-        assert np.allclose(model.predict(xs), ys, atol=1e-8)
-
-    def test_degree_clamped_to_data(self):
-        model = fit_polynomial([0.0, 1.0], [1.0, 3.0], degree=3)
-        assert len(model.coeffs) == 2  # linear through two points
-        assert model.predict(0.5) == pytest.approx(2.0, abs=1e-10)
-
     def test_round_trip(self):
-        model = fit_polynomial([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 8.0, 27.0])
+        # No backend fits a polynomial now; policy files may still hold one.
+        model = PolynomialRegressor([0.1, -0.5, 0.25, 1.0 / 3.0])
         assert_json_round_trip_bitwise(model, np.linspace(-1, 4, 13))
 
 
@@ -417,28 +408,23 @@ class TestBackendDispatch:
     def test_kinds_produce_expected_models(self):
         xs, ys = [0.0, 1.0, 2.0], [0.0, 1.0, 4.0]
         assert RegressionBackend(kind="kernel").fit(xs, ys).kind == "kernel"
-        assert RegressionBackend(kind="poly").fit(xs, ys).kind == "poly"
         assert RegressionBackend(kind="tabular").fit(xs, ys).kind == "tabular"
-        with pytest.raises(ValueError):
-            RegressionBackend(kind="spline")
+        for kind in ("spline", "poly"):
+            with pytest.raises(ValueError, match=f"unknown backend kind '{kind}'"):
+                RegressionBackend(kind=kind)
 
     def test_backend_dict_round_trip(self):
-        backend = RegressionBackend(kind="kernel", bandwidth=0.5, ridge=1e-4, degree=5)
-        assert backend.to_dict() == {"kind": "kernel", "bandwidth": 0.5, "ridge": 1e-4, "degree": 5}
+        backend = RegressionBackend(kind="kernel", bandwidth=0.5, ridge=1e-4)
+        assert backend.to_dict() == {"kind": "kernel", "bandwidth": 0.5, "ridge": 1e-4}
         assert RegressionBackend.from_dict(backend.to_dict()) == backend
         assert RegressionBackend.from_dict({}) == RegressionBackend()
         assert RegressionBackend.from_dict({"ridge": 0.0}) == RegressionBackend(ridge=0.0)
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
-            RegressionBackend.from_dict({"kind": "poly", "degree": -1})
-        assert RegressionBackend(kind="poly", degree=0).fit([0.0, 1.0], [1.0, 3.0]).predict(0.5) == 2.0
 
     def test_unknown_regressor_kind_rejected(self):
         with pytest.raises(ValueError):
             Regressor.from_dict({"kind": "mystery"})
 
-    @pytest.mark.parametrize("fit", [fit_kernel, fit_polynomial, fit_tabular])
+    @pytest.mark.parametrize("fit", [fit_kernel, fit_tabular])
     @pytest.mark.parametrize(
         "xs, ys",
         [([0.0, np.nan], [1.0, 2.0]), ([0.0, 1.0], [1.0, np.inf]), ([-np.inf, 1.0], [1.0, 2.0])],
