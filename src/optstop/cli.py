@@ -31,8 +31,6 @@ def _load_config(args) -> experiment.ExperimentConfig:
         config = dataclasses.replace(
             config, backend=dataclasses.replace(config.backend, kind=args.backend)
         )
-    if getattr(args, "paired", None) is not None:
-        config = dataclasses.replace(config, paired=args.paired)
     return config
 
 
@@ -40,9 +38,7 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args)
     n = args.n if args.n is not None else config.n_train
     domain = {"train": experiment.DOMAIN_TRAIN, "test": experiment.DOMAIN_TEST}[args.domain]
-    batch = experiment.generate_paths(
-        config.params, n, domain, fixed_v0=config.fixed_v0
-    )
+    batch = experiment.generate_paths(config.params, n, domain)
     experiment.write_output_dir(
         args.out, {"paths.csv": experiment.render_paths_csv(batch, config)}
     )
@@ -93,9 +89,7 @@ def _cmd_trace(args) -> int:
     config = _load_config(args)
     trials = args.trial or [0]
     config = dataclasses.replace(config, trace_trials=tuple(trials))
-    batch = experiment.generate_paths(
-        config.params, config.n_test, experiment.DOMAIN_TEST, fixed_v0=config.fixed_v0
-    )
+    batch = experiment.generate_paths(config.params, config.n_test, experiment.DOMAIN_TEST)
     files = {f"trace_{i}.csv": experiment.render_trace(batch, i, config) for i in trials}
     experiment.write_output_dir(args.out, files)
     print(f"wrote {len(files)} trace files to {args.out}")
@@ -154,15 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a policy against the myopic baseline")
     common(p)
     p.add_argument("--policy", required=True, help="policy file from `train`")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--paired", dest="paired", action="store_true", default=None,
-        help="myopic baseline on identical test paths (default)",
-    )
-    mode.add_argument(
-        "--independent", dest="paired", action="store_false",
-        help="myopic baseline on a disjoint test batch",
-    )
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("trace", help="single-path diagnostic table")

@@ -4,8 +4,8 @@ evaluation, and emission of all result tables as machine-readable CSV.
 Every output file starts with a `# config ...` echo line holding the full
 canonical configuration, so any file suffices to rerun its experiment
 exactly. Runs are deterministic: equal configs produce byte-identical
-outputs. Training, test, and independent-myopic path sets live on disjoint
-RNG sub-streams.
+outputs. The training and test path sets live on disjoint RNG sub-streams;
+both strategies are scored on the same test paths (common random numbers).
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import numpy as np
 
 from . import consumer, lsm, seller
 from .model import (
-    DEFAULT_SEED, ModelParams, PathBatch, check_types, is_integer, is_real, store_integers,
-    store_reals,
+    DEFAULT_SEED, ModelParams, PathBatch, check_types, is_integer, store_integers,
 )
 from .policy_io import policy_to_text
 from .regression import RegressionBackend
@@ -32,7 +31,6 @@ from .rng import RngStream
 # RNG domains keep path sets on disjoint sub-streams.
 DOMAIN_TRAIN = 0
 DOMAIN_TEST = 1
-DOMAIN_MYOPIC_TEST = 2
 
 
 def _edges(lo: float, hi: float, width: float) -> np.ndarray:
@@ -55,9 +53,7 @@ class ExperimentConfig:
     n_train: int = 500
     n_test: int = 1000
     backend: RegressionBackend = field(default_factory=RegressionBackend)
-    paired: bool = True
     trace_trials: tuple[int, ...] = ()
-    fixed_v0: float | None = None
 
     def __post_init__(self):
         store_integers(self, "n_train", "n_test")
@@ -65,8 +61,6 @@ class ExperimentConfig:
             raise ValueError(f"n_train must be >= 1, got {self.n_train}")
         if self.n_test < 1:
             raise ValueError(f"n_test must be >= 1, got {self.n_test}")
-        if not isinstance(self.paired, bool):
-            raise ValueError(f"paired must be a boolean, got {self.paired!r}")
         try:
             trials = tuple(self.trace_trials)
         except TypeError:
@@ -77,12 +71,6 @@ class ExperimentConfig:
             if not is_integer(i) or not 0 <= i < self.n_test:
                 raise ValueError(f"trace trial {i!r} is not an integer in 0..{self.n_test - 1}")
         object.__setattr__(self, "trace_trials", tuple(map(int, trials)))
-        v0 = self.fixed_v0
-        # Compared: math.isfinite raises an OverflowError on an int beyond the float range.
-        if v0 is not None and not (is_real(v0) and -math.inf < v0 < math.inf):
-            raise ValueError(f"fixed_v0 must be a finite number or None, got {v0!r}")
-        if v0 is not None:
-            store_reals(self, "fixed_v0")
 
     def to_dict(self) -> dict:
         return {
@@ -90,9 +78,7 @@ class ExperimentConfig:
             "n_train": self.n_train,
             "n_test": self.n_test,
             "backend": self.backend.to_dict(),
-            "paired": self.paired,
             "trace_trials": list(self.trace_trials),
-            "fixed_v0": self.fixed_v0,
         }
 
     @classmethod
@@ -103,7 +89,7 @@ class ExperimentConfig:
         kwargs: dict = {}
         if "model" in d:
             kwargs["params"] = ModelParams.from_dict(d["model"])
-        for key in ("n_train", "n_test", "paired", "fixed_v0"):
+        for key in ("n_train", "n_test"):
             if key in d:
                 kwargs[key] = d[key]
         if "backend" in d:
@@ -121,9 +107,7 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_dict(json.load(fh))
 
 
-def generate_paths(
-    params: ModelParams, n: int, domain: int = DOMAIN_TRAIN, fixed_v0: float | None = None
-) -> PathBatch:
+def generate_paths(params: ModelParams, n: int, domain: int = DOMAIN_TRAIN) -> PathBatch:
     """Simulate n sample paths of the full consumer/seller interaction.
 
     Path i draws all of its normals in one call on its own (seed, i, domain)
@@ -134,43 +118,42 @@ def generate_paths(
         raise ValueError(f"number of paths must be >= 1, got {n}")
     if n > 1 << 32:  # RngStream path indices are 32-bit
         raise ValueError(f"number of paths must be <= 2**32 = {1 << 32}, got {n}")
-    z = np.empty((n, int(fixed_v0 is None) + 2 * params.horizon))
+    z = np.empty((n, 1 + 2 * params.horizon))
     stream = RngStream(params.seed, 0, domain)
     for i in range(n):
         z[i] = stream.rekey(i).standard_normal(z.shape[1])
-    return simulate(params, z, fixed_v0)
+    return simulate(params, z)
 
 
-def simulate(params: ModelParams, z, fixed_v0: float | None = None) -> PathBatch:
+def simulate(params: ModelParams, z) -> PathBatch:
     """Run the consumer/seller epochs for one path per row of z (snell's
     Gauss-Hermite lattice runs it too).
 
-    Row i holds path i's standard normals in draw order: the initial
-    valuation (unless pinned via fixed_v0), then per epoch the valuation
-    shock and the seller's observation noise. The epoch loop runs the
-    dynamics for all rows at once, one column of the batch per epoch: the
-    valuation walk steps, the seller observes and filters. The price never
-    feeds back into them, so the whole (n, T+1) posterior is then priced in
-    one call, with one variance per epoch, and the payoffs in one more.
+    Row i holds path i's 1 + 2T standard normals in draw order: the initial
+    valuation, then per epoch the valuation shock and the seller's
+    observation noise. The epoch loop runs the dynamics for all rows at
+    once, one column of the batch per epoch: the valuation walk steps, the
+    seller observes and filters. The price never feeds back into them, so
+    the whole (n, T+1) posterior is then priced in one call, with one
+    variance per epoch, and the payoffs in one more.
     """
     # sigma_xi = 0 is a valid Kalman input, but its posterior variance 0 has no price.
     if not params.sigma_xi > 0:
         raise ValueError(f"sigma_xi must be > 0 to simulate, got {params.sigma_xi}")
     T = params.horizon
-    first = int(fixed_v0 is None)  # column of the first valuation shock
     z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[1] != first + 2 * T:
-        raise ValueError(f"z must have {first + 2 * T} columns, one row per path, got {z.shape}")
+    if z.ndim != 2 or z.shape[1] != 1 + 2 * T:
+        raise ValueError(f"z must have {1 + 2 * T} columns, one row per path, got {z.shape}")
     n = len(z)
     # Epoch t >= 1 runs on the valuation shocks eps[:, t-1] and the
     # observation noise xi[:, t-1].
-    eps, xi = z[:, first::2], z[:, first + 1 :: 2]
+    eps, xi = z[:, 1::2], z[:, 2::2]
 
     v = np.empty((n, T + 1))
     y = np.empty((n, T))
     seller_mean = np.empty((n, T + 1))
     seller_var = np.empty(T + 1)
-    v[:, 0] = params.mu_prior + params.sigma_v * z[:, 0] if first else fixed_v0
+    v[:, 0] = params.mu_prior + params.sigma_v * z[:, 0]
     seller_mean[:, 0] = params.mu_prior
     # The posterior variance does not depend on the observations: one
     # scalar, stepped once per epoch, serves every path.
@@ -199,9 +182,7 @@ def simulate(params: ModelParams, z, fixed_v0: float | None = None) -> PathBatch
 
 
 def train_policy(config: ExperimentConfig) -> tuple[lsm.StoppingPolicy, PathBatch]:
-    batch = generate_paths(
-        config.params, config.n_train, DOMAIN_TRAIN, fixed_v0=config.fixed_v0
-    )
+    batch = generate_paths(config.params, config.n_train, DOMAIN_TRAIN)
     policy = lsm.train(
         batch.h,
         config.backend,
@@ -213,15 +194,8 @@ def train_policy(config: ExperimentConfig) -> tuple[lsm.StoppingPolicy, PathBatc
 def evaluate_policy(
     config: ExperimentConfig, policy: lsm.StoppingPolicy
 ) -> tuple[lsm.EvaluationReport, PathBatch]:
-    test_batch = generate_paths(
-        config.params, config.n_test, DOMAIN_TEST, fixed_v0=config.fixed_v0
-    )
-    myo_batch = None
-    if not config.paired:
-        myo_batch = generate_paths(
-            config.params, config.n_test, DOMAIN_MYOPIC_TEST, fixed_v0=config.fixed_v0
-        )
-    return lsm.evaluate(policy, test_batch, myopic_batch=myo_batch), test_batch
+    test_batch = generate_paths(config.params, config.n_test, DOMAIN_TEST)
+    return lsm.evaluate(policy, test_batch), test_batch
 
 
 def run_experiment(
@@ -231,8 +205,10 @@ def run_experiment(
 
     Output emission is atomic: files are staged in a temporary sibling
     directory and renamed into place, so a failed run leaves no partial
-    output directory behind.
+    output directory behind. A taken outdir fails before any work.
     """
+    if outdir is not None:
+        check_output_dir(outdir)
     policy, _ = train_policy(config)
     report, test_batch = evaluate_policy(config, policy)
     if outdir is not None:
@@ -251,14 +227,6 @@ def run_experiment(
 # config.
 
 PATHS_COLUMNS = ("path", "t", "v", "y", "p", "pi", "h", "seller_mean", "seller_var")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
 
 
 def _column(values) -> list[str]:
@@ -311,11 +279,11 @@ def _exit_columns(prefix: str, outcome: lsm.StrategyOutcome, params: ModelParams
 
 def render_figures_data(report: lsm.EvaluationReport, config: ExperimentConfig) -> dict[str, str]:
     """Render the per-trial exit table, both histograms, and the difference
-    table (paired runs only) as named CSV strings."""
+    table as named CSV strings."""
     params = config.params
     alg, myo = report.algorithmic, report.myopic
     trial = np.arange(report.n_trials)
-    files = {
+    return {
         "exit_summary.csv": _table(
             config,
             {
@@ -326,9 +294,7 @@ def render_figures_data(report: lsm.EvaluationReport, config: ExperimentConfig) 
         ),
         "payoff_hist.csv": _table(config, _histogram(PAYOFF_EDGES, alg.payoffs, myo.payoffs)),
         "price_hist.csv": _table(config, _histogram(PRICE_EDGES, alg.prices_paid, myo.prices_paid)),
-    }
-    if report.paired:
-        files["payoff_diff.csv"] = _table(
+        "payoff_diff.csv": _table(
             config,
             {
                 "trial": trial,
@@ -336,15 +302,14 @@ def render_figures_data(report: lsm.EvaluationReport, config: ExperimentConfig) 
                 "myopic": myo.payoffs,
                 "difference": report.differences,
             },
-        )
-    return files
+        ),
+    }
 
 
 def render_summary(report: lsm.EvaluationReport, config: ExperimentConfig) -> str:
     ci_low, ci_high = report.mean_difference_ci95
     values = {
         "n_trials": report.n_trials,
-        "paired": report.paired,
         "mean_algorithmic": report.mean_algorithmic,
         "mean_algorithmic_se": report.algorithmic.mean_payoff_se,
         "mean_myopic": report.mean_myopic,
@@ -355,11 +320,10 @@ def render_summary(report: lsm.EvaluationReport, config: ExperimentConfig) -> st
         "mean_difference_ci95_high": ci_high,
         "algorithmic_purchases": report.algorithmic.n_purchases,
         "myopic_purchases": report.myopic.n_purchases,
-        "equal_payoff_trials": "" if report.n_ties is None else report.n_ties,
-        "test_paths_checksum_algorithmic": report.algorithmic.paths_sha256,
-        "test_paths_checksum_myopic": report.myopic.paths_sha256,
+        "equal_payoff_trials": report.n_ties,
+        "test_paths_checksum": report.paths_sha256,
     }
-    return _table(config, {"key": list(values), "value": [_fmt(v) for v in values.values()]})
+    return _table(config, {"key": list(values), "value": list(map(str, values.values()))})
 
 
 def render_evaluation(report: lsm.EvaluationReport, config: ExperimentConfig) -> dict[str, str]:

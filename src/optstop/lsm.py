@@ -238,14 +238,12 @@ def apply_myopic(h) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class StrategyOutcome:
-    """Per-path results of one strategy over a test batch, with the checksum
-    of the batch's exit payoffs."""
+    """Per-path results of one strategy over a test batch."""
 
     times: np.ndarray
     payoffs: np.ndarray
     prices_at_exit: np.ndarray
     valuations_at_exit: np.ndarray
-    paths_sha256: str
 
     @property
     def purchased(self) -> np.ndarray:
@@ -271,15 +269,12 @@ class StrategyOutcome:
 
 @dataclass
 class EvaluationReport:
-    """Paired (or independent) comparison of the trained and myopic strategies.
-
-    Only paired runs have per-trial differences and a tie count; they are
-    None in independent mode, where only the means are comparable.
-    """
+    """Paired comparison of the trained and myopic strategies on the same test
+    paths, whose exit payoffs have the checksum paths_sha256."""
 
     algorithmic: StrategyOutcome
     myopic: StrategyOutcome
-    paired: bool
+    paths_sha256: str
 
     @property
     def n_trials(self) -> int:
@@ -294,22 +289,17 @@ class EvaluationReport:
         return self.myopic.mean_payoff
 
     @property
-    def differences(self) -> np.ndarray | None:
-        return self.algorithmic.payoffs - self.myopic.payoffs if self.paired else None
+    def differences(self) -> np.ndarray:
+        return self.algorithmic.payoffs - self.myopic.payoffs
 
     @property
     def mean_difference(self) -> float:
-        if self.paired:
-            return float(self.differences.mean())
-        return self.mean_algorithmic - self.mean_myopic
+        return float(self.differences.mean())
 
     @property
     def mean_difference_se(self) -> float:
-        """From the per-trial differences when paired; otherwise the two
-        means' standard errors combined as independent."""
-        if self.paired:
-            return _standard_error(self.differences)
-        return math.hypot(self.algorithmic.mean_payoff_se, self.myopic.mean_payoff_se)
+        """From the per-trial differences."""
+        return _standard_error(self.differences)
 
     @property
     def mean_difference_ci95(self) -> tuple[float, float]:
@@ -318,10 +308,8 @@ class EvaluationReport:
         return self.mean_difference - half, self.mean_difference + half
 
     @property
-    def n_ties(self) -> int | None:
-        if self.paired:
-            return int((self.algorithmic.payoffs == self.myopic.payoffs).sum())
-        return None
+    def n_ties(self) -> int:
+        return int((self.algorithmic.payoffs == self.myopic.payoffs).sum())
 
 
 def _standard_error(x: np.ndarray) -> float:
@@ -332,39 +320,22 @@ def _standard_error(x: np.ndarray) -> float:
     return float(x.std(ddof=1)) / math.sqrt(len(x))
 
 
-def _paths_sha256(batch: PathBatch) -> str:
-    return hashlib.sha256(np.ascontiguousarray(batch.h).tobytes()).hexdigest()
-
-
-def _outcome(
-    batch: PathBatch, times: np.ndarray, payoffs: np.ndarray, paths_sha256: str
-) -> StrategyOutcome:
+def _outcome(batch: PathBatch, times: np.ndarray, payoffs: np.ndarray) -> StrategyOutcome:
     rows = np.arange(batch.n_paths)
     return StrategyOutcome(
         times=times,
         payoffs=payoffs,
         prices_at_exit=batch.p[rows, times],
         valuations_at_exit=batch.v[rows, times],
-        paths_sha256=paths_sha256,
     )
 
 
-def evaluate(
-    policy: StoppingPolicy,
-    batch: PathBatch,
-    myopic_batch: PathBatch | None = None,
-) -> EvaluationReport:
-    """Run both strategies over test paths and compare them.
-
-    By default the myopic baseline runs on the same realizations (paired
-    mode, per-trial differences and tie counts); passing a separate
-    myopic_batch switches to independent mode, where only the means are
-    comparable.
-    """
-    paths_sha256 = _paths_sha256(batch)
-    alg = _outcome(batch, *apply_policy(policy, batch.h), paths_sha256)
-    if myopic_batch is None:
-        myo = _outcome(batch, *apply_myopic(batch.h), paths_sha256)
-    else:
-        myo = _outcome(myopic_batch, *apply_myopic(myopic_batch.h), _paths_sha256(myopic_batch))
-    return EvaluationReport(algorithmic=alg, myopic=myo, paired=myopic_batch is None)
+def evaluate(policy: StoppingPolicy, batch: PathBatch) -> EvaluationReport:
+    """Run both strategies over the same test paths and compare them trial by
+    trial (common random numbers): per-trial differences, their mean and
+    standard error, and the tie count."""
+    return EvaluationReport(
+        algorithmic=_outcome(batch, *apply_policy(policy, batch.h)),
+        myopic=_outcome(batch, *apply_myopic(batch.h)),
+        paths_sha256=hashlib.sha256(np.ascontiguousarray(batch.h).tobytes()).hexdigest(),
+    )

@@ -93,21 +93,16 @@ def json_type(value) -> str:
     return next((name for cls, name in _JSON_TYPES if isinstance(value, cls)), type(value).__name__)
 
 
-# Types a value may have besides its template's: an integer passes for a
-# number, and a null template value stands for an optional number.
-_ALSO_ACCEPTED = {"number": ("integer",), "null": ("integer", "number")}
-
-
 def check_types(d: dict, template: dict, what: str, required=()) -> None:
     """check_keys against template's keys, then reject a value of d whose
-    JSON type differs from template's value at that key, or a NaN or
-    infinite number (which Python's json parses), naming the key."""
+    JSON type differs from template's value at that key (an integer passes
+    for a number), or a NaN or infinite number (which Python's json parses),
+    naming the key."""
     check_keys(d, template, what, required)
     for key, value in d.items():
         want, got = json_type(template[key]), json_type(value)
-        if got != want and got not in _ALSO_ACCEPTED.get(want, ()):
-            expected = "number or null" if want == "null" else want
-            raise ValueError(f"{what} key {key!r} must be a JSON {expected}, got {value!r}")
+        if got != want and (want, got) != ("number", "integer"):
+            raise ValueError(f"{what} key {key!r} must be a JSON {want}, got {value!r}")
         if got == "number" and not math.isfinite(value):
             raise ValueError(f"{what} key {key!r} must be a finite number, got {value!r}")
 

@@ -129,21 +129,6 @@ def test_train_names_a_faulty_field_of_a_paths_csv(config_file, tmp_path, capsys
     assert not out.exists()
 
 
-def test_evaluate_independent_mode(config_file, tmp_path):
-    train_out = tmp_path / "trained"
-    main(["train", "--config", str(config_file), "--out", str(train_out)])
-    out = tmp_path / "ind"
-    rc = main(
-        [
-            "evaluate", "--config", str(config_file),
-            "--policy", str(train_out / "policy.txt"),
-            "--independent", "--out", str(out),
-        ]
-    )
-    assert rc == 0
-    assert not (out / "payoff_diff.csv").exists()
-
-
 def test_trace_rows(config_file, tmp_path):
     out = tmp_path / "trace"
     rc = main(
@@ -195,6 +180,16 @@ def test_retired_poly_backend_is_a_usage_error(config_file, tmp_path, capsys):
     assert exc.value.code == 2
     # Newer Pythons print the choices without quotes.
     assert re.search(r"\(choose from '?kernel'?, '?tabular'?\)$", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--independent", "--paired"])
+def test_retired_evaluation_mode_flag_is_a_usage_error(flag, tmp_path, capsys):
+    out = tmp_path / "eval"
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--policy", str(tmp_path / "policy.txt"), flag, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
 
 

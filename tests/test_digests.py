@@ -16,16 +16,16 @@ from optstop.snell import discretize_consumer_problem, simulate_paths
 # sha256 prefixes of every file of run_experiment(reference_config(1,
 # trace_trials=(0, 3, 999))).
 SEED1_FILES = {
-    "config.json": "2cd1c43d603656e2",
-    "exit_summary.csv": "12fab37e19c4cb09",
-    "payoff_diff.csv": "ac58627e8198b3d7",
-    "payoff_hist.csv": "04f35a64eb5163bf",
+    "config.json": "b357591491f043a7",
+    "exit_summary.csv": "a0bf96785fd3b7d1",
+    "payoff_diff.csv": "f534fbef5b1e7bb4",
+    "payoff_hist.csv": "e4b58a6fcde8b901",
     "policy.txt": "9ec691db6ea9273c",
-    "price_hist.csv": "cc7464e0dafe019e",
-    "summary.csv": "0724aac7e08e809f",
-    "trace_0.csv": "668c042a1160e7df",
-    "trace_3.csv": "2304ac5345e28ceb",
-    "trace_999.csv": "33c414bba461fee9",
+    "price_hist.csv": "51b4063586f62317",
+    "summary.csv": "5b1b15341e6a296a",
+    "trace_0.csv": "63477ac49c025c7a",
+    "trace_3.csv": "ee667fa9d8d4f3b5",
+    "trace_999.csv": "a20455d2a533b949",
 }
 # sha256 prefix of the tabular policy text, then the apply_policy exit times
 # and payoffs, on the seed-1 (T, levels) lattice at 20,000 paths. Each law has

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from optstop import experiment, lsm, snell
 from optstop.consumer import exit_payoff, purchase_payoff, step_valuation
 from optstop.experiment import (
-    DOMAIN_MYOPIC_TEST,
     DOMAIN_TEST,
     DOMAIN_TRAIN,
     PATHS_COLUMNS,
@@ -55,13 +54,12 @@ def small_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def replay_path(params: ModelParams, i: int, domain: int, fixed_v0=None) -> dict:
+def replay_path(params: ModelParams, i: int, domain: int) -> dict:
     """Path i stepped epoch by epoch through the scalar API, fed its own
     stream's row of normals one at a time in the order v0, eps_1, xi_1, eps_2, ..."""
-    first = int(fixed_v0 is None)
     stream = RngStream(params.seed, path_index=i, domain=domain)
-    z = iter(stream.standard_normal(first + 2 * params.horizon).tolist())
-    v = params.mu_prior + params.sigma_v * next(z) if first else fixed_v0
+    z = iter(stream.standard_normal(1 + 2 * params.horizon).tolist())
+    v = params.mu_prior + params.sigma_v * next(z)
     mean, var = params.mu_prior, params.sigma_v**2
     out = {name: [] for name in ("v", "y", "p", "pi", "h", "seller_mean", "seller_var")}
     for t in range(params.horizon + 1):
@@ -81,20 +79,24 @@ def replay_path(params: ModelParams, i: int, domain: int, fixed_v0=None) -> dict
 
 
 class TestGeneratePaths:
-    @pytest.mark.parametrize("fixed_v0", [None, 0.4, -800.0])  # -800: CARA exponent clamped
+    # None keeps the prior mean; -800 clamps the CARA exponent.
+    @pytest.mark.parametrize("mu_prior", [None, 0.4, -800.0])
     @pytest.mark.parametrize(
         "params, domain, n",
         [
             (ModelParams(seed=1), DOMAIN_TRAIN, 4),
             (ModelParams(seed=29), DOMAIN_TEST, 3),
+            # Any stream domain, not only the two the experiment draws from.
             (ModelParams(horizon=7, gamma=2.5, sigma_eps=0.3, sigma_xi=0.5, seed=2**63 + 5),
-             DOMAIN_MYOPIC_TEST, 3),
+             2, 3),
         ],
     )
-    def test_rows_equal_scalar_replay_bitwise(self, params, domain, n, fixed_v0):
-        batch = generate_paths(params, n, domain, fixed_v0=fixed_v0)
+    def test_rows_equal_scalar_replay_bitwise(self, params, domain, n, mu_prior):
+        if mu_prior is not None:
+            params = dataclasses.replace(params, mu_prior=mu_prior)
+        batch = generate_paths(params, n, domain)
         for i in range(n):
-            replay = replay_path(params, i, domain, fixed_v0)
+            replay = replay_path(params, i, domain)
             for name, want in replay.items():
                 got = batch.seller_var if name == "seller_var" else getattr(batch, name)[i]
                 assert got.tobytes() == want.tobytes(), (name, i)
@@ -110,13 +112,13 @@ class TestGeneratePaths:
         for name in ("v", "y", "p", "pi", "h", "seller_mean"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
-    def test_degenerate_noise_with_pinned_start_collapses_valuations(self):
-        # No valuation noise and a pinned v0 freezes the walk; observation
-        # noise must stay positive (a noiseless seller cannot price), so the
-        # y and price columns still vary per path.
+    def test_degenerate_noise_freezes_valuations(self):
+        # No valuation noise freezes each path's walk at its start;
+        # observation noise must stay positive (a noiseless seller cannot
+        # price), so the y and price columns still vary per path.
         params = ModelParams(horizon=5, sigma_eps=0.0, sigma_xi=1.0, seed=3)
-        batch = generate_paths(params, 10, DOMAIN_TRAIN, fixed_v0=1.3)
-        assert (batch.v == 1.3).all()
+        batch = generate_paths(params, 10, DOMAIN_TRAIN)
+        assert (batch.v == batch.v[:, :1]).all()
         assert not np.array_equal(batch.y[0], batch.y[1])
 
     @pytest.mark.parametrize(
@@ -159,8 +161,6 @@ class TestGeneratePaths:
         params = ModelParams(horizon=3)
         with pytest.raises(ValueError, match="^z must have 7 columns"):
             experiment.simulate(params, np.zeros((2, 6)))
-        with pytest.raises(ValueError, match="^z must have 6 columns"):
-            experiment.simulate(params, np.zeros((2, 7)), fixed_v0=0.5)
 
     def test_prices_and_payoffs_in_one_pass(self, monkeypatch):
         # The price never feeds back into the dynamics, so one simulate call
@@ -207,7 +207,6 @@ class TestGeneratePaths:
         [
             (DOMAIN_TRAIN, 500, "6c8a839478f16e5e"),
             (DOMAIN_TEST, 1000, "57710cb1bede6a12"),
-            (DOMAIN_MYOPIC_TEST, 1000, "a89997ba80a5b2a7"),
         ],
     )
     def test_seed1_draw_stream_pinned(self, domain, n, digest):
@@ -448,8 +447,9 @@ class TestOutputs:
         assert int(summary["equal_payoff_trials"]) == report.n_ties
 
     def test_zero_purchase_run_has_empty_histogram(self, tmp_path):
-        # Pin the start value far below any price: payoffs never go positive.
-        config = small_config(fixed_v0=-50.0, n_train=10, n_test=10)
+        # Start the valuations far below any price: payoffs never go positive.
+        config = small_config(params=ModelParams(horizon=6, mu_prior=-50.0, seed=11),
+                              n_train=10, n_test=10)
         out = tmp_path / "run"
         report = run_experiment(config, outdir=out)
         assert report.algorithmic.n_purchases == 0
@@ -459,15 +459,24 @@ class TestOutputs:
         assert counts.sum() == 0
 
     def test_paired_checksums_equal(self, ref_run):
-        _, _, _, report, _ = ref_run
-        assert report.algorithmic.paths_sha256 == report.myopic.paths_sha256
+        # One checksum, of the one test batch both strategies exit on.
+        _, _, test_batch, report, _ = ref_run
+        assert report.paths_sha256 == hashlib.sha256(test_batch.h.tobytes()).hexdigest()
+        rows = np.arange(report.n_trials)
+        for outcome in (report.algorithmic, report.myopic):
+            assert np.array_equal(outcome.prices_at_exit, test_batch.p[rows, outcome.times])
 
-    def test_independent_mode_distinct_paths_no_diff_table(self, tmp_path):
-        config = small_config(paired=False)
-        out = tmp_path / "run"
-        report = run_experiment(config, outdir=out)
-        assert not (out / "payoff_diff.csv").exists()
-        assert report.algorithmic.paths_sha256 != report.myopic.paths_sha256
+    def test_nonempty_outdir_fails_before_any_work(self, tmp_path, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("run_experiment trained before it checked outdir")
+
+        monkeypatch.setattr(lsm, "train", work)
+        out = tmp_path / "taken"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        with pytest.raises(FileExistsError, match="exists and is not empty"):
+            run_experiment(small_config(), outdir=out)
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
     def test_byte_identical_reruns(self, tmp_path):
         config = small_config(trace_trials=(1,))
@@ -679,8 +688,9 @@ class TestPathsCsv:
         file.write_text("".join(lines[1:]))
         assert paths_csv_seed(file) is None
         # Only the seed is read: an echo with keys since retired still serves.
-        file.write_text('# config {"backend": {"degree": 3}, "bins": 40, '
-                        '"model": {"seed": 7, "support_cap": 9}}\n' + "".join(lines[1:]))
+        file.write_text('# config {"backend": {"degree": 3}, "bins": 40, "fixed_v0": null, '
+                        '"model": {"seed": 7, "support_cap": 9}, "paired": true}\n'
+                        + "".join(lines[1:]))
         assert paths_csv_seed(file) == 7
         for echo, message in [
             ('{"model": {"seed": -1}}', "seed must be an integer .* got -1$"),
@@ -722,19 +732,17 @@ def pin_batch() -> PathBatch:
     )
 
 
-def pin_report(paired: bool) -> lsm.EvaluationReport:
+def pin_report() -> lsm.EvaluationReport:
     # The outcomes of exiting pin_batch() at these times.
     alg = lsm.StrategyOutcome(
         times=np.array([1, 0]), payoffs=np.array([0.5, 0.0]),
         prices_at_exit=np.array([0.75, 0.5]), valuations_at_exit=np.array([1.5, 0.25]),
-        paths_sha256="aa",
     )
     myo = lsm.StrategyOutcome(
         times=np.array([0, 1]), payoffs=np.array([0.0, 0.0]),
         prices_at_exit=np.array([0.5, 0.125]), valuations_at_exit=np.array([1.0, 1e-20]),
-        paths_sha256="bb",
     )
-    return lsm.EvaluationReport(algorithmic=alg, myopic=myo, paired=paired)
+    return lsm.EvaluationReport(algorithmic=alg, myopic=myo, paths_sha256="aa")
 
 
 class TestTableFormat:
@@ -762,12 +770,11 @@ class TestTableFormat:
             "1,1e-20,0.0,-2.0,0.125,-1.5,0.0,0.5,0.7071067811865476\n",
         )
 
-    def test_independent_summary(self):
+    def test_summary(self):
         self.expect(
-            experiment.render_summary(pin_report(paired=False), pin_config()),
+            experiment.render_summary(pin_report(), pin_config()),
             "key,value\n"
             "n_trials,2\n"
-            "paired,0\n"
             "mean_algorithmic,0.25\n"
             "mean_algorithmic_se,0.25\n"
             "mean_myopic,0.0\n"
@@ -778,13 +785,12 @@ class TestTableFormat:
             "mean_difference_ci95_high,0.7399909961350134\n"
             "algorithmic_purchases,1\n"
             "myopic_purchases,0\n"
-            "equal_payoff_trials,\n"
-            "test_paths_checksum_algorithmic,aa\n"
-            "test_paths_checksum_myopic,bb\n",
+            "equal_payoff_trials,1\n"
+            "test_paths_checksum,aa\n",
         )
 
     def test_figure_tables(self):
-        files = experiment.render_figures_data(pin_report(paired=True), pin_config())
+        files = experiment.render_figures_data(pin_report(), pin_config())
         self.expect(
             files["exit_summary.csv"],
             "trial,alg_exit_time,alg_valuation_mean,alg_valuation_std,alg_price,"
@@ -807,7 +813,7 @@ class TestTableFormat:
             assert lines[2].split(",")[0] == repr(lo) and lines[-1].split(",")[1] == repr(hi)
 
     def test_histogram(self):
-        report = pin_report(paired=True)
+        report = pin_report()
         alg, myo = report.algorithmic, report.myopic
         payoffs = experiment._histogram(np.array([-0.5, 0.0, 0.5, 1.0]), alg.payoffs, myo.payoffs)
         assert experiment._table(None, payoffs) == (
@@ -829,8 +835,6 @@ class TestConfig:
         config = small_config(
             backend=RegressionBackend(kind="tabular"),
             trace_trials=(3, 4),
-            paired=False,
-            fixed_v0=0.5,
         )
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
@@ -849,6 +853,8 @@ class TestConfig:
             ({"backend": {"support_cap": 2000}}, "backend", "support_cap"),
             ({"backend": {"kind": "kernel", "subsample_seed": 0}}, "backend", "subsample_seed"),
             ({"backend": {"degree": 3}}, "backend", "degree"),
+            ({"paired": True}, "config", "paired"),
+            ({"fixed_v0": 0.5}, "config", "fixed_v0"),
         ],
     )
     def test_unknown_key_named(self, d, what, key):
@@ -861,7 +867,7 @@ class TestConfig:
             ({"model": {"horizon": 2.5}}, "model", "horizon"),
             ({"backend": {"ridge": "0"}}, "backend", "ridge"),
             ({"n_train": True}, "config", "n_train"),
-            ({"paired": "no"}, "config", "paired"),
+            ({"model": {"seed": "1"}}, "model", "seed"),
             ({"n_test": "5"}, "config", "n_test"),
             ({"trace_trials": 3}, "config", "trace_trials"),
         ],
@@ -874,7 +880,7 @@ class TestConfig:
         "text, what, key",
         [
             ('{"model": {"mu_prior": NaN}}', "model", "mu_prior"),
-            ('{"fixed_v0": Infinity}', "config", "fixed_v0"),
+            ('{"backend": {"bandwidth": Infinity}}', "backend", "bandwidth"),
             ('{"model": {"sigma_eps": NaN}}', "model", "sigma_eps"),
             ('{"model": {"gamma": Infinity}}', "model", "gamma"),
         ],
@@ -884,18 +890,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{what} key '{key}' must be a finite number"):
             ExperimentConfig.from_dict(json.loads(text))
 
-    def test_int_passes_for_float_and_fixed_v0_takes_null(self):
-        config = ExperimentConfig.from_dict({"model": {"gamma": 2}, "fixed_v0": 1})
-        assert config.params.gamma == 2 and config.fixed_v0 == 1
-        assert ExperimentConfig.from_dict({"fixed_v0": None}).fixed_v0 is None
-        with pytest.raises(ValueError, match="'fixed_v0' must be a JSON number or null"):
-            ExperimentConfig.from_dict({"fixed_v0": "0.5"})
+    def test_int_passes_for_float_but_null_does_not(self):
+        config = ExperimentConfig.from_dict({"model": {"gamma": 2}})
+        assert config.params.gamma == 2 and type(config.params.gamma) is float
+        with pytest.raises(ValueError, match="'mu_prior' must be a JSON number, got None"):
+            ExperimentConfig.from_dict({"model": {"mu_prior": None}})
 
     @pytest.mark.parametrize(
         "build, key",
         [
-            (lambda: small_config(fixed_v0=math.inf), "fixed_v0"),
-            (lambda: small_config(fixed_v0=math.nan), "fixed_v0"),
             (lambda: ExperimentConfig(n_train=2.5), "n_train"),
             (lambda: ExperimentConfig(n_test=True), "n_test"),
             (lambda: ModelParams(horizon=2.5), "horizon"),
@@ -922,30 +925,20 @@ class TestConfig:
     def test_int_beyond_float_range_named(self):
         with pytest.raises(ValueError, match="^gamma must be a finite number"):
             ModelParams(gamma=10**400)
-        with pytest.raises(ValueError, match="^fixed_v0 must be a finite number"):
-            small_config(fixed_v0=-(10**400))
+        with pytest.raises(ValueError, match="^mu_prior must be a finite number"):
+            ModelParams(mu_prior=-(10**400))
 
     def test_numpy_scalars_round_trip(self):
         config = small_config(
             params=ModelParams(horizon=3, gamma=np.float32(1.5), sigma_xi=np.float64(0.5)),
             backend=RegressionBackend(bandwidth=np.float32(0.7)),
-            fixed_v0=np.float32(0.4),
         )
         assert ExperimentConfig.from_dict(json.loads(config.echo())) == config
-        assert type(config.fixed_v0) is float and type(config.backend.bandwidth) is float
-
-    def test_paired_must_be_boolean(self):
-        # A non-empty string is truthy, so it would run paired.
-        with pytest.raises(ValueError, match="^paired must be a boolean, got 'no'"):
-            small_config(paired="no")
+        assert type(config.params.gamma) is float and type(config.backend.bandwidth) is float
 
     def test_numpy_integer_trace_trial_passes(self):
         config = small_config(trace_trials=(np.int64(3),))
         assert config.trace_trials == (3,)
-
-    def test_string_fixed_v0_named(self):
-        with pytest.raises(ValueError, match="^fixed_v0 must be a finite number or None"):
-            small_config(fixed_v0="0.5")
 
     def test_one_default_seed(self):
         assert ModelParams().seed == experiment.DEFAULT_SEED
@@ -969,7 +962,6 @@ class TestConfig:
         assert config.backend.kind == "kernel"
         assert config.backend.bandwidth == 1.0
         assert config.backend.ridge == 1e-6
-        assert config.paired
 
     def test_validation(self):
         with pytest.raises(ValueError):

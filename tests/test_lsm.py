@@ -1,6 +1,7 @@
 """Backward training, online deployment, the myopic baseline, and their
 equivalence/adaptedness contracts."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -403,37 +404,17 @@ class TestEvaluate:
         low, high = report.mean_difference_ci95
         assert report.mean_difference - low == pytest.approx(1.959963984540054 * diff_se)
         assert high - report.mean_difference == pytest.approx(1.959963984540054 * diff_se)
-        unpaired = lsm.EvaluationReport(report.algorithmic, report.myopic, paired=False)
-        assert unpaired.mean_difference_se == pytest.approx(np.hypot(alg_se, myo_se), rel=1e-12)
 
-    def test_paired_mode_hashes_the_batch_once(self, ref_run, monkeypatch):
+    def test_paired_mode_hashes_the_batch_once(self, ref_run):
         policy, _, test_batch, _, _ = ref_run
-        digest, hashed = lsm._paths_sha256, []
-        monkeypatch.setattr(lsm, "_paths_sha256", lambda b: hashed.append(b) or digest(b))
         report = evaluate(policy, test_batch)
-        assert len(hashed) == 1 and hashed[0] is test_batch
-        assert report.algorithmic.paths_sha256 == report.myopic.paths_sha256 == digest(test_batch)
+        assert report.paths_sha256 == hashlib.sha256(test_batch.h.tobytes()).hexdigest()
 
     def test_standard_error_of_one_trial_is_nan(self):
         one = lsm.StrategyOutcome(
             times=np.array([0]), payoffs=np.array([0.5]), prices_at_exit=np.array([1.0]),
-            valuations_at_exit=np.array([1.5]), paths_sha256="",
+            valuations_at_exit=np.array([1.5]),
         )
-        report = lsm.EvaluationReport(one, one, paired=True)
+        report = lsm.EvaluationReport(one, one, paths_sha256="")
         assert np.isnan(one.mean_payoff_se) and np.isnan(report.mean_difference_se)
         assert all(np.isnan(report.mean_difference_ci95))
-
-    def test_independent_mode_has_no_per_trial_differences(self, ref_run, ref_config):
-        policy, _, test_batch, _, _ = ref_run
-        from optstop import experiment
-
-        other = experiment.generate_paths(
-            ref_config.params, test_batch.n_paths, experiment.DOMAIN_MYOPIC_TEST
-        )
-        report = evaluate(policy, test_batch, myopic_batch=other)
-        assert not report.paired
-        assert report.differences is None
-        assert report.n_ties is None
-        assert report.mean_difference == pytest.approx(
-            report.mean_algorithmic - report.mean_myopic, abs=1e-15
-        )

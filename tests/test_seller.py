@@ -346,10 +346,11 @@ class TestSellerStep:
     """One seller epoch t >= 1: observe, predict-then-correct, price."""
 
     def test_observation_consumed_after_time_zero(self):
-        # One epoch of simulate at v_1 = 1.2: v0 pinned, valuation shock 0.
+        # One epoch of simulate at v_1 = 1.2: v0 = 1.0 + 1.0 * 0.2 from the
+        # default prior, valuation shock 0.
         params = ModelParams(horizon=1, seed=5, sigma_xi=0.75)
         z = RngStream(5).standard_normal(1)[0]
-        batch = experiment.simulate(params, np.array([[0.0, z]]), fixed_v0=1.2)
+        batch = experiment.simulate(params, np.array([[0.2, 0.0, z]]))
         y = batch.y[0, 0]
         assert y == 1.2 + 0.75 * z
         prior_var = kalman_predict(params.sigma_v**2, params)
