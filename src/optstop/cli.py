@@ -27,10 +27,6 @@ def _load_config(args) -> experiment.ExperimentConfig:
         config = dataclasses.replace(
             config, params=dataclasses.replace(config.params, seed=args.seed)
         )
-    if args.backend is not None:
-        config = dataclasses.replace(
-            config, backend=dataclasses.replace(config.backend, kind=args.backend)
-        )
     return config
 
 
@@ -48,6 +44,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
+    if args.backend is not None:
+        config = dataclasses.replace(
+            config, backend=dataclasses.replace(config.backend, kind=args.backend)
+        )
     if args.paths:
         # The seed recorded is the one that made the paths, from the file's
         # config echo; a seed the command was given must be the same.
@@ -88,7 +88,6 @@ def _cmd_evaluate(args) -> int:
 def _cmd_trace(args) -> int:
     config = _load_config(args)
     trials = args.trial or [0]
-    config = dataclasses.replace(config, trace_trials=tuple(trials))
     batch = experiment.generate_paths(config.params, config.n_test, experiment.DOMAIN_TEST)
     files = {f"trace_{i}.csv": experiment.render_trace(batch, i, config) for i in trials}
     experiment.write_output_dir(args.out, files)
@@ -128,10 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON experiment config file")
         p.add_argument("--seed", type=int, help="override the RNG seed")
-        p.add_argument(
-            "--backend", choices=BACKEND_KINDS,
-            help="override the regression backend",
-        )
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("simulate", help="generate sample paths as CSV")
@@ -142,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a stopping policy")
     common(p)
+    p.add_argument("--backend", choices=BACKEND_KINDS, help="override the regression backend")
     p.add_argument("--paths", help="ingest a paths CSV instead of simulating")
     p.set_defaults(func=_cmd_train)
 

@@ -53,7 +53,6 @@ class ExperimentConfig:
     n_train: int = 500
     n_test: int = 1000
     backend: RegressionBackend = field(default_factory=RegressionBackend)
-    trace_trials: tuple[int, ...] = ()
 
     def __post_init__(self):
         store_integers(self, "n_train", "n_test")
@@ -61,16 +60,6 @@ class ExperimentConfig:
             raise ValueError(f"n_train must be >= 1, got {self.n_train}")
         if self.n_test < 1:
             raise ValueError(f"n_test must be >= 1, got {self.n_test}")
-        try:
-            trials = tuple(self.trace_trials)
-        except TypeError:
-            raise ValueError(
-                f"trace_trials must be a list of trial indices, got {self.trace_trials!r}"
-            ) from None
-        for i in trials:
-            if not is_integer(i) or not 0 <= i < self.n_test:
-                raise ValueError(f"trace trial {i!r} is not an integer in 0..{self.n_test - 1}")
-        object.__setattr__(self, "trace_trials", tuple(map(int, trials)))
 
     def to_dict(self) -> dict:
         return {
@@ -78,7 +67,6 @@ class ExperimentConfig:
             "n_train": self.n_train,
             "n_test": self.n_test,
             "backend": self.backend.to_dict(),
-            "trace_trials": list(self.trace_trials),
         }
 
     @classmethod
@@ -94,8 +82,6 @@ class ExperimentConfig:
                 kwargs[key] = d[key]
         if "backend" in d:
             kwargs["backend"] = RegressionBackend.from_dict(d["backend"])
-        if "trace_trials" in d:
-            kwargs["trace_trials"] = tuple(d["trace_trials"])
         return cls(**kwargs)
 
     def echo(self) -> str:
@@ -201,7 +187,7 @@ def evaluate_policy(
 def run_experiment(
     config: ExperimentConfig, outdir=None
 ) -> lsm.EvaluationReport:
-    """Full pipeline: train, evaluate, and (optionally) write all artifacts.
+    """Full pipeline: train, evaluate, and (optionally) write the policy and evaluation files.
 
     Output emission is atomic: files are staged in a temporary sibling
     directory and renamed into place, so a failed run leaves no partial
@@ -210,13 +196,11 @@ def run_experiment(
     if outdir is not None:
         check_output_dir(outdir)
     policy, _ = train_policy(config)
-    report, test_batch = evaluate_policy(config, policy)
+    report, _ = evaluate_policy(config, policy)
     if outdir is not None:
         files = {"policy.txt": policy_to_text(policy)}
         files["config.json"] = json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n"
         files.update(render_evaluation(report, config))
-        for i in config.trace_trials:
-            files[f"trace_{i}.csv"] = render_trace(test_batch, i, config)
         write_output_dir(outdir, files)
     return report
 
@@ -334,7 +318,9 @@ def render_evaluation(report: lsm.EvaluationReport, config: ExperimentConfig) ->
 
 
 def render_trace(batch: PathBatch, trial: int, config: ExperimentConfig) -> str:
-    """Single-path diagnostic table: one row per epoch with both agents' views."""
+    """Diagnostic table of batch's path `trial`: one row per epoch with both agents' views."""
+    if not is_integer(trial) or not 0 <= trial < batch.n_paths:
+        raise ValueError(f"trace trial {trial!r} is not an integer in 0..{batch.n_paths - 1}")
     t = np.arange(batch.horizon + 1)
     return _table(
         config,
@@ -375,8 +361,8 @@ _ECHO = "# config "
 
 
 def _parse_y(text: str) -> float:
-    """The reader's converter for y, which is empty at t = 0: read as nan
-    there (dropped below), so that a later empty y fails the batch's check.
+    """The reader's converter for y, which is empty at t = 0: read as nan,
+    so that load_paths_csv finds a y given at t = 0 or missing later.
     Like the reader's own float parse, it rejects digit separators and
     non-ASCII."""
     if not text:
@@ -483,11 +469,12 @@ def load_paths_csv(path) -> PathBatch:
     """Reconstruct a PathBatch from the long-format CSV written by render_paths_csv.
 
     Every (path, t) pair up to the largest path and epoch in the file must
-    appear exactly once, and all paths must share seller_var at each t;
-    otherwise the error names the first pair that is missing, duplicated, or
-    whose seller_var differs from path 0's. The data rows are parsed in one
-    pass of numpy's C reader; a row of another width or a field that does not
-    parse is named by its data row (row 1 follows the header) and column.
+    appear exactly once, y must be empty at t = 0 and only there, h must be
+    max(pi, 0), and all paths must share seller_var at each t; otherwise the
+    error names the first pair that is missing, duplicated, or at fault. The
+    data rows are parsed in one pass of numpy's C reader; a row of another
+    width or a field that does not parse is named by its data row (row 1
+    follows the header) and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
         _read_to_header(fh)
@@ -525,18 +512,33 @@ def load_paths_csv(path) -> PathBatch:
     def column(name: str) -> np.ndarray:
         return rows[name][order].reshape(n, T + 1)
 
-    y = column("y")[:, 1:].copy()
+    def name_first(where: np.ndarray, fault: str) -> None:
+        cells = np.argwhere(where)
+        if cells.size:
+            raise ValueError(f"paths CSV row (path={cells[0, 0]}, t={cells[0, 1]}) has {fault}")
+
+    y, pi, h = column("y"), column("pi"), column("h")
+    name_first(~np.isnan(y[:, :1]), "a y, but y is empty at t = 0")
     seller_var = column("seller_var")
-    batch = PathBatch(
-        v=column("v"), y=y, p=column("p"), pi=column("pi"), h=column("h"),
-        seller_mean=column("seller_mean"), seller_var=seller_var[0].copy(),
-    )
+    try:
+        batch = PathBatch(
+            v=column("v"), y=y[:, 1:].copy(), p=column("p"), pi=pi, h=h,
+            seller_mean=column("seller_mean"), seller_var=seller_var[0].copy(),
+        )
+    except ValueError:
+        # PathBatch names only the column of these two faults.
+        name_first(
+            ~np.isfinite(y) & (np.arange(T + 1) > 0),
+            "an empty or non-finite y; y is empty at t = 0 only",
+        )
+        name_first(np.isfinite(pi) & (h != np.maximum(pi, 0.0)), "an h other than max(pi, 0)")
+        raise
     differs = np.argwhere(seller_var != seller_var[0])
     if differs.size:
         i, t_bad = differs[0]
         raise ValueError(
-            f"paths CSV seller_var at (path={i}, t={t_bad}) is {seller_var[i, t_bad]!r}, "
-            f"but path 0 has {seller_var[0, t_bad]!r}"
+            f"paths CSV seller_var at (path={i}, t={t_bad}) is {float(seller_var[i, t_bad])!r}, "
+            f"but path 0 has {float(seller_var[0, t_bad])!r}"
         )
     return batch
 

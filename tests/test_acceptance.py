@@ -217,12 +217,17 @@ class TestModelCorrectness:
 
 class TestDeterminism:
     def test_criterion_10_byte_identical_runs(self, ref_config, tmp_path):
-        import dataclasses
-
-        config = dataclasses.replace(ref_config, trace_trials=(0, 1))
+        # Each run: run_experiment's files, then the traces of test trials 0
+        # and 1 as `optstop trace` renders them.
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        experiment.run_experiment(config, outdir=out_a)
-        experiment.run_experiment(config, outdir=out_b)
+        for out in (out_a, out_b):
+            experiment.run_experiment(ref_config, outdir=out)
+            batch = experiment.generate_paths(
+                ref_config.params, ref_config.n_test, experiment.DOMAIN_TEST
+            )
+            for i in (0, 1):
+                text = experiment.render_trace(batch, i, ref_config)
+                (out / f"trace_{i}.csv").write_text(text, encoding="utf-8")
         names_a = sorted(p.name for p in out_a.iterdir())
         names_b = sorted(p.name for p in out_b.iterdir())
         identical = names_a == names_b and all(

@@ -139,6 +139,17 @@ def test_trace_rows(config_file, tmp_path):
     assert len(lines) == 2 + 7  # echo + header + T+1 epochs
 
 
+def test_trace_trial_outside_the_test_set_is_an_error_line(config_file, tmp_path, capsys):
+    out = tmp_path / "trace"
+    argv = ["trace", "--config", str(config_file), "--trial", "0", "--trial", "30"]
+    assert main([*argv, "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
+    assert payload == {
+        "type": "ValueError", "message": "trace trial 30 is not an integer in 0..29",
+    }
+    assert not out.exists()
+
+
 def test_oracle_prints_root_value(tmp_path, capsys):
     problem = FiniteStopProblem(
         payoffs=[[0.5], [0.0, 1.2]], transitions=[[[0.5, 0.5]]]
@@ -171,6 +182,18 @@ def test_backend_override_recorded(config_file, tmp_path):
     main(["train", "--config", str(config_file), "--backend", "tabular", "--out", str(out)])
     policy = load_policy(out / "policy.txt")
     assert policy.metadata["backend"]["kind"] == "tabular"
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "trace"])
+def test_backend_is_a_usage_error_outside_train(command, tmp_path, capsys):
+    # Only train fits a regression; elsewhere --backend would only change the echo.
+    out = tmp_path / command
+    given = ["--policy", str(tmp_path / "policy.txt")] if command == "evaluate" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *given, "--backend", "tabular", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --backend tabular" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_retired_poly_backend_is_a_usage_error(config_file, tmp_path, capsys):

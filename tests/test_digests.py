@@ -9,23 +9,24 @@ import hashlib
 import pytest
 
 from optstop import experiment, lsm, policy_io
+from optstop.cli import main
 from optstop.model import ModelParams
 from optstop.regression import RegressionBackend
 from optstop.snell import discretize_consumer_problem, simulate_paths
 
-# sha256 prefixes of every file of run_experiment(reference_config(1,
-# trace_trials=(0, 3, 999))).
+# sha256 prefixes of every file of run_experiment(reference_config(1)) and of
+# `optstop trace --seed 1 --trial 0 --trial 3 --trial 999`.
 SEED1_FILES = {
-    "config.json": "b357591491f043a7",
-    "exit_summary.csv": "a0bf96785fd3b7d1",
-    "payoff_diff.csv": "f534fbef5b1e7bb4",
-    "payoff_hist.csv": "e4b58a6fcde8b901",
+    "config.json": "bd1154944ceecc0c",
+    "exit_summary.csv": "61a4d0ab2059ea02",
+    "payoff_diff.csv": "9452738e03bc95ca",
+    "payoff_hist.csv": "199e114b84e95f35",
     "policy.txt": "9ec691db6ea9273c",
-    "price_hist.csv": "51b4063586f62317",
-    "summary.csv": "5b1b15341e6a296a",
-    "trace_0.csv": "63477ac49c025c7a",
-    "trace_3.csv": "ee667fa9d8d4f3b5",
-    "trace_999.csv": "a20455d2a533b949",
+    "price_hist.csv": "55b18da768715e38",
+    "summary.csv": "811313a80b844447",
+    "trace_0.csv": "ca211dd9507ee230",
+    "trace_3.csv": "39d8d6209b782053",
+    "trace_999.csv": "dbfda006f5ab38d5",
 }
 # sha256 prefix of the tabular policy text, then the apply_policy exit times
 # and payoffs, on the seed-1 (T, levels) lattice at 20,000 paths. Each law has
@@ -38,12 +39,14 @@ LATTICES = {
 }
 
 
-def test_seed1_reference_outputs(tmp_path):
-    config = experiment.reference_config(1, trace_trials=(0, 3, 999))
-    experiment.run_experiment(config, tmp_path / "out")
+def test_seed1_reference_outputs(tmp_path, capsys):
+    experiment.run_experiment(experiment.reference_config(1), tmp_path / "run")
+    argv = ["trace", "--seed", "1", "--trial", "0", "--trial", "3", "--trial", "999"]
+    assert main([*argv, "--out", str(tmp_path / "trace")]) == 0
+    capsys.readouterr()
     digests = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
-        for p in (tmp_path / "out").iterdir()
+        for p in [*(tmp_path / "run").iterdir(), *(tmp_path / "trace").iterdir()]
     }
     assert digests == SEED1_FILES
 

@@ -396,7 +396,7 @@ class TestPolicyPersistence:
 
 class TestOutputs:
     def test_run_writes_expected_files(self, tmp_path):
-        config = small_config(trace_trials=(0, 2))
+        config = small_config()
         out = tmp_path / "run"
         run_experiment(config, outdir=out)
         names = sorted(p.name for p in out.iterdir())
@@ -408,8 +408,6 @@ class TestOutputs:
             "policy.txt",
             "price_hist.csv",
             "summary.csv",
-            "trace_0.csv",
-            "trace_2.csv",
         ]
 
     def test_every_table_echoes_the_config(self, tmp_path):
@@ -422,11 +420,10 @@ class TestOutputs:
             echoed = json.loads(first[len("# config "):])
             assert echoed == config.to_dict()
 
-    def test_trace_has_one_row_per_epoch(self, tmp_path):
-        config = small_config(n_test=1, trace_trials=(0,))
-        out = tmp_path / "run"
-        run_experiment(config, outdir=out)
-        lines = (out / "trace_0.csv").read_text().splitlines()
+    def test_trace_has_one_row_per_epoch(self):
+        config = small_config(n_test=1)
+        batch = generate_paths(config.params, config.n_test, DOMAIN_TEST)
+        lines = experiment.render_trace(batch, 0, config).splitlines()
         header = lines[1].split(",")
         assert header[0] == "t"
         assert len(lines) == 2 + config.params.horizon + 1  # echo + header + epochs
@@ -479,7 +476,7 @@ class TestOutputs:
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
     def test_byte_identical_reruns(self, tmp_path):
-        config = small_config(trace_trials=(1,))
+        config = small_config()
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_experiment(config, outdir=out_a)
         run_experiment(config, outdir=out_b)
@@ -595,8 +592,6 @@ class TestPathsCsv:
              "^paths CSV data row 7: path field '1_0' is not a 64-bit integer$"),
             (lambda rows: rows[:8] + ["1,\u0662," + rows[8][len("1,2,"):]] + rows[9:],
              "^paths CSV data row 7: t field '\u0662' is not a 64-bit integer$"),
-            (lambda rows: rows[:8] + ["1,2,2,," + rows[8].split(",", 4)[4]] + rows[9:],
-             "non-finite entries in y"),  # y is empty only at t = 0
             (lambda rows: rows[:8] + ["1,2,2, ," + rows[8].split(",", 4)[4]] + rows[9:],
              "^paths CSV data row 7: y field ' ' is not a number$"),
         ],
@@ -667,6 +662,29 @@ class TestPathsCsv:
         with pytest.raises(ValueError, match="^paths CSV data row 7: t field '2.0' is not a 64-bit"):
             load_paths_csv(file)
 
+    @pytest.mark.parametrize(
+        "row, column, text, fault",
+        [
+            # Rows start at line 2; row 2 + 4 * i + t holds (path=i, t).
+            (8, "y", "", r"\(path=1, t=2\) has an empty or non-finite y; y is empty at t = 0 only"),
+            (8, "y", "inf", r"\(path=1, t=2\) has an empty or non-finite y"),
+            (8, "h", "-0.5", r"\(path=1, t=2\) has an h other than max\(pi, 0\)"),
+            (6, "y", "0.5", r"\(path=1, t=0\) has a y, but y is empty at t = 0"),
+        ],
+        ids=["empty-y-after-t0", "infinite-y", "h-not-max-pi-0", "y-at-t0"],
+    )
+    def test_cell_fault_named(self, tmp_path, row, column, text, fault):
+        # PathBatch names only the column; the loader names the row as well,
+        # and rejects a y at t = 0, which PathBatch never sees.
+        lines = self.csv_lines()
+        fields = lines[row].rstrip("\n").split(",")
+        fields[PATHS_COLUMNS.index(column)] = text
+        lines[row] = ",".join(fields) + "\n"
+        file = tmp_path / "paths.csv"
+        file.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"^paths CSV row {fault}"):
+            load_paths_csv(file)
+
     @pytest.mark.parametrize("path, t, named", [(2, 1, 2), (0, 2, 1)])
     def test_inconsistent_seller_var_named(self, tmp_path, path, t, named):
         # Path 0 is the reference, so an edit there is named at path 1.
@@ -677,7 +695,10 @@ class TestPathsCsv:
         lines[row] = ",".join(fields) + "\n"
         file = tmp_path / "paths.csv"
         file.write_text("".join(lines))
-        with pytest.raises(ValueError, match=rf"seller_var at \(path={named}, t={t}\)"):
+        # Both values print as plain floats, not as numpy scalars.
+        number = r"[0-9.e+-]+"
+        message = rf"seller_var at \(path={named}, t={t}\) is {number}, but path 0 has {number}$"
+        with pytest.raises(ValueError, match=message):
             load_paths_csv(file)
 
     def test_seed_read_from_the_config_echo(self, tmp_path):
@@ -689,7 +710,8 @@ class TestPathsCsv:
         assert paths_csv_seed(file) is None
         # Only the seed is read: an echo with keys since retired still serves.
         file.write_text('# config {"backend": {"degree": 3}, "bins": 40, "fixed_v0": null, '
-                        '"model": {"seed": 7, "support_cap": 9}, "paired": true}\n'
+                        '"model": {"seed": 7, "support_cap": 9}, "paired": true, '
+                        '"trace_trials": [0]}\n'
                         + "".join(lines[1:]))
         assert paths_csv_seed(file) == 7
         for echo, message in [
@@ -769,6 +791,14 @@ class TestTableFormat:
             "0,0.25,0.5,,0.5,0.0,0.0,1.0,1.0\n"
             "1,1e-20,0.0,-2.0,0.125,-1.5,0.0,0.5,0.7071067811865476\n",
         )
+        assert experiment.render_trace(pin_batch(), np.int64(1), pin_config()) == \
+            experiment.render_trace(pin_batch(), 1, pin_config())
+
+    @pytest.mark.parametrize("trial", [-1, 2, 1.0, True])
+    def test_trace_trial_outside_the_batch_named(self, trial):
+        # pin_batch() has 2 paths.
+        with pytest.raises(ValueError, match=rf"^trace trial {trial!r} is not an integer in 0\.\.1$"):
+            experiment.render_trace(pin_batch(), trial, pin_config())
 
     def test_summary(self):
         self.expect(
@@ -832,10 +862,7 @@ class TestTableFormat:
 
 class TestConfig:
     def test_dict_round_trip(self):
-        config = small_config(
-            backend=RegressionBackend(kind="tabular"),
-            trace_trials=(3, 4),
-        )
+        config = small_config(backend=RegressionBackend(kind="tabular"))
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
     def test_missing_keys_take_defaults(self):
@@ -855,6 +882,7 @@ class TestConfig:
             ({"backend": {"degree": 3}}, "backend", "degree"),
             ({"paired": True}, "config", "paired"),
             ({"fixed_v0": 0.5}, "config", "fixed_v0"),
+            ({"trace_trials": [0]}, "config", "trace_trials"),
         ],
     )
     def test_unknown_key_named(self, d, what, key):
@@ -869,7 +897,6 @@ class TestConfig:
             ({"n_train": True}, "config", "n_train"),
             ({"model": {"seed": "1"}}, "model", "seed"),
             ({"n_test": "5"}, "config", "n_test"),
-            ({"trace_trials": 3}, "config", "trace_trials"),
         ],
     )
     def test_wrong_value_type_named(self, d, what, key):
@@ -907,7 +934,6 @@ class TestConfig:
             (lambda: ModelParams(gamma="1"), "gamma"),
             (lambda: ModelParams(sigma_eps=None), "sigma_eps"),
             (lambda: ModelParams(mu_prior=True), "mu_prior"),
-            (lambda: small_config(trace_trials=3), "trace_trials"),
         ],
     )
     def test_python_built_fault_named(self, build, key):
@@ -936,10 +962,6 @@ class TestConfig:
         assert ExperimentConfig.from_dict(json.loads(config.echo())) == config
         assert type(config.params.gamma) is float and type(config.backend.bandwidth) is float
 
-    def test_numpy_integer_trace_trial_passes(self):
-        config = small_config(trace_trials=(np.int64(3),))
-        assert config.trace_trials == (3,)
-
     def test_one_default_seed(self):
         assert ModelParams().seed == experiment.DEFAULT_SEED
         config = ExperimentConfig.from_dict({"model": {"horizon": 25}})
@@ -964,9 +986,7 @@ class TestConfig:
         assert config.backend.ridge == 1e-6
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_train must be >= 1, got 0$"):
             small_config(n_train=0)
-        with pytest.raises(ValueError):
-            small_config(trace_trials=(99,))  # outside the test set
-        with pytest.raises(ValueError, match="trace trial 1.5 is not an integer"):
-            small_config(trace_trials=(1.5,))
+        with pytest.raises(ValueError, match="^n_test must be >= 1, got -1$"):
+            small_config(n_test=-1)
