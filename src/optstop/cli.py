@@ -32,13 +32,9 @@ def _load_config(args) -> experiment.ExperimentConfig:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
-    n = args.n if args.n is not None else config.n_train
-    domain = {"train": experiment.DOMAIN_TRAIN, "test": experiment.DOMAIN_TEST}[args.domain]
-    batch = experiment.generate_paths(config.params, n, domain)
-    experiment.write_output_dir(
-        args.out, {"paths.csv": experiment.render_paths_csv(batch, config)}
-    )
-    print(f"wrote {Path(args.out) / 'paths.csv'} ({n} paths, horizon {config.params.horizon})")
+    batch = experiment.generate_paths(config.params, config.n_train, experiment.DOMAIN_TRAIN)
+    experiment.write_output_dir(args.out, {"paths.csv": experiment.render_paths_csv(batch, config)})
+    print(f"wrote {Path(args.out) / 'paths.csv'} ({batch.n_paths} paths, horizon {batch.horizon})")
     return 0
 
 
@@ -129,10 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the RNG seed")
         p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("simulate", help="generate sample paths as CSV")
+    p = sub.add_parser("simulate", help="write the training paths that `train` draws, as CSV")
     common(p)
-    p.add_argument("--n", type=int, help="number of paths (default: config n_train)")
-    p.add_argument("--domain", choices=["train", "test"], default="train")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("train", help="train a stopping policy")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, first_fault
 
 # CARA exponent clamp: exp(700) is still finite in doubles, so a saturated
 # payoff stays finite and exit_payoff maps it to 0 like any negative payoff.
@@ -47,7 +47,7 @@ def purchase_payoff(v, price, t, params: ModelParams):
     an int or an array of epochs that broadcasts against them.
     """
     if not np.all(np.isfinite(price)):
-        raise ValueError(f"price must be finite, got {price}")
+        raise ValueError(f"price must be finite, got {first_fault(np.isfinite(price), price)}")
     g = params.gamma
     exponent = -g * (v - price) + 0.5 * g * g * residual_var(t, params)
     return 1.0 - np.exp(np.minimum(exponent, MAX_EXPONENT))

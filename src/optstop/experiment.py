@@ -130,6 +130,10 @@ def simulate(params: ModelParams, z) -> PathBatch:
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[1] != 1 + 2 * T:
         raise ValueError(f"z must have {1 + 2 * T} columns, one row per path, got {z.shape}")
+    bad = np.argwhere(~np.isfinite(z))
+    if bad.size:
+        i, k = bad[0]
+        raise ValueError(f"z must be finite, got {z[i, k]} at (row={i}, column={k})")
     n = len(z)
     # Epoch t >= 1 runs on the valuation shocks eps[:, t-1] and the
     # observation noise xi[:, t-1].
@@ -169,11 +173,7 @@ def simulate(params: ModelParams, z) -> PathBatch:
 
 def train_policy(config: ExperimentConfig) -> tuple[lsm.StoppingPolicy, PathBatch]:
     batch = generate_paths(config.params, config.n_train, DOMAIN_TRAIN)
-    policy = lsm.train(
-        batch.h,
-        config.backend,
-        metadata={"seed": config.params.seed, "train_domain": DOMAIN_TRAIN},
-    )
+    policy = lsm.train(batch.h, config.backend, metadata={"seed": config.params.seed})
     return policy, batch
 
 
@@ -469,9 +469,10 @@ def load_paths_csv(path) -> PathBatch:
     """Reconstruct a PathBatch from the long-format CSV written by render_paths_csv.
 
     Every (path, t) pair up to the largest path and epoch in the file must
-    appear exactly once, y must be empty at t = 0 and only there, h must be
-    max(pi, 0), and all paths must share seller_var at each t; otherwise the
-    error names the first pair that is missing, duplicated, or at fault. The
+    appear exactly once, y must be empty at t = 0 and only there, every other
+    value must be finite, h must be max(pi, 0), and all paths must share
+    seller_var at each t; otherwise the error names the first pair that is
+    missing, duplicated, or at fault, and the column at fault. The
     data rows are parsed in one pass of numpy's C reader; a row of another
     width or a field that does not parse is named by its data row (row 1
     follows the header) and column.
@@ -526,12 +527,14 @@ def load_paths_csv(path) -> PathBatch:
             seller_mean=column("seller_mean"), seller_var=seller_var[0].copy(),
         )
     except ValueError:
-        # PathBatch names only the column of these two faults.
-        name_first(
-            ~np.isfinite(y) & (np.arange(T + 1) > 0),
-            "an empty or non-finite y; y is empty at t = 0 only",
-        )
-        name_first(np.isfinite(pi) & (h != np.maximum(pi, 0.0)), "an h other than max(pi, 0)")
+        # PathBatch names only the column of these faults.
+        for name in PATHS_COLUMNS[2:]:
+            where, fault = ~np.isfinite(column(name)), f"a non-finite {name}"
+            if name == "y":
+                where[:, 0] = False
+                fault = "an empty or non-finite y; y is empty at t = 0 only"
+            name_first(where, fault)
+        name_first(h != np.maximum(pi, 0.0), "an h other than max(pi, 0)")
         raise
     differs = np.argwhere(seller_var != seller_var[0])
     if differs.size:

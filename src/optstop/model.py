@@ -79,6 +79,12 @@ def check_finite(name: str, value, ndim: int = 1) -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
+def first_fault(ok, x) -> float:
+    """The entry of x, broadcast to the shape of the mask ok, at ok's first
+    False."""
+    return float(np.broadcast_to(x, ok.shape)[np.unravel_index(np.argmin(ok), ok.shape)])
+
+
 # Checked in order, so a bool is never taken for a number.
 _JSON_TYPES = (
     (bool, "boolean"), (int, "integer"), (float, "number"),

@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.special import erfcx
 
-from .model import ModelParams
+from .model import ModelParams, first_fault
 # q_function is not called here; perfbench/spans.py patches seller.q_function.
 from .rng import q_function  # noqa: F401
 
@@ -47,19 +47,13 @@ def kalman_correct(mean, var, y, params: ModelParams):
     posterior variance does not depend on the observations.
     """
     if not np.all(np.isfinite(y)):
-        raise ValueError(f"observation must be finite, got {y}")
+        raise ValueError(f"observation must be finite, got {first_fault(np.isfinite(y), y)}")
     denom = var + params.sigma_xi**2
     if denom == 0.0:
         # Degenerate: point-mass belief and noiseless sensor carry no news.
         return mean, var
     gain = var / denom
     return mean + gain * (y - mean), (1.0 - gain) * var
-
-
-def _first_fault(ok, x) -> float:
-    """The entry of x, broadcast to the shape of the mask ok, at ok's first
-    False."""
-    return float(np.broadcast_to(x, ok.shape)[np.unravel_index(np.argmin(ok), ok.shape)])
 
 
 def myopic_price(mean, var):
@@ -90,17 +84,17 @@ def myopic_price(mean, var):
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
     if not np.all(np.isfinite(mean)):
-        raise ValueError(f"mean must be finite, got {_first_fault(np.isfinite(mean), mean)}")
+        raise ValueError(f"mean must be finite, got {first_fault(np.isfinite(mean), mean)}")
     ok = (0.0 < var) & (var < math.inf)
     if not np.all(ok):
-        raise ValueError(f"variance must be finite and > 0, got {_first_fault(ok, var)}")
+        raise ValueError(f"variance must be finite and > 0, got {first_fault(ok, var)}")
     sigma = np.sqrt(var)
     # Checked before dividing, where mu / sigma could overflow.
     ok = np.abs(mean) <= MAX_SCALED_MEAN * sigma
     if not np.all(ok):
         raise ValueError(
             f"pricing requires |mean| / sqrt(variance) <= {MAX_SCALED_MEAN:g}, "
-            f"got mean {_first_fault(ok, mean)} and variance {_first_fault(ok, var)}"
+            f"got mean {first_fault(ok, mean)} and variance {first_fault(ok, var)}"
         )
     m = mean / sigma
     # Bracket end (m + sqrt(m^2 + 4)) / 2; for m < 0 it is computed as the

@@ -7,7 +7,7 @@ import pytest
 
 from optstop import lsm, snell
 from optstop.cli import main
-from optstop.experiment import ExperimentConfig
+from optstop.experiment import ExperimentConfig, load_config, run_experiment
 from optstop.model import ModelParams
 from optstop.policy_io import load_policy
 from optstop.snell import FiniteStopProblem
@@ -65,16 +65,42 @@ def test_train_from_simulated_csv_matches_in_process(config_file, tmp_path):
             "--paths", str(sim_out / "paths.csv"), "--out", str(b_out),
         ]
     )
-    a = (a_out / "policy.txt").read_text()
-    b = (b_out / "policy.txt").read_text()
-    # identical regressors; metadata differs only in the train-domain note
-    assert json.loads(a.split("\n", 2)[2])["regressors"] == \
-        json.loads(b.split("\n", 2)[2])["regressors"]
+    # simulate writes the paths train draws, so both routes write the same bytes.
+    assert (a_out / "policy.txt").read_bytes() == (b_out / "policy.txt").read_bytes()
+
+
+def test_run_experiment_matches_train_then_evaluate(config_file, tmp_path, capsys):
+    run_experiment(load_config(config_file), tmp_path / "run")
+    assert main(["train", "--config", str(config_file), "--out", str(tmp_path / "fit")]) == 0
+    policy = tmp_path / "fit" / "policy.txt"
+    argv = ["evaluate", "--config", str(config_file), "--policy", str(policy)]
+    assert main([*argv, "--out", str(tmp_path / "eval")]) == 0
+    capsys.readouterr()
+    evaluated = sorted(p.name for p in (tmp_path / "eval").iterdir())
+    assert evaluated == [
+        "exit_summary.csv", "payoff_diff.csv", "payoff_hist.csv", "price_hist.csv", "summary.csv",
+    ]
+    for name in evaluated:
+        assert (tmp_path / "eval" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+    assert policy.read_bytes() == (tmp_path / "run" / "policy.txt").read_bytes()
+
+
+@pytest.mark.parametrize("flag", [["--n", "5"], ["--domain", "test"]], ids=["n", "domain"])
+def test_retired_simulate_flag_is_a_usage_error(flag, tmp_path, capsys):
+    # A path count is n_train of --config, so the echo says what the file holds.
+    out = tmp_path / "sim"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *flag, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_from_csv_records_the_seed_that_made_it(tmp_path, capsys):
     sim = tmp_path / "sim"
-    assert main(["simulate", "--seed", "7", "--n", "5", "--out", str(sim)]) == 0
+    five = tmp_path / "five.json"
+    five.write_text(json.dumps({"n_train": 5}))
+    assert main(["simulate", "--config", str(five), "--seed", "7", "--out", str(sim)]) == 0
     csv = sim / "paths.csv"
     for argv, seed in ((["--seed", "7"], 7), ([], 7)):
         out = tmp_path / f"trained{len(argv)}"
@@ -297,21 +323,13 @@ def test_config_non_finite_value_is_an_error_line(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("n", [0, -1])
-def test_simulate_nonpositive_n_is_an_error_line(config_file, tmp_path, capsys, n):
-    out = tmp_path / "sim"
-    rc = main(["simulate", "--config", str(config_file), "--n", str(n), "--out", str(out)])
-    assert rc == 1
-    payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
-    assert payload["message"] == f"number of paths must be >= 1, got {n}"
-    assert not out.exists()
-
-
-def test_simulate_n_beyond_32_bit_path_indices_is_an_error_line(config_file, tmp_path, capsys):
+def test_simulate_n_beyond_32_bit_path_indices_is_an_error_line(tmp_path, capsys):
     # Rejected before the draw matrix (1.59 TiB at this n) is allocated.
     out = tmp_path / "sim"
     n = 2**32 + 1
-    rc = main(["simulate", "--config", str(config_file), "--n", str(n), "--out", str(out)])
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n_train": n}))
+    rc = main(["simulate", "--config", str(huge), "--out", str(out)])
     assert rc == 1
     payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
     assert payload == {

@@ -125,6 +125,12 @@ class TestPurchasePayoff:
         with pytest.raises(ValueError):
             purchase_payoff(1.0, math.inf, 0, params)
 
+    def test_first_non_finite_price_named(self):
+        params = ModelParams(horizon=2)
+        price = np.array([[0.5, -math.inf, 0.5], [math.nan, 0.5, 0.5]])
+        with pytest.raises(ValueError, match=r"^price must be finite, got -inf$"):
+            purchase_payoff(np.ones((2, 3)), price, np.arange(3), params)
+
 
 class TestExitPayoff:
     def test_negative_goes_to_zero(self):

@@ -21,7 +21,7 @@ SEED1_FILES = {
     "exit_summary.csv": "61a4d0ab2059ea02",
     "payoff_diff.csv": "9452738e03bc95ca",
     "payoff_hist.csv": "199e114b84e95f35",
-    "policy.txt": "9ec691db6ea9273c",
+    "policy.txt": "cdd712c5675beb37",
     "price_hist.csv": "55b18da768715e38",
     "summary.csv": "811313a80b844447",
     "trace_0.csv": "ca211dd9507ee230",

@@ -157,10 +157,24 @@ class TestGeneratePaths:
         batch = generate_paths(ModelParams(horizon=2, sigma_xi=1e-7), 2)
         assert (batch.seller_var[1:] > 0).all()
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_path(self, n):
+        # A config's n_train is checked when it is built; this is the Python call.
+        with pytest.raises(ValueError, match=f"^number of paths must be >= 1, got {n}$"):
+            generate_paths(ModelParams(horizon=2), n)
+
     def test_simulate_checks_draw_count(self):
         params = ModelParams(horizon=3)
         with pytest.raises(ValueError, match="^z must have 7 columns"):
             experiment.simulate(params, np.zeros((2, 6)))
+
+    def test_simulate_names_a_non_finite_draw(self):
+        params = ModelParams(horizon=3)
+        z = np.ones((3, 7))
+        z[1, 0] = math.inf  # path 1's initial valuation
+        z[2, 4] = math.nan
+        with pytest.raises(ValueError, match=r"^z must be finite, got inf at \(row=1, column=0\)$"):
+            experiment.simulate(params, z)
 
     def test_prices_and_payoffs_in_one_pass(self, monkeypatch):
         # The price never feeds back into the dynamics, so one simulate call
@@ -670,8 +684,17 @@ class TestPathsCsv:
             (8, "y", "inf", r"\(path=1, t=2\) has an empty or non-finite y"),
             (8, "h", "-0.5", r"\(path=1, t=2\) has an h other than max\(pi, 0\)"),
             (6, "y", "0.5", r"\(path=1, t=0\) has a y, but y is empty at t = 0"),
+            (8, "v", "inf", r"\(path=1, t=2\) has a non-finite v$"),
+            (3, "p", "1e400", r"\(path=0, t=1\) has a non-finite p$"),
+            (4, "pi", "-inf", r"\(path=0, t=2\) has a non-finite pi$"),
+            (8, "h", "nan", r"\(path=1, t=2\) has a non-finite h$"),
+            (5, "seller_mean", "nan", r"\(path=0, t=3\) has a non-finite seller_mean$"),
+            (2, "seller_var", "inf", r"\(path=0, t=0\) has a non-finite seller_var$"),
         ],
-        ids=["empty-y-after-t0", "infinite-y", "h-not-max-pi-0", "y-at-t0"],
+        ids=[
+            "empty-y-after-t0", "infinite-y", "h-not-max-pi-0", "y-at-t0", "infinite-v",
+            "overflowing-p", "infinite-pi", "nan-h", "nan-seller-mean", "infinite-seller-var",
+        ],
     )
     def test_cell_fault_named(self, tmp_path, row, column, text, fault):
         # PathBatch names only the column; the loader names the row as well,

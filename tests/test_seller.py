@@ -154,6 +154,12 @@ class TestKalman:
         _, b = run_filter(params, [9.9, 0.0, -3.3])
         assert a == b  # bitwise
 
+    def test_non_finite_observation_named(self):
+        params = ModelParams()
+        y = np.array([1.0, math.nan, math.inf])
+        with pytest.raises(ValueError, match=r"^observation must be finite, got nan$"):
+            kalman_correct(np.zeros(3), 1.0, y, params)
+
     def test_variance_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             myopic_price(0.0, -1e-9)
