@@ -84,6 +84,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_trace(args) -> int:
     config = _load_config(args)
     trials = args.trial or [0]
+    for i in trials:  # before the test paths are drawn and priced
+        experiment.check_trace_trial(i, config.n_test)
     batch = experiment.generate_paths(config.params, config.n_test, experiment.DOMAIN_TEST)
     files = {f"trace_{i}.csv": experiment.render_trace(batch, i, config) for i in trials}
     experiment.write_output_dir(args.out, files)

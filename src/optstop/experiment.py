@@ -317,10 +317,15 @@ def render_evaluation(report: lsm.EvaluationReport, config: ExperimentConfig) ->
     return files
 
 
+def check_trace_trial(trial, n_paths: int) -> None:
+    """Raise a ValueError unless trial indexes one of n_paths paths."""
+    if not is_integer(trial) or not 0 <= trial < n_paths:
+        raise ValueError(f"trace trial {trial!r} is not an integer in 0..{n_paths - 1}")
+
+
 def render_trace(batch: PathBatch, trial: int, config: ExperimentConfig) -> str:
     """Diagnostic table of batch's path `trial`: one row per epoch with both agents' views."""
-    if not is_integer(trial) or not 0 <= trial < batch.n_paths:
-        raise ValueError(f"trace trial {trial!r} is not an integer in 0..{batch.n_paths - 1}")
+    check_trace_trial(trial, batch.n_paths)
     t = np.arange(batch.horizon + 1)
     return _table(
         config,

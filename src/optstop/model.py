@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -150,6 +151,15 @@ class ModelParams:
             raise ValueError(f"mu_prior must be finite, got {self.mu_prior}")
         if not 0 < self.sigma_v < math.inf:
             raise ValueError(f"sigma_v must be finite and > 0, got {self.sigma_v}")
+        # The simulator and the filter square each sigma on Python floats,
+        # where ** raises an OverflowError that names no key.
+        for key in ("sigma_eps", "sigma_xi", "sigma_v"):
+            value = getattr(self, key)
+            if not math.isfinite(value * value):
+                raise ValueError(
+                    f"{key} must be at most {math.sqrt(sys.float_info.max)!r} so that "
+                    f"its square is finite, got {value!r}"
+                )
         if not 0 <= self.seed < _U64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 

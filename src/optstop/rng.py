@@ -4,6 +4,9 @@ Streams are built on the counter-based Philox generator, keyed by
 (seed, domain, path index), so each simulated path owns an independent,
 reproducible stream regardless of the order paths are generated in. A path
 set reuses one generator and rekeys it for each path.
+
+q_function imports scipy's erfc at its first call, so importing this module
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc as _erfc
 
 _SQRT2 = math.sqrt(2.0)
 _U32 = 1 << 32
@@ -78,5 +80,7 @@ def q_function(z):
     Accepts scalars or arrays; both go through the same erfc ufunc, so they
     agree bitwise. Relative error is at the level of erfc itself (~1e-15).
     """
-    return 0.5 * _erfc(np.asarray(z, dtype=float) / _SQRT2)
+    from scipy.special import erfc
+
+    return 0.5 * erfc(np.asarray(z, dtype=float) / _SQRT2)
 

@@ -4,6 +4,9 @@ The seller tracks the consumer's valuation with a conjugate Gaussian posterior
 (identity state transition with additive process noise, noisy scalar
 observations) and at each epoch offers the price p maximizing the expected
 immediate revenue p * Pr(v > p) under his current posterior.
+
+Pricing needs one scipy function, erfcx. It is imported at the first price,
+not with the package, so a command that never prices loads no scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfcx
 
 from .model import ModelParams, first_fault
 # q_function is not called here; perfbench/spans.py patches seller.q_function.
@@ -31,6 +33,16 @@ _NEWTON_STEPS = 8
 MAX_SCALED_MEAN = 1e300
 # Beyond this |m|, sqrt(m^2 + 4) rounds to |m|; past 1.3e154, m^2 overflows.
 _SQRT_EXACT = 1e150
+
+
+def erfcx(x):
+    """scipy.special.erfcx(x), the scaled complementary error function,
+    imported at the first call. Each call repeats the (then cached) import
+    rather than rebinding this global, which would overwrite a patched
+    seller.erfcx."""
+    from scipy.special import erfcx
+
+    return erfcx(x)
 
 
 def kalman_predict(var, params: ModelParams):

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from optstop import lsm, snell
+from optstop import experiment, lsm, snell
 from optstop.cli import main
 from optstop.experiment import ExperimentConfig, load_config, run_experiment
 from optstop.model import ModelParams
@@ -165,7 +165,13 @@ def test_trace_rows(config_file, tmp_path):
     assert len(lines) == 2 + 7  # echo + header + T+1 epochs
 
 
-def test_trace_trial_outside_the_test_set_is_an_error_line(config_file, tmp_path, capsys):
+def test_trace_trial_outside_the_test_set_is_an_error_line(
+    config_file, tmp_path, capsys, monkeypatch
+):
+    def no_paths(*args):
+        raise AssertionError("the trial is checked before the test paths are drawn")
+
+    monkeypatch.setattr(experiment, "generate_paths", no_paths)
     out = tmp_path / "trace"
     argv = ["trace", "--config", str(config_file), "--trial", "0", "--trial", "30"]
     assert main([*argv, "--out", str(out)]) == 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,20 @@ class TestModelParams:
     def test_invariants_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             ModelParams(**kwargs)
+
+    @pytest.mark.parametrize("key", ["sigma_eps", "sigma_xi", "sigma_v"])
+    def test_sigma_whose_square_overflows_named(self, key):
+        # The largest float whose square is finite passes; the next one up
+        # and 1e200 would overflow in the simulator or the filter.
+        bound = 1.3407807929942596e154
+        ModelParams(**{key: bound})
+        for value in (math.nextafter(bound, math.inf), 1e200):
+            with pytest.raises(
+                ValueError,
+                match=rf"^{key} must be at most 1\.3407807929942596e\+154 so that "
+                rf"its square is finite, got {re.escape(repr(value))}$",
+            ):
+                ModelParams(**{key: value})
 
     def test_dict_round_trip(self):
         params = ModelParams(horizon=7, gamma=2.0, sigma_eps=0.3, seed=42)
