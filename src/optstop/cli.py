@@ -14,8 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiment, lsm, policy_io, snell
+from . import experiment, policy_io, snell
 from .regression import BACKEND_KINDS
+
+
+def _with_seed(config: experiment.ExperimentConfig, seed: int) -> experiment.ExperimentConfig:
+    return dataclasses.replace(config, params=dataclasses.replace(config.params, seed=seed))
 
 
 def _load_config(args) -> experiment.ExperimentConfig:
@@ -24,9 +28,7 @@ def _load_config(args) -> experiment.ExperimentConfig:
     else:
         config = experiment.ExperimentConfig()
     if args.seed is not None:
-        config = dataclasses.replace(
-            config, params=dataclasses.replace(config.params, seed=args.seed)
-        )
+        config = _with_seed(config, args.seed)
     return config
 
 
@@ -44,6 +46,7 @@ def _cmd_train(args) -> int:
         config = dataclasses.replace(
             config, backend=dataclasses.replace(config.backend, kind=args.backend)
         )
+    batch = None
     if args.paths:
         # The seed recorded is the one that made the paths, from the file's
         # config echo; a seed the command was given must be the same.
@@ -57,10 +60,9 @@ def _cmd_train(args) -> int:
             raise ValueError(
                 f"{given} differs from the seed {seed} in the config echo of {args.paths}"
             )
+        config = _with_seed(config, seed)
         batch = experiment.load_paths_csv(args.paths)
-        policy = lsm.train(batch.h, config.backend, metadata={"seed": seed})
-    else:
-        policy, _ = experiment.train_policy(config)
+    policy, _ = experiment.train_policy(config, batch)
     experiment.write_output_dir(args.out, {"policy.txt": policy_io.policy_to_text(policy)})
     print(f"wrote {Path(args.out) / 'policy.txt'} (horizon {policy.horizon})")
     return 0

@@ -171,8 +171,13 @@ def simulate(params: ModelParams, z) -> PathBatch:
     )
 
 
-def train_policy(config: ExperimentConfig) -> tuple[lsm.StoppingPolicy, PathBatch]:
-    batch = generate_paths(config.params, config.n_train, DOMAIN_TRAIN)
+def train_policy(
+    config: ExperimentConfig, batch: PathBatch | None = None
+) -> tuple[lsm.StoppingPolicy, PathBatch]:
+    """Train config's backend on batch, by default the config's n_train
+    training paths; the policy records the config's seed."""
+    if batch is None:
+        batch = generate_paths(config.params, config.n_train, DOMAIN_TRAIN)
     policy = lsm.train(batch.h, config.backend, metadata={"seed": config.params.seed})
     return policy, batch
 
@@ -367,15 +372,15 @@ _ECHO = "# config "
 
 def _parse_y(text: str) -> float:
     """The reader's converter for y, which is empty at t = 0: read as nan,
-    so that load_paths_csv finds a y given at t = 0 or missing later.
-    Like the reader's own float parse, it rejects digit separators and
-    non-ASCII."""
+    so that load_paths_csv finds a y given at t = 0 or missing later; a
+    nan text is rejected. Like the reader's own float parse, it rejects
+    digit separators and non-ASCII."""
     if not text:
         return math.nan
-    text = text.strip()
-    if "_" in text or not text.isascii():
+    value = float(text)
+    if "_" in text or not text.strip().isascii() or math.isnan(value):
         raise ValueError(f"not a number: {text!r}")
-    return float(text)
+    return value
 
 
 def _read_rows(lines) -> np.ndarray:

@@ -142,13 +142,9 @@ def train(
 
     meta = {
         "n_train": len(h),
-        "horizon": horizon,
         "backend": backend.to_dict(),
         "feature": "exit_payoff" if features is None else "custom",
-        "numerics": {
-            "nonpositive_exit_action": "reject",
-            "epochs": epochs,
-        },
+        "numerics": {"epochs": epochs},
     }
     if metadata:
         meta.update(metadata)

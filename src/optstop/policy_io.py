@@ -85,10 +85,6 @@ def policy_from_text(text: str) -> StoppingPolicy:
         raise PolicyFormatError(f"malformed policy payload: {exc}") from exc
 
 
-def save_policy(policy: StoppingPolicy, path) -> None:
-    Path(path).write_text(policy_to_text(policy), encoding="utf-8")
-
-
 def load_policy(path) -> StoppingPolicy:
     try:
         text = Path(path).read_text(encoding="utf-8")

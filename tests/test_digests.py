@@ -21,7 +21,7 @@ SEED1_FILES = {
     "exit_summary.csv": "61a4d0ab2059ea02",
     "payoff_diff.csv": "9452738e03bc95ca",
     "payoff_hist.csv": "199e114b84e95f35",
-    "policy.txt": "cdd712c5675beb37",
+    "policy.txt": "be5b59cb3d57780e",
     "price_hist.csv": "55b18da768715e38",
     "summary.csv": "811313a80b844447",
     "trace_0.csv": "ca211dd9507ee230",
@@ -32,10 +32,10 @@ SEED1_FILES = {
 # and payoffs, on the seed-1 (T, levels) lattice at 20,000 paths. Each law has
 # levels**2 masses: (1, 9) draws by sorted search, the others by counting.
 LATTICES = {
-    (2, 4): "eb8761965db82be7",
-    (3, 3): "c9893a254d933735",
-    (4, 2): "b2546d7e5fe4aec3",
-    (1, 9): "1c512941ee666a0c",
+    (2, 4): "f143cc76cdbcc6d9",
+    (3, 3): "d931e3c5a00fb467",
+    (4, 2): "6282876cef848cb2",
+    (1, 9): "d1db594d36a4f7aa",
 }
 
 

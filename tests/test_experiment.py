@@ -37,7 +37,6 @@ from optstop.policy_io import (
     load_policy,
     policy_from_text,
     policy_to_text,
-    save_policy,
 )
 from optstop.regression import RegressionBackend
 from optstop.rng import RngStream
@@ -257,7 +256,7 @@ POLICY_PAYLOAD = {
 
 # A degree-2 policy of the retired polynomial backend, written by
 # lsm.train(H, RegressionBackend(kind="poly", degree=2), metadata={"seed": 3})
-# on the first six rows of POLY_POLICY_H before that backend was removed.
+# on the first six rows of LEGACY_POLICY_H before that backend was removed.
 POLY_POLICY_TEXT = (
     "optstop-policy v2\n"
     "sha256 27ed2ea96d52c4f86148dfbcff773182835d5eb18d22cc8144b8657f66413b9c\n"
@@ -269,10 +268,35 @@ POLY_POLICY_TEXT = (
     '{"coeffs":[0.7818181818181826,-0.6785714285714368,0.7467532467532572],"kind":"poly"},'
     '{"coeffs":[0.9563579277864859,-2.4610151753008767,1.7687074829932106],"kind":"poly"}]}\n'
 )
-POLY_POLICY_H = np.array([
+LEGACY_POLICY_H = np.array([
     [0.2, 0.5, 0.1], [0.4, 0.0, 0.9], [0.0, 0.3, 0.6], [0.6, 0.7, 0.0],
     [0.1, 0.8, 0.2], [0.5, 0.2, 0.4], [0.9, 0.1, 0.2],
 ])
+
+# A kernel policy written by lsm.train(H, RegressionBackend(), metadata={"seed": 3})
+# on the first six rows of LEGACY_POLICY_H while the metadata still repeated
+# the horizon and held numerics.nonpositive_exit_action.
+KERNEL_POLICY_TEXT = (
+    "optstop-policy v2\n"
+    "sha256 48d36a3ea5866fd76109005cbafbacefbd5e340d19e248bfc303640af7b4c296\n"
+    '{"format_version":2,"horizon":2,"metadata":{"backend":{"bandwidth":1.0,"kind":"kernel",'
+    '"ridge":1e-06},"feature":"exit_payoff","horizon":2,"n_train":6,'
+    '"numerics":{"epochs":[{"in_the_money":5,"stopped":2,"support":5,'
+    '"tail_bound":2.590959853559838e-33,"terms":16},{"in_the_money":5,"stopped":4,"support":5,'
+    '"tail_bound":4.6887183471566e-33,"terms":17}],"nonpositive_exit_action":"reject"},'
+    '"seed":3},"regressors":[{"bandwidth":1.0,"kind":"kernel","ridge":1e-06,'
+    '"weights":[0.1171923822665982,-0.6764613759955648,16.01659332577556,18.977459555761687,'
+    '-27.123507520401265,-0.2545037797002734,-0.4346710266431737,-0.004496159765135118,'
+    '-0.0040108713003483894,-3.8601244145521215e-05,-2.7327561712988024e-05,'
+    '-2.418114926502034e-07,-1.5042981096891062e-07,-1.2312616204379623e-09,'
+    '-6.998568391480831e-10,-5.343219356551687e-12],"xs":[0.1,0.6]},{"bandwidth":1.0,'
+    '"kind":"kernel","ridge":1e-06,"weights":[0.1559540857028099,-2.398340600615499,'
+    '3.929156647329312,55.3038751149648,-40.97034982401153,1.6084100894393847,'
+    '-0.9731621791818695,0.025394404526031488,-0.013307287553986143,0.0002837635487243791,'
+    '-0.00013300413593783132,2.4899988204131452e-06,-1.0654228931386567e-06,'
+    '1.811842342824832e-08,-7.1774808318991745e-09,1.1301181344902658e-10,'
+    '-4.1877525752687106e-11],"xs":[0.2,0.8]}]}\n'
+)
 
 
 def signed_policy_text(payload: dict) -> str:
@@ -304,7 +328,7 @@ class TestPolicyPersistence:
     def test_round_trip_identical_decisions(self, ref_run, tmp_path):
         policy, _, test_batch, report, _ = ref_run
         file = tmp_path / "policy.txt"
-        save_policy(policy, file)
+        file.write_text(policy_to_text(policy))
         loaded = load_policy(file)
         t0, p0 = lsm.apply_policy(policy, test_batch.h)
         t1, p1 = lsm.apply_policy(loaded, test_batch.h)
@@ -317,7 +341,7 @@ class TestPolicyPersistence:
     def test_truncated_file_rejected(self, ref_run, tmp_path):
         policy, _, _, _, _ = ref_run
         file = tmp_path / "policy.txt"
-        save_policy(policy, file)
+        file.write_text(policy_to_text(policy))
         text = file.read_text()
         file.write_text(text[: len(text) // 2])
         with pytest.raises(PolicyFormatError):
@@ -326,7 +350,7 @@ class TestPolicyPersistence:
     def test_corrupted_payload_rejected(self, ref_run, tmp_path):
         policy, _, _, _, _ = ref_run
         file = tmp_path / "policy.txt"
-        save_policy(policy, file)
+        file.write_text(policy_to_text(policy))
         file.write_text(file.read_text().replace("exit_payoff", "exit_pay0ff", 1))
         with pytest.raises(PolicyFormatError, match="checksum"):
             load_policy(file)
@@ -389,7 +413,7 @@ class TestPolicyPersistence:
         config = small_config(backend=RegressionBackend(kind="tabular"))
         policy, _ = experiment.train_policy(config)
         file = tmp_path / "p.txt"
-        save_policy(policy, file)
+        file.write_text(policy_to_text(policy))
         loaded = load_policy(file)
         assert loaded.metadata["backend"] == RegressionBackend(kind="tabular").to_dict()
         assert loaded.metadata == policy.metadata
@@ -400,12 +424,29 @@ class TestPolicyPersistence:
         policy = policy_from_text(POLY_POLICY_TEXT)
         assert policy.metadata["backend"]["degree"] == 2
         assert [r.kind for r in policy.regressors] == ["poly", "poly"]
-        times, payoffs = lsm.apply_policy(policy, POLY_POLICY_H)
+        times, payoffs = lsm.apply_policy(policy, LEGACY_POLICY_H)
         assert times.tolist() == [1, 2, 2, 1, 1, 2, 0]
         assert payoffs.tolist() == [0.5, 0.9, 0.6, 0.7, 0.8, 0.4, 0.9]
         assert policy_to_text(policy) == POLY_POLICY_TEXT
         with pytest.raises(ValueError, match="unknown backend key.*'degree'"):
             RegressionBackend.from_dict(policy.metadata["backend"])
+
+    def test_kernel_policy_with_retired_metadata_keys_still_loads_and_applies(self):
+        # Metadata is free-form: the keys training no longer writes load as
+        # they were, and the regressors are the ones training writes now.
+        policy = policy_from_text(KERNEL_POLICY_TEXT)
+        assert policy.metadata["horizon"] == 2
+        assert policy.metadata["numerics"]["nonpositive_exit_action"] == "reject"
+        times, payoffs = lsm.apply_policy(policy, LEGACY_POLICY_H)
+        assert times.tolist() == [1, 0, 2, 1, 1, 0, 1]
+        assert payoffs.tolist() == [0.5, 0.4, 0.6, 0.7, 0.8, 0.5, 0.1]
+        assert policy_to_text(policy) == KERNEL_POLICY_TEXT
+        retrained = lsm.train(LEGACY_POLICY_H[:6], RegressionBackend(), metadata={"seed": 3})
+        assert [r.to_dict() for r in retrained.regressors] == [
+            r.to_dict() for r in policy.regressors
+        ]
+        del policy.metadata["horizon"], policy.metadata["numerics"]["nonpositive_exit_action"]
+        assert retrained.metadata == policy.metadata
 
 
 class TestOutputs:
@@ -608,6 +649,9 @@ class TestPathsCsv:
              "^paths CSV data row 7: t field '\u0662' is not a 64-bit integer$"),
             (lambda rows: rows[:8] + ["1,2,2, ," + rows[8].split(",", 4)[4]] + rows[9:],
              "^paths CSV data row 7: y field ' ' is not a number$"),
+            # Only an empty y reads as nan; a y written as nan is named, at t = 0 too.
+            (lambda rows: rows[:6] + [rows[6].replace(",,", ",nan,", 1)] + rows[7:],
+             "^paths CSV data row 5: y field 'nan' is not a number$"),
         ],
     )
     def test_faulty_rows_named(self, tmp_path, edit, message):
@@ -630,6 +674,7 @@ class TestPathsCsv:
             ("t", "2.0", False), ("t", "2e0", False),
             ("v", "2.0", True), ("v", " .5 ", True), ("v", "1e400", True), ("v", "2_0", False),
             ("v", "0x1p3", False), ("v", " ", False), ("y", "2_0", False),
+            ("y", "nan", False), ("y", " -NaN ", False), ("v", "nan", True),
         ],
     )
     def test_named_exactly_when_the_reader_rejects(self, tmp_path, column, text, accepted):

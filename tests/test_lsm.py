@@ -106,6 +106,9 @@ class TestTrain:
         h = np.array([[0.5, 0.5, 0.2], [0.0, 0.1, 0.3]])
         policy = train(h, RegressionBackend(), metadata={"seed": 9})
         meta = policy.metadata
+        # Each thing once: the horizon is the payload's, not the metadata's.
+        assert set(meta) == {"seed", "n_train", "backend", "feature", "numerics"}
+        assert set(meta["numerics"]) == {"epochs"}
         assert meta["n_train"] == 2
         assert meta["backend"] == RegressionBackend().to_dict()
         assert meta["backend"]["ridge"] == 1e-6
@@ -114,9 +117,7 @@ class TestTrain:
         # interpolated on [0.1, 0.5] (15 Taylor terms); 0.5 > 0.2 stops path 0.
         # Epoch 0: only path 0 in the money, target 0.5 shrunk by the ridge
         # to 0.4999995 < 0.5, so it stops again; one term on a single point.
-        epochs = meta["numerics"].pop("epochs")
-        assert meta["numerics"] == {"nonpositive_exit_action": "reject"}
-        assert epochs == [
+        assert meta["numerics"]["epochs"] == [
             {"in_the_money": 1, "support": 1, "terms": 1, "tail_bound": 0.0, "stopped": 1},
             {"in_the_money": 2, "support": 2, "terms": 15,
              "tail_bound": kernel_terms(0.5 - 0.1, 1.0)[1], "stopped": 1},
