@@ -88,8 +88,14 @@ def _cmd_trace(args) -> int:
     trials = args.trial or [0]
     for i in trials:  # before the test paths are drawn and priced
         experiment.check_trace_trial(i, config.n_test)
-    batch = experiment.generate_paths(config.params, config.n_test, experiment.DOMAIN_TEST)
-    files = {f"trace_{i}.csv": experiment.render_trace(batch, i, config) for i in trials}
+    traced = dict.fromkeys(trials)  # only these test paths are drawn, each once
+    batch = experiment.generate_paths(
+        config.params, config.n_test, experiment.DOMAIN_TEST, list(traced)
+    )
+    files = {
+        f"trace_{i}.csv": experiment.render_trace(batch, row, config)
+        for row, i in enumerate(traced)
+    }
     experiment.write_output_dir(args.out, files)
     print(f"wrote {len(files)} trace files to {args.out}")
     return 0

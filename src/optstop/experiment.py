@@ -93,21 +93,32 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_dict(json.load(fh))
 
 
-def generate_paths(params: ModelParams, n: int, domain: int = DOMAIN_TRAIN) -> PathBatch:
-    """Simulate n sample paths of the full consumer/seller interaction.
+def generate_paths(
+    params: ModelParams, n: int, domain: int = DOMAIN_TRAIN, indices=None
+) -> PathBatch:
+    """Simulate the n sample paths of a path set of the full consumer/seller
+    interaction, or only its paths at indices (each in 0..n-1), in that order.
 
     Path i draws all of its normals in one call on its own (seed, i, domain)
     stream, in simulate's draw order, and simulate runs the epochs of all
     paths at once. The path set's one stream is rekeyed to each path in turn.
+    Each path's arithmetic is elementwise, so path i has the same bits
+    whichever other paths are drawn with it.
     """
     if n < 1:
         raise ValueError(f"number of paths must be >= 1, got {n}")
     if n > 1 << 32:  # RngStream path indices are 32-bit
         raise ValueError(f"number of paths must be <= 2**32 = {1 << 32}, got {n}")
-    z = np.empty((n, 1 + 2 * params.horizon))
+    if indices is None:
+        indices = range(n)
+    else:
+        for i in indices:
+            if not is_integer(i) or not 0 <= i < n:
+                raise ValueError(f"path index {i!r} is not an integer in 0..{n - 1}")
+    z = np.empty((len(indices), 1 + 2 * params.horizon))
     stream = RngStream(params.seed, 0, domain)
-    for i in range(n):
-        z[i] = stream.rekey(i).standard_normal(z.shape[1])
+    for row, i in enumerate(indices):
+        z[row] = stream.rekey(i).standard_normal(z.shape[1])
     return simulate(params, z)
 
 
@@ -230,12 +241,22 @@ def _column(values) -> list[str]:
     return list(map(fmt, values.tolist()))
 
 
+def _header(config: ExperimentConfig | None, names) -> str:
+    """A table's config echo, unless config is None, and its header row."""
+    echo = "" if config is None else f"# config {config.echo()}\n"
+    return echo + ",".join(names) + "\n"
+
+
+def _rows(columns) -> str:
+    """CSV rows of equally long columns, each line ending in a newline."""
+    lines = list(map(",".join, zip(*map(_column, columns), strict=True)))
+    lines.append("")
+    return "\n".join(lines)
+
+
 def _table(config: ExperimentConfig | None, columns: dict) -> str:
     """CSV of named, equally long columns, echoing config unless it is None."""
-    lines = [] if config is None else [f"# config {config.echo()}"]
-    lines.append(",".join(columns))
-    lines.extend(map(",".join, zip(*map(_column, columns.values()), strict=True)))
-    return "\n".join(lines) + "\n"
+    return _header(config, columns) + _rows(columns.values())
 
 
 def _observations(y: np.ndarray) -> list[str]:
@@ -348,15 +369,28 @@ def render_trace(batch: PathBatch, trial: int, config: ExperimentConfig) -> str:
     )
 
 
+# Rows per block of the paths CSV. render_paths_csv holds the cell strings of
+# one block at a time, so its peak memory stays near twice the text's size.
+_BLOCK_ROWS = 4096
+
+
 def render_paths_csv(batch: PathBatch, config: ExperimentConfig) -> str:
-    """Long-format path dataset: one row per (path, epoch)."""
+    """Long-format path dataset: one row per (path, epoch), rendered a block
+    of whole paths at a time."""
     n, tp1 = batch.v.shape
-    columns = (
-        np.repeat(np.arange(n), tp1), np.tile(np.arange(tp1), n),
-        batch.v, _observations(batch.y), batch.p, batch.pi, batch.h,
-        batch.seller_mean, np.tile(batch.seller_var, n),
-    )
-    return _table(config, dict(zip(PATHS_COLUMNS, columns, strict=True)))
+    t, seller_var = _column(np.arange(tp1)), _column(batch.seller_var)
+    per_block = max(1, _BLOCK_ROWS // tp1)
+    blocks = [_header(config, PATHS_COLUMNS)]
+    for start in range(0, n, per_block):
+        paths = range(start, min(start + per_block, n))
+        block = slice(paths.start, paths.stop)
+        blocks.append(_rows((
+            [cell for cell in map(str, paths) for _ in range(tp1)], t * len(paths),
+            batch.v[block], _observations(batch.y[block]), batch.p[block],
+            batch.pi[block], batch.h[block], batch.seller_mean[block],
+            seller_var * len(paths),
+        )))
+    return "".join(blocks)
 
 
 # The paths CSV as numpy's C reader parses it: int64 `path` and `t`, float64

@@ -165,6 +165,26 @@ def test_trace_rows(config_file, tmp_path):
     assert len(lines) == 2 + 7  # echo + header + T+1 epochs
 
 
+def test_trace_draws_only_the_traced_paths(config_file, tmp_path, monkeypatch):
+    simulated = []
+    simulate = experiment.simulate
+
+    def counting(params, z):
+        simulated.append(len(z))
+        return simulate(params, z)
+
+    monkeypatch.setattr(experiment, "simulate", counting)
+    out = tmp_path / "trace"
+    argv = ["trace", "--config", str(config_file), "--trial", "29", "--trial", "2"]
+    assert main([*argv, "--trial", "29", "--out", str(out)]) == 0
+    assert simulated == [2]  # of the 30 test paths, each traced one once
+    config = load_config(config_file)
+    full = experiment.generate_paths(config.params, config.n_test, experiment.DOMAIN_TEST)
+    for i in (2, 29):
+        text = (out / f"trace_{i}.csv").read_text()
+        assert text == experiment.render_trace(full, i, config)
+
+
 def test_trace_trial_outside_the_test_set_is_an_error_line(
     config_file, tmp_path, capsys, monkeypatch
 ):

@@ -14,13 +14,15 @@ from optstop.model import ModelParams
 from optstop.regression import RegressionBackend
 from optstop.snell import discretize_consumer_problem, simulate_paths
 
-# sha256 prefixes of every file of run_experiment(reference_config(1)) and of
-# `optstop trace --seed 1 --trial 0 --trial 3 --trial 999`.
+# sha256 prefixes of every file of run_experiment(reference_config(1)), of
+# `optstop trace --seed 1 --trial 0 --trial 3 --trial 999` and of `optstop
+# simulate --seed 1` (a paths CSV of 13,002 lines).
 SEED1_FILES = {
     "config.json": "bd1154944ceecc0c",
     "exit_summary.csv": "61a4d0ab2059ea02",
     "payoff_diff.csv": "9452738e03bc95ca",
     "payoff_hist.csv": "199e114b84e95f35",
+    "paths.csv": "d1476cd9db1f3daa",
     "policy.txt": "be5b59cb3d57780e",
     "price_hist.csv": "55b18da768715e38",
     "summary.csv": "811313a80b844447",
@@ -43,10 +45,12 @@ def test_seed1_reference_outputs(tmp_path, capsys):
     experiment.run_experiment(experiment.reference_config(1), tmp_path / "run")
     argv = ["trace", "--seed", "1", "--trial", "0", "--trial", "3", "--trial", "999"]
     assert main([*argv, "--out", str(tmp_path / "trace")]) == 0
+    assert main(["simulate", "--seed", "1", "--out", str(tmp_path / "simulate")]) == 0
     capsys.readouterr()
     digests = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
-        for p in [*(tmp_path / "run").iterdir(), *(tmp_path / "trace").iterdir()]
+        for d in ("run", "trace", "simulate")
+        for p in (tmp_path / d).iterdir()
     }
     assert digests == SEED1_FILES
 

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -206,6 +207,21 @@ class TestGeneratePaths:
         wide = generate_paths(params, 8, DOMAIN_TRAIN)
         narrow = generate_paths(params, 3, DOMAIN_TRAIN)
         assert np.array_equal(wide.v[:3], narrow.v)
+
+    def test_indices_draw_the_matching_rows_bitwise(self):
+        params = ModelParams(horizon=5, seed=7)
+        full = generate_paths(params, 12, DOMAIN_TEST)
+        indices = [11, 0, 3, 4]
+        part = generate_paths(params, 12, DOMAIN_TEST, indices)
+        for f in dataclasses.fields(PathBatch):
+            want = getattr(full, f.name)
+            want = want if f.name == "seller_var" else want[indices]
+            assert getattr(part, f.name).tobytes() == want.tobytes(), f.name
+
+    @pytest.mark.parametrize("index", [-1, 12, 1.0, True])
+    def test_index_outside_the_path_set_named(self, index):
+        with pytest.raises(ValueError, match=rf"^path index {index!r} is not an integer in 0\.\.11$"):
+            generate_paths(ModelParams(horizon=2), 12, DOMAIN_TEST, [0, index])
 
     def test_domains_disjoint(self):
         params = ModelParams(horizon=4, seed=5)
@@ -605,6 +621,55 @@ class TestPathsCsv:
         loaded = load_paths_csv(file)
         for field in ("v", "y", "p", "pi", "h", "seller_mean", "seller_var"):
             assert np.array_equal(getattr(batch, field), getattr(loaded, field))
+
+    def test_blocks_render_as_rows_one_at_a_time(self, tmp_path):
+        # Two full blocks of paths and a partial one, of hand-set values.
+        tp1 = 4
+        n = 2 * (experiment._BLOCK_ROWS // tp1) + 5
+        values = np.array([
+            0.0, -0.0, 1e-20, -1e-20, 0.1 + 0.2, 1 / 3, -2.718281828459045,
+            123456789.12345679, 5e-324, 1.7976931348623157e308,
+        ])
+
+        def grid(*shape, shift):
+            return np.resize(np.roll(values, shift), shape)
+
+        pi = grid(n, tp1, shift=4)
+        batch = PathBatch(
+            v=grid(n, tp1, shift=0), y=grid(n, tp1 - 1, shift=1), p=grid(n, tp1, shift=2),
+            pi=pi, h=np.maximum(pi, 0.0), seller_mean=grid(n, tp1, shift=3),
+            seller_var=grid(tp1, shift=5),
+        )
+        config = small_config()
+        lines = [f"# config {config.echo()}", ",".join(PATHS_COLUMNS)]
+        for i in range(n):
+            for t in range(tp1):
+                lines.append(",".join([
+                    str(i), str(t), repr(float(batch.v[i, t])),
+                    repr(float(batch.y[i, t - 1])) if t else "", repr(float(batch.p[i, t])),
+                    repr(float(batch.pi[i, t])), repr(float(batch.h[i, t])),
+                    repr(float(batch.seller_mean[i, t])), repr(float(batch.seller_var[t])),
+                ]))
+        text = render_paths_csv(batch, config)
+        assert text == "\n".join(lines) + "\n"
+        file = tmp_path / "paths.csv"
+        file.write_text(text)
+        loaded = load_paths_csv(file)
+        for f in dataclasses.fields(PathBatch):
+            assert getattr(loaded, f.name).tobytes() == getattr(batch, f.name).tobytes(), f.name
+
+    def test_render_peak_memory_near_the_text_size(self):
+        # 600 reference paths, several blocks: the cell strings of one block
+        # are held at a time, not those of the whole file.
+        config = experiment.reference_config(1)
+        batch = generate_paths(config.params, 600, DOMAIN_TRAIN)
+        tracemalloc.start()
+        try:
+            text = render_paths_csv(batch, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text), peak / len(text)
 
     @staticmethod
     def csv_lines() -> list[str]:
