@@ -121,20 +121,21 @@ def train(
 
     for t in range(horizon - 1, -1, -1):
         itm = h[:, t] > 0.0
-        if not itm.any():
+        x_itm = np.compress(itm, x[:, t])
+        if not len(x_itm):
             reg: Regressor = ZeroRegressor()
         else:
             try:
-                reg = backend.fit(x[itm, t], stop_value[itm])
+                reg = backend.fit(x_itm, np.compress(itm, stop_value))
             except Exception as exc:
                 raise RuntimeError(f"regression failed at epoch t={t}") from exc
         regressors[t] = reg
         exit_now = h[:, t] > reg.predict(x[:, t])
-        np.copyto(stop_value, h[:, t], where=exit_now)
+        stop_value = np.where(exit_now, h[:, t], stop_value)
         kernel = isinstance(reg, KernelRegressor)
         epochs[t] = {
-            "in_the_money": int(itm.sum()),
-            "support": len(np.unique(x[itm, t])) if kernel else None,
+            "in_the_money": len(x_itm),
+            "support": len(np.unique(x_itm)) if kernel else None,
             "terms": len(reg.weights) if kernel else None,
             "tail_bound": reg.tail_bound if kernel else None,
             "stopped": int(exit_now.sum()),
@@ -213,14 +214,17 @@ def apply_policy(policy: StoppingPolicy, h, features=None) -> tuple[np.ndarray, 
     n_paths = len(h)
     times = np.full(n_paths, policy.horizon, dtype=np.int64)
     payoffs = h[:, policy.horizon].copy()
-    live = slice(None)  # every path browses at t = 0: read the columns in place
+    live = None  # every path browses at t = 0: read the columns in place
     for t in range(policy.horizon):
-        exit_now = h[live, t] > policy.regressors[t].predict(x[live, t])
+        h_t, x_t = h[:, t], x[:, t]
+        if live is not None:
+            h_t, x_t = np.take(h_t, live), np.take(x_t, live)
+        exit_now = h_t > policy.regressors[t].predict(x_t)
         exits, stay = np.flatnonzero(exit_now), np.flatnonzero(~exit_now)
-        if t:
-            exits, stay = live[exits], live[stay]
+        if live is not None:
+            exits, stay = np.take(live, exits), np.take(live, stay)
         times[exits] = t
-        payoffs[exits] = h[exits, t]
+        payoffs[exits] = np.take(h[:, t], exits)
         live = stay
         if not len(live):
             break

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -179,29 +180,41 @@ class TabularRegressor(Regressor):
         if not np.all(np.diff(self.xs) > 0):
             raise ValueError("table xs must be strictly increasing")
 
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dense layout of an integer table: slot 1 + s holds the id
+        xs[0] + s (exact at every entry) and its mean, the default mean where
+        the id is not an entry; slot 0 holds no id (nan) and the default."""
+        xs = self.xs
+        slots = 1 + (xs - xs[0]).astype(np.intp)
+        ids = np.append(np.nan, xs[0] + np.arange(slots[-1], dtype=float))
+        means = np.full(len(ids), self.default)
+        means[slots] = self.means
+        return ids, means
+
     def predict(self, x):
         """The mean of the table entry equal to x, else the default.
 
         A table of integer ids (the lattice's node ids) whose span is at most
-        the number of queries is laid out densely, one slot per integer of
-        the span, and each query reads the slot x - xs[0] (slot 0 if that is
-        outside the span or nan). The slot's id must still equal x, as in the
-        search: that also rejects a non-integer x whose difference rounds to
-        an integer. Every other table is binary-searched.
+        the number of queries is laid out densely, once per regressor, one
+        slot per integer of the span (see _slots). A query's slot is 1 +
+        (x - xs[0]) clamped to 0..span (fmax sends nan to slot 0, so no nan
+        is cast). It takes the slot's mean when the slot's id equals x, as
+        in the search; any other query (a non-integer, including one whose
+        difference rounds to an integer, a value outside the span, nan)
+        reads slot 0, the default. The miss is an index product rather than
+        a masked write, which would branch on every query. Every other
+        table is binary-searched.
         """
         scalar = np.ndim(x) == 0
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         xs = self.xs
-        span = xs[-1] - xs[0] + 1
-        if span <= len(xa) and np.array_equal(xs, np.floor(xs)):
-            slots = (xs - xs[0]).astype(np.intp)
-            ids = np.full(slots[-1] + 1, np.nan)
-            ids[slots] = xs
-            means = np.full(len(ids), self.default)
-            means[slots] = self.means
-            j = xa - xs[0]
-            idx = np.where((j >= 0) & (j < len(ids)), j, 0).astype(np.intp)
-            out = np.where(ids[idx] == xa, means[idx], self.default)
+        if xs[-1] - xs[0] + 1 <= len(xa) and np.array_equal(xs, np.floor(xs)):
+            ids, means = self._slots
+            slot = np.fmin(np.fmax(xa - xs[0], -1.0), len(ids) - 2) + 1.0
+            idx = slot.astype(np.intp)
+            idx *= ids[idx] == xa
+            out = means[idx]
         else:
             idx = np.clip(np.searchsorted(xs, xa), 0, len(xs) - 1)
             out = np.where(xs[idx] == xa, self.means[idx], self.default)

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .model import is_integer
+
 _SQRT2 = math.sqrt(2.0)
 _U32 = 1 << 32
 _U64 = 1 << 64
@@ -30,6 +32,10 @@ class RngStream:
     """
 
     def __init__(self, seed: int, path_index: int = 0, domain: int = 0):
+        if not is_integer(seed):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if not is_integer(domain):
+            raise ValueError(f"domain must be an integer, got {domain!r}")
         if not 0 <= seed < _U64:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
         if not 0 <= domain < _U32:
@@ -59,6 +65,9 @@ class RngStream:
         a new RngStream(seed, path_index, domain), whatever this stream drew
         before. Returns the stream itself.
         """
+        # A plain int skips is_integer's slower abstract-class test: this runs once per path.
+        if type(path_index) is not int and not is_integer(path_index):
+            raise ValueError(f"path_index must be an integer, got {path_index!r}")
         if not 0 <= path_index < _U32:
             raise ValueError(f"path_index must fit in 32 bits, got {path_index}")
         self._key[1] = self._domain_key | path_index

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -29,12 +30,9 @@ _PROB_TOL = 1e-12
 
 NODE_BUDGET = 10_000
 
-# A one-law draw counts the cumulative masses below each uniform when the law
-# has at most this many masses, and binary-searches them when it has more.
-# Timed on 100k uniforms (2 CPUs, numpy 2.4), count vs search: 0.3 vs 2.3 ms
-# at 4 masses, 1.2 vs 4.0 ms at 16, 3.9 vs 6.0 ms at 48, 6.6 vs 7.3 ms at 64
-# and 7.0 vs 6.3 ms at 81.
-COUNT_MAX_MASSES = 48
+# Most buckets of a one-law sampler's guide table (see _Sampler): 32 KB of
+# ranks and 32 KB of masses.
+MAX_BUCKETS = 1 << 12
 
 
 @dataclass
@@ -49,7 +47,9 @@ class FiniteStopProblem:
     Construction checks every shape, that each transition row and initial
     are nonnegative and sum to 1 within 1e-12, and raises a ValueError naming
     the first fault; everything that takes a problem takes it as checked.
-    Editing one afterwards is not checked again.
+    Editing one afterwards is not checked again, and the samplers that
+    simulate_paths draws from are built once, at its first call, so they do
+    not see an edit made after it either.
     """
 
     payoffs: list[np.ndarray]
@@ -93,6 +93,11 @@ class FiniteStopProblem:
     @property
     def n_nodes(self) -> int:
         return sum(len(h) for h in self.payoffs)
+
+    @cached_property
+    def _samplers(self) -> list["_Sampler"]:
+        """One sampler per draw: the initial law, then each transition."""
+        return [_Sampler(self.initial[None, :]), *map(_Sampler, self.transitions)]
 
     def to_dict(self) -> dict:
         return {
@@ -180,9 +185,8 @@ def expected_stopped_payoff(problem: FiniteStopProblem, solution: SnellSolution)
     return total
 
 
-def _draw_children(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Column of row rows[i] of the row-stochastic table drawn by each
-    uniform u[i] in [0, 1).
+class _Sampler:
+    """Draws a column of each row of one row-stochastic table, per uniform.
 
     The draw is the count of the row's cumulative masses below u, taken over
     its positive-mass columns only, so neither u = 0 nor a u at or above a row
@@ -191,34 +195,76 @@ def _draw_children(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nda
     row; adding a zero is exact, so these cumulative masses are bitwise those
     of the full row. Rows whose cumulative masses are bitwise equal share one
     law and one sorted search; the drawn rank then picks the column from each
-    path's own row. A table of one law of w <= COUNT_MAX_MASSES masses (on
-    the Gauss-Hermite lattice every parent has the same child weights, so
-    each epoch has one) is drawn once for all paths without a search: it
-    counts the law's first w - 1 cumulative masses below u, which is the
-    search's rank already clamped to w - 1. A wider single law takes the
-    search above, as one group.
+    path's own row.
+
+    A table of one law of w masses (on the Gauss-Hermite lattice every parent
+    has the same child weights, so each epoch has one) is drawn through a
+    guide table of B buckets (Chen and Asau, 1974), B a power of two: bucket
+    b = floor(u B) holds the law's first w - 1 cumulative masses in
+    [b / B, (b + 1) / B), and the rank is the count of them below b / B plus
+    one compare with the bucket's mass, if it holds one. u B is exact, so the
+    rank is the search's rank clamped to w - 1, bit for bit. B is doubled, up
+    to MAX_BUCKETS, until no bucket holds two masses; a path whose bucket
+    still does is searched. Where the support is row * w + rank, as on every
+    np.kron lattice table, the final gather is skipped.
     """
-    positive = table > 0
-    counts = positive.sum(axis=1)
-    r, c = np.nonzero(positive)
-    rank = np.arange(len(r)) - np.repeat(np.cumsum(counts) - counts, counts)
-    support = np.zeros((len(table), counts.max()), dtype=np.int64)
-    support[r, rank] = c
-    cum = np.full(support.shape, np.inf)
-    cum[r, rank] = table[r, c]
-    laws, law = np.unique(np.cumsum(cum, axis=1), axis=0, return_inverse=True)
-    if len(laws) == 1 and counts[0] <= COUNT_MAX_MASSES:
-        k = np.zeros(len(u), dtype=np.int64)
-        for mass in laws[0][: counts[0] - 1]:
-            k += mass < u
-        return support.ravel()[rows * support.shape[1] + k]
-    law = law.ravel()[rows]  # the inverse's shape differs across numpy versions
-    order = np.argsort(law, kind="stable")
-    bounds = np.cumsum(np.bincount(law, minlength=len(laws)))[:-1]
-    k = np.empty(len(rows), dtype=np.int64)
-    for cdf, paths in zip(laws, np.split(order, bounds)):
-        k[paths] = np.searchsorted(cdf, u[paths], side="left")
-    return support[rows, np.minimum(k, counts[rows] - 1)]
+
+    def __init__(self, table: np.ndarray):
+        positive = table > 0
+        counts = positive.sum(axis=1)
+        r, c = np.nonzero(positive)
+        rank = np.arange(len(r)) - np.repeat(np.cumsum(counts) - counts, counts)
+        support = np.zeros((len(table), counts.max()), dtype=np.int64)
+        support[r, rank] = c
+        cum = np.full(support.shape, np.inf)
+        cum[r, rank] = table[r, c]
+        laws, law = np.unique(np.cumsum(cum, axis=1), axis=0, return_inverse=True)
+        self.support, self.counts, self.laws = support, counts, laws
+        self.law = law.ravel()  # the inverse's shape differs across numpy versions
+        if len(laws) > 1:
+            return
+        self.edges = edges = laws[0][: counts[0] - 1]
+        self.dense = np.array_equal(support.ravel(), np.arange(support.size))
+        n_buckets = 1
+        while True:
+            # edges * B is exact, so floor(edges * B) < b exactly when an edge is below b / B.
+            below = np.searchsorted(np.floor(edges * n_buckets), np.arange(n_buckets + 1))
+            per_bucket = np.diff(below)
+            crowded = per_bucket > 1
+            if not crowded.any() or n_buckets == MAX_BUCKETS:
+                break
+            n_buckets *= 2
+        self.n_buckets = n_buckets
+        self.below = below[:-1]  # the count of edges below each bucket's start
+        self.mass = np.full(n_buckets, np.inf)  # each bucket's first edge; no u reaches +inf
+        self.mass[per_bucket > 0] = edges[self.below[per_bucket > 0]]
+        self.crowded = crowded if crowded.any() else None
+
+    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Column of row rows[i] drawn by each uniform u[i] in [0, 1)."""
+        if len(self.laws) > 1:
+            law = self.law[rows]
+            order = np.argsort(law, kind="stable")
+            bounds = np.cumsum(np.bincount(law, minlength=len(self.laws)))[:-1]
+            k = np.empty(len(rows), dtype=np.int64)
+            for cdf, paths in zip(self.laws, np.split(order, bounds)):
+                k[paths] = np.searchsorted(cdf, u[paths], side="left")
+            return self.support[rows, np.minimum(k, self.counts[rows] - 1)]
+        # floor(u B), cast to an index as it is computed: u >= 0, so the cast is the floor.
+        b = np.multiply(u, self.n_buckets, out=np.empty(len(u), np.intp), casting="unsafe")
+        k = self.below[b] + (self.mass[b] < u)
+        if self.crowded is not None:
+            many = np.flatnonzero(self.crowded[b])
+            k[many] = np.searchsorted(self.edges, u[many], side="left")
+        j = rows * self.support.shape[1] + k
+        return j if self.dense else self.support.ravel()[j]
+
+
+def _draw_children(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Column of row rows[i] of the row-stochastic table drawn by each
+    uniform u[i] in [0, 1), through a sampler built for this call alone (see
+    _Sampler); simulate_paths draws from its problem's cached samplers."""
+    return _Sampler(table).draw(rows, u)
 
 
 def simulate_paths(
@@ -228,25 +274,29 @@ def simulate_paths(
     and column-major, so each epoch's column is contiguous.
 
     One uniform per path draws the initial node, then one per path and epoch
-    draws the child. Each epoch is one vectorized pass over all paths (see
-    _draw_children: a count or one sorted search for an epoch of one
-    transition law, one search per distinct law otherwise), so memory stays
-    linear in n. n must be at least 1; the problem was checked when built, so
-    every row it draws from is a law.
+    draws the child. Each epoch is one vectorized pass over all paths through
+    the problem's sampler for it (see _Sampler: a guide-table lookup for an
+    epoch of one transition law, one sorted search per distinct law
+    otherwise), so memory stays linear in n. The samplers are built at the
+    problem's first call and reused by the next. n must be an integer >= 1;
+    the problem was checked when built, so every row it draws from is a law.
     """
+    if not is_integer(n):
+        raise ValueError(f"number of paths must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"number of paths must be >= 1, got {n}")
     T = problem.horizon
     stream = RngStream(seed, path_index=0, domain=domain)
+    samplers = problem._samplers
     nodes = np.zeros((n, T + 1), dtype=np.int64, order="F")
     root = np.zeros(n, dtype=np.int64)  # the initial distribution is a one-row table
-    nodes[:, 0] = _draw_children(problem.initial[None, :], root, stream.uniform(size=n))
+    nodes[:, 0] = samplers[0].draw(root, stream.uniform(size=n))
     for t in range(T):
-        u_t = stream.uniform(size=n)
-        nodes[:, t + 1] = _draw_children(problem.transitions[t], nodes[:, t], u_t)
+        nodes[:, t + 1] = samplers[t + 1].draw(nodes[:, t], stream.uniform(size=n))
     h = np.empty((n, T + 1), order="F")
     for t in range(T + 1):
-        h[:, t] = problem.payoffs[t][nodes[:, t]]
+        # Every node is in range; mode="clip" lets take write into h unbuffered.
+        np.take(problem.payoffs[t], nodes[:, t], out=h[:, t], mode="clip")
     return nodes, h
 
 

@@ -32,7 +32,8 @@ SEED1_FILES = {
 }
 # sha256 prefix of the tabular policy text, then the apply_policy exit times
 # and payoffs, on the seed-1 (T, levels) lattice at 20,000 paths. Each law has
-# levels**2 masses: (1, 9) draws by sorted search, the others by counting.
+# levels**2 masses, drawn through a guide table: (1, 9)'s masses are too close
+# for one bucket each, so some of its paths are searched.
 LATTICES = {
     (2, 4): "f143cc76cdbcc6d9",
     (3, 3): "d931e3c5a00fb467",

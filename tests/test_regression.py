@@ -388,6 +388,28 @@ class TestTabularBackend:
         assert [model.predict(v) for v in (5.0, 5.5, 4.0, np.nan)] == [0.25, -1.0, -1.0, -1.0]
         assert searches == []
 
+    @pytest.mark.parametrize(
+        "xs", [[-3.0, -1.0, 0.0, 2.0, 7.0], [2.0**53, 2.0**53 + 2, 2.0**53 + 8], [5.0]],
+        ids=["small", "above_2_53", "one"],
+    )
+    def test_dense_table_built_once_equals_search_bitwise(self, xs, monkeypatch):
+        model = TabularRegressor(xs, np.arange(1.0, len(xs) + 1) / 8, -1.0)
+        lo, hi = xs[0], xs[-1]
+        # Every id, the ids of absent slots, non-integers, outside the span,
+        # nan, +-inf and +-0.0.
+        probe = np.array([
+            *xs, *(lo + np.arange(hi - lo + 1)), lo + 0.5, hi - 0.25, lo - 1, hi + 1,
+            lo - 2.0**54, hi + 2.0**54, 0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300,
+        ])
+        builds = count_calls(monkeypatch, "arange")  # one np.arange per dense table built
+        for x in (probe, probe[::-1], np.resize(probe, 3 * len(probe))):
+            assert model.predict(x).tobytes() == searched_table_predict(model, x).tobytes()
+        assert len(builds) == 1
+        for x in probe:  # a lone query is dense only on a one-id table
+            assert model.predict(float(x)) == searched_table_predict(model, x)[0]
+            assert model.predict(np.array([x])).tobytes() == searched_table_predict(model, x).tobytes()
+        assert len(builds) == 1
+
     def test_non_integer_table_is_searched(self, monkeypatch):
         model = TabularRegressor([0.5, 1.0, 2.0], [1.0, 2.0, 3.0], 0.0)
         searches = count_calls(monkeypatch, "searchsorted")

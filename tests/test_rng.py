@@ -1,6 +1,7 @@
 """Stream determinism, moment checks, and the normal tail probability."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ class TestRngStream:
         for bad in (-1, 1 << 32):
             with pytest.raises(ValueError, match="^path_index must fit in 32 bits"):
                 stream.rekey(bad)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, np.float64(2.0), "1"])
+    def test_key_must_be_an_integer(self, bad):
+        # A float or bool seed drew the stream of the integer it truncates to;
+        # a float domain or path index failed on a shift or an or.
+        for name, make in (
+            ("seed", lambda: RngStream(bad)),
+            ("domain", lambda: RngStream(0, domain=bad)),
+            ("path_index", lambda: RngStream(0, path_index=bad)),
+            ("path_index", lambda: RngStream(0).rekey(bad)),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(name + ' must be an integer, got ' + repr(bad))}$"):
+                make()
+        key = np.int64(3)  # numpy integers are keys
+        assert RngStream(key, key, key).uniform(4).tobytes() == RngStream(3, 3, 3).uniform(4).tobytes()
 
     @pytest.mark.parametrize("seed", [1, 29, 2**64 - 1])
     @pytest.mark.parametrize("domain", [0, 1, 2])

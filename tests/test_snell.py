@@ -15,7 +15,6 @@ from optstop.rng import RngStream
 from optstop import snell
 from optstop.seller import kalman_correct, kalman_predict, myopic_price
 from optstop.snell import (
-    COUNT_MAX_MASSES,
     FiniteStopProblem,
     _draw_children,
     backward_induction,
@@ -231,8 +230,8 @@ class TestSimulatePaths:
         rows = np.zeros(1, dtype=np.int64)
         assert _draw_children(p, rows, np.array([1 - 2**-53])).tolist() == [1]
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 9, 16, 27, COUNT_MAX_MASSES, COUNT_MAX_MASSES + 1, 81])
-    def test_one_law_count_equals_search_bitwise(self, width, monkeypatch):
+    @pytest.mark.parametrize("width", [1, 2, 3, 9, 16, 27, 48, 49, 81])
+    def test_one_law_count_equals_search_bitwise(self, width):
         # One law placed on different columns of each row, with zero-mass
         # columns between; its masses sum to just short of 1.
         rng = np.random.default_rng(width)
@@ -248,16 +247,71 @@ class TestSimulatePaths:
         above = np.append(rng.uniform(cum[-1], 1, size=50), 1 - 2**-53)
         u = np.concatenate([[0.0], cum, np.nextafter(cum, 0), above, rng.random(2000)])
         rows = rng.integers(len(table), size=len(u))
-        drawn = {}
-        for side, limit in (("count", 10**9), ("search", 0)):
-            monkeypatch.setattr(snell, "COUNT_MAX_MASSES", limit)
-            drawn[side] = _draw_children(table, rows, u)
-        assert drawn["count"].dtype == drawn["search"].dtype
-        assert drawn["count"].tobytes() == drawn["search"].tobytes()
+        drawn = _draw_children(table, rows, u)
         columns = np.nonzero(table > 0)[1].reshape(len(table), width)
-        want = columns[rows, np.minimum((u[:, None] > cum).sum(axis=1), width - 1)]
-        assert drawn["count"].tolist() == want.tolist()
-        assert np.all(table[rows, drawn["count"]] > 0)
+        search = columns[rows, np.minimum(np.searchsorted(cum, u, side="left"), width - 1)]
+        assert drawn.dtype == search.dtype
+        assert drawn.tobytes() == search.tobytes()
+        count = columns[rows, np.minimum((u[:, None] > cum).sum(axis=1), width - 1)]
+        assert drawn.tolist() == count.tolist()
+        assert np.all(table[rows, drawn] > 0)
+
+    @pytest.mark.parametrize("max_buckets", [1, 4, snell.MAX_BUCKETS])
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            [1.0],                                  # w = 1: every u draws rank 0
+            [0.25, 0.25, 0.5],                      # masses on bucket edges
+            [0.3, 1e-9, 2e-9, 0.1, 0.6 - 3e-9],     # masses closer than any bucket
+            [0.5, 0.25, 0.125, 0.0625, 0.0625 - 1e-13],  # sums short of 1
+            list(np.outer([0.25, 0.5, 0.25], [0.25, 0.5, 0.25]).ravel()),
+        ],
+        ids=["one", "edges", "crowded", "short", "kron"],
+    )
+    def test_guide_table_ranks_equal_count_bitwise(self, masses, max_buckets, monkeypatch):
+        # The former count (k += mass < u over the first w - 1 cumulative
+        # masses) at u = 0, at each cumulative mass and the float below and
+        # above it, on every bucket edge up to 1/8, above the law's total and
+        # at random; on dense (row * w + k) and gathered supports alike.
+        monkeypatch.setattr(snell, "MAX_BUCKETS", max_buckets)
+        w = len(masses)
+        cum = np.cumsum(masses)
+        edges = np.arange(8 * max(max_buckets, 64)) / (8 * max(max_buckets, 64))
+        u = np.concatenate([
+            [0.0, 1 - 2**-53], cum[cum < 1], np.nextafter(cum, 0), np.nextafter(cum[cum < 1], 1),
+            edges, np.nextafter(edges[1:], 0), np.random.default_rng(w).random(3000),
+        ])
+        u = u[(u >= 0) & (u < 1)]
+        k = np.zeros(len(u), dtype=np.int64)
+        for mass in cum[: w - 1]:
+            k += mass < u
+        for table, support in (
+            (np.kron(np.eye(3), masses), np.arange(3 * w).reshape(3, w)),
+            (np.insert(np.kron(np.eye(3), masses), [0, w, 2 * w], 0.0, axis=1),
+             np.arange(3 * w).reshape(3, w) + np.arange(1, 4)[:, None]),
+        ):
+            rows = np.arange(len(u)) % 3
+            sampler = snell._Sampler(table)
+            assert sampler.n_buckets <= max_buckets
+            drawn = sampler.draw(rows, u)
+            assert drawn.tobytes() == support[rows, k].tobytes()
+        if masses[1:3] == [1e-9, 2e-9]:
+            assert sampler.crowded is not None and sampler.crowded.any()
+
+    def test_samplers_analyse_each_table_once_per_problem(self, monkeypatch):
+        # Each table's analysis ends in one np.unique over its cumulative rows.
+        problem = discretize_consumer_problem(ModelParams(horizon=2, seed=1), levels=2)
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        train = simulate_paths(problem, 1000, seed=1, domain=0)
+        test = simulate_paths(problem, 1000, seed=1, domain=1)
+        assert len(calls) == problem.horizon + 1
+        monkeypatch.undo()
+        fresh = discretize_consumer_problem(ModelParams(horizon=2, seed=1), levels=2)
+        for domain, paths in enumerate((train, test)):
+            again = simulate_paths(fresh, 1000, seed=1, domain=domain)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(paths, again))
 
     def test_random_trees_equal_dense_gather_bitwise(self):
         rng = np.random.default_rng(26)
@@ -283,6 +337,18 @@ class TestSimulatePaths:
         assert h.tobytes() == want_h.tobytes()
         for t, m in enumerate(problem.transitions):
             assert np.all(m[nodes[:, t], nodes[:, t + 1]] > 0)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
+    def test_rejects_a_path_count_that_is_not_an_integer(self, n):
+        # A float failed inside numpy without naming the path count.
+        with pytest.raises(ValueError, match=f"^number of paths must be an integer, got {n!r}$"):
+            simulate_paths(two_epoch_tree(), n, seed=1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        # 1.5 and True drew seed 1's paths.
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            simulate_paths(two_epoch_tree(), 10, seed=seed)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_fewer_than_one_path(self, n):
