@@ -100,8 +100,9 @@ def generate_paths(
     interaction, or only its paths at indices (each in 0..n-1), in that order.
 
     Path i draws all of its normals in one call on its own (seed, i, domain)
-    stream, in simulate's draw order, and simulate runs the epochs of all
-    paths at once. The path set's one stream is rekeyed to each path in turn.
+    stream, in simulate's draw order, straight into its row of z, and
+    simulate runs the epochs of all paths at once. The path set's one stream
+    is rekeyed to each path in turn.
     Each path's arithmetic is elementwise, so path i has the same bits
     whichever other paths are drawn with it.
     """
@@ -118,7 +119,7 @@ def generate_paths(
     z = np.empty((len(indices), 1 + 2 * params.horizon))
     stream = RngStream(params.seed, 0, domain)
     for row, i in enumerate(indices):
-        z[row] = stream.rekey(i).standard_normal(z.shape[1])
+        stream.rekey(i).standard_normal(z.shape[1], out=z[row])
     return simulate(params, z)
 
 
@@ -275,31 +276,49 @@ def _histogram(edges: np.ndarray, alg: np.ndarray, myo: np.ndarray) -> dict:
     }
 
 
-def _exit_columns(prefix: str, outcome: lsm.StrategyOutcome, params: ModelParams) -> dict:
+def _distinct_column(values) -> list[str]:
+    """_column's strings for a float column, each distinct value formatted
+    once. The evaluation tables repeat many values (zero payoffs, one
+    residual deviation per exit epoch, the prices of shared beliefs).
+    Distinct by bits, so 0.0 and -0.0 keep their own strings. The paths CSV
+    formats through _column alone: its columns are nearly all distinct, so
+    the sort would cost more than it saves."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    return np.array(_column(bits.view(float)), dtype=object)[inverse].tolist()
+
+
+def _exit_columns(
+    prefix: str, outcome: lsm.StrategyOutcome, payoffs: list[str], params: ModelParams
+) -> dict:
     t = outcome.times
     return {
         f"{prefix}_exit_time": t,
         f"{prefix}_valuation_mean": outcome.valuations_at_exit,
-        f"{prefix}_valuation_std": np.sqrt(consumer.residual_var(t, params)),
-        f"{prefix}_price": outcome.prices_at_exit,
+        f"{prefix}_valuation_std": _distinct_column(np.sqrt(consumer.residual_var(t, params))),
+        f"{prefix}_price": _distinct_column(outcome.prices_at_exit),
         f"{prefix}_purchased": outcome.purchased,
-        f"{prefix}_payoff": outcome.payoffs,
+        f"{prefix}_payoff": payoffs,
     }
 
 
 def render_figures_data(report: lsm.EvaluationReport, config: ExperimentConfig) -> dict[str, str]:
     """Render the per-trial exit table, both histograms, and the difference
-    table as named CSV strings."""
+    table as named CSV strings.
+
+    The float columns that repeat values format each distinct value once,
+    and each strategy's payoffs are formatted once for both tables that
+    show them; the text is that of formatting every cell."""
     params = config.params
     alg, myo = report.algorithmic, report.myopic
     trial = np.arange(report.n_trials)
+    alg_payoffs, myo_payoffs = _distinct_column(alg.payoffs), _distinct_column(myo.payoffs)
     return {
         "exit_summary.csv": _table(
             config,
             {
                 "trial": trial,
-                **_exit_columns("alg", alg, params),
-                **_exit_columns("myo", myo, params),
+                **_exit_columns("alg", alg, alg_payoffs, params),
+                **_exit_columns("myo", myo, myo_payoffs, params),
             },
         ),
         "payoff_hist.csv": _table(config, _histogram(PAYOFF_EDGES, alg.payoffs, myo.payoffs)),
@@ -308,9 +327,9 @@ def render_figures_data(report: lsm.EvaluationReport, config: ExperimentConfig) 
             config,
             {
                 "trial": trial,
-                "algorithmic": alg.payoffs,
-                "myopic": myo.payoffs,
-                "difference": report.differences,
+                "algorithmic": alg_payoffs,
+                "myopic": myo_payoffs,
+                "difference": _distinct_column(report.differences),
             },
         ),
     }

@@ -74,9 +74,11 @@ class RngStream:
         self._gen.bit_generator.state = self._state
         return self
 
-    def standard_normal(self, size):
-        """Draw an array of standard-normal variates, advancing the stream state."""
-        return self._gen.standard_normal(size)
+    def standard_normal(self, size, out=None):
+        """Draw an array of standard-normal variates, advancing the stream
+        state; with out (a float64 array of that size), draw into it and
+        return it."""
+        return self._gen.standard_normal(size, out=out)
 
     def uniform(self, size):
         """Draw an array of uniforms on [0, 1), advancing the stream state."""

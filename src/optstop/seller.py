@@ -88,10 +88,16 @@ def myopic_price(mean, var):
     MAX_SCALED_MEAN raises a ValueError naming the mean and the variance.
 
     The mean may be a float or an array, and the variance a float or an array
-    that broadcasts against it (one entry per epoch, say); each element
-    follows the same elementwise arithmetic for the same number of steps, so
-    an array call returns the bits of the matching scalar calls. An error
-    names the mean and the variance of the first entry at fault.
+    that broadcasts against it (one entry per epoch, say). The scaled means
+    are sorted once and each distinct one is priced once, in ascending
+    order: scipy's erfcx (the Faddeeva package's piecewise Chebyshev fit)
+    branches on its argument to pick a sub-interval, and runs about 5x
+    faster on sorted arguments than on shuffled ones. Each root is then
+    scattered back to every entry with that scaled mean and multiplied by
+    the entry's own sigma. Every distinct mean follows the same elementwise
+    arithmetic for the same number of steps, so an array call returns the
+    bits of the matching scalar calls. An error names the mean and the
+    variance of the first entry at fault.
     """
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
@@ -109,27 +115,57 @@ def myopic_price(mean, var):
             f"got mean {first_fault(ok, mean)} and variance {first_fault(ok, var)}"
         )
     m = mean / sigma
+    shape = m.shape
+    order = np.argsort(m, axis=None)
+    m = m.ravel()[order]
+    # Equal by value: 0.0 and -0.0 take the same steps to the same root.
+    first = np.empty(len(m), dtype=bool)
+    first[:1] = True
+    np.not_equal(m[1:], m[:-1], out=first[1:])
+    roots = _scaled_roots(m[first])
+    del m  # freed before the scatter's two full-size arrays
+    group = np.cumsum(first)
+    group -= 1
+    q = np.empty(len(order))
+    q[order] = roots[group]
+    return sigma * q.reshape(shape)
+
+
+def _scaled_roots(m):
+    """The root q of q = R(q - m) for each scaled mean of the 1-d array m,
+    by myopic_price's bracketed Newton iteration. The steps run in place,
+    on a fixed set of buffers."""
     # Bracket end (m + sqrt(m^2 + 4)) / 2; for m < 0 it is computed as the
     # reciprocal of (|m| + sqrt(m^2 + 4)) / 2, which avoids the cancellation.
     a = np.abs(m)
     s = np.where(a > _SQRT_EXACT, a, 0.5 * (a + np.sqrt(np.minimum(a, _SQRT_EXACT) ** 2 + 4.0)))
     hi = np.where(m < 0.0, 1.0 / s, s)
+    del a, s  # so that only the loop's buffers are alive during it
     lo = np.zeros_like(hi)
-    q = hi
+    q = hi.copy()
+    z, r, t = np.empty_like(q), np.empty_like(q), np.empty_like(q)
+    below, inside = np.empty(len(q), dtype=bool), np.empty(len(q), dtype=bool)
     for _ in range(_NEWTON_STEPS):
-        z = q - m
-        e = erfcx(z / _SQRT2)
+        np.subtract(q, m, out=z)
+        e = erfcx(np.divide(z, _SQRT2, out=r))
         # q / R, formed so that no product overflows; its log is G(q), and
         # near the root it carries no cancellation, unlike log q - log R.
-        ratio = q * _INV_SQRT_HALF_PI / e
-        below = ratio < 1.0
-        lo = np.where(below, q, lo)
-        hi = np.where(below, hi, q)
+        ratio = np.divide(np.multiply(q, _INV_SQRT_HALF_PI, out=r), e, out=r)
+        np.less(ratio, 1.0, out=below)
+        np.copyto(lo, q, where=below)
+        np.copyto(hi, q, where=np.logical_not(below, out=below))
         # erfcx overflows to inf for z < about -37.7, so ratio is 0 there;
         # the step is then infinite and the midpoint is taken.
         with np.errstate(divide="ignore"):
-            g = np.log(ratio)
-        step = q - g / (1.0 / q + _INV_SQRT_HALF_PI / e - z)
+            g = np.log(ratio, out=r)
+        slope = np.divide(1.0, q, out=t)
+        slope += np.divide(_INV_SQRT_HALF_PI, e, out=e)
+        slope -= z
+        step = np.subtract(q, np.divide(g, slope, out=r), out=r)
         # Inclusive: a converged step lands on a bracket end it just set.
-        q = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-    return sigma * q
+        np.less_equal(lo, step, out=below)
+        np.logical_and(below, np.less_equal(step, hi, out=inside), out=below)
+        mid = np.multiply(np.add(lo, hi, out=t), 0.5, out=t)
+        np.copyto(mid, step, where=below)
+        q, t = mid, q
+    return q

@@ -241,7 +241,8 @@ class _Sampler:
         self.crowded = crowded if crowded.any() else None
 
     def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Column of row rows[i] drawn by each uniform u[i] in [0, 1)."""
+        """Column of row rows[i] drawn by each uniform u[i] in [0, 1). On a
+        table of one law, a single row broadcasts against u."""
         if len(self.laws) > 1:
             law = self.law[rows]
             order = np.argsort(law, kind="stable")
@@ -288,8 +289,9 @@ def simulate_paths(
     T = problem.horizon
     stream = RngStream(seed, path_index=0, domain=domain)
     samplers = problem._samplers
-    nodes = np.zeros((n, T + 1), dtype=np.int64, order="F")
-    root = np.zeros(n, dtype=np.int64)  # the initial distribution is a one-row table
+    nodes = np.empty((n, T + 1), dtype=np.int64, order="F")  # every column is drawn
+    # The initial law is a one-row table, a single law, so its row broadcasts.
+    root = np.zeros(1, dtype=np.int64)
     nodes[:, 0] = samplers[0].draw(root, stream.uniform(size=n))
     for t in range(T):
         nodes[:, t + 1] = samplers[t + 1].draw(nodes[:, t], stream.uniform(size=n))

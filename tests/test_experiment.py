@@ -198,8 +198,11 @@ class TestGeneratePaths:
         z = np.random.default_rng(3).standard_normal((7, 1 + 2 * params.horizon))
         experiment.simulate(params, z)
         shape = (7, params.horizon + 1)
+        # Each distinct scaled mean is priced once: the paths share their
+        # t = 0 belief, so 7 * 5 + 1 of them.
+        distinct = (7 * params.horizon + 1,)
         assert calls == (
-            [("myopic_price", shape)] + [("erfcx", shape)] * 8 + [("purchase_payoff", shape)]
+            [("myopic_price", shape)] + [("erfcx", distinct)] * 8 + [("purchase_payoff", shape)]
         )
 
     def test_path_index_not_order_dependent(self):
@@ -974,6 +977,44 @@ class TestTableFormat:
             assert lines[1] == "bin_left,bin_right,algorithmic,myopic"
             assert len(lines) == 2 + rows
             assert lines[2].split(",")[0] == repr(lo) and lines[-1].split(",")[1] == repr(hi)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, -0.0, 0.0, -0.0],
+            [0.5, 1e-20, 0.5, -2.0, 1e-20, 0.5, 0.1 + 0.2, 0.3],
+            [5e-324, -5e-324, 1.7976931348623157e308, -math.inf, math.inf, 5e-324],
+            [0.75],
+        ],
+        ids=["zeros", "repeats", "extremes", "one"],
+    )
+    def test_distinct_column_formats_as_column(self, values):
+        values = np.array(values)
+        assert experiment._distinct_column(values) == experiment._column(values)
+
+    def test_figure_tables_format_each_distinct_value_once(self, monkeypatch):
+        # _column formats floats with repr, looked up in experiment's globals.
+        formatted = []
+
+        def counting_repr(x):
+            formatted.append(x)
+            return repr(x)
+
+        expected = experiment.render_figures_data(pin_report(), pin_config())
+        monkeypatch.setattr(experiment, "repr", counting_repr, raising=False)
+        assert experiment.render_figures_data(pin_report(), pin_config()) == expected
+        # The histograms' 180 bin edges, then per strategy both valuation
+        # means and the distinct stds, prices and payoffs (2 2 2 2 and
+        # 2 2 2 1), then the 2 distinct differences. The payoffs are not
+        # formatted again for payoff_diff.csv.
+        assert len(formatted) == 180 + 8 + 7 + 2
+
+    def test_paths_csv_formats_every_cell_through_column(self, monkeypatch):
+        def fail(values):
+            raise AssertionError("render_paths_csv called _distinct_column")
+
+        monkeypatch.setattr(experiment, "_distinct_column", fail)
+        assert render_paths_csv(pin_batch(), pin_config()).count("\n") == 6
 
     def test_histogram(self):
         report = pin_report()

@@ -94,6 +94,18 @@ class TestRngStream:
         assert got.tobytes() == want.tobytes()
         assert RngStream(seed, path_index, domain).standard_normal(51).tobytes() == want.tobytes()
 
+    def test_standard_normal_draws_into_out(self):
+        # A row of a matrix, as generate_paths passes it.
+        z = np.full((3, 7), np.nan)
+        stream = RngStream(11, 2, 1)
+        got = stream.standard_normal(7, out=z[1])
+        assert np.shares_memory(got, z)
+        assert z[1].tobytes() == RngStream(11, 2, 1).standard_normal(7).tobytes()
+        assert np.isnan(z[[0, 2]]).all()
+        # The stream advanced as a plain draw would have.
+        rest = RngStream(11, 2, 1).standard_normal(10)[7:]
+        assert stream.standard_normal(3).tobytes() == rest.tobytes()
+
     def test_rekey_after_partly_used_buffer(self):
         # Two doubles and a uint32 use three words of the 4-word Philox block
         # and leave half of the third cached: a rekey that kept either the

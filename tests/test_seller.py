@@ -297,7 +297,51 @@ class TestMyopicPrice:
         assert calls == [means.shape] * 8
         calls.clear()
         myopic_price(0.7, 1.0)
-        assert calls == [()] * 8
+        assert calls == [(1,)] * 8
+
+    def test_repeated_means_price_once_and_match_scalar_calls_bitwise(self, monkeypatch):
+        # Repeats, both zeros and an input order far from sorted: each
+        # distinct scaled mean takes one erfcx slot, and every entry gets the
+        # bits of its own scalar call.
+        calls = []
+
+        def counting_erfcx(x):
+            calls.append(np.shape(x))
+            return erfcx(x)
+
+        erfcx = seller.erfcx
+        means = np.array([3.0, -0.0, 0.7, -2.5, 3.0, 0.0, 40.0, -2.5, 0.7, 3.0, -0.0, -1e15])
+        scalar = np.array([myopic_price(float(mu), 0.64) for mu in means])
+        monkeypatch.setattr(seller, "erfcx", counting_erfcx)
+        prices = myopic_price(means, 0.64)
+        assert calls == [(6,)] * 8  # 0.0 and -0.0 are one scaled mean
+        assert prices.tobytes() == scalar.tobytes()
+        assert prices[1].tobytes() == prices[5].tobytes()
+
+    def test_shared_scaled_means_across_epochs_match_scalar_calls_bitwise(self):
+        # An (n, T+1) mean against one variance per epoch, as the simulator
+        # calls it: a shared t = 0 belief, and scaled means that repeat in
+        # other epochs, where they take a different sigma.
+        var = np.array([1.0, 0.37, 2.5e-3, 4.0])
+        sigma = np.sqrt(var)
+        rng = np.random.default_rng(29)
+        m = rng.choice([-30.0, -1.5, 0.0, 0.25, 2.0, 1e15], size=(5, len(var)))
+        m[:, 0] = 0.5
+        m[0] = [-1e15, 1e15, -0.0, 0.0]
+        means = m * sigma
+        prices = myopic_price(means, var)
+        scalar = [[myopic_price(float(mu), float(s2)) for mu, s2 in zip(row, var)] for row in means]
+        assert prices.shape == means.shape
+        assert prices.tobytes() == np.array(scalar).tobytes()
+
+    @pytest.mark.parametrize("m", [-1e15, -3.0, -0.0, 0.0, 0.7, 1e15])
+    def test_zero_dimensional_mean_matches_its_batch_bitwise(self, m):
+        # A 0-d input prices as a one-entry batch and returns a float64;
+        # at |m| = 1e15 erfcx overflows on the way.
+        alone = myopic_price(np.float64(m * 0.6), np.float64(0.36))
+        batched = myopic_price(np.array([m * 0.6, 1.0, m * 0.6]), 0.36)
+        assert type(alone) is np.float64 and np.shape(alone) == ()
+        assert alone.tobytes() == batched[0].tobytes() == batched[2].tobytes()
 
     @given(
         m=st.floats(-50.0, 50.0),

@@ -295,6 +295,9 @@ class TestSimulatePaths:
             assert sampler.n_buckets <= max_buckets
             drawn = sampler.draw(rows, u)
             assert drawn.tobytes() == support[rows, k].tobytes()
+            # A one-row table, like the initial law, broadcasts its one row.
+            root = snell._Sampler(table[:1]).draw(np.zeros(1, dtype=np.int64), u)
+            assert root.tobytes() == support[0, k].tobytes()
         if masses[1:3] == [1e-9, 2e-9]:
             assert sampler.crowded is not None and sampler.crowded.any()
 
