@@ -102,7 +102,8 @@ def train(
     a kernel fit the distinct regression inputs among the in-the-money paths
     (the rest are merged duplicates), the Taylor terms and the tail bound.
     These three are null for a tabular fit and for the zero estimator of an
-    epoch with no path in the money.
+    epoch with no path in the money. A fit's ValueError is raised again as
+    one that names the epoch and the fit's message.
     """
     # Column-major working copies: each epoch's column is contiguous.
     h = np.asfortranarray(h, dtype=float)
@@ -127,8 +128,8 @@ def train(
         else:
             try:
                 reg = backend.fit(x_itm, np.compress(itm, stop_value))
-            except Exception as exc:
-                raise RuntimeError(f"regression failed at epoch t={t}") from exc
+            except ValueError as exc:
+                raise ValueError(f"regression failed at epoch t={t}: {exc}") from exc
         regressors[t] = reg
         exit_now = h[:, t] > reg.predict(x[:, t])
         stop_value = np.where(exit_now, h[:, t], stop_value)

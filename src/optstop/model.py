@@ -152,8 +152,9 @@ class ModelParams:
         if not 0 < self.sigma_v < math.inf:
             raise ValueError(f"sigma_v must be finite and > 0, got {self.sigma_v}")
         # The simulator and the filter square each sigma on Python floats,
-        # where ** raises an OverflowError that names no key.
-        for key in ("sigma_eps", "sigma_xi", "sigma_v"):
+        # where ** raises an OverflowError that names no key; the payoff
+        # squares gamma, where an infinite square makes a NaN exponent.
+        for key in ("gamma", "sigma_eps", "sigma_xi", "sigma_v"):
             value = getattr(self, key)
             if not math.isfinite(value * value):
                 raise ValueError(

@@ -21,6 +21,9 @@ import numpy as np
 from .model import check_finite, check_keys, check_types, json_type, store_reals
 
 DEFAULT_RIDGE = 1e-6
+# Largest ridge. The QR's Householder vector of a column holding sqrt(ridge)
+# has v.v >= 2 ridge, inf near 1e308; the bound keeps a margin of over 10^7.
+MAX_RIDGE = 1e300
 # Most Taylor terms a kernel fit may take: about 26.6 bandwidths of half-span.
 MAX_TERMS = 2000
 # The series is cut where its first dropped term t < 2^-106: a dropped t moves
@@ -31,11 +34,11 @@ BACKEND_KINDS = ("kernel", "tabular")
 
 def _check_kernel(bandwidth, ridge) -> None:
     """Reject a Gaussian kernel bandwidth that is not finite and > 0, or a
-    ridge strength that is not finite and >= 0."""
+    ridge strength outside [0, MAX_RIDGE]."""
     if not check_finite("bandwidth", bandwidth, ndim=0) > 0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    if check_finite("ridge", ridge, ndim=0) < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    if not 0 <= check_finite("ridge", ridge, ndim=0) <= MAX_RIDGE:
+        raise ValueError(f"ridge must be >= 0 and <= {MAX_RIDGE:g}, got {ridge}")
 
 
 def gaussian_kernel(a, b, bandwidth: float) -> np.ndarray:
@@ -51,7 +54,8 @@ def kernel_terms(span: float, bandwidth: float) -> tuple[int, float]:
     """The number m of Taylor features for inputs spanning span, and the
     bound rho^(2m) / m! on the first dropped kernel term, rho = span / (2
     bandwidth); computed in log space, where rho^(2m) cannot overflow."""
-    log_rho2 = 2.0 * math.log(span / (2.0 * bandwidth)) if span > 0 else -math.inf
+    rho = float(span) / (2.0 * bandwidth)  # 0 or inf at an extreme bandwidth, no warning
+    log_rho2 = 2.0 * math.log(rho) if rho > 0 else -math.inf  # rho = 0: one term
     for m in range(1, MAX_TERMS + 1):
         log_tail = m * log_rho2 - math.lgamma(m + 1)
         if log_tail < _LOG_TAIL_TOL:
@@ -135,17 +139,15 @@ class KernelRegressor(Regressor):
         self.ridge = ridge
 
     def predict(self, x):
-        """sum_n weights[n] phi_n(x) for a float or an array, with the same
-        bits for an input whatever the batch it comes in."""
-        scalar = np.ndim(x) == 0
-        xa = np.atleast_1d(x)
-        # Summed in numpy's own loop, not BLAS: the same under any thread count.
-        # numpy adds the m weighted rows in order for two or more inputs but
-        # sums a lone column pairwise, so a lone input is evaluated as two.
-        phi = _taylor_features(np.repeat(xa, 2) if len(xa) == 1 else xa,
-                               *self.xs, self.bandwidth, len(self.weights))
-        out = (self.weights[:, None] * phi).sum(axis=0)[: len(xa)]
-        return float(out[0]) if scalar else out
+        """sum_n weights[n] phi_n(x) for a float or an array. The weighted rows
+        are added in turn, n = 0..m-1, in numpy's own loop (not BLAS), so an
+        input has the same bits whatever its batch and the BLAS thread count."""
+        phi = _taylor_features(x, *self.xs, self.bandwidth, len(self.weights))
+        phi *= self.weights[:, None]
+        out = phi[0].copy()  # not a view, which would keep all of phi alive
+        for row in phi[1:]:
+            out += row
+        return float(out[0]) if np.ndim(x) == 0 else out
 
 
 class PolynomialRegressor(Regressor):

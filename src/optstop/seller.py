@@ -88,16 +88,14 @@ def myopic_price(mean, var):
     MAX_SCALED_MEAN raises a ValueError naming the mean and the variance.
 
     The mean may be a float or an array, and the variance a float or an array
-    that broadcasts against it (one entry per epoch, say). The scaled means
-    are sorted once and each distinct one is priced once, in ascending
-    order: scipy's erfcx (the Faddeeva package's piecewise Chebyshev fit)
-    branches on its argument to pick a sub-interval, and runs about 5x
-    faster on sorted arguments than on shuffled ones. Each root is then
-    scattered back to every entry with that scaled mean and multiplied by
-    the entry's own sigma. Every distinct mean follows the same elementwise
-    arithmetic for the same number of steps, so an array call returns the
-    bits of the matching scalar calls. An error names the mean and the
-    variance of the first entry at fault.
+    that broadcasts against it (one entry per epoch, say). Each distinct
+    scaled mean is priced once, in ascending order (np.unique): scipy's erfcx
+    (the Faddeeva package's piecewise Chebyshev fit) branches on its argument
+    to pick a sub-interval, and runs about 5x faster on sorted arguments. Its
+    root goes to every entry with that scaled mean, times the entry's own
+    sigma. Every distinct mean takes the same elementwise steps, so an array
+    call returns the bits of the matching scalar calls. An error names the
+    mean and the variance of the first entry at fault.
     """
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
@@ -114,21 +112,10 @@ def myopic_price(mean, var):
             f"pricing requires |mean| / sqrt(variance) <= {MAX_SCALED_MEAN:g}, "
             f"got mean {first_fault(ok, mean)} and variance {first_fault(ok, var)}"
         )
-    m = mean / sigma
-    shape = m.shape
-    order = np.argsort(m, axis=None)
-    m = m.ravel()[order]
-    # Equal by value: 0.0 and -0.0 take the same steps to the same root.
-    first = np.empty(len(m), dtype=bool)
-    first[:1] = True
-    np.not_equal(m[1:], m[:-1], out=first[1:])
-    roots = _scaled_roots(m[first])
-    del m  # freed before the scatter's two full-size arrays
-    group = np.cumsum(first)
-    group -= 1
-    q = np.empty(len(order))
-    q[order] = roots[group]
-    return sigma * q.reshape(shape)
+    scaled = mean / sigma
+    # Distinct by value: 0.0 and -0.0 take the same steps to the same root.
+    m, group = np.unique(scaled.ravel(), return_inverse=True)
+    return sigma * _scaled_roots(m)[group].reshape(scaled.shape)
 
 
 def _scaled_roots(m):

@@ -261,13 +261,6 @@ class _Sampler:
         return j if self.dense else self.support.ravel()[j]
 
 
-def _draw_children(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Column of row rows[i] of the row-stochastic table drawn by each
-    uniform u[i] in [0, 1), through a sampler built for this call alone (see
-    _Sampler); simulate_paths draws from its problem's cached samplers."""
-    return _Sampler(table).draw(rows, u)
-
-
 def simulate_paths(
     problem: FiniteStopProblem, n: int, seed: int, domain: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import pytest
 
@@ -347,6 +348,36 @@ def test_config_non_finite_value_is_an_error_line(tmp_path, capsys):
     assert err.startswith("ERROR ") and payload["type"] == "ValueError"
     assert "model key 'sigma_eps' must be a finite number" in payload["message"]
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, rc",
+    [
+        ("backend", "bandwidth", 0.001, 1),
+        ("backend", "bandwidth", 1e-320, 1),
+        ("backend", "ridge", 1e308, 1),
+        ("model", "gamma", 1e200, 1),
+        ("backend", "bandwidth", 1e308, 0),
+    ],
+    ids=["bandwidth-tiny", "bandwidth-subnormal", "ridge-huge", "gamma-huge", "bandwidth-huge"],
+)
+def test_extreme_config_value_is_named_or_trains(section, key, value, rc, tmp_path, capsys):
+    # A value the fit or the payoff cannot take fails by its key, with no
+    # warning on the way; a bandwidth too large to matter gives a one-term fit.
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps({"n_train": 20, "n_test": 20, section: {key: value}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning then reaches the ERROR line
+        assert main(["train", "--config", str(file), "--out", str(tmp_path / "x")]) == rc
+    err = capsys.readouterr().err.splitlines()
+    if rc == 0:
+        assert err == []
+        return
+    [line] = err
+    assert line.startswith("ERROR ")
+    payload = json.loads(line[len("ERROR "):])
+    assert payload["type"] == "ValueError"
+    assert key in payload["message"]
 
 
 def test_simulate_n_beyond_32_bit_path_indices_is_an_error_line(tmp_path, capsys):

@@ -155,12 +155,12 @@ class TestTrain:
             kind = "boom"
 
             def fit(self, xs, ys):
-                raise RuntimeError("boom")
+                raise ValueError("boom")
 
             def to_dict(self):
                 return {"kind": "boom"}
 
-        with pytest.raises(RuntimeError, match="epoch t=1"):
+        with pytest.raises(ValueError, match="^regression failed at epoch t=1: boom$"):
             train(np.array([[0.0, 0.5, 0.1]]), ExplodingBackend())
 
 

@@ -16,7 +16,6 @@ from optstop import snell
 from optstop.seller import kalman_correct, kalman_predict, myopic_price
 from optstop.snell import (
     FiniteStopProblem,
-    _draw_children,
     backward_induction,
     discretize_consumer_problem,
     expected_stopped_payoff,
@@ -222,13 +221,13 @@ class TestSimulatePaths:
     def test_zero_uniform_skips_leading_zero_mass(self):
         p = np.array([[0.0, 0.0, 0.25, 0.75]])
         rows = np.zeros(3, dtype=np.int64)
-        assert _draw_children(p, rows, np.array([0.0, 0.25, 0.2500001])).tolist() == [2, 2, 3]
+        assert snell._Sampler(p).draw(rows, np.array([0.0, 0.25, 0.2500001])).tolist() == [2, 2, 3]
 
     def test_uniform_above_row_total_clamps_to_last_mass(self):
         p = np.array([[0.5, 0.5 - 1e-13, 0.0, 0.0]])
         assert p.sum() < 1 - 2**-53
         rows = np.zeros(1, dtype=np.int64)
-        assert _draw_children(p, rows, np.array([1 - 2**-53])).tolist() == [1]
+        assert snell._Sampler(p).draw(rows, np.array([1 - 2**-53])).tolist() == [1]
 
     @pytest.mark.parametrize("width", [1, 2, 3, 9, 16, 27, 48, 49, 81])
     def test_one_law_count_equals_search_bitwise(self, width):
@@ -247,7 +246,7 @@ class TestSimulatePaths:
         above = np.append(rng.uniform(cum[-1], 1, size=50), 1 - 2**-53)
         u = np.concatenate([[0.0], cum, np.nextafter(cum, 0), above, rng.random(2000)])
         rows = rng.integers(len(table), size=len(u))
-        drawn = _draw_children(table, rows, u)
+        drawn = snell._Sampler(table).draw(rows, u)
         columns = np.nonzero(table > 0)[1].reshape(len(table), width)
         search = columns[rows, np.minimum(np.searchsorted(cum, u, side="left"), width - 1)]
         assert drawn.dtype == search.dtype
