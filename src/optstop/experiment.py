@@ -22,7 +22,7 @@ import numpy as np
 
 from . import consumer, lsm, seller
 from .model import (
-    DEFAULT_SEED, ModelParams, PathBatch, check_types, is_integer, store_integers,
+    DEFAULT_SEED, ModelParams, PathBatch, check_cells, check_types, is_integer, store_integers,
 )
 from .policy_io import policy_to_text
 from .regression import RegressionBackend
@@ -478,23 +478,20 @@ def _name_fault(fh) -> None:
     """Rescan the data rows of fh and raise a ValueError naming the first one
     that the reader rejects, and in it the wrong width or the first field
     that does not parse. Data row 1 follows the header; empty lines are not
-    counted. The reader itself decides, a block of rows and then a row and a
-    field at a time."""
+    counted. The reader itself decides; each row parses on its own, so
+    halving the rows finds the first that it rejects."""
     fh.seek(0)
     _read_to_header(fh)
     lines = [line for line in fh.read().split("\n") if line]
-    block = 1024
-    for start in range(0, len(lines), block):
-        if _rejects(lines[start:start + block]):
-            break
-    else:
-        return
-    for row, line in enumerate(lines[start:start + block], start + 1):
-        if _rejects([line]):
-            break
-    else:
-        return
-    fields = line.split(",")
+    # lines[lo:hi] holds the first rejected row.
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _rejects(lines[lo:mid]):
+            hi = mid
+        else:
+            lo = mid
+    row, fields = lo + 1, lines[lo].split(",")
     if len(fields) != len(PATHS_COLUMNS):
         raise ValueError(
             f"paths CSV data row {row} has {len(fields)} fields; "
@@ -531,14 +528,14 @@ def paths_csv_seed(path) -> int | None:
 def load_paths_csv(path) -> PathBatch:
     """Reconstruct a PathBatch from the long-format CSV written by render_paths_csv.
 
-    Every (path, t) pair up to the largest path and epoch in the file must
-    appear exactly once, y must be empty at t = 0 and only there, every other
-    value must be finite, h must be max(pi, 0), and all paths must share
-    seller_var at each t; otherwise the error names the first pair that is
-    missing, duplicated, or at fault, and the column at fault. The
-    data rows are parsed in one pass of numpy's C reader; a row of another
-    width or a field that does not parse is named by its data row (row 1
-    follows the header) and column.
+    The data rows must come in render_paths_csv's order: path 0's row
+    count gives T + 1, and data row k + 1 (row 1 follows the header) holds
+    (path, t) = (k // (T+1), k % (T+1)). The first row out of place, or
+    missing, is named with the (path, t) that belongs there. A y at t = 0,
+    a cell that PathBatch rejects and a seller_var other than path 0's are
+    named by their (path, t). The data rows are parsed in one pass of
+    numpy's C reader; a row of another width or a field that does not parse
+    is named by its data row and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
         _read_to_header(fh)
@@ -554,51 +551,29 @@ def load_paths_csv(path) -> PathBatch:
         )
 
     path_i, t = rows["path"], rows["t"]
-    if path_i.min() < 0 or t.min() < 0:
-        raise ValueError("paths CSV has a negative path or t index")
-    n, T = int(path_i.max()) + 1, int(t.max())
-    # Sorted by (path, t), a complete file lists row k as (k // (T+1), k % (T+1)).
-    order = np.lexsort((t, path_i))
-    got_path, got_t = path_i[order], t[order]
-    want_path, want_t = np.divmod(np.arange(n_rows), T + 1)
-    bad = np.flatnonzero((got_path != want_path) | (got_t != want_t))
-    if bad.size or n_rows != n * (T + 1):
+    # T + 1 counts the rows of row 1's path, path 0 in a valid file.
+    tp1 = int(np.count_nonzero(path_i == path_i[0]))
+    want_path, want_t = np.divmod(np.arange(n_rows), tp1)
+    bad = np.flatnonzero((path_i != want_path) | (t != want_t))
+    if bad.size or n_rows % tp1:
         k = int(bad[0]) if bad.size else n_rows
-        # The first row off that order repeats the row before it, or skips the wanted pair.
-        if 0 < k < n_rows and got_path[k] == got_path[k - 1] and got_t[k] == got_t[k - 1]:
-            i, t_bad = got_path[k], got_t[k]
-            fault = f"appears {np.count_nonzero((path_i == i) & (t == t_bad))} times"
-        else:
-            i, t_bad = divmod(k, T + 1)
-            fault = "is missing"
-        raise ValueError(f"paths CSV row (path={i}, t={t_bad}) {fault}")
-
-    def column(name: str) -> np.ndarray:
-        return rows[name][order].reshape(n, T + 1)
-
-    def name_first(where: np.ndarray, fault: str) -> None:
-        cells = np.argwhere(where)
-        if cells.size:
-            raise ValueError(f"paths CSV row (path={cells[0, 0]}, t={cells[0, 1]}) has {fault}")
-
-    y, pi, h = column("y"), column("pi"), column("h")
-    name_first(~np.isnan(y[:, :1]), "a y, but y is empty at t = 0")
-    seller_var = column("seller_var")
-    try:
-        batch = PathBatch(
-            v=column("v"), y=y[:, 1:].copy(), p=column("p"), pi=pi, h=h,
-            seller_mean=column("seller_mean"), seller_var=seller_var[0].copy(),
+        held = f"holds (path={path_i[k]}, t={t[k]})" if bad.size else "is missing"
+        raise ValueError(
+            f"paths CSV data row {k + 1} {held}; (path={k // tp1}, t={k % tp1}) "
+            "belongs there in simulate's (path, t) order"
         )
-    except ValueError:
-        # PathBatch names only the column of these faults.
-        for name in PATHS_COLUMNS[2:]:
-            where, fault = ~np.isfinite(column(name)), f"a non-finite {name}"
-            if name == "y":
-                where[:, 0] = False
-                fault = "an empty or non-finite y; y is empty at t = 0 only"
-            name_first(where, fault)
-        name_first(h != np.maximum(pi, 0.0), "an h other than max(pi, 0)")
-        raise
+
+    v, y, p, pi, h, seller_mean, seller_var = (
+        rows[name].reshape(-1, tp1) for name in PATHS_COLUMNS[2:]
+    )
+    try:
+        check_cells(np.isnan(y[:, :1]), "a y, but y is empty at t = 0")
+        batch = PathBatch(  # copies: views would keep every field of the rows
+            v=v.copy(), y=y[:, 1:].copy(), p=p.copy(), pi=pi.copy(), h=h.copy(),
+            seller_mean=seller_mean.copy(), seller_var=seller_var[0].copy(),
+        )
+    except ValueError as exc:
+        raise ValueError(f"paths CSV {exc}") from None
     differs = np.argwhere(seller_var != seller_var[0])
     if differs.size:
         i, t_bad = differs[0]

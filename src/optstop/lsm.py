@@ -75,6 +75,12 @@ def _features(h: np.ndarray, features) -> np.ndarray:
     return x
 
 
+def _check_exit_payoffs(h: np.ndarray) -> None:
+    """Raise a ValueError unless h is finite and nonnegative; a NaN makes h.min() NaN."""
+    if h.size and not (h.min() >= 0.0 and h.max() < math.inf):
+        raise ValueError("exit payoffs must be finite and nonnegative")
+
+
 def train(
     h,
     backend: RegressionBackend,
@@ -111,8 +117,7 @@ def train(
         raise ValueError(f"h must be (N, T+1) with T >= 1, got shape {h.shape}")
     if len(h) < 1:
         raise ValueError(f"number of paths must be >= 1, got {len(h)}")
-    if not np.all(np.isfinite(h)) or np.any(h < 0):
-        raise ValueError("exit payoffs must be finite and nonnegative")
+    _check_exit_payoffs(h)
     horizon = h.shape[1] - 1
     x = _features(h, features)
 
@@ -211,6 +216,7 @@ def apply_policy(policy: StoppingPolicy, h, features=None) -> tuple[np.ndarray, 
         raise ValueError(
             f"h must be (N, T+1) with T = policy horizon {policy.horizon}, got shape {h.shape}"
         )
+    _check_exit_payoffs(h)
     x = _features(h, features)
     n_paths = len(h)
     times = np.full(n_paths, policy.horizon, dtype=np.int64)

@@ -173,6 +173,15 @@ class ModelParams:
         return cls(**d)
 
 
+def check_cells(ok: np.ndarray, fault: str, from_t1: bool = False) -> None:
+    """Raise a ValueError naming the (path, t) of ok's first False; a 1-D ok
+    is path 0's, and from_t1 numbers ok's columns from t = 1, as y's are."""
+    ok = np.atleast_2d(ok)
+    if not ok.all():
+        i, t = np.unravel_index(np.argmin(ok), ok.shape)
+        raise ValueError(f"row (path={i}, t={t + from_t1}) has {fault}")
+
+
 @dataclass
 class PathBatch:
     """A stack of sample paths plus the seller-belief trajectory.
@@ -181,7 +190,7 @@ class PathBatch:
     variance used for pricing at each epoch; it is observation-independent
     and therefore shared by every path. Construction checks the shapes, that
     every entry is finite and that h is max(pi, 0), and raises a ValueError
-    naming the first fault; editing a batch afterwards is not checked again.
+    naming the first fault, a cell by its (path, t); later edits are not checked.
     """
 
     v: np.ndarray            # (N, T+1)
@@ -206,10 +215,8 @@ class PathBatch:
                 f"seller_var has shape {self.seller_var.shape}, expected {(tp1,)}"
             )
         for name in ("v", "y", "p", "pi", "h", "seller_mean", "seller_var"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"non-finite entries in {name}")
-        if not np.array_equal(self.h, np.maximum(self.pi, 0.0)):
-            raise ValueError("h must equal max(pi, 0) elementwise")
+            check_cells(np.isfinite(getattr(self, name)), f"a non-finite {name}", name == "y")
+        check_cells(self.h == np.maximum(self.pi, 0.0), "an h other than max(pi, 0)")
 
     @property
     def n_paths(self) -> int:

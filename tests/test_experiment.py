@@ -413,6 +413,8 @@ class TestPolicyPersistence:
             (_set("regressors", 1, "weights", [1.0, -1.0]), r"epoch 1: 10 terms on \[0.1, 0.2\] but 2 weights"),
             (_set("regressors", 1, "xs", [0.1, 0.2, 0.3]), "epoch 1: xs must be the training interval"),
             (_set("regressors", 1, "xs", [0.0, 100.0]), "epoch 1: bandwidth 1.0 is too small for the input span"),
+            (_set("format_version", 3), "^unsupported payload version 3$"),
+            (_set("horizon", 5), "^malformed policy payload: need exactly 5 regressors, got 4$"),
         ],
         ids=[
             "tabular-unsorted-xs", "tabular-nan-mean", "poly-nan-coeff", "kernel-nan-x",
@@ -420,6 +422,7 @@ class TestPolicyPersistence:
             "list-metadata", "poly-empty", "tabular-empty", "string-horizon",
             "regressor-not-object", "kernel-missing-key", "tabular-length-mismatch",
             "kernel-term-count", "kernel-not-interval", "kernel-span-too-wide",
+            "payload-version", "regressor-count",
         ],
     )
     def test_malformed_payload_named(self, mutate, message):
@@ -427,6 +430,20 @@ class TestPolicyPersistence:
         mutate(payload)
         with pytest.raises(PolicyFormatError, match=message):
             policy_from_text(signed_policy_text(payload))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"{FORMAT_LINE}\nsha256 00", "^truncated policy file$"),
+            (f"{FORMAT_LINE}\nmd5 00\n{{}}\n", "^missing checksum line$"),
+            (f"{FORMAT_LINE}\nsha256 {hashlib.sha256(b'{not json').hexdigest()}\n{{not json\n",
+             "^malformed policy payload$"),
+        ],
+        ids=["truncated", "no-checksum-line", "not-json"],
+    )
+    def test_malformed_file_named(self, text, message):
+        with pytest.raises(PolicyFormatError, match=message):
+            policy_from_text(text)
 
     def test_tabular_backend_metadata_preserved(self, tmp_path):
         config = small_config(backend=RegressionBackend(kind="tabular"))
@@ -567,6 +584,14 @@ class TestOutputs:
             write_output_dir(out, {"x.csv": "data"})
         assert (out / "keep.txt").read_text() == "do not clobber"
 
+    def test_existing_empty_outdir_filled(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        write_output_dir(out, {"x.csv": "data"})
+        assert [p.name for p in out.iterdir()] == ["x.csv"]
+        assert (out / "x.csv").read_text() == "data"
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]  # staging renamed into place
+
     def test_failed_write_leaves_no_output_dir(self, tmp_path):
         out = tmp_path / "run"
         with pytest.raises((OSError, ValueError)):
@@ -684,18 +709,27 @@ class TestPathsCsv:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            # Rows start at line 2; row 2 + 4 * i + t holds (path=i, t).
-            (lambda rows: rows[:8] + rows[9:], r"row \(path=1, t=2\) is missing"),
-            (lambda rows: rows + [rows[2 + 4 * 2 + 3]], r"row \(path=2, t=3\) appears 2 times"),
+            # Rows start at line 2; row 2 + 4 * i + t holds (path=i, t), data row 1 + 4 * i + t.
+            (lambda rows: rows[:8] + rows[9:],
+             r"data row 7 holds \(path=1, t=3\); \(path=1, t=2\) belongs there"),
+            (lambda rows: rows + [rows[2 + 4 * 2 + 3]],
+             r"data row 17 holds \(path=2, t=3\); \(path=4, t=0\) belongs there"),
             (lambda rows: rows[:8] + ["1,-2," + rows[8][len("1,2,"):]] + rows[9:],
-             "negative path or t index"),
+             r"data row 7 holds \(path=1, t=-2\); \(path=1, t=2\) belongs there"),
             (lambda rows: rows[:8] + [rows[8].rstrip("\n") + ",0.5\n"] + rows[9:],
              "rows of 9 fields"),
-            (lambda rows: rows[:-1], r"row \(path=3, t=3\) is missing"),
-            # A huge path index leaves its own pair missing, found without
-            # an array sized by the index.
+            (lambda rows: rows[:-1],
+             r"^paths CSV data row 16 is missing; \(path=3, t=3\) belongs there "
+             r"in simulate's \(path, t\) order$"),
+            # Rows must come in simulate's order; two swapped rows are named.
+            (lambda rows: rows[:5] + [rows[6], rows[5]] + rows[7:],
+             r"^paths CSV data row 4 holds \(path=1, t=0\); \(path=0, t=3\) belongs there"),
+            # A huge path or t index is named without an array sized by it.
             (lambda rows: rows[:8] + ["99999999999," + rows[8][len("1,"):]] + rows[9:],
-             r"^paths CSV row \(path=1, t=2\) is missing$"),
+             r"^paths CSV data row 7 holds \(path=99999999999, t=2\); \(path=1, t=2\)"),
+            (lambda rows: rows[:3] + ["0,9223372036854775807," + rows[3][len("0,1,"):]] + rows[4:],
+             r"^paths CSV data row 2 holds \(path=0, t=9223372036854775807\); "
+             r"\(path=0, t=1\) belongs there"),
             (lambda rows: rows[:8] + ["1" + "0" * 30 + rows[8][len("1"):]] + rows[9:],
              "^paths CSV data row 7: path field '1000000000000000000000000000000' is not a 64-bit integer$"),
             (lambda rows: rows[:8] + [rows[8].replace(rows[8].split(",")[2], "abc", 1)] + rows[9:],
@@ -762,6 +796,26 @@ class TestPathsCsv:
         with pytest.raises(ValueError, match=f"^paths CSV {named}"):
             load_paths_csv(file)
 
+    def test_fault_past_the_first_block_named_in_few_reader_calls(self, tmp_path, monkeypatch):
+        # 600 paths of T=3 make 2400 data rows; data row r is line r + 1.
+        # The first of two faults is named, after about log2(2400) reader
+        # calls to find its row and one per field tried.
+        params = ModelParams(horizon=3, seed=31)
+        text = render_paths_csv(generate_paths(params, 600, DOMAIN_TRAIN), small_config())
+        lines = text.splitlines(keepends=True)
+        for row, field in ((1500, "abc"), (1700, "xyz")):
+            fields = lines[row + 1].split(",")
+            fields[2] = field
+            lines[row + 1] = ",".join(fields)
+        file = tmp_path / "paths.csv"
+        file.write_text("".join(lines))
+        calls = []
+        read_rows = experiment._read_rows
+        monkeypatch.setattr(experiment, "_read_rows", lambda rows: calls.append(1) or read_rows(rows))
+        with pytest.raises(ValueError, match="^paths CSV data row 1500: v field 'abc' is not a number$"):
+            load_paths_csv(file)
+        assert len(calls) <= 1 + math.ceil(math.log2(2400)) + len(PATHS_COLUMNS)
+
     def test_int_read_through_a_float_is_named(self, tmp_path, monkeypatch):
         # Older numpy reads an int field such as '2.0' through a float and
         # warns; a warning raised as an error there surfaces as ValueError.
@@ -793,8 +847,8 @@ class TestPathsCsv:
         "row, column, text, fault",
         [
             # Rows start at line 2; row 2 + 4 * i + t holds (path=i, t).
-            (8, "y", "", r"\(path=1, t=2\) has an empty or non-finite y; y is empty at t = 0 only"),
-            (8, "y", "inf", r"\(path=1, t=2\) has an empty or non-finite y"),
+            (8, "y", "", r"\(path=1, t=2\) has a non-finite y$"),
+            (8, "y", "inf", r"\(path=1, t=2\) has a non-finite y$"),
             (8, "h", "-0.5", r"\(path=1, t=2\) has an h other than max\(pi, 0\)"),
             (6, "y", "0.5", r"\(path=1, t=0\) has a y, but y is empty at t = 0"),
             (8, "v", "inf", r"\(path=1, t=2\) has a non-finite v$"),
@@ -810,8 +864,8 @@ class TestPathsCsv:
         ],
     )
     def test_cell_fault_named(self, tmp_path, row, column, text, fault):
-        # PathBatch names only the column; the loader names the row as well,
-        # and rejects a y at t = 0, which PathBatch never sees.
+        # PathBatch names the cell; the loader reads an empty y as nan, and
+        # rejects a y at t = 0, which PathBatch never sees.
         lines = self.csv_lines()
         fields = lines[row].rstrip("\n").split(",")
         fields[PATHS_COLUMNS.index(column)] = text
@@ -1090,6 +1144,13 @@ class TestConfig:
         # Python's json parses NaN and Infinity; the loader must not.
         with pytest.raises(ValueError, match=f"{what} key '{key}' must be a finite number"):
             ExperimentConfig.from_dict(json.loads(text))
+
+    @pytest.mark.parametrize(
+        "d, got", [([1], "array"), (7, "integer"), ("x", "string"), (None, "null")]
+    )
+    def test_config_not_an_object_named(self, d, got):
+        with pytest.raises(ValueError, match=f"^config must be a JSON object, got a JSON {got}$"):
+            ExperimentConfig.from_dict(d)
 
     def test_int_passes_for_float_but_null_does_not(self):
         config = ExperimentConfig.from_dict({"model": {"gamma": 2}})

@@ -281,6 +281,20 @@ class TestVectorizedEquivalence:
         with pytest.raises(ValueError, match=re.escape(message)):
             apply_policy(policy, np.zeros(h_shape), features=features)
 
+    @pytest.mark.parametrize(
+        "cell, value", [((0, 3), np.nan), ((1, 2), -0.5), ((2, 0), np.inf), ((1, 1), -np.inf)]
+    )
+    def test_bad_exit_payoffs_rejected(self, cell, value):
+        h = np.full((3, 4), 0.25)
+        h[cell] = value
+        message = "^exit payoffs must be finite and nonnegative$"
+        with pytest.raises(ValueError, match=message):
+            apply_policy(constant_policy(3, [0.5, 0.5, 0.5]), h)
+        with pytest.raises(ValueError, match=message):
+            apply_myopic(h)
+        with pytest.raises(ValueError, match=message):
+            train(h, RegressionBackend())
+
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_non_finite_features_named(self, kind):
         # Every backend rejects a NaN feature the same way; unchecked, kernel

@@ -78,21 +78,72 @@ class TestSamplePath:
 
     def test_exit_payoff_consistency_enforced(self):
         path = self.make()
-        with pytest.raises(ValueError, match="h must equal"):
+        with pytest.raises(ValueError, match=r"has an h other than max\(pi, 0\)$"):
             dataclasses.replace(path, h=path.h + 0.1)
 
     def test_non_finite_rejected(self):
         path = self.make()
         v = path.v.copy()
         v[0, 1] = np.inf
-        with pytest.raises(ValueError, match="non-finite entries in v"):
+        with pytest.raises(ValueError, match=r"^row \(path=0, t=1\) has a non-finite v$"):
             dataclasses.replace(path, v=v)
 
     def test_exit_payoff_other_than_max_pi_zero_rejected_when_built(self):
         # h = pi keeps the negative purchase payoffs, which no exit can pay.
         pi = np.array([[-0.1, 0.2, -0.3, 0.4]])
-        with pytest.raises(ValueError, match="h must equal"):
+        with pytest.raises(ValueError, match=r"^row \(path=0, t=0\) has an h other than max\(pi, 0\)$"):
             PathBatch(
                 v=np.zeros((1, 4)), y=np.zeros((1, 3)), p=np.ones((1, 4)), pi=pi, h=pi,
                 seller_mean=np.zeros((1, 4)), seller_var=np.ones(4),
             )
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("p", (1, 3)), ("pi", (2, 4)), ("h", (1, 5)), ("seller_mean", (4,)), ("seller_var", (1, 4))],
+    )
+    def test_shape_fault_named(self, name, shape):
+        with pytest.raises(ValueError, match=rf"^{name} has shape {re.escape(str(shape))}, expected"):
+            dataclasses.replace(self.make(), **{name: np.zeros(shape)})
+
+
+class TestPathBatchCells:
+    """PathBatch names its first bad cell by (path, t)."""
+
+    @staticmethod
+    def arrays() -> dict:
+        """Two paths of T=3, as PathBatch's fields."""
+        pi = np.array([[-0.1, 0.2, -0.3, 0.4], [0.5, -0.6, 0.7, 0.0]])
+        return {
+            "v": np.ones((2, 4)), "y": np.ones((2, 3)), "p": np.ones((2, 4)), "pi": pi,
+            "h": np.maximum(pi, 0.0), "seller_mean": np.ones((2, 4)), "seller_var": np.ones(4),
+        }
+
+    @pytest.mark.parametrize(
+        "name, cell, value, named",
+        [
+            ("v", (1, 2), math.nan, "(path=1, t=2) has a non-finite v"),
+            # y's column j is epoch j + 1.
+            ("y", (1, 0), math.inf, "(path=1, t=1) has a non-finite y"),
+            ("y", (0, 2), math.nan, "(path=0, t=3) has a non-finite y"),
+            ("p", (0, 0), -math.inf, "(path=0, t=0) has a non-finite p"),
+            ("pi", (1, 3), math.nan, "(path=1, t=3) has a non-finite pi"),
+            ("h", (1, 1), math.inf, "(path=1, t=1) has a non-finite h"),
+            ("seller_mean", (0, 3), math.nan, "(path=0, t=3) has a non-finite seller_mean"),
+            # seller_var is shared by every path: named at path 0.
+            ("seller_var", 2, math.inf, "(path=0, t=2) has a non-finite seller_var"),
+            ("h", (1, 2), 0.75, "(path=1, t=2) has an h other than max(pi, 0)"),
+            ("h", (0, 0), -0.1, "(path=0, t=0) has an h other than max(pi, 0)"),
+        ],
+    )
+    def test_first_bad_cell_named(self, name, cell, value, named):
+        arrays = self.arrays()
+        arrays[name][cell] = value
+        with pytest.raises(ValueError, match=f"^row {re.escape(named)}$"):
+            PathBatch(**arrays)
+
+    def test_first_cell_in_path_order_named(self):
+        arrays = self.arrays()
+        arrays["v"][1, 0] = math.nan
+        arrays["v"][0, 3] = math.inf
+        with pytest.raises(ValueError, match=r"^row \(path=0, t=3\) has a non-finite v$"):
+            PathBatch(**arrays)

@@ -121,6 +121,13 @@ class TestKalman:
         params = ModelParams(sigma_xi=0.0)
         assert kalman_correct(1.0, 2.0, 3.25, params) == (3.25, 0.0)
 
+    def test_point_mass_belief_and_noiseless_sensor_keep_the_prior(self):
+        # var 0 and sigma_xi 0 leave no news to weigh: the belief stays.
+        params = ModelParams(sigma_xi=0.0)
+        assert kalman_correct(1.0, 0.0, 3.25, params) == (1.0, 0.0)
+        mean, var = kalman_correct(np.array([0.5, -2.0]), 0.0, np.array([1.0, 7.0]), params)
+        assert mean.tolist() == [0.5, -2.0] and var == 0.0
+
     def test_perfect_observation_chain_tracks_value(self):
         # sigma_xi = 0: after predict-then-correct the mean is the observed
         # valuation exactly, every step.
