@@ -506,23 +506,26 @@ def _name_fault(fh) -> None:
             raise ValueError(f"paths CSV data row {row}: {name} field {text!r} is not {what}")
 
 
-def paths_csv_seed(path) -> int | None:
-    """The model seed in a paths CSV's config echo; None if the file has no
-    echo or the echo no seed. Only the seed is read, so an echo that holds a
-    key since retired still serves."""
+def paths_csv_echo(path) -> tuple[int | None, int | None]:
+    """The model seed and horizon in a paths CSV's config echo, each None if
+    the file has no echo or the echo's model lacks it. Only these two keys
+    are read, so an echo that holds a key since retired still serves."""
     with open(path, "r", encoding="utf-8") as fh:
         echo = _read_to_header(fh)
     if echo is None:
-        return None
+        return None, None
     try:
-        seed = json.loads(echo).get("model", {}).get("seed")
+        model = json.loads(echo).get("model", {})
+        seed, horizon = model.get("seed"), model.get("horizon")
     except (ValueError, AttributeError):
         raise ValueError("paths CSV config echo: not a JSON object with a model object") from None
     if seed is not None and (type(seed) is not int or not 0 <= seed < 1 << 64):
         raise ValueError(
             f"paths CSV config echo: seed must be an integer that fits in 64 bits, got {seed!r}"
         )
-    return seed
+    if horizon is not None and (type(horizon) is not int or horizon < 1):
+        raise ValueError(f"paths CSV config echo: horizon must be an integer >= 1, got {horizon!r}")
+    return seed, horizon
 
 
 def load_paths_csv(path) -> PathBatch:
@@ -531,7 +534,8 @@ def load_paths_csv(path) -> PathBatch:
     The data rows must come in render_paths_csv's order: path 0's row
     count gives T + 1, and data row k + 1 (row 1 follows the header) holds
     (path, t) = (k // (T+1), k % (T+1)). The first row out of place, or
-    missing, is named with the (path, t) that belongs there. A y at t = 0,
+    missing, is named with the (path, t) that belongs there, and a file of
+    one row per path (no epoch after t = 0) is named as such. A y at t = 0,
     a cell that PathBatch rejects and a seller_var other than path 0's are
     named by their (path, t). The data rows are parsed in one pass of
     numpy's C reader; a row of another width or a field that does not parse
@@ -561,6 +565,11 @@ def load_paths_csv(path) -> PathBatch:
         raise ValueError(
             f"paths CSV data row {k + 1} {held}; (path={k // tp1}, t={k % tp1}) "
             "belongs there in simulate's (path, t) order"
+        )
+    if tp1 == 1:
+        raise ValueError(
+            "paths CSV has one row per path (t = 0 only); a path needs the rows "
+            "t = 0..T of a horizon T >= 1"
         )
 
     v, y, p, pi, h, seller_mean, seller_var = (

@@ -4,10 +4,12 @@ The reference backend is Gaussian-kernel ridge regression. In one dimension
 k(x, y) = exp(-(x - y)^2 / (2 b^2)) = sum_n phi_n(x) phi_n(y) over the Taylor
 features phi_n(x) = exp(-u^2 / 2) u^n / sqrt(n!), u = (x - c) / b, so the fit
 over d training points is a ridge fit of the m feature coefficients the
-series needs on the training interval. An exact tabular (group-mean)
-backend sits behind the same interface. Both fits run in numpy's own loops,
-never in BLAS or LAPACK. PolynomialRegressor is kept only so that older
-policy files holding one still load; no backend fits one.
+series needs on the training interval, solved by a Householder QR that
+updates one contiguous window of a flat working array per column step,
+then a back substitution in Python floats. An exact tabular (group-mean)
+backend sits behind the same interface. Both fits run in numpy's own loops
+or in Python floats, never in BLAS or LAPACK. PolynomialRegressor is kept
+only so that older policy files holding one still load; no backend fits one.
 """
 
 from __future__ import annotations
@@ -274,24 +276,53 @@ def fit_kernel(xs, ys, bandwidth: float = 1.0, ridge: float = DEFAULT_RIDGE) -> 
     m = kernel_terms(xs[-1] - xs[0], bandwidth)[0]
     lam = max(ridge, len(xs) * 2.0**-52)
     # Householder QR of [Phi, y; sqrt(lam) I, 0], then back substitution. Every
-    # reduction runs in numpy's own loops (einsum), never in BLAS, so the fit
-    # is the same under any BLAS thread count. The working array is stored
-    # transposed, at = [Phi^T, sqrt(lam) I; y^T, 0], so each column is a
-    # contiguous row.
+    # reduction runs in numpy's own loops (einsum) or in Python floats, never
+    # in BLAS, so the fit is the same under any BLAS thread count. The working
+    # matrix is stored transposed, rows k < m the columns [phi_k; sqrt(lam) e_k]
+    # and row m = [y; 0], in one flat array of row stride d + 1: row k's
+    # column c sits at (k + 1)(d + 1) + c. Step j's live rows j..m over their
+    # live columns j..d+j then form one contiguous block, and the dead row
+    # j - 1 lies just above it. Past column d + j the live rows are still the
+    # ridge block, so column d + j + 1 is only written after step j, over
+    # column j of the rows below, which is R's row j and (Q^T y)_j.
     d = len(xs)
-    at = np.zeros((m + 1, d + m))
-    at[:m, :d] = _taylor_features(xs, xs[0], xs[-1], bandwidth, m)
-    at[m, :d] = ys
-    at[:m, d:] = math.sqrt(lam) * np.eye(m)
+    root = math.sqrt(lam)
+    flat = np.zeros((m + 2) * (d + 1) + m - 1)  # step j's block ends at entry (m + 2)(d + 1) + j
+    start = flat[: (m + 2) * (d + 1)].reshape(m + 2, d + 1)
+    start[1 : m + 1, :d] = _taylor_features(xs, xs[0], xs[-1], bandwidth, m)
+    start[m + 1, :d] = ys
+    start[1, d] = root
+    rq = np.empty((m, m + 1))  # [R, Q^T y]; row j holds R's row j from column j on
+    outer = np.empty((m, d + 1))
     for j in range(m):
-        cols = slice(j, d + j + 1)  # past entry d + j, rows j.. are still zero (ridge block)
-        v = at[j, cols].copy()
-        v[0] += math.copysign(math.sqrt(np.einsum("i,i", v, v)), v[0])
-        w = np.einsum("ji,i->j", at[j:, cols], v) * (2.0 / np.einsum("i,i", v, v))
-        at[j:, cols] -= np.multiply.outer(w, v)
-    coeffs = np.zeros(m)
+        base = j * (d + 2)
+        block = flat[base : base + (m + 2 - j) * (d + 1)].reshape(m + 2 - j, d + 1)
+        v = block[0]  # the dead row j - 1
+        v[:] = block[1]
+        pivot = v.item(0)
+        v[0] = v0 = pivot + math.copysign(math.sqrt(np.einsum("i,i", v, v)), pivot)
+        w = np.einsum("ji,i->j", block, v)  # v.v, then every live row's dot
+        w *= 2.0 / w.item(0)
+        # Of the pivot row only R_jj is read again, so only it is reflected.
+        rq[j, j] = pivot - w.item(1) * v0
+        below = outer[: m - j]
+        np.einsum("j,i->ji", w[2:], v, out=below)
+        block[2:] -= below
+        column = block[2:, 0]
+        rq[j, j + 1 :] = column
+        column[:] = 0.0
+        if j + 1 < m:
+            column[1] = root  # row j + 1's column d + j + 1
+    # The dot adds k = j+1..m-1 in turn, as numpy's einsum does along a
+    # strided column, in Python floats: a third of that einsum's call cost.
+    rows = rq.tolist()
+    coeffs = [0.0] * m
     for j in range(m - 1, -1, -1):
-        coeffs[j] = (at[m, j] - np.einsum("i,i", at[j + 1 : m, j], coeffs[j + 1 :])) / at[j, j]
+        row = rows[j]
+        dot = 0.0
+        for k in range(j + 1, m):
+            dot += row[k] * coeffs[k]
+        coeffs[j] = (row[m] - dot) / row[j]
     return KernelRegressor([xs[0], xs[-1]], coeffs, bandwidth, ridge)
 
 

@@ -116,7 +116,7 @@ def test_train_from_csv_records_the_seed_that_made_it(tmp_path, capsys):
         assert load_policy(out / "policy.txt").metadata["seed"] == seed
     capsys.readouterr()
 
-    # Only the echo's seed is read, so a key since retired does not stop training.
+    # Only the echo's seed and horizon are read, so a key since retired does not stop training.
     old = tmp_path / "old.csv"
     old.write_text(csv.read_text().replace('"model": {', '"bins": 40, "model": {', 1))
     assert main(["train", "--paths", str(old), "--out", str(tmp_path / "old")]) == 0
@@ -152,6 +152,50 @@ def test_train_names_a_faulty_field_of_a_paths_csv(config_file, tmp_path, capsys
     payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
     assert payload == {
         "type": "ValueError", "message": "paths CSV data row 4: v field 'abc' is not a number",
+    }
+    assert not out.exists()
+
+
+def cut_paths_csv(csv, out, last_t):
+    """A copy of a paths CSV, its config echo and header kept, holding only
+    the rows with t <= last_t."""
+    lines = csv.read_text().splitlines(keepends=True)
+    out.write_text("".join(lines[:2] + [x for x in lines[2:] if int(x.split(",")[1]) <= last_t]))
+    return out
+
+
+def test_train_names_a_horizon_other_than_the_config_echo(config_file, tmp_path, capsys):
+    # Cut to t <= 3, the file's paths and pi were made for horizon 6.
+    sim = tmp_path / "sim"
+    main(["simulate", "--config", str(config_file), "--out", str(sim)])
+    cut = cut_paths_csv(sim / "paths.csv", tmp_path / "cut.csv", 3)
+    out = tmp_path / "trained"
+    assert main(["train", "--paths", str(cut), "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
+    assert payload == {
+        "type": "ValueError",
+        "message": f"paths CSV {cut} holds paths of horizon 3, "
+                   "but its config echo says horizon 6",
+    }
+    assert not out.exists()
+    # Without a config echo, the cut file trains as any horizon-3 file does.
+    bare = tmp_path / "bare.csv"
+    bare.write_text("".join(cut.read_text().splitlines(keepends=True)[1:]))
+    assert main(["train", "--paths", str(bare), "--out", str(out)]) == 0
+    assert load_policy(out / "policy.txt").horizon == 3
+
+
+def test_train_names_a_paths_csv_of_one_row_per_path(config_file, tmp_path, capsys):
+    sim = tmp_path / "sim"
+    main(["simulate", "--config", str(config_file), "--out", str(sim)])
+    cut = cut_paths_csv(sim / "paths.csv", tmp_path / "cut.csv", 0)
+    out = tmp_path / "trained"
+    assert main(["train", "--paths", str(cut), "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
+    assert payload == {
+        "type": "ValueError",
+        "message": "paths CSV has one row per path (t = 0 only); "
+                   "a path needs the rows t = 0..T of a horizon T >= 1",
     }
     assert not out.exists()
 

@@ -26,7 +26,7 @@ from optstop.experiment import (
     generate_paths,
     load_config,
     load_paths_csv,
-    paths_csv_seed,
+    paths_csv_echo,
     render_paths_csv,
     run_experiment,
     write_output_dir,
@@ -895,25 +895,28 @@ class TestPathsCsv:
         lines = self.csv_lines()
         file = tmp_path / "paths.csv"
         file.write_text("".join(lines))
-        assert paths_csv_seed(file) == small_config().params.seed
+        params = small_config().params
+        assert paths_csv_echo(file) == (params.seed, params.horizon)
         file.write_text("".join(lines[1:]))
-        assert paths_csv_seed(file) is None
-        # Only the seed is read: an echo with keys since retired still serves.
+        assert paths_csv_echo(file) == (None, None)
+        # Only the seed and horizon are read: an echo with keys since retired still serves.
         file.write_text('# config {"backend": {"degree": 3}, "bins": 40, "fixed_v0": null, '
                         '"model": {"seed": 7, "support_cap": 9}, "paired": true, '
                         '"trace_trials": [0]}\n'
                         + "".join(lines[1:]))
-        assert paths_csv_seed(file) == 7
+        assert paths_csv_echo(file) == (7, None)
         for echo, message in [
             ('{"model": {"seed": -1}}', "seed must be an integer .* got -1$"),
             ('{"model": {"seed": 7.0}}', "seed must be an integer .* got 7.0$"),
             ('{"model": {"seed": true}}', "seed must be an integer .* got True$"),
+            ('{"model": {"horizon": 0}}', "horizon must be an integer >= 1, got 0$"),
+            ('{"model": {"horizon": 3.0}}', "horizon must be an integer >= 1, got 3.0$"),
             ('{"model": 7}', "not a JSON object with a model object$"),
             ('{"model": {"seed": 7}', "not a JSON object with a model object$"),
         ]:
             file.write_text(f"# config {echo}\n" + "".join(lines[1:]))
             with pytest.raises(ValueError, match=f"^paths CSV config echo: {message}"):
-                paths_csv_seed(file)
+                paths_csv_echo(file)
 
     def test_header_checked(self, tmp_path):
         bad = tmp_path / "p.csv"

@@ -2,6 +2,7 @@
 polynomial regressor that old policy files hold."""
 
 import json
+import math
 import re
 
 import mpmath
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optstop.regression import (
+    MAX_RIDGE,
     MAX_TERMS,
     KernelRegressor,
     PolynomialRegressor,
@@ -20,6 +22,7 @@ from optstop.regression import (
     ZeroRegressor,
     _group_means,
     _taylor_features,
+    _training_pairs,
     fit_kernel,
     fit_tabular,
     gaussian_kernel,
@@ -69,6 +72,30 @@ def dense_solve_oracle(xs, ys, bandwidth, ridge, probe):
     k = np.exp(-((xs[:, None] - xs[None, :]) ** 2) / (2.0 * bandwidth**2))
     w = np.linalg.solve(k + ridge * np.eye(len(xs)), np.asarray(ys, dtype=float))
     return gaussian_kernel(probe, xs, bandwidth) @ w
+
+
+def textbook_householder_fit(xs, ys, bandwidth, ridge):
+    """The kernel fit's coefficients by the column-by-column Householder QR
+    of [Phi, y; sqrt(lam) I, 0] on a transposed (m + 1, d + m) array, each
+    step reflecting every live row, then a back substitution in einsum."""
+    xs, ys = _group_means(*_training_pairs(xs, ys))
+    m = kernel_terms(xs[-1] - xs[0], bandwidth)[0]
+    lam = max(ridge, len(xs) * 2.0**-52)
+    d = len(xs)
+    at = np.zeros((m + 1, d + m))
+    at[:m, :d] = _taylor_features(xs, xs[0], xs[-1], bandwidth, m)
+    at[m, :d] = ys
+    at[:m, d:] = math.sqrt(lam) * np.eye(m)
+    for j in range(m):
+        cols = slice(j, d + j + 1)
+        v = at[j, cols].copy()
+        v[0] += math.copysign(math.sqrt(np.einsum("i,i", v, v)), v[0])
+        w = np.einsum("ji,i->j", at[j:, cols], v) * (2.0 / np.einsum("i,i", v, v))
+        at[j:, cols] -= np.multiply.outer(w, v)
+    coeffs = np.zeros(m)
+    for j in range(m - 1, -1, -1):
+        coeffs[j] = (at[m, j] - np.einsum("i,i", at[j + 1 : m, j], coeffs[j + 1 :])) / at[j, j]
+    return coeffs
 
 
 def extended_precision_oracle(xs, ys, bandwidth, ridge, probe, digits=50):
@@ -136,6 +163,28 @@ class TestKernelFit:
         f = fit_kernel(xs, ys, bandwidth=0.5, ridge=1e-6).predict(xs)
         residual = gaussian_kernel(xs, xs, 0.5) @ (ys - f) - 1e-6 * f
         assert np.linalg.norm(residual) <= 1e-11 * np.linalg.norm(ys)
+
+    def test_fit_equals_textbook_householder_bitwise(self):
+        # The fit reflects only the live window of each step and takes R_jj
+        # alone from the pivot row; the arithmetic is the textbook loop's.
+        # d runs from 1 to 2100 (d < m where the bandwidth is small), and
+        # every other fit draws its inputs with repeats.
+        rng = np.random.default_rng(39)
+        cases = [
+            (d, bandwidth, ridge)
+            for d in (1, 2, 5, 40, 2100)
+            for bandwidth in (0.3, 1.0, 3.0, 1e308)
+            for ridge in (0.0, 1e-6, 1e3, MAX_RIDGE)
+            if d < 2100 or ridge in (0.0, 1e-6)
+        ]
+        for k, (d, bandwidth, ridge) in enumerate(cases):
+            xs = rng.uniform(-1.0, 1.0, size=d)
+            if k % 2:
+                xs = rng.choice(xs, size=d + 3)
+            ys = rng.standard_normal(len(xs))
+            expected = textbook_householder_fit(xs, ys, bandwidth, ridge)
+            model = fit_kernel(xs, ys, bandwidth, ridge)
+            assert model.weights.tobytes() == expected.tobytes(), (d, bandwidth, ridge)
 
     def test_duplicates_merged_with_averaged_targets(self):
         model = fit_kernel([1.0, 1.0, 2.0], [1.0, 3.0, 5.0], ridge=0.0)
