@@ -32,6 +32,19 @@ def _load_config(args) -> experiment.ExperimentConfig:
     return config
 
 
+def _stated_seed(args) -> str | None:
+    """How the command states its seed, or None where it takes the default;
+    a --config file states one only if its model object holds seed."""
+    if args.seed is not None:
+        return f"--seed {args.seed}"
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            model = json.load(fh).get("model", {})
+        if "seed" in model:
+            return f"the seed {model['seed']} of --config {args.config}"
+    return None
+
+
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     batch = experiment.generate_paths(config.params, config.n_train, experiment.DOMAIN_TRAIN)
@@ -49,15 +62,12 @@ def _cmd_train(args) -> int:
     batch = None
     if args.paths:
         # The seed recorded is the one that made the paths, from the file's
-        # config echo; a seed the command was given must be the same, and so
+        # config echo; a seed the command states must be the same, and so
         # must the file's horizon T.
         seed, horizon = experiment.paths_csv_echo(args.paths)
         if seed is None:
             seed = config.params.seed
-        elif (args.seed is not None or args.config) and config.params.seed != seed:
-            given = f"--seed {args.seed}" if args.seed is not None else (
-                f"the seed {config.params.seed} of --config {args.config}"
-            )
+        elif config.params.seed != seed and (given := _stated_seed(args)):
             raise ValueError(
                 f"{given} differs from the seed {seed} in the config echo of {args.paths}"
             )
@@ -93,7 +103,7 @@ def _cmd_trace(args) -> int:
     config = _load_config(args)
     trials = args.trial or [0]
     for i in trials:  # before the test paths are drawn and priced
-        experiment.check_trace_trial(i, config.n_test)
+        experiment.check_index("trace trial", i, config.n_test)
     traced = dict.fromkeys(trials)  # only these test paths are drawn, each once
     batch = experiment.generate_paths(
         config.params, config.n_test, experiment.DOMAIN_TEST, list(traced)

@@ -74,15 +74,11 @@ class ExperimentConfig:
         """Inverse of to_dict; a missing key keeps its default, and an unknown
         key or a value of another JSON type than the default's raises."""
         check_types(d, cls().to_dict(), "config")
-        kwargs: dict = {}
-        if "model" in d:
-            kwargs["params"] = ModelParams.from_dict(d["model"])
-        for key in ("n_train", "n_test"):
-            if key in d:
-                kwargs[key] = d[key]
-        if "backend" in d:
-            kwargs["backend"] = RegressionBackend.from_dict(d["backend"])
-        return cls(**kwargs)
+        return cls(
+            params=ModelParams.from_dict(d.get("model", {})),
+            backend=RegressionBackend.from_dict(d.get("backend", {})),
+            **{key: d[key] for key in ("n_train", "n_test") if key in d},
+        )
 
     def echo(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -91,6 +87,12 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return ExperimentConfig.from_dict(json.load(fh))
+
+
+def check_index(what: str, i, n: int) -> None:
+    """Raise a ValueError naming what unless i is an integer in 0..n-1."""
+    if not is_integer(i) or not 0 <= i < n:
+        raise ValueError(f"{what} {i!r} is not an integer in 0..{n - 1}")
 
 
 def generate_paths(
@@ -114,8 +116,7 @@ def generate_paths(
         indices = range(n)
     else:
         for i in indices:
-            if not is_integer(i) or not 0 <= i < n:
-                raise ValueError(f"path index {i!r} is not an integer in 0..{n - 1}")
+            check_index("path index", i, n)
     z = np.empty((len(indices), 1 + 2 * params.horizon))
     stream = RngStream(params.seed, 0, domain)
     for row, i in enumerate(indices):
@@ -159,22 +160,29 @@ def simulate(params: ModelParams, z) -> PathBatch:
     seller_mean[:, 0] = params.mu_prior
     # The posterior variance does not depend on the observations: one
     # scalar, stepped once per epoch, serves every path.
-    var = params.sigma_v**2
-    for t in range(T + 1):
-        if t > 0:
-            v[:, t] = consumer.step_valuation(v[:, t - 1], eps[:, t - 1], params)
-            y[:, t - 1] = v[:, t] + params.sigma_xi * xi[:, t - 1]
-            seller_mean[:, t], var = seller.kalman_correct(
-                seller_mean[:, t - 1], seller.kalman_predict(var, params), y[:, t - 1], params
-            )
-        if not var > 0:
-            raise ValueError(
-                f"seller posterior variance rounds to 0 at epoch {t}, so it has no price "
-                f"(sigma_v={params.sigma_v}, sigma_eps={params.sigma_eps}, "
-                f"sigma_xi={params.sigma_xi})"
-            )
+    seller_var[0] = var = params.sigma_v**2
+    for t in range(1, T + 1):
+        v[:, t] = consumer.step_valuation(v[:, t - 1], eps[:, t - 1], params)
+        y[:, t - 1] = v[:, t] + params.sigma_xi * xi[:, t - 1]
+        seller_mean[:, t], var = seller.kalman_correct(
+            seller_mean[:, t - 1], seller.kalman_predict(var, params), y[:, t - 1], params
+        )
         seller_var[t] = var
-    p = seller.myopic_price(seller_mean, seller_var)
+    # Epochs after a zero variance still step: the Kalman denominator is at least sigma_xi**2 > 0.
+    zero = np.flatnonzero(~(seller_var > 0))
+    if zero.size:
+        raise ValueError(
+            f"seller posterior variance rounds to 0 at epoch {zero[0]}, so it has no price "
+            f"(sigma_v={params.sigma_v}, sigma_eps={params.sigma_eps}, "
+            f"sigma_xi={params.sigma_xi})"
+        )
+    try:
+        p = seller.myopic_price(seller_mean, seller_var)
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc} (mu_prior={params.mu_prior}, sigma_v={params.sigma_v}, "
+            f"sigma_xi={params.sigma_xi})"
+        ) from exc
     pi = consumer.purchase_payoff(v, p, np.arange(T + 1), params)
 
     return PathBatch(
@@ -362,15 +370,9 @@ def render_evaluation(report: lsm.EvaluationReport, config: ExperimentConfig) ->
     return files
 
 
-def check_trace_trial(trial, n_paths: int) -> None:
-    """Raise a ValueError unless trial indexes one of n_paths paths."""
-    if not is_integer(trial) or not 0 <= trial < n_paths:
-        raise ValueError(f"trace trial {trial!r} is not an integer in 0..{n_paths - 1}")
-
-
 def render_trace(batch: PathBatch, trial: int, config: ExperimentConfig) -> str:
     """Diagnostic table of batch's path `trial`: one row per epoch with both agents' views."""
-    check_trace_trial(trial, batch.n_paths)
+    check_index("trace trial", trial, batch.n_paths)
     t = np.arange(batch.horizon + 1)
     return _table(
         config,
@@ -601,7 +603,7 @@ def check_output_dir(outdir) -> None:
 
 
 def write_output_dir(outdir, files: dict[str, str]) -> None:
-    """Create outdir containing exactly `files`, atomically via staging+rename."""
+    """Create outdir holding exactly `files` (plain file names), atomically via staging+rename."""
     outdir = Path(outdir)
     check_output_dir(outdir)
     if outdir.exists():
@@ -612,9 +614,7 @@ def write_output_dir(outdir, files: dict[str, str]) -> None:
     )
     try:
         for name, content in files.items():
-            target = staging / name
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(content, encoding="utf-8")
+            (staging / name).write_text(content, encoding="utf-8")
         staging.rename(outdir)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)

@@ -75,10 +75,20 @@ def _features(h: np.ndarray, features) -> np.ndarray:
     return x
 
 
-def _check_exit_payoffs(h: np.ndarray) -> None:
-    """Raise a ValueError unless h is finite and nonnegative; a NaN makes h.min() NaN."""
+def _exit_paths(h, features, horizon: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Column-major float h and its features (h by default), checked: h must be finite,
+    nonnegative and (N, T+1), N >= 1 and T >= 1 to train, T = horizon to apply a policy."""
+    h = np.asfortranarray(h, dtype=float)
+    T = h.shape[1] - 1 if h.ndim == 2 else -1  # -1: no horizon fits
+    if (T < 1) if horizon is None else (T != horizon):
+        rule = "T >= 1" if horizon is None else f"T = policy horizon {horizon}"
+        raise ValueError(f"h must be (N, T+1) with {rule}, got shape {h.shape}")
+    if horizon is None and len(h) < 1:
+        raise ValueError(f"number of paths must be >= 1, got {len(h)}")
+    # A NaN makes h.min() NaN.
     if h.size and not (h.min() >= 0.0 and h.max() < math.inf):
         raise ValueError("exit payoffs must be finite and nonnegative")
+    return h, _features(h, features)
 
 
 def train(
@@ -111,15 +121,8 @@ def train(
     epoch with no path in the money. A fit's ValueError is raised again as
     one that names the epoch and the fit's message.
     """
-    # Column-major working copies: each epoch's column is contiguous.
-    h = np.asfortranarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[1] < 2:
-        raise ValueError(f"h must be (N, T+1) with T >= 1, got shape {h.shape}")
-    if len(h) < 1:
-        raise ValueError(f"number of paths must be >= 1, got {len(h)}")
-    _check_exit_payoffs(h)
+    h, x = _exit_paths(h, features)
     horizon = h.shape[1] - 1
-    x = _features(h, features)
 
     stop_value = h[:, horizon].copy()
     regressors: list[Regressor] = [None] * horizon  # type: ignore[list-item]
@@ -210,14 +213,7 @@ def apply_policy(policy: StoppingPolicy, h, features=None) -> tuple[np.ndarray, 
     regressor evaluates each input on its own, so the bits do not depend on
     which paths are left.
     """
-    # Column-major working copies: each epoch's column is contiguous.
-    h = np.asfortranarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[1] != policy.horizon + 1:
-        raise ValueError(
-            f"h must be (N, T+1) with T = policy horizon {policy.horizon}, got shape {h.shape}"
-        )
-    _check_exit_payoffs(h)
-    x = _features(h, features)
+    h, x = _exit_paths(h, features, policy.horizon)
     n_paths = len(h)
     times = np.full(n_paths, policy.horizon, dtype=np.int64)
     payoffs = h[:, policy.horizon].copy()

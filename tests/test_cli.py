@@ -1,17 +1,50 @@
 """Subcommand behavior, exit codes, and the machine-readable error line."""
 
+import builtins
+import contextlib
+import io
 import json
 import re
 import warnings
 
 import pytest
 
-from optstop import experiment, lsm, snell
+from optstop import experiment, lsm, policy_io, snell
 from optstop.cli import main
 from optstop.experiment import ExperimentConfig, load_config, run_experiment
 from optstop.model import ModelParams
 from optstop.policy_io import load_policy
+from optstop.regression import RegressionBackend
 from optstop.snell import FiniteStopProblem
+
+
+def error_class(name: str) -> type:
+    """The exception class that an ERROR line's type names."""
+    for module in (builtins, json, policy_io):
+        cls = getattr(module, name, None)
+        if isinstance(cls, type) and issubclass(cls, BaseException):
+            return cls
+    raise AssertionError(f"unknown error type {name!r}")
+
+
+def cli_outcome(argv) -> tuple[int, dict | None]:
+    """Run the command with every warning an error and hold it to the error
+    line contract: exit 0 with nothing on stderr, or exit 1 with exactly one
+    ERROR line whose type is ValueError or a subclass. Returns the exit code
+    and that line's payload (None on exit 0)."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")  # a warning then reaches the ERROR line
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == [], argv
+        return 0, None
+    assert rc == 1 and len(lines) == 1 and lines[0].startswith("ERROR "), (argv, rc, lines)
+    payload = json.loads(lines[0][len("ERROR "):])
+    assert issubclass(error_class(payload["type"]), ValueError), (argv, payload)
+    return 1, payload
 
 
 @pytest.fixture()
@@ -121,6 +154,14 @@ def test_train_from_csv_records_the_seed_that_made_it(tmp_path, capsys):
     old.write_text(csv.read_text().replace('"model": {', '"bins": 40, "model": {', 1))
     assert main(["train", "--paths", str(old), "--out", str(tmp_path / "old")]) == 0
     assert load_policy(tmp_path / "old" / "policy.txt").metadata["seed"] == 7
+    capsys.readouterr()
+
+    # A --config file states a seed only if its model holds one.
+    bandwidth = tmp_path / "bandwidth.json"
+    bandwidth.write_text(json.dumps({"backend": {"bandwidth": 0.8}}))
+    assert main(["train", "--paths", str(csv), "--config", str(bandwidth), "--out", str(tmp_path / "bw")]) == 0
+    metadata = load_policy(tmp_path / "bw" / "policy.txt").metadata
+    assert metadata["seed"] == 7 and metadata["backend"]["bandwidth"] == 0.8
     capsys.readouterr()
 
     config = tmp_path / "config.json"
@@ -402,26 +443,63 @@ def test_config_non_finite_value_is_an_error_line(tmp_path, capsys):
         ("backend", "ridge", 1e308, 1),
         ("model", "gamma", 1e200, 1),
         ("backend", "bandwidth", 1e308, 0),
+        ("model", "mu_prior", 1e308, 1),
+        ("model", "mu_prior", -1e308, 1),
     ],
-    ids=["bandwidth-tiny", "bandwidth-subnormal", "ridge-huge", "gamma-huge", "bandwidth-huge"],
+    ids=[
+        "bandwidth-tiny", "bandwidth-subnormal", "ridge-huge", "gamma-huge", "bandwidth-huge",
+        "mu_prior-huge", "mu_prior-huge-negative",
+    ],
 )
-def test_extreme_config_value_is_named_or_trains(section, key, value, rc, tmp_path, capsys):
-    # A value the fit or the payoff cannot take fails by its key, with no
-    # warning on the way; a bandwidth too large to matter gives a one-term fit.
+def test_extreme_config_value_is_named_or_trains(section, key, value, rc, tmp_path):
+    # A value the fit, the payoff or the pricing cannot take fails by its key,
+    # with no warning on the way; a bandwidth too large to matter gives a
+    # one-term fit.
     file = tmp_path / "config.json"
     file.write_text(json.dumps({"n_train": 20, "n_test": 20, section: {key: value}}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a warning then reaches the ERROR line
-        assert main(["train", "--config", str(file), "--out", str(tmp_path / "x")]) == rc
-    err = capsys.readouterr().err.splitlines()
-    if rc == 0:
-        assert err == []
-        return
-    [line] = err
-    assert line.startswith("ERROR ")
-    payload = json.loads(line[len("ERROR "):])
-    assert payload["type"] == "ValueError"
-    assert key in payload["message"]
+    outcome, payload = cli_outcome(["train", "--config", str(file), "--out", str(tmp_path / "x")])
+    assert outcome == rc
+    if rc:
+        assert payload["type"] == "ValueError"
+        assert key in payload["message"]
+
+
+# The config key sweep: each key of the model, the backend and the sizes set
+# alone to each value. A horizon above 50 or a path count in 1001..2**32
+# allocates its arrays before anything can fail, so neither is swept.
+SWEEP_KEYS = [
+    *(("model", key) for key in ModelParams().to_dict()),
+    *(("backend", key) for key in RegressionBackend().to_dict()),
+    (None, "n_train"),
+    (None, "n_test"),
+]
+SWEEP_VALUES = [
+    0, -1, 1, 0.5, 1e308, -1e308, 1e200, 1e-200, 1e-320, 2**63, 2**64, -0.0,
+    "x", True, None, [], {},
+]
+
+
+@pytest.mark.parametrize("command", ["train", "simulate"])
+@pytest.mark.parametrize(
+    "section, key", SWEEP_KEYS, ids=[f"{section or 'size'}.{key}" for section, key in SWEEP_KEYS]
+)
+def test_config_key_sweep_is_named_or_runs(command, section, key, tmp_path):
+    for k, value in enumerate(SWEEP_VALUES):
+        if key == "horizon" and type(value) is int and value > 50:
+            continue
+        config = {"n_train": 20, "n_test": 20}
+        if section is None:
+            config[key] = value
+        else:
+            config[section] = {key: value}
+        file = tmp_path / f"config{k}.json"
+        file.write_text(json.dumps(config))
+        outcome, payload = cli_outcome([command, "--config", str(file), "--out", str(tmp_path / f"o{k}")])
+        if outcome:
+            # Beyond the 32-bit path indices, a count is named as the number of paths.
+            beyond = section is None and type(value) is int and value > 2**32
+            named = "number of paths" if beyond else key
+            assert named in payload["message"], (value, payload)
 
 
 def test_simulate_n_beyond_32_bit_path_indices_is_an_error_line(tmp_path, capsys):

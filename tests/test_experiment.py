@@ -152,6 +152,13 @@ class TestGeneratePaths:
             r"\(sigma_v=1.0, sigma_eps=0.1, sigma_xi=1e-08\)$",
         ):
             run(ModelParams(horizon=2, sigma_xi=1e-8))
+        # The prior variance 1e-200**2 rounds to 0 before any epoch steps.
+        with pytest.raises(
+            ValueError,
+            match=r"^seller posterior variance rounds to 0 at epoch 0, so it has no price "
+            r"\(sigma_v=1e-200, sigma_eps=0.1, sigma_xi=1.0\)$",
+        ):
+            run(ModelParams(horizon=2, sigma_v=1e-200))
 
     def test_tiny_positive_posterior_variance_runs(self):
         batch = generate_paths(ModelParams(horizon=2, sigma_xi=1e-7), 2)
