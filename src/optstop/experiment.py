@@ -31,6 +31,8 @@ from .rng import RngStream
 # RNG domains keep path sets on disjoint sub-streams.
 DOMAIN_TRAIN = 0
 DOMAIN_TEST = 1
+# RngStream path indices are 32-bit.
+MAX_PATHS = 1 << 32
 
 
 def _edges(lo: float, hi: float, width: float) -> np.ndarray:
@@ -56,10 +58,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         store_integers(self, "n_train", "n_test")
-        if self.n_train < 1:
-            raise ValueError(f"n_train must be >= 1, got {self.n_train}")
-        if self.n_test < 1:
-            raise ValueError(f"n_test must be >= 1, got {self.n_test}")
+        for key in ("n_train", "n_test"):
+            n = getattr(self, key)
+            if n < 1:
+                raise ValueError(f"{key} must be >= 1, got {n}")
+            if n > MAX_PATHS:
+                raise ValueError(f"{key} must be <= 2**32 = {MAX_PATHS}, got {n}")
 
     def to_dict(self) -> dict:
         return {
@@ -110,14 +114,21 @@ def generate_paths(
     """
     if n < 1:
         raise ValueError(f"number of paths must be >= 1, got {n}")
-    if n > 1 << 32:  # RngStream path indices are 32-bit
-        raise ValueError(f"number of paths must be <= 2**32 = {1 << 32}, got {n}")
+    if n > MAX_PATHS:
+        raise ValueError(f"number of paths must be <= 2**32 = {MAX_PATHS}, got {n}")
     if indices is None:
         indices = range(n)
     else:
         for i in indices:
             check_index("path index", i, n)
-    z = np.empty((len(indices), 1 + 2 * params.horizon))
+    shape = (len(indices), 1 + 2 * params.horizon)
+    # numpy's largest array holds np.iinfo(np.intp).max bytes.
+    if shape[0] * shape[1] > np.iinfo(np.intp).max // 8:
+        raise ValueError(
+            f"horizon {params.horizon} needs a {shape[0]} x {shape[1]} draw matrix, "
+            "larger than a numpy array can be"
+        )
+    z = np.empty(shape)
     stream = RngStream(params.seed, 0, domain)
     for row, i in enumerate(indices):
         stream.rekey(i).standard_normal(z.shape[1], out=z[row])

@@ -101,9 +101,14 @@ class Regressor:
         a ValueError naming it, and the constructor checks the values."""
         if not isinstance(d, dict):
             raise ValueError(f"regressor must be a JSON object, got a JSON {json_type(d)}")
-        cls = REGRESSOR_KINDS.get(d.get("kind"))
+        kind = d.get("kind")
+        if "kind" in d and not isinstance(kind, str):
+            raise ValueError(
+                f"regressor key 'kind' must be a JSON string, got a JSON {json_type(kind)}"
+            )
+        cls = REGRESSOR_KINDS.get(kind)
         if cls is None:
-            raise ValueError(f"unknown regressor kind {d.get('kind')!r}")
+            raise ValueError(f"unknown regressor kind {kind!r}")
         check_keys(d, ("kind", *cls.FIELDS), f"{cls.kind} regressor", required=cls.FIELDS)
         return cls(**{name: d[name] for name in cls.FIELDS})
 

@@ -27,8 +27,10 @@ class RngStream:
 
     Identical (seed, path_index, domain) triples yield identical draws across
     runs and platforms. Distinct triples yield statistically independent
-    streams. A stream is owned by a single path worker and must not be shared
-    across workers; draws within a stream advance its state sequentially.
+    streams. Draws advance the state sequentially, so a stream's draws depend
+    on the order of its calls: experiment.generate_paths rekeys one stream to
+    each simulated path in turn, and snell.simulate_paths draws all of its
+    lattice paths from one stream, one epoch of uniforms at a time.
     """
 
     def __init__(self, seed: int, path_index: int = 0, domain: int = 0):

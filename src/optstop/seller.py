@@ -11,6 +11,7 @@ not with the package, so a command that never prices loads no scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -21,12 +22,23 @@ from .rng import q_function  # noqa: F401
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_HALF_PI = 1.0 / math.sqrt(0.5 * math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Newton steps per price, a fixed count so that each element of an array call
-# runs the same arithmetic as its scalar call. From the bracket end, 7 steps
-# reach the few-ulp level the erfcx evaluation allows at every m in
-# [-1e12, 1e12] (a 600,000-point grid); the 8th is a spare.
-_NEWTON_STEPS = 8
+# runs the same arithmetic as its scalar call. From _scaled_roots' start, 3
+# steps reach the few-ulp level the erfcx evaluation allows on 700,000 m in
+# [-1e12, 1e12] and +-[1e-300, 1e300] (2 leave up to 3,400 ulps just above
+# m = 32); the 4th is a spare.
+_NEWTON_STEPS = 4
+
+# The table of roots the start interpolates: the scaled means in
+# [-_TABLE_EDGE, _TABLE_EDGE] at step _TABLE_STEP, each priced by
+# _TABLE_STEPS steps from the bracket end, of which 7 reach the few-ulp
+# level at every m in [-1e12, 1e12] (a 600,000-point grid); the 8th is a
+# spare.
+_TABLE_EDGE = 32.0
+_TABLE_STEP = 1.0 / 16.0
+_TABLE_STEPS = 8
 
 # Largest |mu / sigma| that prices. Up to about 9e307 every intermediate of
 # the iteration stays finite; the bound keeps a margin of over 10^7.
@@ -78,14 +90,19 @@ def myopic_price(mean, var):
     root in (0, hi], hi = (m + sqrt(m^2 + 4)) / 2.
 
     The root is found by Newton's method on G(q) = log q - log R(q - m),
-    G'(q) = 1/q + 1/R - z with z = q - m, started at hi. G' > 0 everywhere,
-    and in log form the step stays sensible where R grows like exp(z^2 / 2)
-    (z << 0), which stalls Newton on q - R. Each step first shrinks the
-    bracket (lo, hi) by the sign of q - R, and a Newton step that leaves
-    the bracket is replaced by its midpoint. The loop runs _NEWTON_STEPS
-    times, one erfcx evaluation each; against 40-digit roots the price is
-    within 4 ulps on a 1001-point grid of m in [-30, 40]. A |m| above
-    MAX_SCALED_MEAN raises a ValueError naming the mean and the variance.
+    G'(q) = 1/q + 1/R - z with z = q - m. G' > 0 everywhere, and in log
+    form the step stays sensible where R grows like exp(z^2 / 2) (z << 0),
+    which stalls Newton on q - R. It starts near the root: for
+    -32 <= m < 32 at the root interpolated in a table at step 1/16 (within
+    1e-4 relative), built at the first price by 8 steps from hi; below -32
+    at hi (within 1e-3); above 32 at the asymptote m - c,
+    c = sqrt(2 log((m - c) / sqrt(2 pi))) refined once (within 3e-4). Each
+    step first shrinks the bracket (0, hi] by the sign of q - R, and a
+    Newton step that leaves the bracket is replaced by its midpoint. The
+    loop runs _NEWTON_STEPS = 4 times, one erfcx evaluation each; against
+    40-digit roots the price is within 3 ulps on a 1001-point grid of m in
+    [-30, 40]. A |m| above MAX_SCALED_MEAN raises a ValueError naming the
+    mean and the variance.
 
     The mean may be a float or an array, and the variance a float or an array
     that broadcasts against it (one entry per epoch, say). Each distinct
@@ -119,20 +136,62 @@ def myopic_price(mean, var):
 
 
 def _scaled_roots(m):
-    """The root q of q = R(q - m) for each scaled mean of the 1-d array m,
-    by myopic_price's bracketed Newton iteration. The steps run in place,
-    on a fixed set of buffers."""
-    # Bracket end (m + sqrt(m^2 + 4)) / 2; for m < 0 it is computed as the
-    # reciprocal of (|m| + sqrt(m^2 + 4)) / 2, which avoids the cancellation.
+    """The root q of q = R(q - m) for each scaled mean of the sorted 1-d
+    array m, by myopic_price's bracketed Newton iteration from a start near
+    the root: the table's interpolated root on [-_TABLE_EDGE, _TABLE_EDGE),
+    the bracket end below it and the asymptote above it."""
+    hi = _bracket_end(m)
+    q = np.empty_like(hi)
+    # m is sorted, so the three regions are slices.
+    i, j = np.searchsorted(m, (-_TABLE_EDGE, _TABLE_EDGE))
+    # Below the table the bracket end is within 1e-3 of the root.
+    q[:i] = hi[:i]
+    grid, roots = _root_table()
+    q[i:j] = np.interp(m[i:j], grid, roots)
+    # Above it the root is m - c with m - c = sqrt(2 pi) exp(c^2 / 2) (1 - Q(c)),
+    # where Q(c) < 0.013; dropping that factor and refining c once from
+    # c = sqrt(2 log(m / sqrt(2 pi))) leaves the start within 3e-4.
+    u = m[j:]
+    c = np.sqrt(2.0 * np.log(u / _SQRT_2PI))
+    c = np.sqrt(2.0 * np.log((u - c) / _SQRT_2PI))
+    q[j:] = u - c
+    return _newton(m, q, hi, _NEWTON_STEPS)
+
+
+def _roots_from_bracket_end(m):
+    """The root for each scaled mean of the 1-d array m after _TABLE_STEPS
+    Newton steps from the bracket end: the table's iteration, and the
+    reference the tabulated start is tested against."""
+    hi = _bracket_end(m)
+    return _newton(m, hi.copy(), hi, _TABLE_STEPS)
+
+
+@functools.cache
+def _root_table():
+    """(grid, roots): the scaled means -_TABLE_EDGE, ..., _TABLE_EDGE at step
+    _TABLE_STEP and their roots, computed once, at the first price."""
+    k = round(_TABLE_EDGE / _TABLE_STEP)
+    grid = np.arange(-k, k + 1) * _TABLE_STEP
+    return grid, _roots_from_bracket_end(grid)
+
+
+def _bracket_end(m):
+    """hi = (m + sqrt(m^2 + 4)) / 2 for each m; for m < 0 it is computed as
+    the reciprocal of (|m| + sqrt(m^2 + 4)) / 2, which avoids the
+    cancellation."""
     a = np.abs(m)
     s = np.where(a > _SQRT_EXACT, a, 0.5 * (a + np.sqrt(np.minimum(a, _SQRT_EXACT) ** 2 + 4.0)))
-    hi = np.where(m < 0.0, 1.0 / s, s)
-    del a, s  # so that only the loop's buffers are alive during it
+    return np.where(m < 0.0, 1.0 / s, s)
+
+
+def _newton(m, q, hi, steps):
+    """steps bracketed Newton steps on G(q) = log q - log R(q - m) from q
+    within (0, hi], each shrinking (0, hi] by the sign of q - R. They run in
+    place, on q, hi and a fixed set of buffers."""
     lo = np.zeros_like(hi)
-    q = hi.copy()
     z, r, t = np.empty_like(q), np.empty_like(q), np.empty_like(q)
     below, inside = np.empty(len(q), dtype=bool), np.empty(len(q), dtype=bool)
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(steps):
         np.subtract(q, m, out=z)
         e = erfcx(np.divide(z, _SQRT2, out=r))
         # q / R, formed so that no product overflows; its log is G(q), and

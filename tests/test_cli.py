@@ -465,8 +465,8 @@ def test_extreme_config_value_is_named_or_trains(section, key, value, rc, tmp_pa
 
 
 # The config key sweep: each key of the model, the backend and the sizes set
-# alone to each value. A horizon above 50 or a path count in 1001..2**32
-# allocates its arrays before anything can fail, so neither is swept.
+# alone to each value. Each int above 50 (2**63 and 2**64) is too large for
+# the arrays it sizes and is named before any is allocated.
 SWEEP_KEYS = [
     *(("model", key) for key in ModelParams().to_dict()),
     *(("backend", key) for key in RegressionBackend().to_dict()),
@@ -485,8 +485,6 @@ SWEEP_VALUES = [
 )
 def test_config_key_sweep_is_named_or_runs(command, section, key, tmp_path):
     for k, value in enumerate(SWEEP_VALUES):
-        if key == "horizon" and type(value) is int and value > 50:
-            continue
         config = {"n_train": 20, "n_test": 20}
         if section is None:
             config[key] = value
@@ -496,10 +494,21 @@ def test_config_key_sweep_is_named_or_runs(command, section, key, tmp_path):
         file.write_text(json.dumps(config))
         outcome, payload = cli_outcome([command, "--config", str(file), "--out", str(tmp_path / f"o{k}")])
         if outcome:
-            # Beyond the 32-bit path indices, a count is named as the number of paths.
-            beyond = section is None and type(value) is int and value > 2**32
-            named = "number of paths" if beyond else key
-            assert named in payload["message"], (value, payload)
+            assert key in payload["message"], (value, payload)
+
+
+@pytest.mark.parametrize("command", ["train", "simulate"])
+@pytest.mark.parametrize("horizon", [2**61, 2**62, 2**63, 2**64])
+def test_huge_horizon_is_named_before_any_array(command, horizon, tmp_path):
+    # The draw matrix of 20 paths would not fit in a numpy array.
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps({"n_train": 20, "model": {"horizon": horizon}}))
+    out = tmp_path / "out"
+    outcome, payload = cli_outcome([command, "--config", str(file), "--out", str(out)])
+    assert outcome == 1
+    assert payload["type"] == "ValueError"
+    assert f"horizon {horizon} needs a 20 x {1 + 2 * horizon} draw matrix" in payload["message"]
+    assert not out.exists()
 
 
 def test_simulate_n_beyond_32_bit_path_indices_is_an_error_line(tmp_path, capsys):
@@ -513,7 +522,7 @@ def test_simulate_n_beyond_32_bit_path_indices_is_an_error_line(tmp_path, capsys
     payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
     assert payload == {
         "type": "ValueError",
-        "message": f"number of paths must be <= 2**32 = 4294967296, got {n}",
+        "message": f"n_train must be <= 2**32 = 4294967296, got {n}",
     }
     assert not out.exists()
 

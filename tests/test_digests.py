@@ -19,15 +19,15 @@ from optstop.snell import discretize_consumer_problem, simulate_paths
 # simulate --seed 1` (a paths CSV of 13,002 lines).
 SEED1_FILES = {
     "config.json": "bd1154944ceecc0c",
-    "exit_summary.csv": "61a4d0ab2059ea02",
-    "payoff_diff.csv": "9452738e03bc95ca",
+    "exit_summary.csv": "4528f6970ff332d5",
+    "payoff_diff.csv": "a2fed19b2053ff19",
     "payoff_hist.csv": "199e114b84e95f35",
-    "paths.csv": "d1476cd9db1f3daa",
-    "policy.txt": "be5b59cb3d57780e",
+    "paths.csv": "d1181e5b0ca030af",
+    "policy.txt": "555e1eef110658e0",
     "price_hist.csv": "55b18da768715e38",
-    "summary.csv": "811313a80b844447",
-    "trace_0.csv": "ca211dd9507ee230",
-    "trace_3.csv": "39d8d6209b782053",
+    "summary.csv": "f72a8047bf6f1702",
+    "trace_0.csv": "9e60ffb86e34e205",
+    "trace_3.csv": "8a4e001cf84bcbea",
     "trace_999.csv": "dbfda006f5ab38d5",
 }
 # sha256 prefix of the tabular policy text, then the apply_policy exit times
@@ -35,10 +35,10 @@ SEED1_FILES = {
 # levels**2 masses, drawn through a guide table: (1, 9)'s masses are too close
 # for one bucket each, so some of its paths are searched.
 LATTICES = {
-    (2, 4): "f143cc76cdbcc6d9",
-    (3, 3): "d931e3c5a00fb467",
-    (4, 2): "6282876cef848cb2",
-    (1, 9): "d1db594d36a4f7aa",
+    (2, 4): "32d7180188ca8c11",
+    (3, 3): "2edfa61a7b528866",
+    (4, 2): "ce60c889c7f2fba9",
+    (1, 9): "77b087ee52915425",
 }
 
 

@@ -170,6 +170,11 @@ class TestGeneratePaths:
         with pytest.raises(ValueError, match=f"^number of paths must be >= 1, got {n}$"):
             generate_paths(ModelParams(horizon=2), n)
 
+    def test_rejects_more_paths_than_32_bit_indices(self):
+        # A config's n_train is named by its key; this is the Python call.
+        with pytest.raises(ValueError, match=r"^number of paths must be <= 2\*\*32 = 4294967296, got"):
+            generate_paths(ModelParams(horizon=2), 2**32 + 1)
+
     def test_simulate_checks_draw_count(self):
         params = ModelParams(horizon=3)
         with pytest.raises(ValueError, match="^z must have 7 columns"):
@@ -186,6 +191,9 @@ class TestGeneratePaths:
     def test_prices_and_payoffs_in_one_pass(self, monkeypatch):
         # The price never feeds back into the dynamics, so one simulate call
         # prices the whole (n, T+1) posterior at once: no per-epoch loop.
+        # A process's first price builds the table of roots with erfcx
+        # calls of its own; this one does, so that they are not counted.
+        experiment.seller.myopic_price(0.0, 1.0)
         calls = []
 
         def counting(name, original):
@@ -209,7 +217,7 @@ class TestGeneratePaths:
         # t = 0 belief, so 7 * 5 + 1 of them.
         distinct = (7 * params.horizon + 1,)
         assert calls == (
-            [("myopic_price", shape)] + [("erfcx", distinct)] * 8 + [("purchase_payoff", shape)]
+            [("myopic_price", shape)] + [("erfcx", distinct)] * 4 + [("purchase_payoff", shape)]
         )
 
     def test_path_index_not_order_dependent(self):
@@ -422,6 +430,10 @@ class TestPolicyPersistence:
             (_set("regressors", 1, "xs", [0.0, 100.0]), "epoch 1: bandwidth 1.0 is too small for the input span"),
             (_set("format_version", 3), "^unsupported payload version 3$"),
             (_set("horizon", 5), "^malformed policy payload: need exactly 5 regressors, got 4$"),
+            (_set("regressors", 2, "kind", []),
+             "^regressor of epoch 2: regressor key 'kind' must be a JSON string, got a JSON array$"),
+            (_set("regressors", 0, "kind", {}),
+             "^regressor of epoch 0: regressor key 'kind' must be a JSON string, got a JSON object$"),
         ],
         ids=[
             "tabular-unsorted-xs", "tabular-nan-mean", "poly-nan-coeff", "kernel-nan-x",
@@ -429,7 +441,7 @@ class TestPolicyPersistence:
             "list-metadata", "poly-empty", "tabular-empty", "string-horizon",
             "regressor-not-object", "kernel-missing-key", "tabular-length-mismatch",
             "kernel-term-count", "kernel-not-interval", "kernel-span-too-wide",
-            "payload-version", "regressor-count",
+            "payload-version", "regressor-count", "array-kind", "object-kind",
         ],
     )
     def test_malformed_payload_named(self, mutate, message):
@@ -1235,3 +1247,7 @@ class TestConfig:
             small_config(n_train=0)
         with pytest.raises(ValueError, match="^n_test must be >= 1, got -1$"):
             small_config(n_test=-1)
+        # Path indices are 32-bit.
+        small_config(n_test=2**32)
+        with pytest.raises(ValueError, match=r"^n_test must be <= 2\*\*32 = 4294967296, got 4294967297$"):
+            small_config(n_test=2**32 + 1)

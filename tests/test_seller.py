@@ -279,9 +279,11 @@ class TestMyopicPrice:
     def test_against_40_digit_roots(self):
         # Unit variance, so the price is q itself. The 64-step bisection
         # this solver replaced was within 6.4e-16 and 4.0 ulps on these m.
-        # m = +-1e15 takes the midpoint where erfcx overflows.
+        # m = +-1e15 takes the midpoint where erfcx overflows. The start
+        # changes at m = -32 and 32, the table's edges.
+        edges = [-32.01, -31.99, 31.99, 32.01, 33.0, 64.0, 200.0]
         ms = np.concatenate(
-            [np.linspace(-30.0, 40.0, 1001), [-1e15, -1e6, -1e3, 1e3, 1e6, 1e15]]
+            [np.linspace(-30.0, 40.0, 1001), [-1e15, -1e6, -1e3, 1e3, 1e6, 1e15], edges]
         )
         prices = myopic_price(ms, 1.0)
         for m, p in zip(ms.tolist(), prices.tolist()):
@@ -290,7 +292,31 @@ class TestMyopicPrice:
             assert err <= 6e-16 * root, m
             assert err <= 4 * math.ulp(float(root)), m
 
+    def test_tabulated_start_agrees_with_eight_steps_from_the_bracket_end(self):
+        # The iteration that builds the table, from the bracket end at every
+        # m, is the reference: 400,012 scaled means over the table, both
+        # starts outside it, and 600 decades of each sign.
+        ms = np.unique(
+            np.concatenate(
+                [
+                    np.linspace(-30.0, 40.0, 100_001),
+                    np.sinh(np.linspace(-math.asinh(1e12), math.asinh(1e12), 200_001)),
+                    np.logspace(-300.0, 300.0, 50_001),
+                    -np.logspace(-300.0, 300.0, 50_001),
+                ]
+            )
+        )
+        assert len(ms) >= 400_000
+        prices = myopic_price(ms, 1.0)
+        reference = seller._roots_from_bracket_end(ms)
+        ulps = np.abs(prices - reference) / np.spacing(reference)
+        assert ulps.max() <= 8, ms[np.argmax(ulps)]
+
     def test_evaluates_erfcx_a_fixed_number_of_times(self, monkeypatch):
+        # A process's first price builds the table of roots, with erfcx calls
+        # of its own; this one does, so that the count below is the same
+        # whichever test priced first.
+        myopic_price(0.0, 1.0)
         calls = []
 
         def counting_erfcx(x):
@@ -301,10 +327,10 @@ class TestMyopicPrice:
         monkeypatch.setattr(seller, "erfcx", counting_erfcx)
         means = np.array([-1e15, -3.0, 0.0, 0.7, 40.0, 1e15])
         myopic_price(means, 1.0)
-        assert calls == [means.shape] * 8
+        assert calls == [means.shape] * 4
         calls.clear()
         myopic_price(0.7, 1.0)
-        assert calls == [(1,)] * 8
+        assert calls == [(1,)] * 4
 
     def test_repeated_means_price_once_and_match_scalar_calls_bitwise(self, monkeypatch):
         # Repeats, both zeros and an input order far from sorted: each
@@ -318,10 +344,11 @@ class TestMyopicPrice:
 
         erfcx = seller.erfcx
         means = np.array([3.0, -0.0, 0.7, -2.5, 3.0, 0.0, 40.0, -2.5, 0.7, 3.0, -0.0, -1e15])
+        # Priced before the patch, so any table build is not counted.
         scalar = np.array([myopic_price(float(mu), 0.64) for mu in means])
         monkeypatch.setattr(seller, "erfcx", counting_erfcx)
         prices = myopic_price(means, 0.64)
-        assert calls == [(6,)] * 8  # 0.0 and -0.0 are one scaled mean
+        assert calls == [(6,)] * 4  # 0.0 and -0.0 are one scaled mean
         assert prices.tobytes() == scalar.tobytes()
         assert prices[1].tobytes() == prices[5].tobytes()
 
