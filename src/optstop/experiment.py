@@ -33,6 +33,21 @@ DOMAIN_TRAIN = 0
 DOMAIN_TEST = 1
 # RngStream path indices are 32-bit.
 MAX_PATHS = 1 << 32
+# Most cells of a draw matrix, n paths of 1 + 2 horizon normals each, the
+# largest array a run makes (8 GiB of float64): one fixed number, so that a
+# config is accepted or refused the same way on every host.
+MAX_DRAW_CELLS = 1 << 30
+
+
+def _check_draw_cells(what: str, n: int, horizon: int) -> None:
+    """Raise a ValueError naming what (the key of the path count n) and the
+    horizon unless the draw matrix of n paths fits in MAX_DRAW_CELLS."""
+    cells = n * (1 + 2 * horizon)
+    if cells > MAX_DRAW_CELLS:
+        raise ValueError(
+            f"{what} {n} at horizon {horizon} needs a {n} x {1 + 2 * horizon} draw matrix "
+            f"of {cells} cells, over the size budget of 2**30 = {MAX_DRAW_CELLS} cells"
+        )
 
 
 def _edges(lo: float, hi: float, width: float) -> np.ndarray:
@@ -64,6 +79,7 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= 1, got {n}")
             if n > MAX_PATHS:
                 raise ValueError(f"{key} must be <= 2**32 = {MAX_PATHS}, got {n}")
+            _check_draw_cells(key, n, self.params.horizon)
 
     def to_dict(self) -> dict:
         return {
@@ -121,17 +137,12 @@ def generate_paths(
     else:
         for i in indices:
             check_index("path index", i, n)
-    shape = (len(indices), 1 + 2 * params.horizon)
-    # numpy's largest array holds np.iinfo(np.intp).max bytes.
-    if shape[0] * shape[1] > np.iinfo(np.intp).max // 8:
-        raise ValueError(
-            f"horizon {params.horizon} needs a {shape[0]} x {shape[1]} draw matrix, "
-            "larger than a numpy array can be"
-        )
-    z = np.empty(shape)
+    _check_draw_cells("number of paths", len(indices), params.horizon)
+    k = 1 + 2 * params.horizon
+    z = np.empty((len(indices), k))
     stream = RngStream(params.seed, 0, domain)
-    for row, i in enumerate(indices):
-        stream.rekey(i).standard_normal(z.shape[1], out=z[row])
+    for row, i in zip(z, indices):
+        stream.rekey(i).standard_normal(k, out=row)
     return simulate(params, z)
 
 
@@ -306,46 +317,45 @@ def _distinct_column(values) -> list[str]:
     return np.array(_column(bits.view(float)), dtype=object)[inverse].tolist()
 
 
-def _exit_columns(
-    prefix: str, outcome: lsm.StrategyOutcome, payoffs: list[str], params: ModelParams
-) -> dict:
-    t = outcome.times
-    return {
-        f"{prefix}_exit_time": t,
-        f"{prefix}_valuation_mean": outcome.valuations_at_exit,
-        f"{prefix}_valuation_std": _distinct_column(np.sqrt(consumer.residual_var(t, params))),
-        f"{prefix}_price": _distinct_column(outcome.prices_at_exit),
-        f"{prefix}_purchased": outcome.purchased,
-        f"{prefix}_payoff": payoffs,
-    }
+def _distinct_pair(alg, myo) -> tuple[list[str], list[str]]:
+    """_distinct_column of a pair of columns at once, so that a value in
+    both (a price, a payoff, an exit epoch's deviation that the two
+    strategies share) is formatted once."""
+    cells = _distinct_column(np.concatenate((alg, myo)))
+    return cells[: len(alg)], cells[len(alg) :]
 
 
 def render_figures_data(report: lsm.EvaluationReport, config: ExperimentConfig) -> dict[str, str]:
     """Render the per-trial exit table, both histograms, and the difference
     table as named CSV strings.
 
-    The float columns that repeat values format each distinct value once,
-    and each strategy's payoffs are formatted once for both tables that
+    Each pair of algorithmic and myopic float columns formats each distinct
+    value once, and the payoffs are formatted once for both tables that
     show them; the text is that of formatting every cell."""
-    params = config.params
     alg, myo = report.algorithmic, report.myopic
-    trial = np.arange(report.n_trials)
-    alg_payoffs, myo_payoffs = _distinct_column(alg.payoffs), _distinct_column(myo.payoffs)
+    std = [np.sqrt(consumer.residual_var(outcome.times, config.params)) for outcome in (alg, myo)]
+    pairs = {
+        "valuation_mean": _distinct_pair(alg.valuations_at_exit, myo.valuations_at_exit),
+        "valuation_std": _distinct_pair(*std),
+        "price": _distinct_pair(alg.prices_at_exit, myo.prices_at_exit),
+        "payoff": _distinct_pair(alg.payoffs, myo.payoffs),
+    }
+    exit_columns = {"trial": np.arange(report.n_trials)}
+    for side, (prefix, outcome) in enumerate((("alg", alg), ("myo", myo))):
+        exit_columns[f"{prefix}_exit_time"] = outcome.times
+        for name in ("valuation_mean", "valuation_std", "price"):
+            exit_columns[f"{prefix}_{name}"] = pairs[name][side]
+        exit_columns[f"{prefix}_purchased"] = outcome.purchased
+        exit_columns[f"{prefix}_payoff"] = pairs["payoff"][side]
+    alg_payoffs, myo_payoffs = pairs["payoff"]
     return {
-        "exit_summary.csv": _table(
-            config,
-            {
-                "trial": trial,
-                **_exit_columns("alg", alg, alg_payoffs, params),
-                **_exit_columns("myo", myo, myo_payoffs, params),
-            },
-        ),
+        "exit_summary.csv": _table(config, exit_columns),
         "payoff_hist.csv": _table(config, _histogram(PAYOFF_EDGES, alg.payoffs, myo.payoffs)),
         "price_hist.csv": _table(config, _histogram(PRICE_EDGES, alg.prices_paid, myo.prices_paid)),
         "payoff_diff.csv": _table(
             config,
             {
-                "trial": trial,
+                "trial": exit_columns["trial"],
                 "algorithmic": alg_payoffs,
                 "myopic": myo_payoffs,
                 "difference": _distinct_column(report.differences),

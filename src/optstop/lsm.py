@@ -28,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .model import PathBatch
+from .model import PathBatch, blend
 from .regression import KernelRegressor, RegressionBackend, Regressor, ZeroRegressor
 
 # Two-sided 95% normal quantile, for the confidence interval of a mean.
@@ -125,6 +125,7 @@ def train(
     horizon = h.shape[1] - 1
 
     stop_value = h[:, horizon].copy()
+    work = np.empty_like(stop_value)
     regressors: list[Regressor] = [None] * horizon  # type: ignore[list-item]
     epochs: list[dict] = [None] * horizon  # type: ignore[list-item]
 
@@ -140,7 +141,7 @@ def train(
                 raise ValueError(f"regression failed at epoch t={t}: {exc}") from exc
         regressors[t] = reg
         exit_now = h[:, t] > reg.predict(x[:, t])
-        stop_value = np.where(exit_now, h[:, t], stop_value)
+        blend(stop_value, h[:, t], exit_now, work)
         kernel = isinstance(reg, KernelRegressor)
         epochs[t] = {
             "in_the_money": len(x_itm),

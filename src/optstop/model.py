@@ -65,10 +65,13 @@ def store_integers(obj, *names: str) -> None:
         object.__setattr__(obj, name, int(value))
 
 
-def check_finite(name: str, value, ndim: int = 1) -> np.ndarray:
+def check_finite(name: str, value, ndim: int = 1) -> np.ndarray | float:
     """value as a non-empty float array of ndim dimensions with finite real
     entries; anything else (strings, bools, NaN, ragged nesting) raises a
-    ValueError naming it."""
+    ValueError naming it. A finite Python float checked as a number is
+    returned as it is."""
+    if ndim == 0 and type(value) is float and math.isfinite(value):
+        return value
     try:
         arr = np.asarray(value)
         ok = arr.dtype.kind in "iuf" and arr.ndim == ndim and arr.size > 0
@@ -78,6 +81,19 @@ def check_finite(name: str, value, ndim: int = 1) -> np.ndarray:
         shape = "a finite number" if ndim == 0 else f"a non-empty {ndim}-D array of finite numbers"
         raise ValueError(f"{name} must be {shape}")
     return np.asarray(arr, dtype=float)
+
+
+def blend(dst: np.ndarray, src: np.ndarray, mask: np.ndarray, work: np.ndarray) -> None:
+    """Set dst to src where the bool array mask is True, in place, with the
+    bits of np.where(mask, src, dst): dst ^= (dst ^ src) * mask on int64
+    views of the float64 arrays, work (a float64 array of dst's shape)
+    holding the product. Unlike np.copyto(..., where=mask) and np.where, it
+    has no branch, so a mask that flips at random costs no more than one of
+    long runs."""
+    d = dst.view(np.int64)
+    w = np.bitwise_xor(d, src.view(np.int64), out=work.view(np.int64))
+    np.multiply(w, mask, out=w)
+    np.bitwise_xor(d, w, out=d)
 
 
 def first_fault(ok, x) -> float:

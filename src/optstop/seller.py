@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, first_fault
+from .model import ModelParams, blend, first_fault
 # q_function is not called here; perfbench/spans.py patches seller.q_function.
 from .rng import q_function  # noqa: F401
 
@@ -187,7 +187,8 @@ def _bracket_end(m):
 def _newton(m, q, hi, steps):
     """steps bracketed Newton steps on G(q) = log q - log R(q - m) from q
     within (0, hi], each shrinking (0, hi] by the sign of q - R. They run in
-    place, on q, hi and a fixed set of buffers."""
+    place, on q, hi and a fixed set of buffers. The signs and the bracket
+    test flip from one mean to the next, so the selects are blends."""
     lo = np.zeros_like(hi)
     z, r, t = np.empty_like(q), np.empty_like(q), np.empty_like(q)
     below, inside = np.empty(len(q), dtype=bool), np.empty(len(q), dtype=bool)
@@ -198,8 +199,8 @@ def _newton(m, q, hi, steps):
         # near the root it carries no cancellation, unlike log q - log R.
         ratio = np.divide(np.multiply(q, _INV_SQRT_HALF_PI, out=r), e, out=r)
         np.less(ratio, 1.0, out=below)
-        np.copyto(lo, q, where=below)
-        np.copyto(hi, q, where=np.logical_not(below, out=below))
+        blend(lo, q, below, t)
+        blend(hi, q, np.logical_not(below, out=below), t)
         # erfcx overflows to inf for z < about -37.7, so ratio is 0 there;
         # the step is then infinite and the midpoint is taken.
         with np.errstate(divide="ignore"):
@@ -212,6 +213,6 @@ def _newton(m, q, hi, steps):
         np.less_equal(lo, step, out=below)
         np.logical_and(below, np.less_equal(step, hi, out=inside), out=below)
         mid = np.multiply(np.add(lo, hi, out=t), 0.5, out=t)
-        np.copyto(mid, step, where=below)
+        blend(mid, step, below, z)
         q, t = mid, q
     return q

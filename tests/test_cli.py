@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import re
+import tracemalloc
 import warnings
 
 import pytest
@@ -465,8 +466,8 @@ def test_extreme_config_value_is_named_or_trains(section, key, value, rc, tmp_pa
 
 
 # The config key sweep: each key of the model, the backend and the sizes set
-# alone to each value. Each int above 50 (2**63 and 2**64) is too large for
-# the arrays it sizes and is named before any is allocated.
+# alone to each value. Each int above 50 (2**32, 2**40, 2**63 and 2**64) is
+# too large for the arrays it sizes and is named before any is allocated.
 SWEEP_KEYS = [
     *(("model", key) for key in ModelParams().to_dict()),
     *(("backend", key) for key in RegressionBackend().to_dict()),
@@ -474,7 +475,7 @@ SWEEP_KEYS = [
     (None, "n_test"),
 ]
 SWEEP_VALUES = [
-    0, -1, 1, 0.5, 1e308, -1e308, 1e200, 1e-200, 1e-320, 2**63, 2**64, -0.0,
+    0, -1, 1, 0.5, 1e308, -1e308, 1e200, 1e-200, 1e-320, 2**32, 2**40, 2**63, 2**64, -0.0,
     "x", True, None, [], {},
 ]
 
@@ -508,6 +509,36 @@ def test_huge_horizon_is_named_before_any_array(command, horizon, tmp_path):
     assert outcome == 1
     assert payload["type"] == "ValueError"
     assert f"horizon {horizon} needs a 20 x {1 + 2 * horizon} draw matrix" in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "simulate", "trace"])
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        # 320 TiB of draws, within numpy's index range.
+        ({"n_train": 20, "model": {"horizon": 2**40}}, "n_train 20 at horizon 1099511627776"),
+        # 1.6 TiB at the default horizon of 25.
+        ({"n_train": 2**32}, "n_train 4294967296 at horizon 25"),
+    ],
+    ids=["horizon-2**40", "n_train-2**32"],
+)
+def test_run_over_the_size_budget_is_named_before_any_array(command, config, named, tmp_path):
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(file), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        outcome, payload = cli_outcome(argv + ["--trial", "0"] * (command == "trace"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == 1
+    assert payload["type"] == "ValueError"
+    assert payload["message"].startswith(named)
+    assert "over the size budget of 2**30 = 1073741824 cells" in payload["message"]
+    assert peak < 4 * 2**20, peak
     assert not out.exists()
 
 

@@ -175,6 +175,17 @@ class TestGeneratePaths:
         with pytest.raises(ValueError, match=r"^number of paths must be <= 2\*\*32 = 4294967296, got"):
             generate_paths(ModelParams(horizon=2), 2**32 + 1)
 
+    def test_rejects_a_draw_matrix_over_the_size_budget(self):
+        # The budget counts the rows drawn: a trace draws only its indices.
+        params = ModelParams(horizon=2**40)
+        with pytest.raises(ValueError, match=(
+            r"^number of paths 20 at horizon 1099511627776 needs a 20 x 2199023255553 draw "
+            r"matrix of 43980465111060 cells, over the size budget of 2\*\*30 = 1073741824 cells$"
+        )):
+            generate_paths(params, 20)
+        with pytest.raises(ValueError, match="^number of paths 1 at horizon"):
+            generate_paths(params, 2**32, DOMAIN_TEST, [0])
+
     def test_simulate_checks_draw_count(self):
         params = ModelParams(horizon=3)
         with pytest.raises(ValueError, match="^z must have 7 columns"):
@@ -1079,11 +1090,11 @@ class TestTableFormat:
         expected = experiment.render_figures_data(pin_report(), pin_config())
         monkeypatch.setattr(experiment, "repr", counting_repr, raising=False)
         assert experiment.render_figures_data(pin_report(), pin_config()) == expected
-        # The histograms' 180 bin edges, then per strategy both valuation
-        # means and the distinct stds, prices and payoffs (2 2 2 2 and
-        # 2 2 2 1), then the 2 distinct differences. The payoffs are not
-        # formatted again for payoff_diff.csv.
-        assert len(formatted) == 180 + 8 + 7 + 2
+        # The histograms' 180 bin edges, then the distinct values of each
+        # pair of algorithmic and myopic columns: valuation means, stds,
+        # prices and payoffs (4 2 3 2), then the 2 distinct differences.
+        # The payoffs are not formatted again for payoff_diff.csv.
+        assert len(formatted) == 180 + 4 + 2 + 3 + 2 + 2
 
     def test_paths_csv_formats_every_cell_through_column(self, monkeypatch):
         def fail(values):
@@ -1247,7 +1258,14 @@ class TestConfig:
             small_config(n_train=0)
         with pytest.raises(ValueError, match="^n_test must be >= 1, got -1$"):
             small_config(n_test=-1)
-        # Path indices are 32-bit.
-        small_config(n_test=2**32)
+        # Path indices are 32-bit, and the draw matrix (13 cells a path at
+        # horizon 6) has a fixed size budget, checked before any array.
+        cells = experiment.MAX_DRAW_CELLS
+        small_config(n_test=cells // 13)
+        with pytest.raises(ValueError, match=(
+            f"^n_test {cells // 13 + 1} at horizon 6 needs a {cells // 13 + 1} x 13 draw matrix "
+            rf"of {(cells // 13 + 1) * 13} cells, over the size budget of 2\*\*30 = {cells} cells$"
+        )):
+            small_config(n_test=cells // 13 + 1)
         with pytest.raises(ValueError, match=r"^n_test must be <= 2\*\*32 = 4294967296, got 4294967297$"):
             small_config(n_test=2**32 + 1)

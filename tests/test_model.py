@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from optstop.model import ModelParams, PathBatch
+from optstop.model import ModelParams, PathBatch, blend, check_finite
 
 
 class TestModelParams:
@@ -147,3 +147,53 @@ class TestPathBatchCells:
         arrays["v"][0, 3] = math.inf
         with pytest.raises(ValueError, match=r"^row \(path=0, t=3\) has a non-finite v$"):
             PathBatch(**arrays)
+
+
+class TestCheckFinite:
+    def test_finite_float_number_returned_as_it_is(self):
+        for value in (0.5, -0.0, 5e-324, 1.7976931348623157e308):
+            assert check_finite("b", value, ndim=0) is value
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, np.float64(math.nan), "x", True, [1.0], None],
+    )
+    def test_non_number_message_unchanged(self, value):
+        with pytest.raises(ValueError, match="^b must be a finite number$"):
+            check_finite("b", value, ndim=0)
+
+    def test_other_numbers_pass_as_arrays(self):
+        for value in (2, np.float64(0.25), np.int32(-3)):
+            got = check_finite("b", value, ndim=0)
+            assert got.dtype == float and got.ndim == 0 and got == value
+
+
+# Special doubles: signed zeros and infinities, subnormals, the extremes and
+# NaNs whose payloads and signs a copy must keep.
+SPECIALS = np.concatenate([
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+     1.7976931348623157e308, -1.7976931348623157e308, 1.0, -2.5],
+    np.array([0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000001, 0xFFF4000000C0FFEE],
+             dtype=np.uint64).view(float),
+])
+
+
+class TestBlend:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_where_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        pool = np.concatenate([SPECIALS, rng.standard_normal(8)])
+        dst, src = pool[rng.integers(0, len(pool), n)], pool[rng.integers(0, len(pool), n)]
+        mask = rng.random(n) < rng.random()
+        want = np.where(mask, src, dst)
+        blend(dst, src, mask, np.empty(n))
+        assert dst.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_strided_source_and_every_mask(self):
+        # A column of a row-major matrix, as a select reads an epoch of h.
+        src = np.resize(SPECIALS, (3, len(SPECIALS))).T[:, 1]
+        for mask in (np.zeros(len(src), bool), np.ones(len(src), bool)):
+            dst = -src[::-1].copy()
+            want = np.where(mask, src, dst)
+            blend(dst, src, mask, np.empty(len(src)))
+            assert dst.view(np.uint64).tolist() == want.view(np.uint64).tolist()

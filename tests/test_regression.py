@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optstop import regression
 from optstop.regression import (
     MAX_RIDGE,
     MAX_TERMS,
@@ -96,6 +97,17 @@ def textbook_householder_fit(xs, ys, bandwidth, ridge):
     for j in range(m - 1, -1, -1):
         coeffs[j] = (at[m, j] - np.einsum("i,i", at[j + 1 : m, j], coeffs[j + 1 :])) / at[j, j]
     return coeffs
+
+
+def textbook_taylor_features(x, lo, hi, bandwidth, m):
+    """The Taylor feature rows one at a time, each a new array: row n is row
+    n - 1 times u / sqrt(n)."""
+    c, reach = lo + 0.5 * (hi - lo), 1e3 * bandwidth
+    u = (np.clip(np.atleast_1d(x), c - reach, c + reach) - c) / bandwidth
+    rows = [np.exp(-0.5 * u * u)]
+    for n in range(1, m):
+        rows.append(rows[-1] * (u / math.sqrt(n)))
+    return np.array(rows)
 
 
 def extended_precision_oracle(xs, ys, bandwidth, ridge, probe, digits=50):
@@ -236,6 +248,31 @@ class TestKernelFit:
             assert np.abs(phi).max() <= 1.0
             err = np.abs(phi.T @ phi - gaussian_kernel(grid, grid, bandwidth)).max()
             assert err <= m * 2.0**-52
+
+    def test_features_equal_textbook_rows_bitwise(self):
+        # One term, one input, and inputs far beyond the clip at |u| = 1e3.
+        rng = np.random.default_rng(42)
+        cases = [(1, 1), (1, 500), (2, 1), (40, 1), (22, 500), (MAX_TERMS, 3)]
+        cases += [(int(rng.integers(1, 60)), int(rng.integers(1, 1200))) for _ in range(200)]
+        for m, n in cases:
+            lo = rng.uniform(-5.0, 5.0)
+            hi = lo + rng.exponential(2.0)
+            bandwidth = rng.uniform(0.05, 3.0)
+            x = lo + bandwidth * rng.choice([1.0, 100.0, 1e4]) * rng.standard_normal(n)
+            want = textbook_taylor_features(x, lo, hi, bandwidth, m)
+            assert _taylor_features(x, lo, hi, bandwidth, m).tobytes() == want.tobytes(), (m, n)
+
+    def test_fit_checks_bandwidth_and_ridge_once(self, monkeypatch):
+        calls = []
+        check = regression._check_kernel
+        monkeypatch.setattr(
+            regression, "_check_kernel", lambda *args: calls.append(args) or check(*args)
+        )
+        model = fit_kernel([0.0, 0.5, 1.0], [1.0, 2.0, 0.0], bandwidth=0.8, ridge=1e-6)
+        assert calls == [(0.8, 1e-6)]
+        # The fit builds what the checked constructor would.
+        rebuilt = Regressor.from_dict(model.to_dict())
+        assert (rebuilt.to_dict(), rebuilt.tail_bound) == (model.to_dict(), model.tail_bound)
 
     def test_bandwidth_too_small_for_span_raises(self):
         # Half the span is 30 bandwidths: more than MAX_TERMS terms. The

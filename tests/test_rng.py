@@ -106,6 +106,11 @@ class TestRngStream:
         rest = RngStream(11, 2, 1).standard_normal(10)[7:]
         assert stream.standard_normal(3).tobytes() == rest.tobytes()
 
+    @pytest.mark.parametrize("shape", [(8,), (6,), (7, 1), (1, 7)])
+    def test_standard_normal_rejects_out_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"out must have shape (7,), got {shape}")):
+            RngStream(11, 2, 1).standard_normal(7, out=np.empty(shape))
+
     def test_rekey_after_partly_used_buffer(self):
         # Two doubles and a uint32 use three words of the 4-word Philox block
         # and leave half of the third cached: a rekey that kept either the
