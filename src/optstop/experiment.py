@@ -11,7 +11,6 @@ both strategies are scored on the same test paths (common random numbers).
 from __future__ import annotations
 
 import json
-import math
 import shutil
 import tempfile
 import warnings
@@ -31,11 +30,10 @@ from .rng import RngStream
 # RNG domains keep path sets on disjoint sub-streams.
 DOMAIN_TRAIN = 0
 DOMAIN_TEST = 1
-# RngStream path indices are 32-bit.
-MAX_PATHS = 1 << 32
 # Most cells of a draw matrix, n paths of 1 + 2 horizon normals each, the
 # largest array a run makes (8 GiB of float64): one fixed number, so that a
-# config is accepted or refused the same way on every host.
+# config is accepted or refused the same way on every host. At any horizon
+# it also keeps a path count within RngStream's 32-bit path indices.
 MAX_DRAW_CELLS = 1 << 30
 
 
@@ -77,8 +75,6 @@ class ExperimentConfig:
             n = getattr(self, key)
             if n < 1:
                 raise ValueError(f"{key} must be >= 1, got {n}")
-            if n > MAX_PATHS:
-                raise ValueError(f"{key} must be <= 2**32 = {MAX_PATHS}, got {n}")
             _check_draw_cells(key, n, self.params.horizon)
 
     def to_dict(self) -> dict:
@@ -130,14 +126,14 @@ def generate_paths(
     """
     if n < 1:
         raise ValueError(f"number of paths must be >= 1, got {n}")
-    if n > MAX_PATHS:
-        raise ValueError(f"number of paths must be <= 2**32 = {MAX_PATHS}, got {n}")
     if indices is None:
+        # Checked before range(n), whose len() overflows past 2**63.
+        _check_draw_cells("number of paths", n, params.horizon)
         indices = range(n)
     else:
         for i in indices:
             check_index("path index", i, n)
-    _check_draw_cells("number of paths", len(indices), params.horizon)
+        _check_draw_cells("number of paths", len(indices), params.horizon)
     k = 1 + 2 * params.horizon
     z = np.empty((len(indices), k))
     stream = RngStream(params.seed, 0, domain)
@@ -227,6 +223,13 @@ def train_policy(
 def evaluate_policy(
     config: ExperimentConfig, policy: lsm.StoppingPolicy
 ) -> tuple[lsm.EvaluationReport, PathBatch]:
+    """Score policy and the myopic buyer on the config's n_test test paths;
+    a policy of another horizon than the config's is refused before any draw."""
+    if policy.horizon != config.params.horizon:
+        raise ValueError(
+            f"the policy was trained at horizon {policy.horizon}, but the config's model "
+            f"horizon is {config.params.horizon}; evaluate it under its training config"
+        )
     test_batch = generate_paths(config.params, config.n_test, DOMAIN_TEST)
     return lsm.evaluate(policy, test_batch), test_batch
 
@@ -254,8 +257,8 @@ def run_experiment(
 
 # ---------------------------------------------------------------------------
 # Output rendering. All tables are comma-separated with a header row; floats
-# use shortest round-trip repr, bools are 1/0; the first line echoes the full
-# config.
+# use shortest round-trip repr, a missing value is nan, bools are 1/0; the
+# first line echoes the full config.
 
 PATHS_COLUMNS = ("path", "t", "v", "y", "p", "pi", "h", "seller_mean", "seller_var")
 
@@ -290,11 +293,9 @@ def _table(config: ExperimentConfig | None, columns: dict) -> str:
     return _header(config, columns) + _rows(columns.values())
 
 
-def _observations(y: np.ndarray) -> list[str]:
-    """(N, T) observations as an (N, T+1) column, empty at t = 0."""
-    cells = np.full((y.shape[0], y.shape[1] + 1), "", dtype=object)
-    cells[:, 1:] = np.reshape(_column(y), y.shape)
-    return cells.ravel().tolist()
+def _observations(y: np.ndarray) -> np.ndarray:
+    """(N, T) observations as (N, T+1), nan at t = 0, where there is none."""
+    return np.pad(y, ((0, 0), (1, 0)), constant_values=np.nan)
 
 
 def _histogram(edges: np.ndarray, alg: np.ndarray, myo: np.ndarray) -> dict:
@@ -392,7 +393,8 @@ def render_evaluation(report: lsm.EvaluationReport, config: ExperimentConfig) ->
 
 
 def render_trace(batch: PathBatch, trial: int, config: ExperimentConfig) -> str:
-    """Diagnostic table of batch's path `trial`: one row per epoch with both agents' views."""
+    """Diagnostic table of batch's path `trial`: one row per epoch with both
+    agents' views; the observation is nan at t = 0."""
     check_index("trace trial", trial, batch.n_paths)
     t = np.arange(batch.horizon + 1)
     return _table(
@@ -417,8 +419,8 @@ _BLOCK_ROWS = 4096
 
 
 def render_paths_csv(batch: PathBatch, config: ExperimentConfig) -> str:
-    """Long-format path dataset: one row per (path, epoch), rendered a block
-    of whole paths at a time."""
+    """Long-format path dataset: one row per (path, epoch), y nan at t = 0,
+    rendered a block of whole paths at a time."""
     n, tp1 = batch.v.shape
     t, seller_var = _column(np.arange(tp1)), _column(batch.seller_var)
     per_block = max(1, _BLOCK_ROWS // tp1)
@@ -442,21 +444,7 @@ def render_paths_csv(batch: PathBatch, config: ExperimentConfig) -> str:
 _PATHS_DTYPE = np.dtype(
     [(name, np.int64 if name in ("path", "t") else np.float64) for name in PATHS_COLUMNS]
 )
-_Y = PATHS_COLUMNS.index("y")
 _ECHO = "# config "
-
-
-def _parse_y(text: str) -> float:
-    """The reader's converter for y, which is empty at t = 0: read as nan,
-    so that load_paths_csv finds a y given at t = 0 or missing later; a
-    nan text is rejected. Like the reader's own float parse, it rejects
-    digit separators and non-ASCII."""
-    if not text:
-        return math.nan
-    value = float(text)
-    if "_" in text or not text.strip().isascii() or math.isnan(value):
-        raise ValueError(f"not a number: {text!r}")
-    return value
 
 
 def _read_rows(lines) -> np.ndarray:
@@ -468,8 +456,7 @@ def _read_rows(lines) -> np.ndarray:
         # A header-only file is named by load_paths_csv, not warned about.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(
-            lines, dtype=_PATHS_DTYPE, delimiter=",", comments=None,
-            converters={_Y: _parse_y}, ndmin=1,
+            lines, dtype=_PATHS_DTYPE, delimiter=",", comments=None, ndmin=1
         )
 
 
@@ -526,6 +513,9 @@ def _name_fault(fh) -> None:
         probe[k] = text
         if _rejects([",".join(probe)]):
             what = "a 64-bit integer" if _PATHS_DTYPE[name].kind == "i" else "a number"
+            if name == "y" and not text and fields[1] == "0":
+                what += ("; older versions left y empty at t = 0 and this one writes nan "
+                         "there, so re-run optstop simulate under the file's config")
             raise ValueError(f"paths CSV data row {row}: {name} field {text!r} is not {what}")
 
 
@@ -558,11 +548,12 @@ def load_paths_csv(path) -> PathBatch:
     count gives T + 1, and data row k + 1 (row 1 follows the header) holds
     (path, t) = (k // (T+1), k % (T+1)). The first row out of place, or
     missing, is named with the (path, t) that belongs there, and a file of
-    one row per path (no epoch after t = 0) is named as such. A y at t = 0,
-    a cell that PathBatch rejects and a seller_var other than path 0's are
-    named by their (path, t). The data rows are parsed in one pass of
-    numpy's C reader; a row of another width or a field that does not parse
-    is named by its data row and column.
+    one row per path (no epoch after t = 0) is named as such. A y other
+    than nan at t = 0, a cell that PathBatch rejects (a nan y after t = 0
+    among them) and a seller_var other than path 0's are named by their
+    (path, t). The data rows are parsed in one pass of numpy's C reader,
+    with no converter; a row of another width or a field that does not
+    parse, an empty one included, is named by its data row and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
         _read_to_header(fh)
@@ -599,7 +590,7 @@ def load_paths_csv(path) -> PathBatch:
         rows[name].reshape(-1, tp1) for name in PATHS_COLUMNS[2:]
     )
     try:
-        check_cells(np.isnan(y[:, :1]), "a y, but y is empty at t = 0")
+        check_cells(np.isnan(y[:, :1]), "a y, but y is nan at t = 0")
         batch = PathBatch(  # copies: views would keep every field of the rows
             v=v.copy(), y=y[:, 1:].copy(), p=p.copy(), pi=pi.copy(), h=h.copy(),
             seller_mean=seller_mean.copy(), seller_var=seller_var[0].copy(),

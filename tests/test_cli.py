@@ -8,6 +8,7 @@ import re
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from optstop import experiment, lsm, policy_io, snell
@@ -239,6 +240,59 @@ def test_train_names_a_paths_csv_of_one_row_per_path(config_file, tmp_path, caps
         "message": "paths CSV has one row per path (t = 0 only); "
                    "a path needs the rows t = 0..T of a horizon T >= 1",
     }
+    assert not out.exists()
+
+
+def test_simulated_paths_csv_reads_in_plain_numpy(config_file, tmp_path):
+    # No converter: the absent t = 0 observation is written nan, like any
+    # missing value, so every column is a float that numpy's reader takes.
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config_file), "--out", str(sim)]) == 0
+    rows = np.loadtxt(sim / "paths.csv", delimiter=",", comments="#", skiprows=2)
+    assert rows.shape == (40 * 7, 9) and rows.dtype == np.float64
+    t0 = rows[:, 1] == 0
+    assert np.array_equal(np.isnan(rows), np.outer(t0, np.arange(9) == 3))
+    assert t0.sum() == 40
+
+
+def test_train_names_an_empty_y_at_t0_as_an_older_format(config_file, tmp_path, capsys):
+    sim = tmp_path / "sim"
+    main(["simulate", "--config", str(config_file), "--out", str(sim)])
+    lines = (sim / "paths.csv").read_text().splitlines(keepends=True)
+    # As older versions wrote it: every t = 0 row's y empty.
+    old = tmp_path / "old.csv"
+    old.write_text("".join(lines[:2] + [x.replace(",nan,", ",,", 1) for x in lines[2:]]))
+    out = tmp_path / "trained"
+    assert main(["train", "--paths", str(old), "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
+    assert payload == {
+        "type": "ValueError",
+        "message": "paths CSV data row 1: y field '' is not a number; older versions left y "
+                   "empty at t = 0 and this one writes nan there, so re-run optstop simulate "
+                   "under the file's config",
+    }
+    assert not out.exists()
+
+
+def test_evaluate_names_a_policy_horizon_other_than_the_config_before_drawing(
+    config_file, tmp_path, monkeypatch
+):
+    fit = tmp_path / "fit"
+    assert cli_outcome(["train", "--config", str(config_file), "--out", str(fit)]) == (0, None)
+    h5 = tmp_path / "h5.json"
+    h5.write_text(json.dumps({"model": {"horizon": 5}, "n_test": 20}))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("evaluate drew test paths")
+
+    monkeypatch.setattr(experiment, "generate_paths", no_draws)
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--policy", str(fit / "policy.txt"), "--config", str(h5)]
+    assert cli_outcome([*argv, "--out", str(out)]) == (1, {
+        "type": "ValueError",
+        "message": "the policy was trained at horizon 6, but the config's model horizon is 5; "
+                   "evaluate it under its training config",
+    })
     assert not out.exists()
 
 
@@ -543,7 +597,8 @@ def test_run_over_the_size_budget_is_named_before_any_array(command, config, nam
 
 
 def test_simulate_n_beyond_32_bit_path_indices_is_an_error_line(tmp_path, capsys):
-    # Rejected before the draw matrix (1.59 TiB at this n) is allocated.
+    # Rejected by the size budget before the draw matrix (1.59 TiB at this
+    # n) is allocated; the budget keeps every n within the 32-bit indices.
     out = tmp_path / "sim"
     n = 2**32 + 1
     huge = tmp_path / "huge.json"
@@ -553,7 +608,8 @@ def test_simulate_n_beyond_32_bit_path_indices_is_an_error_line(tmp_path, capsys
     payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
     assert payload == {
         "type": "ValueError",
-        "message": f"n_train must be <= 2**32 = 4294967296, got {n}",
+        "message": f"n_train {n} at horizon 25 needs a {n} x 51 draw matrix of {51 * n} cells, "
+        "over the size budget of 2**30 = 1073741824 cells",
     }
     assert not out.exists()
 

@@ -22,13 +22,13 @@ SEED1_FILES = {
     "exit_summary.csv": "4528f6970ff332d5",
     "payoff_diff.csv": "a2fed19b2053ff19",
     "payoff_hist.csv": "199e114b84e95f35",
-    "paths.csv": "d1181e5b0ca030af",
+    "paths.csv": "e244dfd760739f67",
     "policy.txt": "555e1eef110658e0",
     "price_hist.csv": "55b18da768715e38",
     "summary.csv": "f72a8047bf6f1702",
-    "trace_0.csv": "9e60ffb86e34e205",
-    "trace_3.csv": "8a4e001cf84bcbea",
-    "trace_999.csv": "dbfda006f5ab38d5",
+    "trace_0.csv": "e87f93e3ff0b6040",
+    "trace_3.csv": "286b3cb3a88935fc",
+    "trace_999.csv": "436a9ffacce857c0",
 }
 # sha256 prefix of the tabular policy text, then the apply_policy exit times
 # and payoffs, on the seed-1 (T, levels) lattice at 20,000 paths. Each law has

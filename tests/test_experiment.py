@@ -171,9 +171,15 @@ class TestGeneratePaths:
             generate_paths(ModelParams(horizon=2), n)
 
     def test_rejects_more_paths_than_32_bit_indices(self):
-        # A config's n_train is named by its key; this is the Python call.
-        with pytest.raises(ValueError, match=r"^number of paths must be <= 2\*\*32 = 4294967296, got"):
-            generate_paths(ModelParams(horizon=2), 2**32 + 1)
+        # The size budget refuses any n beyond the 32-bit path indices, before
+        # range(n), whose len() overflows at 2**64. A config's n_train is
+        # named by its key; this is the Python call.
+        for n in (2**32 + 1, 2**64):
+            with pytest.raises(ValueError, match=(
+                rf"^number of paths {n} at horizon 2 needs a {n} x 5 draw matrix of {5 * n} "
+                r"cells, over the size budget of 2\*\*30"
+            )):
+                generate_paths(ModelParams(horizon=2), n)
 
     def test_rejects_a_draw_matrix_over_the_size_budget(self):
         # The budget counts the rows drawn: a trace draws only its indices.
@@ -704,7 +710,7 @@ class TestPathsCsv:
             for t in range(tp1):
                 lines.append(",".join([
                     str(i), str(t), repr(float(batch.v[i, t])),
-                    repr(float(batch.y[i, t - 1])) if t else "", repr(float(batch.p[i, t])),
+                    repr(float(batch.y[i, t - 1])) if t else "nan", repr(float(batch.p[i, t])),
                     repr(float(batch.pi[i, t])), repr(float(batch.h[i, t])),
                     repr(float(batch.seller_mean[i, t])), repr(float(batch.seller_var[t])),
                 ]))
@@ -781,9 +787,11 @@ class TestPathsCsv:
              "^paths CSV data row 7: t field '\u0662' is not a 64-bit integer$"),
             (lambda rows: rows[:8] + ["1,2,2, ," + rows[8].split(",", 4)[4]] + rows[9:],
              "^paths CSV data row 7: y field ' ' is not a number$"),
-            # Only an empty y reads as nan; a y written as nan is named, at t = 0 too.
-            (lambda rows: rows[:6] + [rows[6].replace(",,", ",nan,", 1)] + rows[7:],
-             "^paths CSV data row 5: y field 'nan' is not a number$"),
+            # An empty y at t = 0, as older versions wrote it, is named with the way out.
+            (lambda rows: rows[:6] + [rows[6].replace(",nan,", ",,", 1)] + rows[7:],
+             "^paths CSV data row 5: y field '' is not a number; older versions left y empty "
+             "at t = 0 and this one writes nan there, so re-run optstop simulate under the "
+             "file's config$"),
         ],
     )
     def test_faulty_rows_named(self, tmp_path, edit, message):
@@ -806,7 +814,11 @@ class TestPathsCsv:
             ("t", "2.0", False), ("t", "2e0", False),
             ("v", "2.0", True), ("v", " .5 ", True), ("v", "1e400", True), ("v", "2_0", False),
             ("v", "0x1p3", False), ("v", " ", False), ("y", "2_0", False),
-            ("y", "nan", False), ("y", " -NaN ", False), ("v", "nan", True),
+            # The reader takes any nan; a nan y after t = 0 is then PathBatch's to name.
+            ("y", "nan", True), ("y", " -NaN ", True), ("v", "nan", True),
+            # The reader takes a trailing \x1c that Python's float() rejects; it
+            # decides for every float column alike.
+            ("v", "2\x1c", True), ("y", "2\x1c", True),
         ],
     )
     def test_named_exactly_when_the_reader_rejects(self, tmp_path, column, text, accepted):
@@ -876,33 +888,36 @@ class TestPathsCsv:
     @pytest.mark.parametrize(
         "row, column, text, fault",
         [
-            # Rows start at line 2; row 2 + 4 * i + t holds (path=i, t).
-            (8, "y", "", r"\(path=1, t=2\) has a non-finite y$"),
-            (8, "y", "inf", r"\(path=1, t=2\) has a non-finite y$"),
-            (8, "h", "-0.5", r"\(path=1, t=2\) has an h other than max\(pi, 0\)"),
-            (6, "y", "0.5", r"\(path=1, t=0\) has a y, but y is empty at t = 0"),
-            (8, "v", "inf", r"\(path=1, t=2\) has a non-finite v$"),
-            (3, "p", "1e400", r"\(path=0, t=1\) has a non-finite p$"),
-            (4, "pi", "-inf", r"\(path=0, t=2\) has a non-finite pi$"),
-            (8, "h", "nan", r"\(path=1, t=2\) has a non-finite h$"),
-            (5, "seller_mean", "nan", r"\(path=0, t=3\) has a non-finite seller_mean$"),
-            (2, "seller_var", "inf", r"\(path=0, t=0\) has a non-finite seller_var$"),
+            # Rows start at line 2; row 2 + 4 * i + t holds (path=i, t), data row 1 + 4 * i + t.
+            # An empty field is the reader's to name, by data row, like any other.
+            (8, "y", "", "data row 7: y field '' is not a number$"),
+            (8, "y", "inf", r"row \(path=1, t=2\) has a non-finite y$"),
+            (8, "h", "-0.5", r"row \(path=1, t=2\) has an h other than max\(pi, 0\)"),
+            (6, "y", "0.5", r"row \(path=1, t=0\) has a y, but y is nan at t = 0"),
+            (8, "v", "inf", r"row \(path=1, t=2\) has a non-finite v$"),
+            (3, "p", "1e400", r"row \(path=0, t=1\) has a non-finite p$"),
+            (4, "pi", "-inf", r"row \(path=0, t=2\) has a non-finite pi$"),
+            (8, "h", "nan", r"row \(path=1, t=2\) has a non-finite h$"),
+            (5, "seller_mean", "nan", r"row \(path=0, t=3\) has a non-finite seller_mean$"),
+            (2, "seller_var", "inf", r"row \(path=0, t=0\) has a non-finite seller_var$"),
+            (8, "y", "nan", r"row \(path=1, t=2\) has a non-finite y$"),
         ],
         ids=[
             "empty-y-after-t0", "infinite-y", "h-not-max-pi-0", "y-at-t0", "infinite-v",
             "overflowing-p", "infinite-pi", "nan-h", "nan-seller-mean", "infinite-seller-var",
+            "nan-y-after-t0",
         ],
     )
     def test_cell_fault_named(self, tmp_path, row, column, text, fault):
-        # PathBatch names the cell; the loader reads an empty y as nan, and
-        # rejects a y at t = 0, which PathBatch never sees.
+        # PathBatch names the cell; the loader rejects a y other than nan at
+        # t = 0, which PathBatch never sees.
         lines = self.csv_lines()
         fields = lines[row].rstrip("\n").split(",")
         fields[PATHS_COLUMNS.index(column)] = text
         lines[row] = ",".join(fields) + "\n"
         file = tmp_path / "paths.csv"
         file.write_text("".join(lines))
-        with pytest.raises(ValueError, match=f"^paths CSV row {fault}"):
+        with pytest.raises(ValueError, match=f"^paths CSV {fault}"):
             load_paths_csv(file)
 
     @pytest.mark.parametrize("path, t, named", [(2, 1, 2), (0, 2, 1)])
@@ -1000,9 +1015,9 @@ class TestTableFormat:
         self.expect(
             render_paths_csv(pin_batch(), pin_config()),
             "path,t,v,y,p,pi,h,seller_mean,seller_var\n"
-            "0,0,1.0,,0.5,-0.25,0.0,1.0,1.0\n"
+            "0,0,1.0,nan,0.5,-0.25,0.0,1.0,1.0\n"
             "0,1,1.5,0.1,0.75,0.5,0.5,0.3333333333333333,0.5\n"
-            "1,0,0.25,,0.5,0.0,0.0,1.0,1.0\n"
+            "1,0,0.25,nan,0.5,0.0,0.0,1.0,1.0\n"
             "1,1,1e-20,-2.0,0.125,-1.5,0.0,0.5,0.5\n",
         )
 
@@ -1011,7 +1026,7 @@ class TestTableFormat:
             experiment.render_trace(pin_batch(), 1, pin_config()),
             "t,valuation_mean,valuation_std,observation,price,purchase_payoff,"
             "exit_payoff,seller_mean,seller_std\n"
-            "0,0.25,0.5,,0.5,0.0,0.0,1.0,1.0\n"
+            "0,0.25,0.5,nan,0.5,0.0,0.0,1.0,1.0\n"
             "1,1e-20,0.0,-2.0,0.125,-1.5,0.0,0.5,0.7071067811865476\n",
         )
         assert experiment.render_trace(pin_batch(), np.int64(1), pin_config()) == \
@@ -1258,8 +1273,9 @@ class TestConfig:
             small_config(n_train=0)
         with pytest.raises(ValueError, match="^n_test must be >= 1, got -1$"):
             small_config(n_test=-1)
-        # Path indices are 32-bit, and the draw matrix (13 cells a path at
-        # horizon 6) has a fixed size budget, checked before any array.
+        # The draw matrix (13 cells a path at horizon 6) has a fixed size
+        # budget, checked before any array; it also keeps a path count within
+        # the 32-bit path indices.
         cells = experiment.MAX_DRAW_CELLS
         small_config(n_test=cells // 13)
         with pytest.raises(ValueError, match=(
@@ -1267,5 +1283,5 @@ class TestConfig:
             rf"of {(cells // 13 + 1) * 13} cells, over the size budget of 2\*\*30 = {cells} cells$"
         )):
             small_config(n_test=cells // 13 + 1)
-        with pytest.raises(ValueError, match=r"^n_test must be <= 2\*\*32 = 4294967296, got 4294967297$"):
+        with pytest.raises(ValueError, match=r"^n_test 4294967297 at horizon 6 needs a 4294967297 x 13 "):
             small_config(n_test=2**32 + 1)
