@@ -260,7 +260,10 @@ def run_experiment(
 # use shortest round-trip repr, a missing value is nan, bools are 1/0; the
 # first line echoes the full config.
 
-PATHS_COLUMNS = ("path", "t", "v", "y", "p", "pi", "h", "seller_mean", "seller_var")
+# The paths CSV's columns: what varies by row. The exit payoff h is
+# max(pi, 0) and is derived on load; the seller's posterior variance depends
+# on t alone and is written once, as the `# seller_var` line above the header.
+PATHS_COLUMNS = ("path", "t", "v", "y", "p", "pi", "seller_mean")
 
 
 def _column(values) -> list[str]:
@@ -275,10 +278,11 @@ def _column(values) -> list[str]:
     return list(map(fmt, values.tolist()))
 
 
-def _header(config: ExperimentConfig | None, names) -> str:
-    """A table's config echo, unless config is None, and its header row."""
+def _header(config: ExperimentConfig | None, names, notes: str = "") -> str:
+    """A table's config echo, unless config is None, then notes (whole `#`
+    lines), then its header row."""
     echo = "" if config is None else f"# config {config.echo()}\n"
-    return echo + ",".join(names) + "\n"
+    return echo + notes + ",".join(names) + "\n"
 
 
 def _rows(columns) -> str:
@@ -419,69 +423,124 @@ _BLOCK_ROWS = 4096
 
 
 def render_paths_csv(batch: PathBatch, config: ExperimentConfig) -> str:
-    """Long-format path dataset: one row per (path, epoch), y nan at t = 0,
-    rendered a block of whole paths at a time."""
+    """Long-format path dataset: the config echo, the `# seller_var` line of
+    the T + 1 posterior variances, the header, then one row of PATHS_COLUMNS
+    per (path, epoch), y nan at t = 0, rendered a block of whole paths at a
+    time."""
     n, tp1 = batch.v.shape
-    t, seller_var = _column(np.arange(tp1)), _column(batch.seller_var)
+    t = _column(np.arange(tp1))
     per_block = max(1, _BLOCK_ROWS // tp1)
-    blocks = [_header(config, PATHS_COLUMNS)]
+    seller_var = ",".join((_SELLER_VAR, *_column(batch.seller_var))) + "\n"
+    blocks = [_header(config, PATHS_COLUMNS, seller_var)]
     for start in range(0, n, per_block):
         paths = range(start, min(start + per_block, n))
         block = slice(paths.start, paths.stop)
         blocks.append(_rows((
             [cell for cell in map(str, paths) for _ in range(tp1)], t * len(paths),
             batch.v[block], _observations(batch.y[block]), batch.p[block],
-            batch.pi[block], batch.h[block], batch.seller_mean[block],
-            seller_var * len(paths),
+            batch.pi[block], batch.seller_mean[block],
         )))
     return "".join(blocks)
 
 
 # The paths CSV as numpy's C reader parses it: int64 `path` and `t`, float64
 # values, each number read with the same correctly rounded
-# PyOS_string_to_double as float(). The reader also names the faults (see
+# PyOS_string_to_double as float(). The reader also reads the `# seller_var`
+# line's values, as one row of float64, and names the faults (see
 # _name_fault), so there is one grammar.
 _PATHS_DTYPE = np.dtype(
     [(name, np.int64 if name in ("path", "t") else np.float64) for name in PATHS_COLUMNS]
 )
 _ECHO = "# config "
+_SELLER_VAR = "# seller_var"
+# The header of older versions, which wrote h and seller_var in every row.
+_OLDER_COLUMNS = ("path", "t", "v", "y", "p", "pi", "h", "seller_mean", "seller_var")
 
 
-def _read_rows(lines) -> np.ndarray:
-    """Parse the data lines (an open file or a list of lines) in numpy's C reader."""
+def _read_rows(lines, dtype=_PATHS_DTYPE) -> np.ndarray:
+    """Parse lines (an open file or a list of lines) in numpy's C reader,
+    by default as data rows."""
     with warnings.catch_warnings():
         # Older numpy reads an integer field such as '2.0' through a float,
         # warning that it will stop; make it the fault that later numpy raises.
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         # A header-only file is named by load_paths_csv, not warned about.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(
-            lines, dtype=_PATHS_DTYPE, delimiter=",", comments=None, ndmin=1
-        )
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def _rejects(lines: list[str]) -> bool:
+def _rejects(lines: list[str], dtype=_PATHS_DTYPE) -> bool:
     """Whether the reader rejects any of lines."""
     try:
-        _read_rows(lines)
+        _read_rows(lines, dtype)
     except ValueError:
         return True
     return False
 
 
-def _read_to_header(fh) -> str | None:
-    """Read fh through the header row, past leading `#` and blank lines; check
-    the header and return the config echo's JSON text (None if there is none)."""
-    echo = None
+def _rejected_field(fields: list[str], dtype=_PATHS_DTYPE) -> int | None:
+    """The index of the first of a line's fields that the reader rejects
+    alone in a line of zeros, which it accepts; None if there is none."""
+    for k, text in enumerate(fields):
+        probe = ["0"] * len(fields)
+        probe[k] = text
+        if _rejects([",".join(probe)], dtype):
+            return k
+    return None
+
+
+def _read_to_header(fh) -> tuple[str | None, str]:
+    """Read fh through the header row, past leading `#` and blank lines, and
+    check the header. Return the config echo's JSON text (None if there is
+    none) and the text after `# seller_var,`; a file holds at most one echo
+    and exactly one `# seller_var` line."""
+    found = {_ECHO: None, _SELLER_VAR + ",": None}
     for line in iter(fh.readline, ""):
-        if line.startswith(_ECHO) and echo is None:
-            echo = line[len(_ECHO):]
+        tag = next((tag for tag in found if line.startswith(tag)), None)
+        if tag is not None:
+            if found[tag] is not None:
+                raise ValueError(f"paths CSV has a second {tag.rstrip(' ,')} line; it holds one")
+            found[tag] = line[len(tag):]
         elif line.strip() and not line.startswith("#"):
             header = line.rstrip("\n").split(",")
-            if header != list(PATHS_COLUMNS):
+            if tuple(header) == _OLDER_COLUMNS:
+                raise ValueError(
+                    f"paths CSV header {header} is that of older versions; h is now "
+                    f"max(pi, 0), derived on load, and seller_var is the {_SELLER_VAR} line "
+                    "above the header, so re-run optstop simulate under the file's config"
+                )
+            if tuple(header) != PATHS_COLUMNS:
                 raise ValueError(f"unexpected paths CSV header {header}")
-            return echo
+            echo, seller_var = found.values()
+            if seller_var is None:
+                raise ValueError(f"paths CSV has no {_SELLER_VAR} line above its header row")
+            return echo, seller_var
     raise ValueError("paths CSV has no header row")
+
+
+def _read_seller_var(text: str) -> np.ndarray:
+    """The posterior variances of the `# seller_var` line, from the text
+    after its name, read as one row of float64. A value the reader rejects is
+    named by its position, and a non-finite one by its t."""
+    text = text.rstrip("\n")
+    try:
+        values = _read_rows([text], np.float64)
+    except ValueError:
+        fields = text.split(",")
+        k = _rejected_field(fields, np.float64)
+        if k is None:
+            raise
+        raise ValueError(
+            f"paths CSV {_SELLER_VAR} value {k + 1} of {len(fields)}, {fields[k]!r}, "
+            "is not a number"
+        ) from None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(
+            f"paths CSV {_SELLER_VAR} value at t = {bad[0]} is {float(values[bad[0]])!r}, "
+            "not a finite number"
+        )
+    return values
 
 
 def _name_fault(fh) -> None:
@@ -507,16 +566,11 @@ def _name_fault(fh) -> None:
             f"paths CSV data row {row} has {len(fields)} fields; "
             f"the file needs rows of {len(PATHS_COLUMNS)} fields"
         )
-    for k, (name, text) in enumerate(zip(PATHS_COLUMNS, fields)):
-        # The field alone in a row of zeros, which the reader accepts.
-        probe = ["0"] * len(fields)
-        probe[k] = text
-        if _rejects([",".join(probe)]):
-            what = "a 64-bit integer" if _PATHS_DTYPE[name].kind == "i" else "a number"
-            if name == "y" and not text and fields[1] == "0":
-                what += ("; older versions left y empty at t = 0 and this one writes nan "
-                         "there, so re-run optstop simulate under the file's config")
-            raise ValueError(f"paths CSV data row {row}: {name} field {text!r} is not {what}")
+    k = _rejected_field(fields)
+    if k is not None:
+        name = PATHS_COLUMNS[k]
+        what = "a 64-bit integer" if _PATHS_DTYPE[name].kind == "i" else "a number"
+        raise ValueError(f"paths CSV data row {row}: {name} field {fields[k]!r} is not {what}")
 
 
 def paths_csv_echo(path) -> tuple[int | None, int | None]:
@@ -524,7 +578,7 @@ def paths_csv_echo(path) -> tuple[int | None, int | None]:
     the file has no echo or the echo's model lacks it. Only these two keys
     are read, so an echo that holds a key since retired still serves."""
     with open(path, "r", encoding="utf-8") as fh:
-        echo = _read_to_header(fh)
+        echo, _ = _read_to_header(fh)
     if echo is None:
         return None, None
     try:
@@ -544,19 +598,27 @@ def paths_csv_echo(path) -> tuple[int | None, int | None]:
 def load_paths_csv(path) -> PathBatch:
     """Reconstruct a PathBatch from the long-format CSV written by render_paths_csv.
 
+    The header must be preceded by one `# seller_var` line, whose values are
+    read by the rows' reader: one that it rejects is named by its position,
+    a non-finite one by its t, and a count other than the rows' T + 1 as a
+    horizon fault. The header of older versions, with h and seller_var
+    columns, is named with the way out. h is consumer.exit_payoff(pi), as
+    simulate makes it.
+
     The data rows must come in render_paths_csv's order: path 0's row
     count gives T + 1, and data row k + 1 (row 1 follows the header) holds
     (path, t) = (k // (T+1), k % (T+1)). The first row out of place, or
     missing, is named with the (path, t) that belongs there, and a file of
     one row per path (no epoch after t = 0) is named as such. A y other
-    than nan at t = 0, a cell that PathBatch rejects (a nan y after t = 0
-    among them) and a seller_var other than path 0's are named by their
-    (path, t). The data rows are parsed in one pass of numpy's C reader,
-    with no converter; a row of another width or a field that does not
-    parse, an empty one included, is named by its data row and column.
+    than nan at t = 0 and a cell that PathBatch rejects (a nan y after
+    t = 0 among them) are named by their (path, t). The data rows are
+    parsed in one pass of numpy's C reader, with no converter; a row of
+    another width or a field that does not parse, an empty one included,
+    is named by its data row and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        _read_to_header(fh)
+        _, seller_var = _read_to_header(fh)
+        seller_var = _read_seller_var(seller_var)
         try:
             rows = _read_rows(fh)
         except ValueError:
@@ -585,26 +647,21 @@ def load_paths_csv(path) -> PathBatch:
             "paths CSV has one row per path (t = 0 only); a path needs the rows "
             "t = 0..T of a horizon T >= 1"
         )
+    if seller_var.size != tp1:
+        raise ValueError(
+            f"paths CSV {_SELLER_VAR} line holds {seller_var.size} values, but its rows hold "
+            f"paths of horizon {tp1 - 1}, which take {tp1}, one per t = 0..{tp1 - 1}"
+        )
 
-    v, y, p, pi, h, seller_mean, seller_var = (
-        rows[name].reshape(-1, tp1) for name in PATHS_COLUMNS[2:]
-    )
+    v, y, p, pi, seller_mean = (rows[name].reshape(-1, tp1) for name in PATHS_COLUMNS[2:])
     try:
         check_cells(np.isnan(y[:, :1]), "a y, but y is nan at t = 0")
-        batch = PathBatch(  # copies: views would keep every field of the rows
-            v=v.copy(), y=y[:, 1:].copy(), p=p.copy(), pi=pi.copy(), h=h.copy(),
-            seller_mean=seller_mean.copy(), seller_var=seller_var[0].copy(),
+        return PathBatch(  # copies: views would keep every field of the rows
+            v=v.copy(), y=y[:, 1:].copy(), p=p.copy(), pi=pi.copy(),
+            h=consumer.exit_payoff(pi), seller_mean=seller_mean.copy(), seller_var=seller_var,
         )
     except ValueError as exc:
         raise ValueError(f"paths CSV {exc}") from None
-    differs = np.argwhere(seller_var != seller_var[0])
-    if differs.size:
-        i, t_bad = differs[0]
-        raise ValueError(
-            f"paths CSV seller_var at (path={i}, t={t_bad}) is {float(seller_var[i, t_bad])!r}, "
-            f"but path 0 has {float(seller_var[0, t_bad])!r}"
-        )
-    return batch
 
 
 def check_output_dir(outdir) -> None:

@@ -63,8 +63,8 @@ def test_simulate_writes_paths(config_file, tmp_path, capsys):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 0
     lines = (out / "paths.csv").read_text().splitlines()
-    assert lines[1].startswith("path,t,")
-    assert len(lines) == 2 + 40 * 7  # echo + header + n_train * (T+1)
+    assert lines[1].startswith("# seller_var,") and lines[2].startswith("path,t,")
+    assert len(lines) == 3 + 40 * 7  # echo + seller_var + header + n_train * (T+1)
     assert "paths.csv" in capsys.readouterr().out
 
 
@@ -186,9 +186,9 @@ def test_train_names_a_faulty_field_of_a_paths_csv(config_file, tmp_path, capsys
     sim = tmp_path / "sim"
     main(["simulate", "--config", str(config_file), "--out", str(sim)])
     lines = (sim / "paths.csv").read_text().splitlines(keepends=True)
-    fields = lines[5].split(",")
+    fields = lines[6].split(",")
     fields[2] = "abc"  # v of data row 4
-    lines[5] = ",".join(fields)
+    lines[6] = ",".join(fields)
     (sim / "paths.csv").write_text("".join(lines))
     out = tmp_path / "trained"
     assert main(["train", "--paths", str(sim / "paths.csv"), "--out", str(out)]) == 1
@@ -201,9 +201,11 @@ def test_train_names_a_faulty_field_of_a_paths_csv(config_file, tmp_path, capsys
 
 def cut_paths_csv(csv, out, last_t):
     """A copy of a paths CSV, its config echo and header kept, holding only
-    the rows with t <= last_t."""
-    lines = csv.read_text().splitlines(keepends=True)
-    out.write_text("".join(lines[:2] + [x for x in lines[2:] if int(x.split(",")[1]) <= last_t]))
+    the rows and the `# seller_var` values with t <= last_t."""
+    echo, seller_var, *lines = csv.read_text().splitlines(keepends=True)
+    seller_var = ",".join(seller_var.split(",")[: 2 + last_t]) + "\n"
+    rows = [x for x in lines[1:] if int(x.split(",")[1]) <= last_t]
+    out.write_text("".join([echo, seller_var, lines[0], *rows]))
     return out
 
 
@@ -245,32 +247,72 @@ def test_train_names_a_paths_csv_of_one_row_per_path(config_file, tmp_path, caps
 
 def test_simulated_paths_csv_reads_in_plain_numpy(config_file, tmp_path):
     # No converter: the absent t = 0 observation is written nan, like any
-    # missing value, so every column is a float that numpy's reader takes.
+    # missing value, so every column is a float that numpy's reader takes,
+    # and so is every value of the `# seller_var` line.
     sim = tmp_path / "sim"
     assert main(["simulate", "--config", str(config_file), "--out", str(sim)]) == 0
-    rows = np.loadtxt(sim / "paths.csv", delimiter=",", comments="#", skiprows=2)
-    assert rows.shape == (40 * 7, 9) and rows.dtype == np.float64
+    csv = sim / "paths.csv"
+    rows = np.loadtxt(csv, delimiter=",", comments="#", skiprows=3)
+    assert rows.shape == (40 * 7, 7) and rows.dtype == np.float64
     t0 = rows[:, 1] == 0
-    assert np.array_equal(np.isnan(rows), np.outer(t0, np.arange(9) == 3))
+    assert np.array_equal(np.isnan(rows), np.outer(t0, np.arange(7) == 3))
     assert t0.sum() == 40
+    seller_var = np.loadtxt(
+        csv, delimiter=",", comments=None, skiprows=1, max_rows=1, usecols=range(1, 8)
+    )
+    assert seller_var.shape == (7,) and np.isfinite(seller_var).all()
+    config = load_config(config_file)
+    batch = experiment.generate_paths(config.params, config.n_train, experiment.DOMAIN_TRAIN)
+    assert seller_var.tobytes() == batch.seller_var.tobytes()
 
 
 def test_train_names_an_empty_y_at_t0_as_an_older_format(config_file, tmp_path, capsys):
     sim = tmp_path / "sim"
     main(["simulate", "--config", str(config_file), "--out", str(sim)])
-    lines = (sim / "paths.csv").read_text().splitlines(keepends=True)
-    # As older versions wrote it: every t = 0 row's y empty.
+    echo, _, _, *rows = (sim / "paths.csv").read_text().splitlines(keepends=True)
+    # As the versions that left y empty wrote it: every t = 0 row's y empty,
+    # and h and seller_var in every row. The header names the format.
     old = tmp_path / "old.csv"
-    old.write_text("".join(lines[:2] + [x.replace(",nan,", ",,", 1) for x in lines[2:]]))
+    old.write_text("".join([
+        echo, "path,t,v,y,p,pi,h,seller_mean,seller_var\n",
+        *(x.replace(",nan,", ",,", 1).rstrip("\n") + ",0.0,0.0,1.0\n" for x in rows),
+    ]))
     out = tmp_path / "trained"
     assert main(["train", "--paths", str(old), "--out", str(out)]) == 1
     payload = json.loads(capsys.readouterr().err.strip()[len("ERROR "):])
-    assert payload == {
-        "type": "ValueError",
-        "message": "paths CSV data row 1: y field '' is not a number; older versions left y "
-                   "empty at t = 0 and this one writes nan there, so re-run optstop simulate "
-                   "under the file's config",
-    }
+    assert payload == {"type": "ValueError", "message": OLDER_HEADER}
+    assert not out.exists()
+
+
+# The hint that names the header of older versions.
+OLDER_HEADER = (
+    "paths CSV header ['path', 't', 'v', 'y', 'p', 'pi', 'h', 'seller_mean', 'seller_var'] "
+    "is that of older versions; h is now max(pi, 0), derived on load, and seller_var is the "
+    "# seller_var line above the header, so re-run optstop simulate under the file's config"
+)
+
+
+def test_train_names_a_paths_csv_with_h_and_seller_var_columns_as_an_older_format(
+    config_file, tmp_path
+):
+    # As the versions before the `# seller_var` line wrote it: h and
+    # seller_var in every row, y nan at t = 0, and no `# seller_var` line.
+    sim = tmp_path / "sim"
+    assert cli_outcome(["simulate", "--config", str(config_file), "--out", str(sim)]) == (0, None)
+    config = load_config(config_file)
+    batch = experiment.generate_paths(config.params, config.n_train, experiment.DOMAIN_TRAIN)
+    echo, _, _, *rows = (sim / "paths.csv").read_text().splitlines(keepends=True)
+    h, seller_var = batch.h.ravel().tolist(), np.tile(batch.seller_var, batch.n_paths).tolist()
+    old = tmp_path / "old.csv"
+    old.write_text("".join([
+        echo, "path,t,v,y,p,pi,h,seller_mean,seller_var\n",
+        *(f"{','.join(x.split(',')[:6])},{h[k]!r},{x.split(',')[6].rstrip()},{seller_var[k]!r}\n"
+          for k, x in enumerate(rows)),
+    ]))
+    out = tmp_path / "trained"
+    assert cli_outcome(["train", "--paths", str(old), "--out", str(out)]) == (1, {
+        "type": "ValueError", "message": OLDER_HEADER,
+    })
     assert not out.exists()
 
 

@@ -663,6 +663,15 @@ def path_batches(draw) -> PathBatch:
     )
 
 
+def edit_seller_var(edit):
+    """A paths CSV edit (of its lines) that applies edit to the values of its
+    `# seller_var` line, the fields after the name."""
+    def edit_lines(lines):
+        name, *values = lines[1].rstrip("\n").split(",")
+        return [lines[0], ",".join([name, *edit(values)]) + "\n", *lines[2:]]
+    return edit_lines
+
+
 class TestPathsCsv:
     @given(path_batches())
     @settings(max_examples=150, deadline=None)
@@ -686,6 +695,22 @@ class TestPathsCsv:
         for field in ("v", "y", "p", "pi", "h", "seller_mean", "seller_var"):
             assert np.array_equal(getattr(batch, field), getattr(loaded, field))
 
+    @pytest.mark.parametrize("horizon", [25, 1])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_simulated_paths_round_trip_bitwise(self, tmp_path, seed, horizon):
+        # A block and a third of paths, so the last block ends partway. h is
+        # not in the file: the loader derives it with simulate's bits.
+        per_block = experiment._BLOCK_ROWS // (horizon + 1)
+        n = per_block + per_block // 3
+        config = experiment.reference_config(seed)
+        params = dataclasses.replace(config.params, horizon=horizon)
+        batch = generate_paths(params, n, DOMAIN_TRAIN)
+        file = tmp_path / "paths.csv"
+        file.write_text(render_paths_csv(batch, config))
+        loaded = load_paths_csv(file)
+        for f in dataclasses.fields(PathBatch):
+            assert getattr(loaded, f.name).tobytes() == getattr(batch, f.name).tobytes(), f.name
+
     def test_blocks_render_as_rows_one_at_a_time(self, tmp_path):
         # Two full blocks of paths and a partial one, of hand-set values.
         tp1 = 4
@@ -705,14 +730,17 @@ class TestPathsCsv:
             seller_var=grid(tp1, shift=5),
         )
         config = small_config()
-        lines = [f"# config {config.echo()}", ",".join(PATHS_COLUMNS)]
+        lines = [
+            f"# config {config.echo()}",
+            ",".join(["# seller_var", *(repr(float(x)) for x in batch.seller_var)]),
+            ",".join(PATHS_COLUMNS),
+        ]
         for i in range(n):
             for t in range(tp1):
                 lines.append(",".join([
                     str(i), str(t), repr(float(batch.v[i, t])),
                     repr(float(batch.y[i, t - 1])) if t else "nan", repr(float(batch.p[i, t])),
-                    repr(float(batch.pi[i, t])), repr(float(batch.h[i, t])),
-                    repr(float(batch.seller_mean[i, t])), repr(float(batch.seller_var[t])),
+                    repr(float(batch.pi[i, t])), repr(float(batch.seller_mean[i, t])),
                 ]))
         text = render_paths_csv(batch, config)
         assert text == "\n".join(lines) + "\n"
@@ -737,7 +765,8 @@ class TestPathsCsv:
 
     @staticmethod
     def csv_lines() -> list[str]:
-        """4 paths of T=3: config echo, header, then rows in (path, t) order."""
+        """4 paths of T=3: config echo, `# seller_var` line, header, then rows
+        in (path, t) order."""
         params = ModelParams(horizon=3, seed=31)
         text = render_paths_csv(generate_paths(params, 4, DOMAIN_TRAIN), small_config())
         return text.splitlines(keepends=True)
@@ -745,60 +774,59 @@ class TestPathsCsv:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            # Rows start at line 2; row 2 + 4 * i + t holds (path=i, t), data row 1 + 4 * i + t.
-            (lambda rows: rows[:8] + rows[9:],
+            # Rows start at line 3; row 3 + 4 * i + t holds (path=i, t), data row 1 + 4 * i + t.
+            (lambda rows: rows[:9] + rows[10:],
              r"data row 7 holds \(path=1, t=3\); \(path=1, t=2\) belongs there"),
-            (lambda rows: rows + [rows[2 + 4 * 2 + 3]],
+            (lambda rows: rows + [rows[3 + 4 * 2 + 3]],
              r"data row 17 holds \(path=2, t=3\); \(path=4, t=0\) belongs there"),
-            (lambda rows: rows[:8] + ["1,-2," + rows[8][len("1,2,"):]] + rows[9:],
+            (lambda rows: rows[:9] + ["1,-2," + rows[9][len("1,2,"):]] + rows[10:],
              r"data row 7 holds \(path=1, t=-2\); \(path=1, t=2\) belongs there"),
-            (lambda rows: rows[:8] + [rows[8].rstrip("\n") + ",0.5\n"] + rows[9:],
-             "rows of 9 fields"),
+            (lambda rows: rows[:9] + [rows[9].rstrip("\n") + ",0.5\n"] + rows[10:],
+             "rows of 7 fields"),
             (lambda rows: rows[:-1],
              r"^paths CSV data row 16 is missing; \(path=3, t=3\) belongs there "
              r"in simulate's \(path, t\) order$"),
             # Rows must come in simulate's order; two swapped rows are named.
-            (lambda rows: rows[:5] + [rows[6], rows[5]] + rows[7:],
+            (lambda rows: rows[:6] + [rows[7], rows[6]] + rows[8:],
              r"^paths CSV data row 4 holds \(path=1, t=0\); \(path=0, t=3\) belongs there"),
             # A huge path or t index is named without an array sized by it.
-            (lambda rows: rows[:8] + ["99999999999," + rows[8][len("1,"):]] + rows[9:],
+            (lambda rows: rows[:9] + ["99999999999," + rows[9][len("1,"):]] + rows[10:],
              r"^paths CSV data row 7 holds \(path=99999999999, t=2\); \(path=1, t=2\)"),
-            (lambda rows: rows[:3] + ["0,9223372036854775807," + rows[3][len("0,1,"):]] + rows[4:],
+            (lambda rows: rows[:4] + ["0,9223372036854775807," + rows[4][len("0,1,"):]] + rows[5:],
              r"^paths CSV data row 2 holds \(path=0, t=9223372036854775807\); "
              r"\(path=0, t=1\) belongs there"),
-            (lambda rows: rows[:8] + ["1" + "0" * 30 + rows[8][len("1"):]] + rows[9:],
+            (lambda rows: rows[:9] + ["1" + "0" * 30 + rows[9][len("1"):]] + rows[10:],
              "^paths CSV data row 7: path field '1000000000000000000000000000000' is not a 64-bit integer$"),
-            (lambda rows: rows[:8] + [rows[8].replace(rows[8].split(",")[2], "abc", 1)] + rows[9:],
+            (lambda rows: rows[:9] + [rows[9].replace(rows[9].split(",")[2], "abc", 1)] + rows[10:],
              "^paths CSV data row 7: v field 'abc' is not a number$"),
             (lambda rows: [], "no header row"),
             (lambda rows: rows[:1], "no header row"),  # only the config echo
-            (lambda rows: rows[:2], "^paths CSV has no data rows; it needs rows of 9 fields$"),
+            (lambda rows: rows[:3], "^paths CSV has no data rows; it needs rows of 7 fields$"),
             # Whitespace-only and `#` lines are skipped only before the header.
-            (lambda rows: rows[:8] + [" \t\n"] + rows[8:],
-             "^paths CSV data row 7 has 1 fields; the file needs rows of 9 fields$"),
-            (lambda rows: rows[:8] + ["# a note\n"] + rows[8:],
-             "^paths CSV data row 7 has 1 fields; the file needs rows of 9 fields$"),
+            (lambda rows: rows[:9] + [" \t\n"] + rows[9:],
+             "^paths CSV data row 7 has 1 fields; the file needs rows of 7 fields$"),
+            (lambda rows: rows[:9] + ["# a note\n"] + rows[9:],
+             "^paths CSV data row 7 has 1 fields; the file needs rows of 7 fields$"),
             # float() and int() take digit separators and non-ASCII digits; the reader does not.
-            (lambda rows: rows[:8] + [rows[8].replace(rows[8].split(",")[2], "1_0.5", 1)] + rows[9:],
+            (lambda rows: rows[:9] + [rows[9].replace(rows[9].split(",")[2], "1_0.5", 1)] + rows[10:],
              "^paths CSV data row 7: v field '1_0.5' is not a number$"),
-            (lambda rows: rows[:8] + ["1_0" + rows[8][len("1"):]] + rows[9:],
+            (lambda rows: rows[:9] + ["1_0" + rows[9][len("1"):]] + rows[10:],
              "^paths CSV data row 7: path field '1_0' is not a 64-bit integer$"),
-            (lambda rows: rows[:8] + ["1,\u0662," + rows[8][len("1,2,"):]] + rows[9:],
+            (lambda rows: rows[:9] + ["1,\u0662," + rows[9][len("1,2,"):]] + rows[10:],
              "^paths CSV data row 7: t field '\u0662' is not a 64-bit integer$"),
-            (lambda rows: rows[:8] + ["1,2,2, ," + rows[8].split(",", 4)[4]] + rows[9:],
+            (lambda rows: rows[:9] + ["1,2,2, ," + rows[9].split(",", 4)[4]] + rows[10:],
              "^paths CSV data row 7: y field ' ' is not a number$"),
-            # An empty y at t = 0, as older versions wrote it, is named with the way out.
-            (lambda rows: rows[:6] + [rows[6].replace(",nan,", ",,", 1)] + rows[7:],
-             "^paths CSV data row 5: y field '' is not a number; older versions left y empty "
-             "at t = 0 and this one writes nan there, so re-run optstop simulate under the "
-             "file's config$"),
+            # An empty y at t = 0 is an empty field like any other. The older
+            # versions that wrote it so are named by their header.
+            (lambda rows: rows[:7] + [rows[7].replace(",nan,", ",,", 1)] + rows[8:],
+             "^paths CSV data row 5: y field '' is not a number$"),
         ],
     )
     def test_faulty_rows_named(self, tmp_path, edit, message):
         params = ModelParams(horizon=3, seed=31)
         text = render_paths_csv(generate_paths(params, 4, DOMAIN_TRAIN), small_config())
         lines = text.splitlines(keepends=True)
-        assert lines[8].startswith("1,2,")
+        assert lines[9].startswith("1,2,")
         file = tmp_path / "paths.csv"
         file.write_text("".join(edit(lines)))
         with warnings.catch_warnings():
@@ -825,7 +853,7 @@ class TestPathsCsv:
         # A later row holds a second fault, which is named only if the field
         # under test is accepted.
         lines = self.csv_lines()
-        for row, k, field in ((8, PATHS_COLUMNS.index(column), text), (11, 2, "abc")):
+        for row, k, field in ((9, PATHS_COLUMNS.index(column), text), (12, 2, "abc")):
             fields = lines[row].rstrip("\n").split(",")
             fields[k] = field
             lines[row] = ",".join(fields) + "\n"
@@ -839,24 +867,27 @@ class TestPathsCsv:
             load_paths_csv(file)
 
     def test_fault_past_the_first_block_named_in_few_reader_calls(self, tmp_path, monkeypatch):
-        # 600 paths of T=3 make 2400 data rows; data row r is line r + 1.
-        # The first of two faults is named, after about log2(2400) reader
-        # calls to find its row and one per field tried.
+        # 600 paths of T=3 make 2400 data rows; data row r is line r + 2.
+        # The first of two faults is named, after one reader call for the
+        # `# seller_var` line, one for the rows, about log2(2400) to find the
+        # faulty row and one per field tried.
         params = ModelParams(horizon=3, seed=31)
         text = render_paths_csv(generate_paths(params, 600, DOMAIN_TRAIN), small_config())
         lines = text.splitlines(keepends=True)
         for row, field in ((1500, "abc"), (1700, "xyz")):
-            fields = lines[row + 1].split(",")
+            fields = lines[row + 2].split(",")
             fields[2] = field
-            lines[row + 1] = ",".join(fields)
+            lines[row + 2] = ",".join(fields)
         file = tmp_path / "paths.csv"
         file.write_text("".join(lines))
         calls = []
         read_rows = experiment._read_rows
-        monkeypatch.setattr(experiment, "_read_rows", lambda rows: calls.append(1) or read_rows(rows))
+        monkeypatch.setattr(
+            experiment, "_read_rows", lambda *args: calls.append(1) or read_rows(*args)
+        )
         with pytest.raises(ValueError, match="^paths CSV data row 1500: v field 'abc' is not a number$"):
             load_paths_csv(file)
-        assert len(calls) <= 1 + math.ceil(math.log2(2400)) + len(PATHS_COLUMNS)
+        assert len(calls) <= 2 + math.ceil(math.log2(2400)) + len(PATHS_COLUMNS)
 
     def test_int_read_through_a_float_is_named(self, tmp_path, monkeypatch):
         # Older numpy reads an int field such as '2.0' through a float and
@@ -879,7 +910,7 @@ class TestPathsCsv:
 
         monkeypatch.setattr(np, "loadtxt", older_loadtxt)
         lines = self.csv_lines()
-        lines[8] = "1,2.0," + lines[8][len("1,2,"):]
+        lines[9] = "1,2.0," + lines[9][len("1,2,"):]
         file = tmp_path / "paths.csv"
         file.write_text("".join(lines))
         with pytest.raises(ValueError, match="^paths CSV data row 7: t field '2.0' is not a 64-bit"):
@@ -888,53 +919,123 @@ class TestPathsCsv:
     @pytest.mark.parametrize(
         "row, column, text, fault",
         [
-            # Rows start at line 2; row 2 + 4 * i + t holds (path=i, t), data row 1 + 4 * i + t.
+            # Rows start at line 3; row 3 + 4 * i + t holds (path=i, t), data row 1 + 4 * i + t.
             # An empty field is the reader's to name, by data row, like any other.
-            (8, "y", "", "data row 7: y field '' is not a number$"),
-            (8, "y", "inf", r"row \(path=1, t=2\) has a non-finite y$"),
-            (8, "h", "-0.5", r"row \(path=1, t=2\) has an h other than max\(pi, 0\)"),
-            (6, "y", "0.5", r"row \(path=1, t=0\) has a y, but y is nan at t = 0"),
-            (8, "v", "inf", r"row \(path=1, t=2\) has a non-finite v$"),
-            (3, "p", "1e400", r"row \(path=0, t=1\) has a non-finite p$"),
-            (4, "pi", "-inf", r"row \(path=0, t=2\) has a non-finite pi$"),
-            (8, "h", "nan", r"row \(path=1, t=2\) has a non-finite h$"),
-            (5, "seller_mean", "nan", r"row \(path=0, t=3\) has a non-finite seller_mean$"),
-            (2, "seller_var", "inf", r"row \(path=0, t=0\) has a non-finite seller_var$"),
-            (8, "y", "nan", r"row \(path=1, t=2\) has a non-finite y$"),
+            (9, "y", "", "data row 7: y field '' is not a number$"),
+            (9, "y", "inf", r"row \(path=1, t=2\) has a non-finite y$"),
+            (7, "y", "0.5", r"row \(path=1, t=0\) has a y, but y is nan at t = 0"),
+            (9, "v", "inf", r"row \(path=1, t=2\) has a non-finite v$"),
+            (4, "p", "1e400", r"row \(path=0, t=1\) has a non-finite p$"),
+            (5, "pi", "-inf", r"row \(path=0, t=2\) has a non-finite pi$"),
+            (9, "pi", "nan", r"row \(path=1, t=2\) has a non-finite pi$"),
+            (6, "seller_mean", "nan", r"row \(path=0, t=3\) has a non-finite seller_mean$"),
+            # Row 1 is the `# seller_var` line; its field 1 holds t = 0's value.
+            (1, "seller_var", "inf", "# seller_var value at t = 0 is inf, not a finite number$"),
+            (9, "y", "nan", r"row \(path=1, t=2\) has a non-finite y$"),
         ],
         ids=[
-            "empty-y-after-t0", "infinite-y", "h-not-max-pi-0", "y-at-t0", "infinite-v",
-            "overflowing-p", "infinite-pi", "nan-h", "nan-seller-mean", "infinite-seller-var",
-            "nan-y-after-t0",
+            "empty-y-after-t0", "infinite-y", "y-at-t0", "infinite-v", "overflowing-p",
+            "infinite-pi", "nan-pi", "nan-seller-mean", "infinite-seller-var", "nan-y-after-t0",
         ],
     )
     def test_cell_fault_named(self, tmp_path, row, column, text, fault):
         # PathBatch names the cell; the loader rejects a y other than nan at
-        # t = 0, which PathBatch never sees.
+        # t = 0, which PathBatch never sees, and names a non-finite value of
+        # the `# seller_var` line by its t.
         lines = self.csv_lines()
         fields = lines[row].rstrip("\n").split(",")
-        fields[PATHS_COLUMNS.index(column)] = text
+        fields[1 if row == 1 else PATHS_COLUMNS.index(column)] = text
         lines[row] = ",".join(fields) + "\n"
         file = tmp_path / "paths.csv"
         file.write_text("".join(lines))
         with pytest.raises(ValueError, match=f"^paths CSV {fault}"):
             load_paths_csv(file)
 
-    @pytest.mark.parametrize("path, t, named", [(2, 1, 2), (0, 2, 1)])
-    def test_inconsistent_seller_var_named(self, tmp_path, path, t, named):
-        # Path 0 is the reference, so an edit there is named at path 1.
+    def test_h_is_the_exit_payoff_of_pi(self, tmp_path):
+        # The file holds no h: each is consumer.exit_payoff of its row's pi,
+        # as simulate makes it, so an edited pi carries its h along.
         lines = self.csv_lines()
-        row = 2 + 4 * path + t
-        fields = lines[row].rstrip("\n").split(",")
-        fields[8] = repr(1.5 * float(fields[8]))
-        lines[row] = ",".join(fields) + "\n"
+        for row, pi in ((5, "-0.5"), (9, "0.25"), (10, "-0.0")):
+            fields = lines[row].rstrip("\n").split(",")
+            fields[PATHS_COLUMNS.index("pi")] = pi
+            lines[row] = ",".join(fields) + "\n"
         file = tmp_path / "paths.csv"
         file.write_text("".join(lines))
-        # Both values print as plain floats, not as numpy scalars.
-        number = r"[0-9.e+-]+"
-        message = rf"seller_var at \(path={named}, t={t}\) is {number}, but path 0 has {number}$"
-        with pytest.raises(ValueError, match=message):
-            load_paths_csv(file)
+        batch = load_paths_csv(file)
+        assert batch.h.tobytes() == exit_payoff(batch.pi).tobytes()
+        assert (batch.pi[0, 2], batch.h[0, 2]) == (-0.5, 0.0)
+        assert (batch.pi[1, 2], batch.h[1, 2]) == (0.25, 0.25)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # The header of older versions, whose rows held h and seller_var,
+            # is named with the way out; its files had no `# seller_var` line.
+            (lambda rows: rows[:1] + ["path,t,v,y,p,pi,h,seller_mean,seller_var\n"] + rows[3:],
+             r"^paths CSV header \['path', 't', 'v', 'y', 'p', 'pi', 'h', 'seller_mean', "
+             r"'seller_var'\] is that of older versions; h is now max\(pi, 0\), derived on "
+             r"load, and seller_var is the # seller_var line above the header, so re-run "
+             r"optstop simulate under the file's config$"),
+            (lambda rows: rows[:1] + rows[2:],
+             "^paths CSV has no # seller_var line above its header row$"),
+            (lambda rows: rows[:2] + rows[1:],
+             "^paths CSV has a second # seller_var line; it holds one$"),
+            (lambda rows: rows[:2] + rows[:1] + rows[2:],
+             "^paths CSV has a second # config line; it holds one$"),
+            (lambda rows: rows[:1] + rows[2:3] + rows[1:2] + rows[3:],
+             "^paths CSV has no # seller_var line above its header row$"),
+            (lambda rows: rows[:2], "^paths CSV has no header row$"),
+            # T + 1 = 4 values, one per epoch of the rows' horizon 3.
+            (edit_seller_var(lambda values: values[:3]),
+             r"^paths CSV # seller_var line holds 3 values, but its rows hold paths of "
+             r"horizon 3, which take 4, one per t = 0\.\.3$"),
+            (edit_seller_var(lambda values: values + ["0.5"]),
+             "^paths CSV # seller_var line holds 5 values, but its rows hold paths of horizon 3"),
+            (edit_seller_var(lambda values: [""]),  # the line `# seller_var,`
+             "^paths CSV # seller_var line holds 0 values, but its rows hold paths of horizon 3"),
+            # A value the reader rejects is named by its position in the line.
+            (edit_seller_var(lambda values: values[:1] + ["abc"] + values[2:]),
+             "^paths CSV # seller_var value 2 of 4, 'abc', is not a number$"),
+            (edit_seller_var(lambda values: values[:3] + [""]),
+             "^paths CSV # seller_var value 4 of 4, '', is not a number$"),
+            (edit_seller_var(lambda values: values + [""]),
+             "^paths CSV # seller_var value 5 of 5, '', is not a number$"),
+            (edit_seller_var(lambda values: values[:2] + ["1_0"] + values[3:]),
+             "^paths CSV # seller_var value 3 of 4, '1_0', is not a number$"),
+            # A non-finite value is named by its t.
+            (edit_seller_var(lambda values: values[:2] + [" NaN"] + values[3:]),
+             "^paths CSV # seller_var value at t = 2 is nan, not a finite number$"),
+            (edit_seller_var(lambda values: values[:3] + ["-1e400"]),
+             "^paths CSV # seller_var value at t = 3 is -inf, not a finite number$"),
+        ],
+        ids=[
+            "older-header", "no-seller-var-line", "second-seller-var-line",
+            "second-config-line", "seller-var-line-after-the-header", "no-header-row",
+            "too-few-values", "too-many-values", "no-values", "rejected-value",
+            "empty-last-value", "trailing-comma", "digit-separator", "nan-value",
+            "overflowing-value",
+        ],
+    )
+    def test_header_fault_named(self, tmp_path, edit, message):
+        file = tmp_path / "paths.csv"
+        file.write_text("".join(edit(self.csv_lines())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a fault is raised, never warned about
+            with pytest.raises(ValueError, match=message):
+                load_paths_csv(file)
+
+    def test_seller_var_values_read_by_the_rows_reader(self, tmp_path):
+        # A trailing \x1c, which Python's float() rejects, is taken by the
+        # reader in the `# seller_var` line as in a row; leading spaces too.
+        lines = self.csv_lines()
+        name, *values = lines[1].rstrip("\n").split(",")
+        want = np.array([float(x) for x in values])
+        values[1] = values[1] + "\x1c"
+        values[2] = " " + values[2]
+        lines[1] = ",".join([name, *values]) + "\n"
+        file = tmp_path / "paths.csv"
+        file.write_text("".join(lines))
+        assert load_paths_csv(file).seller_var.tobytes() == want.tobytes()
 
     def test_seed_read_from_the_config_echo(self, tmp_path):
         lines = self.csv_lines()
@@ -1014,11 +1115,12 @@ class TestTableFormat:
     def test_paths_csv(self):
         self.expect(
             render_paths_csv(pin_batch(), pin_config()),
-            "path,t,v,y,p,pi,h,seller_mean,seller_var\n"
-            "0,0,1.0,nan,0.5,-0.25,0.0,1.0,1.0\n"
-            "0,1,1.5,0.1,0.75,0.5,0.5,0.3333333333333333,0.5\n"
-            "1,0,0.25,nan,0.5,0.0,0.0,1.0,1.0\n"
-            "1,1,1e-20,-2.0,0.125,-1.5,0.0,0.5,0.5\n",
+            "# seller_var,1.0,0.5\n"
+            "path,t,v,y,p,pi,seller_mean\n"
+            "0,0,1.0,nan,0.5,-0.25,1.0\n"
+            "0,1,1.5,0.1,0.75,0.5,0.3333333333333333\n"
+            "1,0,0.25,nan,0.5,0.0,1.0\n"
+            "1,1,1e-20,-2.0,0.125,-1.5,0.5\n",
         )
 
     def test_trace(self):
@@ -1116,7 +1218,7 @@ class TestTableFormat:
             raise AssertionError("render_paths_csv called _distinct_column")
 
         monkeypatch.setattr(experiment, "_distinct_column", fail)
-        assert render_paths_csv(pin_batch(), pin_config()).count("\n") == 6
+        assert render_paths_csv(pin_batch(), pin_config()).count("\n") == 7
 
     def test_histogram(self):
         report = pin_report()
