@@ -22,31 +22,24 @@ def _with_seed(config: experiment.ExperimentConfig, seed: int) -> experiment.Exp
     return dataclasses.replace(config, params=dataclasses.replace(config.params, seed=seed))
 
 
-def _load_config(args) -> experiment.ExperimentConfig:
-    if args.config:
-        config = experiment.load_config(args.config)
-    else:
-        config = experiment.ExperimentConfig()
-    if args.seed is not None:
-        config = _with_seed(config, args.seed)
-    return config
-
-
-def _stated_seed(args) -> str | None:
-    """How the command states its seed, or None where it takes the default;
-    a --config file states one only if its model object holds seed."""
-    if args.seed is not None:
-        return f"--seed {args.seed}"
+def _load_config(args) -> tuple[experiment.ExperimentConfig, str | None]:
+    """The command's config, its --config file parsed once, and how the
+    command states its seed, None where it takes the default; a --config
+    file states one only if its model object holds seed."""
+    config, stated = experiment.ExperimentConfig(), None
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            model = json.load(fh).get("model", {})
-        if "seed" in model:
-            return f"the seed {model['seed']} of --config {args.config}"
-    return None
+            d = json.load(fh)
+        config = experiment.ExperimentConfig.from_dict(d)
+        if "seed" in d.get("model", {}):
+            stated = f"the seed {config.params.seed} of --config {args.config}"
+    if args.seed is not None:
+        config, stated = _with_seed(config, args.seed), f"--seed {args.seed}"
+    return config, stated
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args)
+    config, _ = _load_config(args)
     batch = experiment.generate_paths(config.params, config.n_train, experiment.DOMAIN_TRAIN)
     experiment.write_output_dir(args.out, {"paths.csv": experiment.render_paths_csv(batch, config)})
     print(f"wrote {Path(args.out) / 'paths.csv'} ({batch.n_paths} paths, horizon {batch.horizon})")
@@ -54,7 +47,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _load_config(args)
+    config, stated = _load_config(args)
     if args.backend is not None:
         config = dataclasses.replace(
             config, backend=dataclasses.replace(config.backend, kind=args.backend)
@@ -67,9 +60,9 @@ def _cmd_train(args) -> int:
         seed, horizon = experiment.paths_csv_echo(args.paths)
         if seed is None:
             seed = config.params.seed
-        elif config.params.seed != seed and (given := _stated_seed(args)):
+        elif config.params.seed != seed and stated:
             raise ValueError(
-                f"{given} differs from the seed {seed} in the config echo of {args.paths}"
+                f"{stated} differs from the seed {seed} in the config echo of {args.paths}"
             )
         config = _with_seed(config, seed)
         batch = experiment.load_paths_csv(args.paths)
@@ -85,7 +78,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config = _load_config(args)
+    config, _ = _load_config(args)
     policy = policy_io.load_policy(args.policy)
     report, _ = experiment.evaluate_policy(config, policy)
     files = experiment.render_evaluation(report, config)
@@ -100,7 +93,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    config = _load_config(args)
+    config, _ = _load_config(args)
     trials = args.trial or [0]
     for i in trials:  # before the test paths are drawn and priced
         experiment.check_index("trace trial", i, config.n_test)

@@ -152,7 +152,7 @@ def simulate(params: ModelParams, z) -> PathBatch:
     once, one column of the batch per epoch: the valuation walk steps, the
     seller observes and filters. The price never feeds back into them, so
     the whole (n, T+1) posterior is then priced in one call, with one
-    variance per epoch, and the payoffs in one more.
+    variance per epoch, and the payoffs pi in one more (the batch derives h).
     """
     # sigma_xi = 0 is a valid Kalman input, but its posterior variance 0 has no price.
     if not params.sigma_xi > 0:
@@ -203,10 +203,7 @@ def simulate(params: ModelParams, z) -> PathBatch:
         ) from exc
     pi = consumer.purchase_payoff(v, p, np.arange(T + 1), params)
 
-    return PathBatch(
-        v=v, y=y, p=p, pi=pi, h=consumer.exit_payoff(pi),
-        seller_mean=seller_mean, seller_var=seller_var,
-    )
+    return PathBatch(v=v, y=y, p=p, pi=pi, seller_mean=seller_mean, seller_var=seller_var)
 
 
 def train_policy(
@@ -223,12 +220,19 @@ def train_policy(
 def evaluate_policy(
     config: ExperimentConfig, policy: lsm.StoppingPolicy
 ) -> tuple[lsm.EvaluationReport, PathBatch]:
-    """Score policy and the myopic buyer on the config's n_test test paths;
-    a policy of another horizon than the config's is refused before any draw."""
+    """Score policy and the myopic buyer on the config's n_test test paths.
+    Refused before any draw: a policy of another horizon than the config's,
+    and one whose metadata names a regression feature other than the exit
+    payoff, which is all that evaluation feeds it."""
     if policy.horizon != config.params.horizon:
         raise ValueError(
             f"the policy was trained at horizon {policy.horizon}, but the config's model "
             f"horizon is {config.params.horizon}; evaluate it under its training config"
+        )
+    if (feature := policy.metadata.get("feature", "exit_payoff")) != "exit_payoff":
+        raise ValueError(
+            f"the policy was fitted on the feature {feature!r}, but evaluation feeds it "
+            "the exit payoffs; evaluate only a policy of feature 'exit_payoff'"
         )
     test_batch = generate_paths(config.params, config.n_test, DOMAIN_TEST)
     return lsm.evaluate(policy, test_batch), test_batch
@@ -602,8 +606,8 @@ def load_paths_csv(path) -> PathBatch:
     read by the rows' reader: one that it rejects is named by its position,
     a non-finite one by its t, and a count other than the rows' T + 1 as a
     horizon fault. The header of older versions, with h and seller_var
-    columns, is named with the way out. h is consumer.exit_payoff(pi), as
-    simulate makes it.
+    columns, is named with the way out. The batch derives h from pi, as
+    simulate's batch does.
 
     The data rows must come in render_paths_csv's order: path 0's row
     count gives T + 1, and data row k + 1 (row 1 follows the header) holds
@@ -658,7 +662,7 @@ def load_paths_csv(path) -> PathBatch:
         check_cells(np.isnan(y[:, :1]), "a y, but y is nan at t = 0")
         return PathBatch(  # copies: views would keep every field of the rows
             v=v.copy(), y=y[:, 1:].copy(), p=p.copy(), pi=pi.copy(),
-            h=consumer.exit_payoff(pi), seller_mean=seller_mean.copy(), seller_var=seller_var,
+            seller_mean=seller_mean.copy(), seller_var=seller_var,
         )
     except ValueError as exc:
         raise ValueError(f"paths CSV {exc}") from None

@@ -7,11 +7,11 @@ horizon backwards over a batch of exit-payoff paths, keeping each path's one
 realized cashflow (the exit payoff at its current stop time). At each epoch t
 it regresses the in-the-money cashflows on the current exit payoff, giving an
 estimate f_t of the value of continuing; paths whose immediate payoff beats
-that estimate are re-marked to stop at t. Deployment replays the same strict
-comparison H_t > f_t(H_t) online, returning the exit payoff at the first win,
-and exits at the final epoch regardless. The myopic baseline is that same
-rule with every estimate f_t set to zero, so it buys at the first positive
-payoff.
+that estimate are re-marked to stop at t; the policy is the T estimates
+f_0..f_{T-1}. Deployment replays the same strict comparison H_t > f_t(H_t)
+online, on the exit payoffs alone, returning the exit payoff at the first win,
+and exits at the final epoch regardless. The myopic baseline is that same rule
+with every estimate f_t set to zero, so it buys at the first positive payoff.
 
 The regression feature defaults to the exit payoff itself but any per-time
 scalar feature stream can be supplied (e.g. exact state identifiers on
@@ -37,17 +37,14 @@ _Z95 = NormalDist().inv_cdf(0.975)
 
 @dataclass
 class StoppingPolicy:
-    """Trained per-epoch continuation-value estimators f_0..f_{T-1}."""
+    """Trained per-epoch continuation-value estimators f_0..f_{T-1}, T their count."""
 
-    horizon: int
     regressors: list[Regressor]
     metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if len(self.regressors) != self.horizon:
-            raise ValueError(
-                f"need exactly {self.horizon} regressors, got {len(self.regressors)}"
-            )
+    @property
+    def horizon(self) -> int:
+        return len(self.regressors)
 
 
 @dataclass
@@ -159,7 +156,7 @@ def train(
     }
     if metadata:
         meta.update(metadata)
-    policy = StoppingPolicy(horizon=horizon, regressors=regressors, metadata=meta)
+    policy = StoppingPolicy(regressors, meta)
 
     if not return_cashflows:
         return policy
@@ -169,17 +166,15 @@ def train(
 def _myopic(horizon: int) -> StoppingPolicy:
     """The myopic baseline as a policy: every continuation estimate is zero,
     so it exits at the first positive payoff."""
-    return StoppingPolicy(horizon, [ZeroRegressor()] * horizon)
+    return StoppingPolicy([ZeroRegressor()] * horizon)
 
 
-def decide(
-    policy: StoppingPolicy, h_prefix, pi_t: float, feature_prefix=None
-) -> float | None:
+def decide(policy: StoppingPolicy, h_prefix, feature_prefix=None) -> float | None:
     """Online stopping test at epoch t = len(h_prefix) - 1; returns the exit
     payoff H_t on exit and None to keep browsing.
 
-    h_prefix holds the exit payoffs observed so far (H_0..H_t); pi_t is the
-    current purchase payoff, with H_t = max(pi_t, 0). An exit before the
+    h_prefix holds the exit payoffs observed so far, H_0..H_t with
+    H_t = max(pi_t, 0), all finite and nonnegative. An exit before the
     horizon happens exactly when H_t strictly beats the trained continuation
     estimate; at the horizon the exit is forced. The exit is a purchase
     exactly when H_t > 0 (H_t is then pi_t), and a walk-away paying 0 otherwise.
@@ -190,19 +185,19 @@ def decide(
     t = len(h_prefix) - 1
     if t < 0 or t > policy.horizon:
         raise ValueError(f"prefix length {t + 1} outside 1..{policy.horizon + 1}")
+    if not (h_prefix.min() >= 0.0 and h_prefix.max() < math.inf):
+        raise ValueError("exit payoffs must be finite and nonnegative")
     h_t = float(h_prefix[-1])
-    if h_t != max(pi_t, 0.0):
-        raise ValueError(f"H_t={h_t} inconsistent with pi_t={pi_t}")
     x = _features(h_prefix, feature_prefix)
     if t < policy.horizon and not h_t > policy.regressors[t].predict(float(x[-1])):
         return None
     return h_t
 
 
-def myopic_decide(h_prefix, pi_t: float, horizon: int) -> float | None:
+def myopic_decide(h_prefix, horizon: int) -> float | None:
     """Greedy baseline: purchase at the first epoch with positive payoff,
     returning the exit payoff as decide() does."""
-    return decide(_myopic(horizon), h_prefix, pi_t)
+    return decide(_myopic(horizon), h_prefix)
 
 
 def apply_policy(policy: StoppingPolicy, h, features=None) -> tuple[np.ndarray, np.ndarray]:
@@ -337,9 +332,10 @@ def _outcome(batch: PathBatch, times: np.ndarray, payoffs: np.ndarray) -> Strate
 def evaluate(policy: StoppingPolicy, batch: PathBatch) -> EvaluationReport:
     """Run both strategies over the same test paths and compare them trial by
     trial (common random numbers): per-trial differences, their mean and
-    standard error, and the tie count."""
+    standard error, and the tie count. The batch's exit payoffs are derived once."""
+    h = batch.h
     return EvaluationReport(
-        algorithmic=_outcome(batch, *apply_policy(policy, batch.h)),
-        myopic=_outcome(batch, *apply_myopic(batch.h)),
-        paths_sha256=hashlib.sha256(np.ascontiguousarray(batch.h).tobytes()).hexdigest(),
+        algorithmic=_outcome(batch, *apply_policy(policy, h)),
+        myopic=_outcome(batch, *apply_myopic(h)),
+        paths_sha256=hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest(),
     )

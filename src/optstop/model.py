@@ -204,16 +204,16 @@ class PathBatch:
 
     Row n of each 2-D array is path n. seller_var holds the posterior
     variance used for pricing at each epoch; it is observation-independent
-    and therefore shared by every path. Construction checks the shapes, that
-    every entry is finite and that h is max(pi, 0), and raises a ValueError
-    naming the first fault, a cell by its (path, t); later edits are not checked.
+    and therefore shared by every path. The exit payoffs h are not stored:
+    each read derives them from pi. Construction checks the shapes and that
+    every entry is finite, and raises a ValueError naming the first fault, a
+    cell by its (path, t); later edits are not checked.
     """
 
     v: np.ndarray            # (N, T+1)
     y: np.ndarray            # (N, T)
     p: np.ndarray            # (N, T+1)
     pi: np.ndarray           # (N, T+1)
-    h: np.ndarray            # (N, T+1)
     seller_mean: np.ndarray  # (N, T+1)
     seller_var: np.ndarray   # (T+1,)
 
@@ -222,7 +222,7 @@ class PathBatch:
         t = tp1 - 1
         if self.y.shape != (n, t):
             raise ValueError(f"y has shape {self.y.shape}, expected {(n, t)}")
-        for name in ("p", "pi", "h", "seller_mean"):
+        for name in ("p", "pi", "seller_mean"):
             arr = getattr(self, name)
             if arr.shape != (n, tp1):
                 raise ValueError(f"{name} has shape {arr.shape}, expected {(n, tp1)}")
@@ -230,9 +230,14 @@ class PathBatch:
             raise ValueError(
                 f"seller_var has shape {self.seller_var.shape}, expected {(tp1,)}"
             )
-        for name in ("v", "y", "p", "pi", "h", "seller_mean", "seller_var"):
+        for name in ("v", "y", "p", "pi", "seller_mean", "seller_var"):
             check_cells(np.isfinite(getattr(self, name)), f"a non-finite {name}", name == "y")
-        check_cells(self.h == np.maximum(self.pi, 0.0), "an h other than max(pi, 0)")
+
+    @property
+    def h(self) -> np.ndarray:
+        """(N, T+1) exit payoffs max(pi, 0), made from pi on each read."""
+        from .consumer import exit_payoff  # consumer imports this module
+        return exit_payoff(self.pi)
 
     @property
     def n_paths(self) -> int:

@@ -79,10 +79,12 @@ def policy_from_text(text: str) -> StoppingPolicy:
             regressors.append(Regressor.from_dict(d))
         except (TypeError, ValueError) as exc:
             raise PolicyFormatError(f"regressor of epoch {t}: {exc}") from exc
-    try:
-        return StoppingPolicy(data["horizon"], regressors, data["metadata"])
-    except ValueError as exc:
-        raise PolicyFormatError(f"malformed policy payload: {exc}") from exc
+    if data["horizon"] != len(regressors):
+        raise PolicyFormatError(
+            f"malformed policy payload: need exactly {data['horizon']} regressors, "
+            f"got {len(regressors)}"
+        )
+    return StoppingPolicy(regressors, data["metadata"])
 
 
 def load_policy(path) -> StoppingPolicy:

@@ -202,10 +202,10 @@ class TestModelCorrectness:
             mut_h = h[n].copy()
             mut_pi[t + 1 :] = rng.uniform(-1.0, 1.0, horizon - t)
             mut_h[t + 1 :] = np.maximum(mut_pi[t + 1 :], 0.0)
-            base = decide(policy, h[n][: t + 1], float(pi[n][t]))
-            mutated = decide(policy, mut_h[: t + 1], float(mut_pi[t]))
-            myo_base = myopic_decide(h[n][: t + 1], float(pi[n][t]), horizon)
-            myo_mut = myopic_decide(mut_h[: t + 1], float(mut_pi[t]), horizon)
+            base = decide(policy, h[n][: t + 1])
+            mutated = decide(policy, mut_h[: t + 1])
+            myo_base = myopic_decide(h[n][: t + 1], horizon)
+            myo_mut = myopic_decide(mut_h[: t + 1], horizon)
             ok = ok and base == mutated and myo_base == myo_mut
             checked += 1
         _criterion(

@@ -338,6 +338,59 @@ def test_evaluate_names_a_policy_horizon_other_than_the_config_before_drawing(
     assert not out.exists()
 
 
+def test_evaluate_refuses_a_policy_fitted_on_custom_features_before_drawing(
+    config_file, tmp_path, monkeypatch
+):
+    # Evaluation feeds a policy the exit payoffs; one fitted on another
+    # feature would compare them with estimates of another variable.
+    config = load_config(config_file)
+    batch = experiment.generate_paths(config.params, config.n_train)
+    custom = lsm.train(batch.h, RegressionBackend(), features=batch.seller_mean)
+    assert custom.metadata["feature"] == "custom"
+    # A policy whose metadata has no feature evaluates as one fitted on the exit payoff.
+    plain = lsm.train(batch.h, RegressionBackend())
+    report, _ = experiment.evaluate_policy(config, plain)
+    del plain.metadata["feature"]
+    assert experiment.evaluate_policy(config, plain)[0].mean_difference == report.mean_difference
+    file = tmp_path / "custom.txt"
+    file.write_text(policy_io.policy_to_text(custom))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("evaluate drew test paths")
+
+    monkeypatch.setattr(experiment, "generate_paths", no_draws)
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--policy", str(file), "--config", str(config_file)]
+    assert cli_outcome([*argv, "--out", str(out)]) == (1, {
+        "type": "ValueError",
+        "message": "the policy was fitted on the feature 'custom', but evaluation feeds it "
+                   "the exit payoffs; evaluate only a policy of feature 'exit_payoff'",
+    })
+    assert not out.exists()
+
+
+def test_train_reads_its_config_once(tmp_path, monkeypatch):
+    sim = tmp_path / "sim"
+    assert cli_outcome(["simulate", "--seed", "7", "--out", str(sim)]) == (0, None)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"seed": 5}}))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    argv = ["train", "--paths", str(sim / "paths.csv"), "--config", str(config)]
+    assert cli_outcome([*argv, "--out", str(tmp_path / "clash")]) == (1, {
+        "type": "ValueError",
+        "message": f"the seed 5 of --config {config} differs from the seed 7 "
+                   f"in the config echo of {sim / 'paths.csv'}",
+    })
+    assert opened.count(str(config)) == 1
+
+
 def test_trace_rows(config_file, tmp_path):
     out = tmp_path / "trace"
     rc = main(

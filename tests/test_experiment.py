@@ -44,6 +44,11 @@ from optstop.rng import RngStream
 from optstop.seller import kalman_correct, kalman_predict, myopic_price
 
 
+# A PathBatch's stored arrays; the loops that compare batches also name h,
+# which a batch derives from pi.
+BATCH_FIELDS = tuple(f.name for f in dataclasses.fields(PathBatch))
+
+
 def small_config(**overrides) -> ExperimentConfig:
     kwargs = dict(
         params=ModelParams(horizon=6, seed=11),
@@ -248,10 +253,10 @@ class TestGeneratePaths:
         full = generate_paths(params, 12, DOMAIN_TEST)
         indices = [11, 0, 3, 4]
         part = generate_paths(params, 12, DOMAIN_TEST, indices)
-        for f in dataclasses.fields(PathBatch):
-            want = getattr(full, f.name)
-            want = want if f.name == "seller_var" else want[indices]
-            assert getattr(part, f.name).tobytes() == want.tobytes(), f.name
+        for name in (*BATCH_FIELDS, "h"):
+            want = getattr(full, name)
+            want = want if name == "seller_var" else want[indices]
+            assert getattr(part, name).tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("index", [-1, 12, 1.0, True])
     def test_index_outside_the_path_set_named(self, index):
@@ -279,8 +284,8 @@ class TestGeneratePaths:
         z = np.array([stream.rekey(i).standard_normal(51) for i in range(n)])
         assert hashlib.sha256(z.tobytes()).hexdigest()[:16] == digest
         got, want = generate_paths(params, n, domain), experiment.simulate(params, z)
-        for f in dataclasses.fields(PathBatch):
-            assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
+        for name in (*BATCH_FIELDS, "h"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_terminal_valuation_mean_matches_prior(self):
         params = ModelParams(seed=29)
@@ -656,9 +661,8 @@ def path_batches(draw) -> PathBatch:
         size = math.prod(shape)
         return np.reshape(draw(st.lists(FINITE, min_size=size, max_size=size)), shape)
 
-    pi = grid(n, tp1)
     return PathBatch(
-        v=grid(n, tp1), y=grid(n, tp1 - 1), p=grid(n, tp1), pi=pi, h=np.maximum(pi, 0.0),
+        v=grid(n, tp1), y=grid(n, tp1 - 1), p=grid(n, tp1), pi=grid(n, tp1),
         seller_mean=grid(n, tp1), seller_var=grid(tp1),
     )
 
@@ -708,8 +712,8 @@ class TestPathsCsv:
         file = tmp_path / "paths.csv"
         file.write_text(render_paths_csv(batch, config))
         loaded = load_paths_csv(file)
-        for f in dataclasses.fields(PathBatch):
-            assert getattr(loaded, f.name).tobytes() == getattr(batch, f.name).tobytes(), f.name
+        for name in (*BATCH_FIELDS, "h"):
+            assert getattr(loaded, name).tobytes() == getattr(batch, name).tobytes(), name
 
     def test_blocks_render_as_rows_one_at_a_time(self, tmp_path):
         # Two full blocks of paths and a partial one, of hand-set values.
@@ -723,10 +727,9 @@ class TestPathsCsv:
         def grid(*shape, shift):
             return np.resize(np.roll(values, shift), shape)
 
-        pi = grid(n, tp1, shift=4)
         batch = PathBatch(
             v=grid(n, tp1, shift=0), y=grid(n, tp1 - 1, shift=1), p=grid(n, tp1, shift=2),
-            pi=pi, h=np.maximum(pi, 0.0), seller_mean=grid(n, tp1, shift=3),
+            pi=grid(n, tp1, shift=4), seller_mean=grid(n, tp1, shift=3),
             seller_var=grid(tp1, shift=5),
         )
         config = small_config()
@@ -743,12 +746,17 @@ class TestPathsCsv:
                     repr(float(batch.pi[i, t])), repr(float(batch.seller_mean[i, t])),
                 ]))
         text = render_paths_csv(batch, config)
-        assert text == "\n".join(lines) + "\n"
+        # Line by line: a failure names its first differing line at once,
+        # where a diff of the two 8,200-line texts would take minutes.
+        got, want = text.split("\n"), [*lines, ""]
+        first = next((k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+        assert first is None, f"line {first + 1}: {got[first]!r} != {want[first]!r}"
+        assert len(got) == len(want), (len(got), len(want))
         file = tmp_path / "paths.csv"
         file.write_text(text)
         loaded = load_paths_csv(file)
-        for f in dataclasses.fields(PathBatch):
-            assert getattr(loaded, f.name).tobytes() == getattr(batch, f.name).tobytes(), f.name
+        for name in (*BATCH_FIELDS, "h"):
+            assert getattr(loaded, name).tobytes() == getattr(batch, name).tobytes(), name
 
     def test_render_peak_memory_near_the_text_size(self):
         # 600 reference paths, several blocks: the cell strings of one block
@@ -1081,13 +1089,11 @@ def pin_config() -> ExperimentConfig:
 
 def pin_batch() -> PathBatch:
     """Two hand-built paths of T=1."""
-    pi = np.array([[-0.25, 0.5], [0.0, -1.5]])
     return PathBatch(
         v=np.array([[1.0, 1.5], [0.25, 1e-20]]),
         y=np.array([[0.1], [-2.0]]),
         p=np.array([[0.5, 0.75], [0.5, 0.125]]),
-        pi=pi,
-        h=np.maximum(pi, 0.0),
+        pi=np.array([[-0.25, 0.5], [0.0, -1.5]]),
         seller_mean=np.array([[1.0, 1 / 3], [1.0, 0.5]]),
         seller_var=np.array([1.0, 0.5]),
     )

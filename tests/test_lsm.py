@@ -29,29 +29,28 @@ from optstop.regression import (
 from optstop.snell import backward_induction, discretize_consumer_problem, simulate_paths
 
 
-def decide_loop(policy, h_row, pi_row, feature_row=None):
+def decide_loop(policy, h_row, feature_row=None):
     """Reference per-path deployment: feed decide() growing prefixes and
     return (exit time, exit payoff)."""
     for t in range(policy.horizon + 1):
         feats = None if feature_row is None else feature_row[: t + 1]
-        payoff = decide(policy, h_row[: t + 1], float(pi_row[t]), feats)
+        payoff = decide(policy, h_row[: t + 1], feats)
         if payoff is not None:
             return t, payoff
     raise AssertionError("no exit by the horizon")
 
 
-def myopic_loop(h_row, pi_row, horizon):
+def myopic_loop(h_row, horizon):
     for t in range(horizon + 1):
-        payoff = myopic_decide(h_row[: t + 1], float(pi_row[t]), horizon)
+        payoff = myopic_decide(h_row[: t + 1], horizon)
         if payoff is not None:
             return t, payoff
     raise AssertionError("no exit by the horizon")
 
 
-def constant_policy(horizon: int, levels: list[float]) -> StoppingPolicy:
-    """Policy whose epoch-t estimator is the constant levels[t]."""
-    regs = [PolynomialRegressor(np.array([c])) for c in levels]
-    return StoppingPolicy(horizon=horizon, regressors=regs, metadata={})
+def constant_policy(levels: list[float]) -> StoppingPolicy:
+    """Policy of horizon len(levels) whose epoch-t estimator is the constant levels[t]."""
+    return StoppingPolicy([PolynomialRegressor(np.array([c])) for c in levels])
 
 
 class TestTrain:
@@ -65,7 +64,7 @@ class TestTrain:
         assert np.array_equal(cf.stop_values, [0.5])
         # kernel backend carries its default ridge, so allow that much slack
         assert policy.regressors[0].predict(0.5) == pytest.approx(0.2, abs=1e-5)
-        assert decide(policy, [0.5], 0.5) == 0.5
+        assert decide(policy, [0.5]) == 0.5
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_training_calls_no_lapack(self, kind, monkeypatch):
@@ -166,63 +165,75 @@ class TestTrain:
 
 class TestDecide:
     def test_terminal_purchase_and_reject(self):
-        policy = constant_policy(2, [0.0, 0.0])
-        assert decide(policy, [0.0, 0.0, 0.3], 0.3) == 0.3
-        assert decide(policy, [0.0, 0.0, 0.0], -0.4) == 0.0
+        policy = constant_policy([0.0, 0.0])
+        assert decide(policy, [0.0, 0.0, 0.3]) == 0.3
+        assert decide(policy, [0.0, 0.0, 0.0]) == 0.0  # pi_2 <= 0: a walk-away
 
     def test_early_exit_on_strictly_better_payoff(self):
-        policy = constant_policy(3, [0.1, 0.1, 0.1])
-        assert decide(policy, [0.4], 0.4) == 0.4
+        policy = constant_policy([0.1, 0.1, 0.1])
+        assert decide(policy, [0.4]) == 0.4
 
     def test_tie_continues(self):
-        policy = StoppingPolicy(
-            horizon=1,
-            regressors=[TabularRegressor(np.array([0.5]), np.array([0.5]), 0.5)],
-            metadata={},
-        )
-        assert decide(policy, [0.5], 0.5) is None
+        policy = StoppingPolicy([TabularRegressor(np.array([0.5]), np.array([0.5]), 0.5)])
+        assert decide(policy, [0.5]) is None
 
     def test_zero_payoff_exit_is_a_rejection(self):
         # A negative continuation estimate makes H=0 "exit"; that exit cannot
         # be a purchase since the purchase payoff is nonpositive, so it pays 0.
-        policy = constant_policy(2, [-0.5, -0.5])
-        assert decide(policy, [0.0], -0.2) == 0.0
+        policy = constant_policy([-0.5, -0.5])
+        assert decide(policy, [0.0]) == 0.0
 
     def test_prefix_validation(self):
-        policy = constant_policy(1, [0.0])
+        policy = constant_policy([0.0])
         with pytest.raises(ValueError):
-            decide(policy, [0.1, 0.1, 0.1], 0.1)  # longer than T+1
-        with pytest.raises(ValueError):
-            decide(policy, [0.5], 0.7)  # H inconsistent with pi
+            decide(policy, [0.1, 0.1, 0.1])  # longer than T+1
+
+    def test_decide_reads_exit_payoffs_alone(self):
+        # The purchase payoff is no argument: H_t carries all decide uses.
+        policy = constant_policy([0.1, 0.1])
+        assert decide(policy, [0.0, 0.2], [0.0, 0.2]) == 0.2
+        assert decide(policy, h_prefix=[0.05]) is None
+        assert myopic_decide([0.0, 0.2], horizon=2) == 0.2
+        with pytest.raises(TypeError):
+            decide(policy, [0.5], 0.5, None)
+        with pytest.raises(TypeError):
+            myopic_decide([0.5], 0.5, 2)
+
+    def test_policy_horizon_is_its_regressor_count(self):
+        policy = StoppingPolicy([ZeroRegressor()] * 3, {"seed": 1})
+        assert policy.horizon == 3 and policy.metadata == {"seed": 1}
+        assert StoppingPolicy([]).horizon == 0
+        with pytest.raises(TypeError):
+            StoppingPolicy(3, [ZeroRegressor()] * 3, {})
+        with pytest.raises(TypeError):
+            StoppingPolicy(horizon=3, regressors=[ZeroRegressor()] * 3)
 
     def test_myopic_first_positive(self):
-        h = np.array([0.0, 0.0, 0.1, 0.9])
-        pi = np.array([-0.5, -0.1, 0.1, 0.9])
-        assert myopic_loop(h, pi, 3) == (2, pytest.approx(0.1))
+        h = np.array([0.0, 0.0, 0.1, 0.9])  # pi = [-0.5, -0.1, 0.1, 0.9]
+        assert myopic_loop(h, 3) == (2, pytest.approx(0.1))
 
     def test_myopic_never_positive_rejects_at_horizon(self):
-        h = np.zeros(4)
-        pi = np.full(4, -0.3)
-        assert myopic_loop(h, pi, 3) == (3, 0.0)
+        h = np.zeros(4)  # pi = -0.3 at every epoch
+        assert myopic_loop(h, 3) == (3, 0.0)
 
     def test_myopic_immediate_greed(self):
-        assert myopic_decide([0.2], 0.2, 5) == 0.2
+        assert myopic_decide([0.2], 5) == 0.2
 
 
 class TestVectorizedEquivalence:
     def test_apply_policy_matches_decide_loop(self, ref_run):
         policy, _, test_batch, _, _ = ref_run
-        h, pi = test_batch.h[:200], test_batch.pi[:200]
+        h = test_batch.h[:200]
         times, payoffs = apply_policy(policy, h)
         for n in range(len(h)):
-            assert decide_loop(policy, h[n], pi[n]) == (times[n], payoffs[n])
+            assert decide_loop(policy, h[n]) == (times[n], payoffs[n])
 
     def test_apply_myopic_matches_decide_loop(self, ref_run):
         _, _, test_batch, _, _ = ref_run
-        h, pi = test_batch.h[:200], test_batch.pi[:200]
+        h = test_batch.h[:200]
         times, payoffs = apply_myopic(h)
         for n in range(len(h)):
-            assert myopic_loop(h[n], pi[n], h.shape[1] - 1) == (times[n], payoffs[n])
+            assert myopic_loop(h[n], h.shape[1] - 1) == (times[n], payoffs[n])
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_predicts_only_for_live_paths(self, ref_run, kind):
@@ -230,8 +241,8 @@ class TestVectorizedEquivalence:
         # t = 1 the estimators see that lone path and nothing else.
         _, train_batch, test_batch, _, _ = ref_run
         policy = train(train_batch.h, RegressionBackend(kind=kind))
-        h, pi = test_batch.h[:200], test_batch.pi[:200]
-        expected = [decide_loop(policy, h[n], pi[n]) for n in range(len(h))]
+        h = test_batch.h[:200]
+        expected = [decide_loop(policy, h[n]) for n in range(len(h))]
         first = [n for n, (t, _) in enumerate(expected) if t == 0][:5]
         later = [n for n, (t, _) in enumerate(expected) if t >= 2][:1]
         assert len(first) == 5 and len(later) == 1
@@ -246,9 +257,7 @@ class TestVectorizedEquivalence:
                 seen[self.t].append(np.array(x, copy=True))
                 return self.reg.predict(x)
 
-        recorded = StoppingPolicy(
-            policy.horizon, [Recording(reg, t) for t, reg in enumerate(policy.regressors)]
-        )
+        recorded = StoppingPolicy([Recording(reg, t) for t, reg in enumerate(policy.regressors)])
         times, payoffs = apply_policy(recorded, h[rows])
         assert [(times[i], payoffs[i]) for i in range(len(rows))] == [expected[n] for n in rows]
         stop = expected[later[0]][0]
@@ -263,7 +272,7 @@ class TestVectorizedEquivalence:
         assert np.all((0 <= times) & (times <= policy.horizon))
 
     def test_horizon_mismatch_rejected(self):
-        policy = constant_policy(2, [0.0, 0.0])
+        policy = constant_policy([0.0, 0.0])
         with pytest.raises(ValueError):
             apply_policy(policy, np.zeros((3, 5)))
 
@@ -276,7 +285,7 @@ class TestVectorizedEquivalence:
         ],
     )
     def test_bad_shapes_named(self, h_shape, features_shape, message):
-        policy = constant_policy(2, [0.0, 0.0])
+        policy = constant_policy([0.0, 0.0])
         features = None if features_shape is None else np.zeros(features_shape)
         with pytest.raises(ValueError, match=re.escape(message)):
             apply_policy(policy, np.zeros(h_shape), features=features)
@@ -289,9 +298,14 @@ class TestVectorizedEquivalence:
         h[cell] = value
         message = "^exit payoffs must be finite and nonnegative$"
         with pytest.raises(ValueError, match=message):
-            apply_policy(constant_policy(3, [0.5, 0.5, 0.5]), h)
+            apply_policy(constant_policy([0.5, 0.5, 0.5]), h)
         with pytest.raises(ValueError, match=message):
             apply_myopic(h)
+        # No H_t = max(pi_t, 0) is negative or non-finite, online either.
+        with pytest.raises(ValueError, match=message):
+            decide(constant_policy([0.5, 0.5, 0.5]), h[cell[0]])
+        with pytest.raises(ValueError, match=message):
+            myopic_decide(h[cell[0]], 3)
         with pytest.raises(ValueError, match=message):
             train(h, RegressionBackend())
 
@@ -307,7 +321,7 @@ class TestVectorizedEquivalence:
         with pytest.raises(ValueError, match=message):
             apply_policy(policy, h, features=bad)
         with pytest.raises(ValueError, match=message):
-            decide(policy, h[0, :1], 0.5, bad[0, :1])
+            decide(policy, h[0, :1], bad[0, :1])
         with pytest.raises(ValueError, match=message):
             train(h, RegressionBackend(kind=kind), features=bad)
 
@@ -316,19 +330,17 @@ class TestAdaptedness:
     def test_future_mutations_cannot_change_decisions(self, ref_run):
         policy, _, test_batch, _, _ = ref_run
         rng = np.random.default_rng(77)
-        h, pi = test_batch.h, test_batch.pi
+        h = test_batch.h
         for n in range(50):
             for t in range(policy.horizon + 1):
                 mutated_h = h[n].copy()
-                mutated_pi = pi[n].copy()
                 if t < policy.horizon:
-                    mutated_pi[t + 1 :] = rng.uniform(-1, 1, policy.horizon - t)
-                    mutated_h[t + 1 :] = np.maximum(mutated_pi[t + 1 :], 0.0)
-                args = (h[n][: t + 1], float(pi[n][t]))
-                mutated_args = (mutated_h[: t + 1], float(mutated_pi[t]))
-                assert decide(policy, *args) == decide(policy, *mutated_args)
-                assert myopic_decide(*args, policy.horizon) == myopic_decide(
-                    *mutated_args, policy.horizon
+                    mutated_pi = rng.uniform(-1, 1, policy.horizon - t)
+                    mutated_h[t + 1 :] = np.maximum(mutated_pi, 0.0)
+                prefix, mutated_prefix = h[n][: t + 1], mutated_h[: t + 1]
+                assert decide(policy, prefix) == decide(policy, mutated_prefix)
+                assert myopic_decide(prefix, policy.horizon) == myopic_decide(
+                    mutated_prefix, policy.horizon
                 )
 
 
@@ -381,11 +393,7 @@ class TestEvaluate:
         # Zero estimators exit iff H > 0 -- the myopic rule; the paired
         # comparison must then be identically zero on every path.
         _, _, test_batch, _, _ = ref_run
-        zero_policy = StoppingPolicy(
-            horizon=test_batch.horizon,
-            regressors=[ZeroRegressor()] * test_batch.horizon,
-            metadata={},
-        )
+        zero_policy = StoppingPolicy([ZeroRegressor()] * test_batch.horizon)
         report = evaluate(zero_policy, test_batch)
         assert np.array_equal(report.differences, np.zeros(report.n_trials))
         assert report.n_ties == report.n_trials

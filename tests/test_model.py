@@ -58,13 +58,11 @@ class TestSamplePath:
     """PathBatch's construction checks on a batch holding one sample path."""
 
     def make(self, T=3):
-        pi = np.array([[-0.1, 0.2, -0.3, 0.4]])[:, : T + 1]
         return PathBatch(
             v=np.zeros((1, T + 1)),
             y=np.zeros((1, T)),
             p=np.ones((1, T + 1)),
-            pi=pi,
-            h=np.maximum(pi, 0.0),
+            pi=np.array([[-0.1, 0.2, -0.3, 0.4]])[:, : T + 1],
             seller_mean=np.zeros((1, T + 1)),
             seller_var=np.ones(T + 1),
         )
@@ -76,11 +74,6 @@ class TestSamplePath:
         with pytest.raises(ValueError, match="y has shape"):
             dataclasses.replace(self.make(), y=np.zeros((1, 5)))
 
-    def test_exit_payoff_consistency_enforced(self):
-        path = self.make()
-        with pytest.raises(ValueError, match=r"has an h other than max\(pi, 0\)$"):
-            dataclasses.replace(path, h=path.h + 0.1)
-
     def test_non_finite_rejected(self):
         path = self.make()
         v = path.v.copy()
@@ -88,18 +81,32 @@ class TestSamplePath:
         with pytest.raises(ValueError, match=r"^row \(path=0, t=1\) has a non-finite v$"):
             dataclasses.replace(path, v=v)
 
+    def test_exit_payoff_consistency_enforced(self):
+        # h is read from pi, so it stays max(pi, 0) through every edit: it
+        # can be neither replaced nor assigned, and follows a changed pi.
+        path = self.make()
+        assert path.h.tobytes() == np.maximum(path.pi, 0.0).tobytes()
+        with pytest.raises(TypeError, match="'h'"):
+            dataclasses.replace(path, h=path.h + 0.1)
+        with pytest.raises(AttributeError):
+            path.h = path.pi
+        pi = path.pi.copy()
+        pi[0, 0] = 0.5
+        assert dataclasses.replace(path, pi=pi).h[0, 0] == 0.5
+
     def test_exit_payoff_other_than_max_pi_zero_rejected_when_built(self):
-        # h = pi keeps the negative purchase payoffs, which no exit can pay.
-        pi = np.array([[-0.1, 0.2, -0.3, 0.4]])
-        with pytest.raises(ValueError, match=r"^row \(path=0, t=0\) has an h other than max\(pi, 0\)$"):
+        # An h other than max(pi, 0), such as pi itself with its negative
+        # purchase payoffs, has no way in: the constructor takes no h.
+        path = self.make()
+        with pytest.raises(TypeError, match="'h'"):
             PathBatch(
-                v=np.zeros((1, 4)), y=np.zeros((1, 3)), p=np.ones((1, 4)), pi=pi, h=pi,
-                seller_mean=np.zeros((1, 4)), seller_var=np.ones(4),
+                v=path.v, y=path.y, p=path.p, pi=path.pi, h=path.pi,
+                seller_mean=path.seller_mean, seller_var=path.seller_var,
             )
 
     @pytest.mark.parametrize(
         "name, shape",
-        [("p", (1, 3)), ("pi", (2, 4)), ("h", (1, 5)), ("seller_mean", (4,)), ("seller_var", (1, 4))],
+        [("p", (1, 3)), ("pi", (2, 4)), ("y", (2, 3)), ("seller_mean", (4,)), ("seller_var", (1, 4))],
     )
     def test_shape_fault_named(self, name, shape):
         with pytest.raises(ValueError, match=rf"^{name} has shape {re.escape(str(shape))}, expected"):
@@ -112,10 +119,10 @@ class TestPathBatchCells:
     @staticmethod
     def arrays() -> dict:
         """Two paths of T=3, as PathBatch's fields."""
-        pi = np.array([[-0.1, 0.2, -0.3, 0.4], [0.5, -0.6, 0.7, 0.0]])
         return {
-            "v": np.ones((2, 4)), "y": np.ones((2, 3)), "p": np.ones((2, 4)), "pi": pi,
-            "h": np.maximum(pi, 0.0), "seller_mean": np.ones((2, 4)), "seller_var": np.ones(4),
+            "v": np.ones((2, 4)), "y": np.ones((2, 3)), "p": np.ones((2, 4)),
+            "pi": np.array([[-0.1, 0.2, -0.3, 0.4], [0.5, -0.6, 0.7, 0.0]]),
+            "seller_mean": np.ones((2, 4)), "seller_var": np.ones(4),
         }
 
     @pytest.mark.parametrize(
@@ -127,12 +134,11 @@ class TestPathBatchCells:
             ("y", (0, 2), math.nan, "(path=0, t=3) has a non-finite y"),
             ("p", (0, 0), -math.inf, "(path=0, t=0) has a non-finite p"),
             ("pi", (1, 3), math.nan, "(path=1, t=3) has a non-finite pi"),
-            ("h", (1, 1), math.inf, "(path=1, t=1) has a non-finite h"),
+            # A finite pi makes a finite h = max(pi, 0).
+            ("pi", (0, 1), math.inf, "(path=0, t=1) has a non-finite pi"),
             ("seller_mean", (0, 3), math.nan, "(path=0, t=3) has a non-finite seller_mean"),
             # seller_var is shared by every path: named at path 0.
             ("seller_var", 2, math.inf, "(path=0, t=2) has a non-finite seller_var"),
-            ("h", (1, 2), 0.75, "(path=1, t=2) has an h other than max(pi, 0)"),
-            ("h", (0, 0), -0.1, "(path=0, t=0) has an h other than max(pi, 0)"),
         ],
     )
     def test_first_bad_cell_named(self, name, cell, value, named):
