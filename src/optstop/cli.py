@@ -55,9 +55,9 @@ def _cmd_train(args) -> int:
     batch = None
     if args.paths:
         # The seed recorded is the one that made the paths, from the file's
-        # config echo; a seed the command states must be the same, and so
-        # must the file's horizon T.
-        seed, horizon = experiment.paths_csv_echo(args.paths)
+        # config echo; a seed the command states must be the same. The
+        # loader holds the file's horizon T to the echo's.
+        seed, _ = experiment.paths_csv_echo(args.paths)
         if seed is None:
             seed = config.params.seed
         elif config.params.seed != seed and stated:
@@ -66,11 +66,6 @@ def _cmd_train(args) -> int:
             )
         config = _with_seed(config, seed)
         batch = experiment.load_paths_csv(args.paths)
-        if horizon is not None and batch.horizon != horizon:
-            raise ValueError(
-                f"paths CSV {args.paths} holds paths of horizon {batch.horizon}, "
-                f"but its config echo says horizon {horizon}"
-            )
     policy, _ = experiment.train_policy(config, batch)
     experiment.write_output_dir(args.out, {"policy.txt": policy_io.policy_to_text(policy)})
     print(f"wrote {Path(args.out) / 'policy.txt'} (horizon {policy.horizon})")

@@ -150,9 +150,11 @@ def simulate(params: ModelParams, z) -> PathBatch:
     valuation, then per epoch the valuation shock and the seller's
     observation noise. The epoch loop runs the dynamics for all rows at
     once, one column of the batch per epoch: the valuation walk steps, the
-    seller observes and filters. The price never feeds back into them, so
-    the whole (n, T+1) posterior is then priced in one call, with one
-    variance per epoch, and the payoffs pi in one more (the batch derives h).
+    seller observes and updates his mean. His posterior variance does not
+    depend on the observations: it is seller.variance_schedule(params), one
+    per epoch, shared by every path. The price never feeds back into the
+    dynamics, so the whole (n, T+1) posterior is then priced in one call,
+    and the payoffs pi in one more (the batch derives h).
     """
     # sigma_xi = 0 is a valid Kalman input, but its posterior variance 0 has no price.
     if not params.sigma_xi > 0:
@@ -165,6 +167,7 @@ def simulate(params: ModelParams, z) -> PathBatch:
     if bad.size:
         i, k = bad[0]
         raise ValueError(f"z must be finite, got {z[i, k]} at (row={i}, column={k})")
+    seller_var = seller.variance_schedule(params)
     n = len(z)
     # Epoch t >= 1 runs on the valuation shocks eps[:, t-1] and the
     # observation noise xi[:, t-1].
@@ -173,26 +176,14 @@ def simulate(params: ModelParams, z) -> PathBatch:
     v = np.empty((n, T + 1))
     y = np.empty((n, T))
     seller_mean = np.empty((n, T + 1))
-    seller_var = np.empty(T + 1)
     v[:, 0] = params.mu_prior + params.sigma_v * z[:, 0]
     seller_mean[:, 0] = params.mu_prior
-    # The posterior variance does not depend on the observations: one
-    # scalar, stepped once per epoch, serves every path.
-    seller_var[0] = var = params.sigma_v**2
     for t in range(1, T + 1):
         v[:, t] = consumer.step_valuation(v[:, t - 1], eps[:, t - 1], params)
         y[:, t - 1] = v[:, t] + params.sigma_xi * xi[:, t - 1]
-        seller_mean[:, t], var = seller.kalman_correct(
-            seller_mean[:, t - 1], seller.kalman_predict(var, params), y[:, t - 1], params
-        )
-        seller_var[t] = var
-    # Epochs after a zero variance still step: the Kalman denominator is at least sigma_xi**2 > 0.
-    zero = np.flatnonzero(~(seller_var > 0))
-    if zero.size:
-        raise ValueError(
-            f"seller posterior variance rounds to 0 at epoch {zero[0]}, so it has no price "
-            f"(sigma_v={params.sigma_v}, sigma_eps={params.sigma_eps}, "
-            f"sigma_xi={params.sigma_xi})"
+        seller_mean[:, t], _ = seller.kalman_correct(
+            seller_mean[:, t - 1], seller.kalman_predict(seller_var[t - 1], params),
+            y[:, t - 1], params,
         )
     try:
         p = seller.myopic_price(seller_mean, seller_var)
@@ -203,7 +194,7 @@ def simulate(params: ModelParams, z) -> PathBatch:
         ) from exc
     pi = consumer.purchase_payoff(v, p, np.arange(T + 1), params)
 
-    return PathBatch(v=v, y=y, p=p, pi=pi, seller_mean=seller_mean, seller_var=seller_var)
+    return PathBatch(v=v, y=y, p=p, pi=pi, seller_mean=seller_mean)
 
 
 def train_policy(
@@ -229,11 +220,7 @@ def evaluate_policy(
             f"the policy was trained at horizon {policy.horizon}, but the config's model "
             f"horizon is {config.params.horizon}; evaluate it under its training config"
         )
-    if (feature := policy.metadata.get("feature", "exit_payoff")) != "exit_payoff":
-        raise ValueError(
-            f"the policy was fitted on the feature {feature!r}, but evaluation feeds it "
-            "the exit payoffs; evaluate only a policy of feature 'exit_payoff'"
-        )
+    lsm.check_exit_payoff_feature(policy)
     test_batch = generate_paths(config.params, config.n_test, DOMAIN_TEST)
     return lsm.evaluate(policy, test_batch), test_batch
 
@@ -264,9 +251,10 @@ def run_experiment(
 # use shortest round-trip repr, a missing value is nan, bools are 1/0; the
 # first line echoes the full config.
 
-# The paths CSV's columns: what varies by row. The exit payoff h is
-# max(pi, 0) and is derived on load; the seller's posterior variance depends
-# on t alone and is written once, as the `# seller_var` line above the header.
+# The paths CSV's columns: what varies by row. Neither value that follows
+# from them is written: the exit payoff h is max(pi, 0), derived on load, and
+# the seller's posterior variance is seller.variance_schedule of the model in
+# the file's config echo.
 PATHS_COLUMNS = ("path", "t", "v", "y", "p", "pi", "seller_mean")
 
 
@@ -282,11 +270,10 @@ def _column(values) -> list[str]:
     return list(map(fmt, values.tolist()))
 
 
-def _header(config: ExperimentConfig | None, names, notes: str = "") -> str:
-    """A table's config echo, unless config is None, then notes (whole `#`
-    lines), then its header row."""
+def _header(config: ExperimentConfig | None, names) -> str:
+    """A table's config echo, unless config is None, then its header row."""
     echo = "" if config is None else f"# config {config.echo()}\n"
-    return echo + notes + ",".join(names) + "\n"
+    return echo + ",".join(names) + "\n"
 
 
 def _rows(columns) -> str:
@@ -402,8 +389,15 @@ def render_evaluation(report: lsm.EvaluationReport, config: ExperimentConfig) ->
 
 def render_trace(batch: PathBatch, trial: int, config: ExperimentConfig) -> str:
     """Diagnostic table of batch's path `trial`: one row per epoch with both
-    agents' views; the observation is nan at t = 0."""
+    agents' views; the observation is nan at t = 0. The two standard
+    deviations follow from config's model, so a batch of another horizon
+    is refused, naming both horizons."""
     check_index("trace trial", trial, batch.n_paths)
+    if batch.horizon != config.params.horizon:
+        raise ValueError(
+            f"the paths are of horizon {batch.horizon}, but the config's model horizon is "
+            f"{config.params.horizon}; trace them under the config that made them"
+        )
     t = np.arange(batch.horizon + 1)
     return _table(
         config,
@@ -416,7 +410,7 @@ def render_trace(batch: PathBatch, trial: int, config: ExperimentConfig) -> str:
             "purchase_payoff": batch.pi[trial],
             "exit_payoff": batch.h[trial],
             "seller_mean": batch.seller_mean[trial],
-            "seller_std": np.sqrt(batch.seller_var),
+            "seller_std": np.sqrt(seller.variance_schedule(config.params)),
         },
     )
 
@@ -427,15 +421,13 @@ _BLOCK_ROWS = 4096
 
 
 def render_paths_csv(batch: PathBatch, config: ExperimentConfig) -> str:
-    """Long-format path dataset: the config echo, the `# seller_var` line of
-    the T + 1 posterior variances, the header, then one row of PATHS_COLUMNS
-    per (path, epoch), y nan at t = 0, rendered a block of whole paths at a
-    time."""
+    """Long-format path dataset: the config echo, the header, then one row
+    of PATHS_COLUMNS per (path, epoch), y nan at t = 0, rendered a block of
+    whole paths at a time."""
     n, tp1 = batch.v.shape
     t = _column(np.arange(tp1))
     per_block = max(1, _BLOCK_ROWS // tp1)
-    seller_var = ",".join((_SELLER_VAR, *_column(batch.seller_var))) + "\n"
-    blocks = [_header(config, PATHS_COLUMNS, seller_var)]
+    blocks = [_header(config, PATHS_COLUMNS)]
     for start in range(0, n, per_block):
         paths = range(start, min(start + per_block, n))
         block = slice(paths.start, paths.stop)
@@ -449,102 +441,71 @@ def render_paths_csv(batch: PathBatch, config: ExperimentConfig) -> str:
 
 # The paths CSV as numpy's C reader parses it: int64 `path` and `t`, float64
 # values, each number read with the same correctly rounded
-# PyOS_string_to_double as float(). The reader also reads the `# seller_var`
-# line's values, as one row of float64, and names the faults (see
+# PyOS_string_to_double as float(). The reader also names the faults (see
 # _name_fault), so there is one grammar.
 _PATHS_DTYPE = np.dtype(
     [(name, np.int64 if name in ("path", "t") else np.float64) for name in PATHS_COLUMNS]
 )
 _ECHO = "# config "
-_SELLER_VAR = "# seller_var"
 # The header of older versions, which wrote h and seller_var in every row.
 _OLDER_COLUMNS = ("path", "t", "v", "y", "p", "pi", "h", "seller_mean", "seller_var")
 
 
-def _read_rows(lines, dtype=_PATHS_DTYPE) -> np.ndarray:
-    """Parse lines (an open file or a list of lines) in numpy's C reader,
-    by default as data rows."""
+def _read_rows(lines) -> np.ndarray:
+    """Parse lines (an open file or a list of lines) as data rows in numpy's
+    C reader."""
     with warnings.catch_warnings():
         # Older numpy reads an integer field such as '2.0' through a float,
         # warning that it will stop; make it the fault that later numpy raises.
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         # A header-only file is named by load_paths_csv, not warned about.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        return np.loadtxt(lines, dtype=_PATHS_DTYPE, delimiter=",", comments=None, ndmin=1)
 
 
-def _rejects(lines: list[str], dtype=_PATHS_DTYPE) -> bool:
+def _rejects(lines: list[str]) -> bool:
     """Whether the reader rejects any of lines."""
     try:
-        _read_rows(lines, dtype)
+        _read_rows(lines)
     except ValueError:
         return True
     return False
 
 
-def _rejected_field(fields: list[str], dtype=_PATHS_DTYPE) -> int | None:
-    """The index of the first of a line's fields that the reader rejects
-    alone in a line of zeros, which it accepts; None if there is none."""
+def _rejected_field(fields: list[str]) -> int | None:
+    """The index of the first of a row's fields that the reader rejects
+    alone in a row of zeros, which it accepts; None if there is none."""
     for k, text in enumerate(fields):
         probe = ["0"] * len(fields)
         probe[k] = text
-        if _rejects([",".join(probe)], dtype):
+        if _rejects([",".join(probe)]):
             return k
     return None
 
 
-def _read_to_header(fh) -> tuple[str | None, str]:
+def _read_to_header(fh) -> str | None:
     """Read fh through the header row, past leading `#` and blank lines, and
-    check the header. Return the config echo's JSON text (None if there is
-    none) and the text after `# seller_var,`; a file holds at most one echo
-    and exactly one `# seller_var` line."""
-    found = {_ECHO: None, _SELLER_VAR + ",": None}
+    check the header. Return the config echo's JSON text, None if there is
+    none; a file holds at most one echo. Any other leading `#` line, such as
+    the `# seller_var` line that earlier versions wrote, is passed over."""
+    echo = None
     for line in iter(fh.readline, ""):
-        tag = next((tag for tag in found if line.startswith(tag)), None)
-        if tag is not None:
-            if found[tag] is not None:
-                raise ValueError(f"paths CSV has a second {tag.rstrip(' ,')} line; it holds one")
-            found[tag] = line[len(tag):]
+        if line.startswith(_ECHO):
+            if echo is not None:
+                raise ValueError("paths CSV has a second # config line; it holds one")
+            echo = line[len(_ECHO):]
         elif line.strip() and not line.startswith("#"):
             header = line.rstrip("\n").split(",")
             if tuple(header) == _OLDER_COLUMNS:
                 raise ValueError(
                     f"paths CSV header {header} is that of older versions; h is now "
-                    f"max(pi, 0), derived on load, and seller_var is the {_SELLER_VAR} line "
-                    "above the header, so re-run optstop simulate under the file's config"
+                    "max(pi, 0), derived on load, and seller_var follows from the model, "
+                    "so re-run optstop simulate under the file's config"
                 )
             if tuple(header) != PATHS_COLUMNS:
                 raise ValueError(f"unexpected paths CSV header {header}")
-            echo, seller_var = found.values()
-            if seller_var is None:
-                raise ValueError(f"paths CSV has no {_SELLER_VAR} line above its header row")
-            return echo, seller_var
+            return echo
     raise ValueError("paths CSV has no header row")
-
-
-def _read_seller_var(text: str) -> np.ndarray:
-    """The posterior variances of the `# seller_var` line, from the text
-    after its name, read as one row of float64. A value the reader rejects is
-    named by its position, and a non-finite one by its t."""
-    text = text.rstrip("\n")
-    try:
-        values = _read_rows([text], np.float64)
-    except ValueError:
-        fields = text.split(",")
-        k = _rejected_field(fields, np.float64)
-        if k is None:
-            raise
-        raise ValueError(
-            f"paths CSV {_SELLER_VAR} value {k + 1} of {len(fields)}, {fields[k]!r}, "
-            "is not a number"
-        ) from None
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(
-            f"paths CSV {_SELLER_VAR} value at t = {bad[0]} is {float(values[bad[0]])!r}, "
-            "not a finite number"
-        )
-    return values
 
 
 def _name_fault(fh) -> None:
@@ -577,12 +538,10 @@ def _name_fault(fh) -> None:
         raise ValueError(f"paths CSV data row {row}: {name} field {fields[k]!r} is not {what}")
 
 
-def paths_csv_echo(path) -> tuple[int | None, int | None]:
-    """The model seed and horizon in a paths CSV's config echo, each None if
-    the file has no echo or the echo's model lacks it. Only these two keys
-    are read, so an echo that holds a key since retired still serves."""
-    with open(path, "r", encoding="utf-8") as fh:
-        echo, _ = _read_to_header(fh)
+def _echo_seed_horizon(echo: str | None) -> tuple[int | None, int | None]:
+    """paths_csv_echo's values from the echo's JSON text, None if there is
+    no echo. Only these two keys are read, so an echo that holds a key since
+    retired still serves."""
     if echo is None:
         return None, None
     try:
@@ -599,30 +558,34 @@ def paths_csv_echo(path) -> tuple[int | None, int | None]:
     return seed, horizon
 
 
+def paths_csv_echo(path) -> tuple[int | None, int | None]:
+    """The model seed and horizon in a paths CSV's config echo, each None if
+    the file has no echo or the echo's model lacks it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _echo_seed_horizon(_read_to_header(fh))
+
+
 def load_paths_csv(path) -> PathBatch:
     """Reconstruct a PathBatch from the long-format CSV written by render_paths_csv.
 
-    The header must be preceded by one `# seller_var` line, whose values are
-    read by the rows' reader: one that it rejects is named by its position,
-    a non-finite one by its t, and a count other than the rows' T + 1 as a
-    horizon fault. The header of older versions, with h and seller_var
-    columns, is named with the way out. The batch derives h from pi, as
-    simulate's batch does.
+    Leading `#` lines other than the config echo are passed over, the
+    `# seller_var` line of earlier versions among them. The header of older
+    versions, with h and seller_var columns, is named with the way out. The
+    batch derives h from pi, as simulate's batch does.
 
     The data rows must come in render_paths_csv's order: path 0's row
     count gives T + 1, and data row k + 1 (row 1 follows the header) holds
     (path, t) = (k // (T+1), k % (T+1)). The first row out of place, or
     missing, is named with the (path, t) that belongs there, and a file of
-    one row per path (no epoch after t = 0) is named as such. A y other
-    than nan at t = 0 and a cell that PathBatch rejects (a nan y after
-    t = 0 among them) are named by their (path, t). The data rows are
-    parsed in one pass of numpy's C reader, with no converter; a row of
-    another width or a field that does not parse, an empty one included,
-    is named by its data row and column.
+    one row per path (no epoch after t = 0) is named as such, as is a T
+    other than the config echo's horizon. A y other than nan at t = 0 and a
+    cell that PathBatch rejects (a nan y after t = 0 among them) are named
+    by their (path, t). The data rows are parsed in one pass of numpy's C
+    reader, with no converter; a row of another width or a field that does
+    not parse, an empty one included, is named by its data row and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        _, seller_var = _read_to_header(fh)
-        seller_var = _read_seller_var(seller_var)
+        _, horizon = _echo_seed_horizon(_read_to_header(fh))
         try:
             rows = _read_rows(fh)
         except ValueError:
@@ -651,10 +614,10 @@ def load_paths_csv(path) -> PathBatch:
             "paths CSV has one row per path (t = 0 only); a path needs the rows "
             "t = 0..T of a horizon T >= 1"
         )
-    if seller_var.size != tp1:
+    if horizon is not None and tp1 - 1 != horizon:
         raise ValueError(
-            f"paths CSV {_SELLER_VAR} line holds {seller_var.size} values, but its rows hold "
-            f"paths of horizon {tp1 - 1}, which take {tp1}, one per t = 0..{tp1 - 1}"
+            f"paths CSV {path} holds paths of horizon {tp1 - 1}, "
+            f"but its config echo says horizon {horizon}"
         )
 
     v, y, p, pi, seller_mean = (rows[name].reshape(-1, tp1) for name in PATHS_COLUMNS[2:])
@@ -662,7 +625,7 @@ def load_paths_csv(path) -> PathBatch:
         check_cells(np.isnan(y[:, :1]), "a y, but y is nan at t = 0")
         return PathBatch(  # copies: views would keep every field of the rows
             v=v.copy(), y=y[:, 1:].copy(), p=p.copy(), pi=pi.copy(),
-            seller_mean=seller_mean.copy(), seller_var=seller_var,
+            seller_mean=seller_mean.copy(),
         )
     except ValueError as exc:
         raise ValueError(f"paths CSV {exc}") from None

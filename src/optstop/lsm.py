@@ -16,7 +16,8 @@ with every estimate f_t set to zero, so it buys at the first positive payoff.
 The regression feature defaults to the exit payoff itself but any per-time
 scalar feature stream can be supplied (e.g. exact state identifiers on
 discretized problems, where the tabular backend then recovers the true
-conditional expectation).
+conditional expectation). A policy fitted on such features is deployed only
+with them: given none, decide and apply_policy refuse it.
 """
 
 from __future__ import annotations
@@ -70,6 +71,17 @@ def _features(h: np.ndarray, features) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
     return x
+
+
+def check_exit_payoff_feature(policy: StoppingPolicy) -> None:
+    """Refuse a policy whose metadata names a regression feature other than
+    the exit payoff, which is all that a caller giving no features feeds it;
+    a policy without a feature entry passes."""
+    if (feature := policy.metadata.get("feature", "exit_payoff")) != "exit_payoff":
+        raise ValueError(
+            f"the policy was fitted on the feature {feature!r}, but evaluation feeds it "
+            "the exit payoffs; evaluate only a policy of feature 'exit_payoff'"
+        )
 
 
 def _exit_paths(h, features, horizon: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -179,8 +191,11 @@ def decide(policy: StoppingPolicy, h_prefix, feature_prefix=None) -> float | Non
     estimate; at the horizon the exit is forced. The exit is a purchase
     exactly when H_t > 0 (H_t is then pi_t), and a walk-away paying 0 otherwise.
     feature_prefix, if given, holds the regression features observed so far,
-    one per entry of h_prefix, all finite; it defaults to h_prefix.
+    one per entry of h_prefix, all finite; it defaults to h_prefix, and a
+    policy fitted on other features is then refused.
     """
+    if feature_prefix is None:
+        check_exit_payoff_feature(policy)
     h_prefix = np.asarray(h_prefix, dtype=float)
     t = len(h_prefix) - 1
     if t < 0 or t > policy.horizon:
@@ -207,8 +222,11 @@ def apply_policy(policy: StoppingPolicy, h, features=None) -> tuple[np.ndarray, 
     the test suite); payoff is the exit payoff at the stop epoch. Each
     epoch's estimator predicts only for the paths still browsing; every
     regressor evaluates each input on its own, so the bits do not depend on
-    which paths are left.
+    which paths are left. Given no features, a policy fitted on other
+    features is refused.
     """
+    if features is None:
+        check_exit_payoff_feature(policy)
     h, x = _exit_paths(h, features, policy.horizon)
     n_paths = len(h)
     times = np.full(n_paths, policy.horizon, dtype=np.int64)

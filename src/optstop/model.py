@@ -190,9 +190,8 @@ class ModelParams:
 
 
 def check_cells(ok: np.ndarray, fault: str, from_t1: bool = False) -> None:
-    """Raise a ValueError naming the (path, t) of ok's first False; a 1-D ok
-    is path 0's, and from_t1 numbers ok's columns from t = 1, as y's are."""
-    ok = np.atleast_2d(ok)
+    """Raise a ValueError naming the (path, t) of the 2-D ok's first False;
+    from_t1 numbers ok's columns from t = 1, as y's are."""
     if not ok.all():
         i, t = np.unravel_index(np.argmin(ok), ok.shape)
         raise ValueError(f"row (path={i}, t={t + from_t1}) has {fault}")
@@ -200,14 +199,15 @@ def check_cells(ok: np.ndarray, fault: str, from_t1: bool = False) -> None:
 
 @dataclass
 class PathBatch:
-    """A stack of sample paths plus the seller-belief trajectory.
+    """A stack of sample paths plus the seller's posterior means.
 
-    Row n of each 2-D array is path n. seller_var holds the posterior
-    variance used for pricing at each epoch; it is observation-independent
-    and therefore shared by every path. The exit payoffs h are not stored:
-    each read derives them from pi. Construction checks the shapes and that
-    every entry is finite, and raises a ValueError naming the first fault, a
-    cell by its (path, t); later edits are not checked.
+    Row n of each 2-D array is path n. Neither value that follows from
+    these is stored: each read of h derives the exit payoffs from pi, and
+    the seller's posterior variance, shared by every path, is
+    seller.variance_schedule of the model that made the paths. Construction
+    checks the shapes and that every entry is finite, and raises a
+    ValueError naming the first fault, a cell by its (path, t); later edits
+    are not checked.
     """
 
     v: np.ndarray            # (N, T+1)
@@ -215,7 +215,6 @@ class PathBatch:
     p: np.ndarray            # (N, T+1)
     pi: np.ndarray           # (N, T+1)
     seller_mean: np.ndarray  # (N, T+1)
-    seller_var: np.ndarray   # (T+1,)
 
     def __post_init__(self):
         n, tp1 = self.v.shape
@@ -226,11 +225,7 @@ class PathBatch:
             arr = getattr(self, name)
             if arr.shape != (n, tp1):
                 raise ValueError(f"{name} has shape {arr.shape}, expected {(n, tp1)}")
-        if self.seller_var.shape != (tp1,):
-            raise ValueError(
-                f"seller_var has shape {self.seller_var.shape}, expected {(tp1,)}"
-            )
-        for name in ("v", "y", "p", "pi", "seller_mean", "seller_var"):
+        for name in ("v", "y", "p", "pi", "seller_mean"):
             check_cells(np.isfinite(getattr(self, name)), f"a non-finite {name}", name == "y")
 
     @property

@@ -138,11 +138,6 @@ class KernelRegressor(Regressor):
 
     def __init__(self, xs, weights, bandwidth: float, ridge: float):
         _check_kernel(bandwidth, ridge)
-        self._fill(xs, weights, bandwidth, ridge)
-
-    def _fill(self, xs, weights, bandwidth: float, ridge: float) -> None:
-        """__init__ past the check of bandwidth and ridge, which fit_kernel
-        has made before fitting."""
         self.xs = check_finite("xs", xs)
         self.weights = check_finite("weights", weights)
         if len(self.xs) != 2 or not self.xs[0] <= self.xs[1]:
@@ -338,9 +333,7 @@ def fit_kernel(xs, ys, bandwidth: float = 1.0, ridge: float = DEFAULT_RIDGE) -> 
         for k in range(j + 1, m):
             dot += row[k] * coeffs[k]
         coeffs[j] = (row[m] - dot) / row[j]
-    reg = KernelRegressor.__new__(KernelRegressor)
-    reg._fill([xs[0], xs[-1]], coeffs, bandwidth, ridge)
-    return reg
+    return KernelRegressor([xs[0], xs[-1]], coeffs, bandwidth, ridge)
 
 
 def fit_tabular(xs, ys) -> TabularRegressor:

@@ -63,6 +63,17 @@ def kalman_predict(var, params: ModelParams):
     return var + params.sigma_eps**2
 
 
+def _correct_var(var, params: ModelParams):
+    """The variance half of the measurement update from the predicted
+    variance var: (gain, posterior variance), the gain None where a
+    point-mass belief meets a noiseless sensor, which carries no news."""
+    denom = var + params.sigma_xi**2
+    if denom == 0.0:
+        return None, var
+    gain = var / denom
+    return gain, (1.0 - gain) * var
+
+
 def kalman_correct(mean, var, y, params: ModelParams):
     """Measurement update with observation y = v + N(0, sigma_xi^2); returns
     the posterior (mean, var).
@@ -72,12 +83,32 @@ def kalman_correct(mean, var, y, params: ModelParams):
     """
     if not np.all(np.isfinite(y)):
         raise ValueError(f"observation must be finite, got {first_fault(np.isfinite(y), y)}")
-    denom = var + params.sigma_xi**2
-    if denom == 0.0:
-        # Degenerate: point-mass belief and noiseless sensor carry no news.
+    gain, var = _correct_var(var, params)
+    if gain is None:
         return mean, var
-    gain = var / denom
-    return mean + gain * (y - mean), (1.0 - gain) * var
+    return mean + gain * (y - mean), var
+
+
+def variance_schedule(params: ModelParams) -> np.ndarray:
+    """The (T+1,) posterior variances of the seller's filter at t = 0..T,
+    the prior sigma_v^2 first, each epoch's by kalman_predict and the
+    variance half of kalman_correct. They do not depend on the
+    observations, so they follow from params alone. A variance that rounds
+    to 0 has no price and raises a ValueError naming its epoch."""
+    schedule = np.empty(params.horizon + 1)
+    schedule[0] = var = params.sigma_v**2
+    for t in range(1, params.horizon + 1):
+        _, var = _correct_var(kalman_predict(var, params), params)
+        schedule[t] = var
+    # Epochs after a zero variance still step; the first is named.
+    zero = np.flatnonzero(~(schedule > 0))
+    if zero.size:
+        raise ValueError(
+            f"seller posterior variance rounds to 0 at epoch {zero[0]}, so it has no price "
+            f"(sigma_v={params.sigma_v}, sigma_eps={params.sigma_eps}, "
+            f"sigma_xi={params.sigma_xi})"
+        )
+    return schedule
 
 
 def myopic_price(mean, var):

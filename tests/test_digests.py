@@ -16,13 +16,13 @@ from optstop.snell import discretize_consumer_problem, simulate_paths
 
 # sha256 prefixes of every file of run_experiment(reference_config(1)), of
 # `optstop trace --seed 1 --trial 0 --trial 3 --trial 999` and of `optstop
-# simulate --seed 1` (a paths CSV of 13,003 lines).
+# simulate --seed 1` (a paths CSV of 13,002 lines).
 SEED1_FILES = {
     "config.json": "bd1154944ceecc0c",
     "exit_summary.csv": "4528f6970ff332d5",
     "payoff_diff.csv": "a2fed19b2053ff19",
     "payoff_hist.csv": "199e114b84e95f35",
-    "paths.csv": "dc5a1f861075297c",
+    "paths.csv": "310b10def53d860a",
     "policy.txt": "555e1eef110658e0",
     "price_hist.csv": "55b18da768715e38",
     "summary.csv": "f72a8047bf6f1702",

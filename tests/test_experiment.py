@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optstop import experiment, lsm, snell
+from optstop import experiment, lsm, seller, snell
 from optstop.consumer import exit_payoff, purchase_payoff, step_valuation
 from optstop.experiment import (
     DOMAIN_TEST,
@@ -100,10 +100,12 @@ class TestGeneratePaths:
         if mu_prior is not None:
             params = dataclasses.replace(params, mu_prior=mu_prior)
         batch = generate_paths(params, n, domain)
+        # The batch stores no variance: the filter's is the model's schedule.
+        schedule = seller.variance_schedule(params)
         for i in range(n):
             replay = replay_path(params, i, domain)
             for name, want in replay.items():
-                got = batch.seller_var if name == "seller_var" else getattr(batch, name)[i]
+                got = schedule if name == "seller_var" else getattr(batch, name)[i]
                 assert got.tobytes() == want.tobytes(), (name, i)
 
     def test_first_price_identical_across_paths(self, ref_run):
@@ -166,8 +168,10 @@ class TestGeneratePaths:
             run(ModelParams(horizon=2, sigma_v=1e-200))
 
     def test_tiny_positive_posterior_variance_runs(self):
-        batch = generate_paths(ModelParams(horizon=2, sigma_xi=1e-7), 2)
-        assert (batch.seller_var[1:] > 0).all()
+        params = ModelParams(horizon=2, sigma_xi=1e-7)
+        batch = generate_paths(params, 2)
+        assert (seller.variance_schedule(params)[1:] > 0).all()
+        assert np.isfinite(batch.p).all()
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_fewer_than_one_path(self, n):
@@ -254,8 +258,7 @@ class TestGeneratePaths:
         indices = [11, 0, 3, 4]
         part = generate_paths(params, 12, DOMAIN_TEST, indices)
         for name in (*BATCH_FIELDS, "h"):
-            want = getattr(full, name)
-            want = want if name == "seller_var" else want[indices]
+            want = getattr(full, name)[indices]
             assert getattr(part, name).tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("index", [-1, 12, 1.0, True])
@@ -561,6 +564,27 @@ class TestOutputs:
         assert len(lines) == 2 + config.params.horizon + 1  # echo + header + epochs
         assert len(lines[2].split(",")) == len(header)
 
+    def test_seller_variance_is_the_schedule_of_the_model(self):
+        # The trace's seller_std squared and simulate's prices take the bits
+        # of seller.variance_schedule: no batch carries the variance.
+        config = small_config(n_test=3)
+        batch = generate_paths(config.params, config.n_test, DOMAIN_TEST)
+        schedule = seller.variance_schedule(config.params)
+        assert batch.p.tobytes() == myopic_price(batch.seller_mean, schedule).tobytes()
+        rows = experiment.render_trace(batch, 2, config).splitlines()[2:]
+        seller_std = np.array([float(row.split(",")[-1]) for row in rows])
+        assert seller_std.tobytes() == np.sqrt(schedule).tobytes()
+
+    def test_trace_of_another_horizon_refused(self):
+        # Both standard deviations follow from the config's model, whose echo
+        # heads the file, so paths of another horizon are refused by name.
+        batch = generate_paths(ModelParams(horizon=25, seed=3), 2, DOMAIN_TEST)
+        with pytest.raises(ValueError, match=(
+            r"^the paths are of horizon 25, but the config's model horizon is 6; "
+            r"trace them under the config that made them$"
+        )):
+            experiment.render_trace(batch, 0, small_config())
+
     def test_difference_table_mean_matches_summary(self, tmp_path):
         config = small_config()
         out = tmp_path / "run"
@@ -663,30 +687,27 @@ def path_batches(draw) -> PathBatch:
 
     return PathBatch(
         v=grid(n, tp1), y=grid(n, tp1 - 1), p=grid(n, tp1), pi=grid(n, tp1),
-        seller_mean=grid(n, tp1), seller_var=grid(tp1),
+        seller_mean=grid(n, tp1),
     )
 
 
-def edit_seller_var(edit):
-    """A paths CSV edit (of its lines) that applies edit to the values of its
-    `# seller_var` line, the fields after the name."""
-    def edit_lines(lines):
-        name, *values = lines[1].rstrip("\n").split(",")
-        return [lines[0], ",".join([name, *edit(values)]) + "\n", *lines[2:]]
-    return edit_lines
+# A `# seller_var` line as earlier versions wrote it above the header, of
+# csv_lines()'s horizon 3.
+SELLER_VAR_LINE = "# seller_var,1.0,0.5024875621890547,0.3388375382388737,0.25862087045289217\n"
 
 
 class TestPathsCsv:
     @given(path_batches())
     @settings(max_examples=150, deadline=None)
     def test_round_trip_bitwise_for_any_finite_doubles(self, batch):
-        text = render_paths_csv(batch, small_config())
+        # Under a config of the batch's horizon, which the loader holds it to.
+        text = render_paths_csv(batch, small_config(params=ModelParams(horizon=batch.horizon)))
         with tempfile.TemporaryDirectory() as tmp:
             file = Path(tmp) / "paths.csv"
             for variant in (text, text.replace("\n", "\r\n"), text.rstrip("\n")):
                 file.write_bytes(variant.encode("utf-8"))
                 loaded = load_paths_csv(file)
-                for field in ("v", "y", "p", "pi", "h", "seller_mean", "seller_var"):
+                for field in (*BATCH_FIELDS, "h"):
                     want, got = getattr(batch, field), getattr(loaded, field)
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
 
@@ -694,9 +715,9 @@ class TestPathsCsv:
         params = ModelParams(horizon=5, seed=31)
         batch = generate_paths(params, 12, DOMAIN_TRAIN)
         file = tmp_path / "paths.csv"
-        file.write_text(render_paths_csv(batch, small_config()))
+        file.write_text(render_paths_csv(batch, small_config(params=params)))
         loaded = load_paths_csv(file)
-        for field in ("v", "y", "p", "pi", "h", "seller_mean", "seller_var"):
+        for field in (*BATCH_FIELDS, "h"):
             assert np.array_equal(getattr(batch, field), getattr(loaded, field))
 
     @pytest.mark.parametrize("horizon", [25, 1])
@@ -706,8 +727,8 @@ class TestPathsCsv:
         # not in the file: the loader derives it with simulate's bits.
         per_block = experiment._BLOCK_ROWS // (horizon + 1)
         n = per_block + per_block // 3
-        config = experiment.reference_config(seed)
-        params = dataclasses.replace(config.params, horizon=horizon)
+        params = dataclasses.replace(experiment.reference_config(seed).params, horizon=horizon)
+        config = experiment.reference_config(seed, params=params)
         batch = generate_paths(params, n, DOMAIN_TRAIN)
         file = tmp_path / "paths.csv"
         file.write_text(render_paths_csv(batch, config))
@@ -730,12 +751,10 @@ class TestPathsCsv:
         batch = PathBatch(
             v=grid(n, tp1, shift=0), y=grid(n, tp1 - 1, shift=1), p=grid(n, tp1, shift=2),
             pi=grid(n, tp1, shift=4), seller_mean=grid(n, tp1, shift=3),
-            seller_var=grid(tp1, shift=5),
         )
-        config = small_config()
+        config = small_config(params=ModelParams(horizon=tp1 - 1))
         lines = [
             f"# config {config.echo()}",
-            ",".join(["# seller_var", *(repr(float(x)) for x in batch.seller_var)]),
             ",".join(PATHS_COLUMNS),
         ]
         for i in range(n):
@@ -773,68 +792,67 @@ class TestPathsCsv:
 
     @staticmethod
     def csv_lines() -> list[str]:
-        """4 paths of T=3: config echo, `# seller_var` line, header, then rows
-        in (path, t) order."""
+        """4 paths of T=3: config echo, header, then rows in (path, t) order."""
         params = ModelParams(horizon=3, seed=31)
-        text = render_paths_csv(generate_paths(params, 4, DOMAIN_TRAIN), small_config())
+        text = render_paths_csv(generate_paths(params, 4, DOMAIN_TRAIN), small_config(params=params))
         return text.splitlines(keepends=True)
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            # Rows start at line 3; row 3 + 4 * i + t holds (path=i, t), data row 1 + 4 * i + t.
-            (lambda rows: rows[:9] + rows[10:],
+            # Rows start at line 2; row 2 + 4 * i + t holds (path=i, t), data row 1 + 4 * i + t.
+            (lambda rows: rows[:8] + rows[9:],
              r"data row 7 holds \(path=1, t=3\); \(path=1, t=2\) belongs there"),
-            (lambda rows: rows + [rows[3 + 4 * 2 + 3]],
+            (lambda rows: rows + [rows[2 + 4 * 2 + 3]],
              r"data row 17 holds \(path=2, t=3\); \(path=4, t=0\) belongs there"),
-            (lambda rows: rows[:9] + ["1,-2," + rows[9][len("1,2,"):]] + rows[10:],
+            (lambda rows: rows[:8] + ["1,-2," + rows[8][len("1,2,"):]] + rows[9:],
              r"data row 7 holds \(path=1, t=-2\); \(path=1, t=2\) belongs there"),
-            (lambda rows: rows[:9] + [rows[9].rstrip("\n") + ",0.5\n"] + rows[10:],
+            (lambda rows: rows[:8] + [rows[8].rstrip("\n") + ",0.5\n"] + rows[9:],
              "rows of 7 fields"),
             (lambda rows: rows[:-1],
              r"^paths CSV data row 16 is missing; \(path=3, t=3\) belongs there "
              r"in simulate's \(path, t\) order$"),
             # Rows must come in simulate's order; two swapped rows are named.
-            (lambda rows: rows[:6] + [rows[7], rows[6]] + rows[8:],
+            (lambda rows: rows[:5] + [rows[6], rows[5]] + rows[7:],
              r"^paths CSV data row 4 holds \(path=1, t=0\); \(path=0, t=3\) belongs there"),
             # A huge path or t index is named without an array sized by it.
-            (lambda rows: rows[:9] + ["99999999999," + rows[9][len("1,"):]] + rows[10:],
+            (lambda rows: rows[:8] + ["99999999999," + rows[8][len("1,"):]] + rows[9:],
              r"^paths CSV data row 7 holds \(path=99999999999, t=2\); \(path=1, t=2\)"),
-            (lambda rows: rows[:4] + ["0,9223372036854775807," + rows[4][len("0,1,"):]] + rows[5:],
+            (lambda rows: rows[:3] + ["0,9223372036854775807," + rows[3][len("0,1,"):]] + rows[4:],
              r"^paths CSV data row 2 holds \(path=0, t=9223372036854775807\); "
              r"\(path=0, t=1\) belongs there"),
-            (lambda rows: rows[:9] + ["1" + "0" * 30 + rows[9][len("1"):]] + rows[10:],
+            (lambda rows: rows[:8] + ["1" + "0" * 30 + rows[8][len("1"):]] + rows[9:],
              "^paths CSV data row 7: path field '1000000000000000000000000000000' is not a 64-bit integer$"),
-            (lambda rows: rows[:9] + [rows[9].replace(rows[9].split(",")[2], "abc", 1)] + rows[10:],
+            (lambda rows: rows[:8] + [rows[8].replace(rows[8].split(",")[2], "abc", 1)] + rows[9:],
              "^paths CSV data row 7: v field 'abc' is not a number$"),
             (lambda rows: [], "no header row"),
             (lambda rows: rows[:1], "no header row"),  # only the config echo
-            (lambda rows: rows[:3], "^paths CSV has no data rows; it needs rows of 7 fields$"),
+            (lambda rows: rows[:2], "^paths CSV has no data rows; it needs rows of 7 fields$"),
             # Whitespace-only and `#` lines are skipped only before the header.
-            (lambda rows: rows[:9] + [" \t\n"] + rows[9:],
+            (lambda rows: rows[:8] + [" \t\n"] + rows[8:],
              "^paths CSV data row 7 has 1 fields; the file needs rows of 7 fields$"),
-            (lambda rows: rows[:9] + ["# a note\n"] + rows[9:],
+            (lambda rows: rows[:8] + ["# a note\n"] + rows[8:],
              "^paths CSV data row 7 has 1 fields; the file needs rows of 7 fields$"),
             # float() and int() take digit separators and non-ASCII digits; the reader does not.
-            (lambda rows: rows[:9] + [rows[9].replace(rows[9].split(",")[2], "1_0.5", 1)] + rows[10:],
+            (lambda rows: rows[:8] + [rows[8].replace(rows[8].split(",")[2], "1_0.5", 1)] + rows[9:],
              "^paths CSV data row 7: v field '1_0.5' is not a number$"),
-            (lambda rows: rows[:9] + ["1_0" + rows[9][len("1"):]] + rows[10:],
+            (lambda rows: rows[:8] + ["1_0" + rows[8][len("1"):]] + rows[9:],
              "^paths CSV data row 7: path field '1_0' is not a 64-bit integer$"),
-            (lambda rows: rows[:9] + ["1,\u0662," + rows[9][len("1,2,"):]] + rows[10:],
+            (lambda rows: rows[:8] + ["1,\u0662," + rows[8][len("1,2,"):]] + rows[9:],
              "^paths CSV data row 7: t field '\u0662' is not a 64-bit integer$"),
-            (lambda rows: rows[:9] + ["1,2,2, ," + rows[9].split(",", 4)[4]] + rows[10:],
+            (lambda rows: rows[:8] + ["1,2,2, ," + rows[8].split(",", 4)[4]] + rows[9:],
              "^paths CSV data row 7: y field ' ' is not a number$"),
             # An empty y at t = 0 is an empty field like any other. The older
             # versions that wrote it so are named by their header.
-            (lambda rows: rows[:7] + [rows[7].replace(",nan,", ",,", 1)] + rows[8:],
+            (lambda rows: rows[:6] + [rows[6].replace(",nan,", ",,", 1)] + rows[7:],
              "^paths CSV data row 5: y field '' is not a number$"),
         ],
     )
     def test_faulty_rows_named(self, tmp_path, edit, message):
         params = ModelParams(horizon=3, seed=31)
-        text = render_paths_csv(generate_paths(params, 4, DOMAIN_TRAIN), small_config())
+        text = render_paths_csv(generate_paths(params, 4, DOMAIN_TRAIN), small_config(params=params))
         lines = text.splitlines(keepends=True)
-        assert lines[9].startswith("1,2,")
+        assert lines[8].startswith("1,2,")
         file = tmp_path / "paths.csv"
         file.write_text("".join(edit(lines)))
         with warnings.catch_warnings():
@@ -861,7 +879,7 @@ class TestPathsCsv:
         # A later row holds a second fault, which is named only if the field
         # under test is accepted.
         lines = self.csv_lines()
-        for row, k, field in ((9, PATHS_COLUMNS.index(column), text), (12, 2, "abc")):
+        for row, k, field in ((8, PATHS_COLUMNS.index(column), text), (11, 2, "abc")):
             fields = lines[row].rstrip("\n").split(",")
             fields[k] = field
             lines[row] = ",".join(fields) + "\n"
@@ -875,17 +893,17 @@ class TestPathsCsv:
             load_paths_csv(file)
 
     def test_fault_past_the_first_block_named_in_few_reader_calls(self, tmp_path, monkeypatch):
-        # 600 paths of T=3 make 2400 data rows; data row r is line r + 2.
+        # 600 paths of T=3 make 2400 data rows; data row r is line r + 1.
         # The first of two faults is named, after one reader call for the
-        # `# seller_var` line, one for the rows, about log2(2400) to find the
-        # faulty row and one per field tried.
+        # rows, about log2(2400) to find the faulty row and one per field
+        # tried.
         params = ModelParams(horizon=3, seed=31)
-        text = render_paths_csv(generate_paths(params, 600, DOMAIN_TRAIN), small_config())
+        text = render_paths_csv(generate_paths(params, 600, DOMAIN_TRAIN), small_config(params=params))
         lines = text.splitlines(keepends=True)
         for row, field in ((1500, "abc"), (1700, "xyz")):
-            fields = lines[row + 2].split(",")
+            fields = lines[row + 1].split(",")
             fields[2] = field
-            lines[row + 2] = ",".join(fields)
+            lines[row + 1] = ",".join(fields)
         file = tmp_path / "paths.csv"
         file.write_text("".join(lines))
         calls = []
@@ -895,7 +913,7 @@ class TestPathsCsv:
         )
         with pytest.raises(ValueError, match="^paths CSV data row 1500: v field 'abc' is not a number$"):
             load_paths_csv(file)
-        assert len(calls) <= 2 + math.ceil(math.log2(2400)) + len(PATHS_COLUMNS)
+        assert len(calls) <= 1 + math.ceil(math.log2(2400)) + len(PATHS_COLUMNS)
 
     def test_int_read_through_a_float_is_named(self, tmp_path, monkeypatch):
         # Older numpy reads an int field such as '2.0' through a float and
@@ -918,7 +936,7 @@ class TestPathsCsv:
 
         monkeypatch.setattr(np, "loadtxt", older_loadtxt)
         lines = self.csv_lines()
-        lines[9] = "1,2.0," + lines[9][len("1,2,"):]
+        lines[8] = "1,2.0," + lines[8][len("1,2,"):]
         file = tmp_path / "paths.csv"
         file.write_text("".join(lines))
         with pytest.raises(ValueError, match="^paths CSV data row 7: t field '2.0' is not a 64-bit"):
@@ -927,32 +945,29 @@ class TestPathsCsv:
     @pytest.mark.parametrize(
         "row, column, text, fault",
         [
-            # Rows start at line 3; row 3 + 4 * i + t holds (path=i, t), data row 1 + 4 * i + t.
+            # Rows start at line 2; row 2 + 4 * i + t holds (path=i, t), data row 1 + 4 * i + t.
             # An empty field is the reader's to name, by data row, like any other.
-            (9, "y", "", "data row 7: y field '' is not a number$"),
-            (9, "y", "inf", r"row \(path=1, t=2\) has a non-finite y$"),
-            (7, "y", "0.5", r"row \(path=1, t=0\) has a y, but y is nan at t = 0"),
-            (9, "v", "inf", r"row \(path=1, t=2\) has a non-finite v$"),
-            (4, "p", "1e400", r"row \(path=0, t=1\) has a non-finite p$"),
-            (5, "pi", "-inf", r"row \(path=0, t=2\) has a non-finite pi$"),
-            (9, "pi", "nan", r"row \(path=1, t=2\) has a non-finite pi$"),
-            (6, "seller_mean", "nan", r"row \(path=0, t=3\) has a non-finite seller_mean$"),
-            # Row 1 is the `# seller_var` line; its field 1 holds t = 0's value.
-            (1, "seller_var", "inf", "# seller_var value at t = 0 is inf, not a finite number$"),
-            (9, "y", "nan", r"row \(path=1, t=2\) has a non-finite y$"),
+            (8, "y", "", "data row 7: y field '' is not a number$"),
+            (8, "y", "inf", r"row \(path=1, t=2\) has a non-finite y$"),
+            (6, "y", "0.5", r"row \(path=1, t=0\) has a y, but y is nan at t = 0"),
+            (8, "v", "inf", r"row \(path=1, t=2\) has a non-finite v$"),
+            (3, "p", "1e400", r"row \(path=0, t=1\) has a non-finite p$"),
+            (4, "pi", "-inf", r"row \(path=0, t=2\) has a non-finite pi$"),
+            (8, "pi", "nan", r"row \(path=1, t=2\) has a non-finite pi$"),
+            (5, "seller_mean", "nan", r"row \(path=0, t=3\) has a non-finite seller_mean$"),
+            (8, "y", "nan", r"row \(path=1, t=2\) has a non-finite y$"),
         ],
         ids=[
             "empty-y-after-t0", "infinite-y", "y-at-t0", "infinite-v", "overflowing-p",
-            "infinite-pi", "nan-pi", "nan-seller-mean", "infinite-seller-var", "nan-y-after-t0",
+            "infinite-pi", "nan-pi", "nan-seller-mean", "nan-y-after-t0",
         ],
     )
     def test_cell_fault_named(self, tmp_path, row, column, text, fault):
         # PathBatch names the cell; the loader rejects a y other than nan at
-        # t = 0, which PathBatch never sees, and names a non-finite value of
-        # the `# seller_var` line by its t.
+        # t = 0, which PathBatch never sees.
         lines = self.csv_lines()
         fields = lines[row].rstrip("\n").split(",")
-        fields[1 if row == 1 else PATHS_COLUMNS.index(column)] = text
+        fields[PATHS_COLUMNS.index(column)] = text
         lines[row] = ",".join(fields) + "\n"
         file = tmp_path / "paths.csv"
         file.write_text("".join(lines))
@@ -963,7 +978,7 @@ class TestPathsCsv:
         # The file holds no h: each is consumer.exit_payoff of its row's pi,
         # as simulate makes it, so an edited pi carries its h along.
         lines = self.csv_lines()
-        for row, pi in ((5, "-0.5"), (9, "0.25"), (10, "-0.0")):
+        for row, pi in ((4, "-0.5"), (8, "0.25"), (9, "-0.0")):
             fields = lines[row].rstrip("\n").split(",")
             fields[PATHS_COLUMNS.index("pi")] = pi
             lines[row] = ",".join(fields) + "\n"
@@ -978,50 +993,23 @@ class TestPathsCsv:
         "edit, message",
         [
             # The header of older versions, whose rows held h and seller_var,
-            # is named with the way out; its files had no `# seller_var` line.
-            (lambda rows: rows[:1] + ["path,t,v,y,p,pi,h,seller_mean,seller_var\n"] + rows[3:],
+            # is named with the way out.
+            (lambda rows: rows[:1] + ["path,t,v,y,p,pi,h,seller_mean,seller_var\n"] + rows[2:],
              r"^paths CSV header \['path', 't', 'v', 'y', 'p', 'pi', 'h', 'seller_mean', "
              r"'seller_var'\] is that of older versions; h is now max\(pi, 0\), derived on "
-             r"load, and seller_var is the # seller_var line above the header, so re-run "
-             r"optstop simulate under the file's config$"),
-            (lambda rows: rows[:1] + rows[2:],
-             "^paths CSV has no # seller_var line above its header row$"),
-            (lambda rows: rows[:2] + rows[1:],
-             "^paths CSV has a second # seller_var line; it holds one$"),
-            (lambda rows: rows[:2] + rows[:1] + rows[2:],
+             r"load, and seller_var follows from the model, so re-run optstop simulate under "
+             r"the file's config$"),
+            (lambda rows: rows[:1] + rows,
              "^paths CSV has a second # config line; it holds one$"),
-            (lambda rows: rows[:1] + rows[2:3] + rows[1:2] + rows[3:],
-             "^paths CSV has no # seller_var line above its header row$"),
-            (lambda rows: rows[:2], "^paths CSV has no header row$"),
-            # T + 1 = 4 values, one per epoch of the rows' horizon 3.
-            (edit_seller_var(lambda values: values[:3]),
-             r"^paths CSV # seller_var line holds 3 values, but its rows hold paths of "
-             r"horizon 3, which take 4, one per t = 0\.\.3$"),
-            (edit_seller_var(lambda values: values + ["0.5"]),
-             "^paths CSV # seller_var line holds 5 values, but its rows hold paths of horizon 3"),
-            (edit_seller_var(lambda values: [""]),  # the line `# seller_var,`
-             "^paths CSV # seller_var line holds 0 values, but its rows hold paths of horizon 3"),
-            # A value the reader rejects is named by its position in the line.
-            (edit_seller_var(lambda values: values[:1] + ["abc"] + values[2:]),
-             "^paths CSV # seller_var value 2 of 4, 'abc', is not a number$"),
-            (edit_seller_var(lambda values: values[:3] + [""]),
-             "^paths CSV # seller_var value 4 of 4, '', is not a number$"),
-            (edit_seller_var(lambda values: values + [""]),
-             "^paths CSV # seller_var value 5 of 5, '', is not a number$"),
-            (edit_seller_var(lambda values: values[:2] + ["1_0"] + values[3:]),
-             "^paths CSV # seller_var value 3 of 4, '1_0', is not a number$"),
-            # A non-finite value is named by its t.
-            (edit_seller_var(lambda values: values[:2] + [" NaN"] + values[3:]),
-             "^paths CSV # seller_var value at t = 2 is nan, not a finite number$"),
-            (edit_seller_var(lambda values: values[:3] + ["-1e400"]),
-             "^paths CSV # seller_var value at t = 3 is -inf, not a finite number$"),
+            # The `# seller_var` line of earlier versions is passed over only
+            # above the header; below it, it is a data row like any `#` line.
+            (lambda rows: rows[:2] + [SELLER_VAR_LINE] + rows[2:],
+             "^paths CSV data row 1 has 5 fields; the file needs rows of 7 fields$"),
+            (lambda rows: rows[:1] + [SELLER_VAR_LINE], "^paths CSV has no header row$"),
         ],
         ids=[
-            "older-header", "no-seller-var-line", "second-seller-var-line",
-            "second-config-line", "seller-var-line-after-the-header", "no-header-row",
-            "too-few-values", "too-many-values", "no-values", "rejected-value",
-            "empty-last-value", "trailing-comma", "digit-separator", "nan-value",
-            "overflowing-value",
+            "older-header", "second-config-line", "seller-var-line-after-the-header",
+            "no-header-row",
         ],
     )
     def test_header_fault_named(self, tmp_path, edit, message):
@@ -1032,25 +1020,42 @@ class TestPathsCsv:
             with pytest.raises(ValueError, match=message):
                 load_paths_csv(file)
 
-    def test_seller_var_values_read_by_the_rows_reader(self, tmp_path):
-        # A trailing \x1c, which Python's float() rejects, is taken by the
-        # reader in the `# seller_var` line as in a row; leading spaces too.
+    @pytest.mark.parametrize("line", [SELLER_VAR_LINE, "# seller_var,abc,nan,1_0,\n"])
+    def test_seller_var_line_of_earlier_versions_passed_over(self, tmp_path, line):
+        # Earlier versions wrote the posterior variances on a `# seller_var`
+        # line above the header. The loader reads no such line: the variance
+        # follows from the model, so whatever the line holds, the file loads
+        # as it does without it.
         lines = self.csv_lines()
-        name, *values = lines[1].rstrip("\n").split(",")
-        want = np.array([float(x) for x in values])
-        values[1] = values[1] + "\x1c"
-        values[2] = " " + values[2]
-        lines[1] = ",".join([name, *values]) + "\n"
         file = tmp_path / "paths.csv"
         file.write_text("".join(lines))
-        assert load_paths_csv(file).seller_var.tobytes() == want.tobytes()
+        want = load_paths_csv(file)
+        for edited in (lines[:1] + [line] + lines[1:], [line] + lines):
+            file.write_text("".join(edited))
+            got = load_paths_csv(file)
+            for name in (*BATCH_FIELDS, "h"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_horizon_other_than_the_config_echo_named(self, tmp_path):
+        # A file cut to t <= 2 holds paths of horizon 2 beside an echo of 3;
+        # the loader holds the rows to the echo, as it holds rows to rows.
+        lines = self.csv_lines()
+        file = tmp_path / "cut.csv"
+        file.write_text("".join(lines[:2] + [x for x in lines[2:] if x.split(",")[1] != "3"]))
+        with pytest.raises(ValueError, match=(
+            f"^paths CSV {re.escape(str(file))} holds paths of horizon 2, "
+            "but its config echo says horizon 3$"
+        )):
+            load_paths_csv(file)
+        # Without an echo, the same rows load as horizon-2 paths.
+        file.write_text("".join(x for x in file.read_text().splitlines(keepends=True)[1:]))
+        assert load_paths_csv(file).horizon == 2
 
     def test_seed_read_from_the_config_echo(self, tmp_path):
         lines = self.csv_lines()
         file = tmp_path / "paths.csv"
         file.write_text("".join(lines))
-        params = small_config().params
-        assert paths_csv_echo(file) == (params.seed, params.horizon)
+        assert paths_csv_echo(file) == (31, 3)
         file.write_text("".join(lines[1:]))
         assert paths_csv_echo(file) == (None, None)
         # Only the seed and horizon are read: an echo with keys since retired still serves.
@@ -1095,7 +1100,6 @@ def pin_batch() -> PathBatch:
         p=np.array([[0.5, 0.75], [0.5, 0.125]]),
         pi=np.array([[-0.25, 0.5], [0.0, -1.5]]),
         seller_mean=np.array([[1.0, 1 / 3], [1.0, 0.5]]),
-        seller_var=np.array([1.0, 0.5]),
     )
 
 
@@ -1121,7 +1125,6 @@ class TestTableFormat:
     def test_paths_csv(self):
         self.expect(
             render_paths_csv(pin_batch(), pin_config()),
-            "# seller_var,1.0,0.5\n"
             "path,t,v,y,p,pi,seller_mean\n"
             "0,0,1.0,nan,0.5,-0.25,1.0\n"
             "0,1,1.5,0.1,0.75,0.5,0.3333333333333333\n"
@@ -1135,7 +1138,7 @@ class TestTableFormat:
             "t,valuation_mean,valuation_std,observation,price,purchase_payoff,"
             "exit_payoff,seller_mean,seller_std\n"
             "0,0.25,0.5,nan,0.5,0.0,0.0,1.0,1.0\n"
-            "1,1e-20,0.0,-2.0,0.125,-1.5,0.0,0.5,0.7071067811865476\n",
+            "1,1e-20,0.0,-2.0,0.125,-1.5,0.0,0.5,0.7453559924999299\n",
         )
         assert experiment.render_trace(pin_batch(), np.int64(1), pin_config()) == \
             experiment.render_trace(pin_batch(), 1, pin_config())
@@ -1224,7 +1227,7 @@ class TestTableFormat:
             raise AssertionError("render_paths_csv called _distinct_column")
 
         monkeypatch.setattr(experiment, "_distinct_column", fail)
-        assert render_paths_csv(pin_batch(), pin_config()).count("\n") == 7
+        assert render_paths_csv(pin_batch(), pin_config()).count("\n") == 6
 
     def test_histogram(self):
         report = pin_report()

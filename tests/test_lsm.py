@@ -17,6 +17,7 @@ from optstop.lsm import (
     myopic_decide,
     train,
 )
+from optstop.experiment import generate_paths
 from optstop.model import ModelParams
 from optstop.regression import (
     BACKEND_KINDS,
@@ -207,6 +208,28 @@ class TestDecide:
             StoppingPolicy(3, [ZeroRegressor()] * 3, {})
         with pytest.raises(TypeError):
             StoppingPolicy(horizon=3, regressors=[ZeroRegressor()] * 3)
+
+    def test_custom_feature_policy_refused_without_features(self):
+        # Fitted on the seller's means, the policy's estimators take means;
+        # fed exit payoffs in their place, they would score a rule nobody
+        # trained. Given no features, every deployment refuses it.
+        batch = generate_paths(ModelParams(horizon=3, seed=5), 40)
+        h, means = batch.h, batch.seller_mean
+        policy = train(h, RegressionBackend(), features=means)
+        message = (
+            r"^the policy was fitted on the feature 'custom', but evaluation feeds it the "
+            r"exit payoffs; evaluate only a policy of feature 'exit_payoff'$"
+        )
+        for call in (
+            lambda: apply_policy(policy, h),
+            lambda: decide(policy, h[0, :1]),
+            lambda: evaluate(policy, batch),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+        # With its features it deploys.
+        apply_policy(policy, h, features=means)
+        decide(policy, h[0, :1], means[0, :1])
 
     def test_myopic_first_positive(self):
         h = np.array([0.0, 0.0, 0.1, 0.9])  # pi = [-0.5, -0.1, 0.1, 0.9]

@@ -64,7 +64,6 @@ class TestSamplePath:
             p=np.ones((1, T + 1)),
             pi=np.array([[-0.1, 0.2, -0.3, 0.4]])[:, : T + 1],
             seller_mean=np.zeros((1, T + 1)),
-            seller_var=np.ones(T + 1),
         )
 
     def test_valid_path_passes(self):
@@ -101,12 +100,23 @@ class TestSamplePath:
         with pytest.raises(TypeError, match="'h'"):
             PathBatch(
                 v=path.v, y=path.y, p=path.p, pi=path.pi, h=path.pi,
-                seller_mean=path.seller_mean, seller_var=path.seller_var,
+                seller_mean=path.seller_mean,
             )
+
+    def test_posterior_variance_not_stored(self):
+        # The seller's posterior variance follows from the model alone
+        # (seller.variance_schedule), so a batch takes none.
+        path = self.make()
+        with pytest.raises(TypeError, match="'seller_var'"):
+            PathBatch(
+                v=path.v, y=path.y, p=path.p, pi=path.pi, seller_mean=path.seller_mean,
+                seller_var=np.ones(4),
+            )
+        assert not hasattr(path, "seller_var")
 
     @pytest.mark.parametrize(
         "name, shape",
-        [("p", (1, 3)), ("pi", (2, 4)), ("y", (2, 3)), ("seller_mean", (4,)), ("seller_var", (1, 4))],
+        [("p", (1, 3)), ("pi", (2, 4)), ("y", (2, 3)), ("seller_mean", (4,))],
     )
     def test_shape_fault_named(self, name, shape):
         with pytest.raises(ValueError, match=rf"^{name} has shape {re.escape(str(shape))}, expected"):
@@ -122,7 +132,7 @@ class TestPathBatchCells:
         return {
             "v": np.ones((2, 4)), "y": np.ones((2, 3)), "p": np.ones((2, 4)),
             "pi": np.array([[-0.1, 0.2, -0.3, 0.4], [0.5, -0.6, 0.7, 0.0]]),
-            "seller_mean": np.ones((2, 4)), "seller_var": np.ones(4),
+            "seller_mean": np.ones((2, 4)),
         }
 
     @pytest.mark.parametrize(
@@ -137,8 +147,6 @@ class TestPathBatchCells:
             # A finite pi makes a finite h = max(pi, 0).
             ("pi", (0, 1), math.inf, "(path=0, t=1) has a non-finite pi"),
             ("seller_mean", (0, 3), math.nan, "(path=0, t=3) has a non-finite seller_mean"),
-            # seller_var is shared by every path: named at path 0.
-            ("seller_var", 2, math.inf, "(path=0, t=2) has a non-finite seller_var"),
         ],
     )
     def test_first_bad_cell_named(self, name, cell, value, named):

@@ -65,12 +65,10 @@ def replaced(document, path, value):
 
 
 def mutate_csv(lines: list[str], rng: random.Random) -> list[str]:
-    """lines (config echo, `# seller_var` line and header first) with one
-    field of a data row or of the `# seller_var` line changed, or that line
-    deleted or duplicated. The `# seller_var` line takes a quarter of the
-    mutations, the data rows the rest."""
+    """lines (config echo and header first) with one field of a data row
+    changed, or that row deleted or duplicated."""
     lines = list(lines)
-    k = 1 if rng.random() < 0.25 else rng.randrange(3, len(lines))
+    k = rng.randrange(2, len(lines))
     kind = rng.choice(["field", "delete", "duplicate"])
     if kind == "delete":
         del lines[k]

@@ -262,15 +262,17 @@ class TestKernelFit:
             want = textbook_taylor_features(x, lo, hi, bandwidth, m)
             assert _taylor_features(x, lo, hi, bandwidth, m).tobytes() == want.tobytes(), (m, n)
 
-    def test_fit_checks_bandwidth_and_ridge_once(self, monkeypatch):
+    def test_fit_builds_through_the_checked_constructor(self, monkeypatch):
+        # Checked before fitting, then again by KernelRegressor's one
+        # constructor, which builds the fit's result.
         calls = []
         check = regression._check_kernel
         monkeypatch.setattr(
             regression, "_check_kernel", lambda *args: calls.append(args) or check(*args)
         )
         model = fit_kernel([0.0, 0.5, 1.0], [1.0, 2.0, 0.0], bandwidth=0.8, ridge=1e-6)
-        assert calls == [(0.8, 1e-6)]
-        # The fit builds what the checked constructor would.
+        assert calls == [(0.8, 1e-6)] * 2
+        # A rebuild from the fit's dict is the same regressor.
         rebuilt = Regressor.from_dict(model.to_dict())
         assert (rebuilt.to_dict(), rebuilt.tail_bound) == (model.to_dict(), model.tail_bound)
 

@@ -161,6 +161,26 @@ class TestKalman:
         _, b = run_filter(params, [9.9, 0.0, -3.3])
         assert a == b  # bitwise
 
+    def test_variance_schedule_is_the_filter_variance_bitwise(self):
+        # variance_schedule steps the variance alone; the filter, fed any
+        # observations, reaches the same bits at every epoch.
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            params = ModelParams(
+                horizon=int(rng.integers(1, 40)),
+                sigma_eps=float(rng.choice([0.0, rng.uniform(0.0, 3.0)])),
+                sigma_xi=float(rng.uniform(0.01, 5.0)),
+                sigma_v=float(rng.uniform(0.01, 5.0)),
+            )
+            mean, var = params.mu_prior, params.sigma_v**2
+            want = [var]
+            for y in rng.normal(0.0, 3.0, params.horizon):
+                mean, var = kalman_correct(mean, kalman_predict(var, params), float(y), params)
+                want.append(var)
+            got = seller.variance_schedule(params)
+            assert got.shape == (params.horizon + 1,)
+            assert got.tolist() == want, params
+
     def test_non_finite_observation_named(self):
         params = ModelParams()
         y = np.array([1.0, math.nan, math.inf])
@@ -439,7 +459,7 @@ class TestSellerStep:
         assert y == 1.2 + 0.75 * z
         prior_var = kalman_predict(params.sigma_v**2, params)
         mean, var = kalman_correct(params.mu_prior, prior_var, y, params)
-        assert (batch.seller_mean[0, 1], batch.seller_var[1]) == (mean, var)
+        assert (batch.seller_mean[0, 1], seller.variance_schedule(params)[1]) == (mean, var)
         assert batch.p[0, 1] == myopic_price(mean, var)
 
     def test_perfect_observation_fails_at_pricing(self):
